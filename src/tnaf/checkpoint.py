@@ -10,7 +10,8 @@ Checkpoint layout (all little-endian):
     blob      concatenated float32 parameter buffers
 
 Parameters are stored float32 and widened to float64 on load; every
-tolerance that crosses a save/load boundary allows for that rounding.
+tolerance that crosses a save/load boundary allows for that rounding.  A
+checkpoint holding a non-finite parameter is rejected as corrupt.
 save -> load -> save is byte-identical.
 """
 
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .data import StandardizationStats
-from .flow import FlowModel, HEAD_TYPES, ModelConfig, build_model
+from .flow import FlowModel, ModelConfig, build_model
 from .trainer import TrainConfig
 
 MAGIC = b"TNAFCKPT"
@@ -101,8 +102,6 @@ def parse_run_config(doc: dict) -> RunConfig:
 
     if "D" not in model_doc:
         raise ConfigError("model.D is required")
-    if model_doc.get("head_type", "cdf") not in HEAD_TYPES:
-        raise ConfigError(f"model.head_type must be one of {HEAD_TYPES}")
     try:
         model = ModelConfig(**{_MODEL_KEYS[k]: v for k, v in model_doc.items()})
         train = TrainConfig(**train_doc)
@@ -245,6 +244,8 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
         if end > len(blob):
             raise CheckpointError(f"{path}: checkpoint corrupt (truncated blob)")
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: parameter {entry['name']} has non-finite values")
         node.value = values.astype(np.float64).reshape(shape)
         offset = end
     if offset != len(blob):

@@ -124,16 +124,16 @@ def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
 def check_inversion(model: FlowModel, seed: int = 0, rows: int = 64) -> OracleResult:
     """x -> y -> x round trip through the model's own inverse path.
 
-    Bisection error compounds across dimensions via the conditioner, so the
-    flow-level tolerance for bisection heads is 1e-4 (per-transform round
-    trips are held to 2e-6 in the acceptance suite).
+    The tolerance is the head's: bisection error compounds across dimensions
+    via the conditioner, so bisection heads allow 1e-4 at flow level
+    (per-transform round trips are held to 2e-6 in the acceptance suite).
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, model.D))
     y, _ = forward_values(model, x)
     recovered = invert_rows(model, y)
     err = float(np.abs(x - recovered).max())
-    tol = 1e-4 if model.head_type in ("cdf", "shared_cdf") else 1e-9
+    tol = model.head.inversion_tol
     if err >= tol:
         return OracleResult("inversion", False, f"round-trip error {err:.2e} >= {tol:.0e}")
     return OracleResult("inversion", True, f"round-trip error {err:.2e}")

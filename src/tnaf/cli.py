@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, sample, invert, check, inspect, ablate.
 
 Exit codes: 0 success, 1 internal error, 2 config/usage error, 3 data error
-(including dimension mismatch), 4 corrupt checkpoint, 5 inversion failure.
+(including dimension mismatch), 4 corrupt checkpoint (including non-finite
+weights), 5 inversion failure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .flow import (
     FlowModel,
     build_model,
     invert_rows,
-    pseudo_param_count,
     sample,
     total_param_count,
 )
@@ -88,7 +88,7 @@ def _train_run(rc: RunConfig, log_fn) -> tuple[FlowModel, StandardizationStats, 
 def _printed_count(model: FlowModel, with_psi: bool) -> int:
     count = total_param_count(model.config)
     if with_psi:
-        count += pseudo_param_count(model.config)
+        count += model.head.psi_count()
     return count
 
 
@@ -151,10 +151,9 @@ def cmd_inspect(args) -> int:
     print(f"head_type={cfg.head_type}")
     print(f"D={cfg.D} E={cfg.E} heads={cfg.heads} layers={cfg.layers} "
           f"mlp_hidden={cfg.mlp_hidden}")
-    if cfg.head_type in ("cdf", "shared_cdf"):
-        print(f"H={cfg.cdf_hidden}")
-    if cfg.head_type == "spline":
-        print(f"K={cfg.spline_bins} B={cfg.spline_bound} blocks={cfg.spline_blocks}")
+    hyper = model.head.describe()
+    if hyper:
+        print(hyper)
     print(f"param_count={_printed_count(model, args.count_with_psi)}")
     print(f"standardized_columns={len(stats.mean)}")
     return EXIT_OK

@@ -25,11 +25,9 @@ class ConditionerConfig:
     heads: int = 8
     L: int = 3
     mlp_hidden: int = 64
-    psi_dim: int = 2
-    identity_head: bool = False
 
     def __post_init__(self):
-        for field in ("D", "E", "heads", "L", "mlp_hidden", "psi_dim"):
+        for field in ("D", "E", "heads", "L", "mlp_hidden"):
             if getattr(self, field) < 1:
                 raise DimensionError(f"{field} must be >= 1, got {getattr(self, field)}")
         if self.E % self.heads != 0:
@@ -44,8 +42,13 @@ def conditioner_param_count(cfg: ConditionerConfig) -> int:
     """Closed-form size of the conditioner (affine in D with slope E)."""
     e, m, d = cfg.E, cfg.mlp_hidden, cfg.D
     per_layer = 2 * e + 4 * (e * e + e) + 2 * e + e * m + m + m * e + e
-    head = 0 if cfg.identity_head else e * cfg.psi_dim + cfg.psi_dim
-    return 2 * e + e + d * e + cfg.L * per_layer + head
+    return 2 * e + e + d * e + cfg.L * per_layer
+
+
+def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+    """Weights ~ U(+-1/sqrt(fan_in)), drawn from the build RNG."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) -> ParamSet:
@@ -53,12 +56,7 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
     and start-token embeddings ~ N(0, 0.02)."""
     e, m = cfg.E, cfg.mlp_hidden
     params = ParamSet()
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    params.add("input_proj.w", uniform(1, (1, e)))
+    params.add("input_proj.w", uniform_init(rng, 1, (1, e)))
     params.add("input_proj.b", np.zeros(e))
     params.add("bos", rng.normal(0.0, 0.02, size=e))
     params.add("positional", rng.normal(0.0, 0.02, size=(cfg.D, e)))
@@ -67,17 +65,14 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
         params.add(p + "ln1.g", np.ones(e))
         params.add(p + "ln1.b", np.zeros(e))
         for name in ("wq", "wk", "wv", "wo"):
-            params.add(p + name, uniform(e, (e, e)))
+            params.add(p + name, uniform_init(rng, e, (e, e)))
             params.add(p + name.replace("w", "b"), np.zeros(e))
         params.add(p + "ln2.g", np.ones(e))
         params.add(p + "ln2.b", np.zeros(e))
-        params.add(p + "mlp.w1", uniform(e, (e, m)))
+        params.add(p + "mlp.w1", uniform_init(rng, e, (e, m)))
         params.add(p + "mlp.b1", np.zeros(m))
-        params.add(p + "mlp.w2", uniform(m, (m, e)))
+        params.add(p + "mlp.w2", uniform_init(rng, m, (m, e)))
         params.add(p + "mlp.b2", np.zeros(e))
-    if not cfg.identity_head:
-        params.add("head.w", uniform(e, (e, cfg.psi_dim)))
-        params.add("head.b", np.zeros(cfg.psi_dim))
     return params
 
 
@@ -167,14 +162,3 @@ def condition(x, params: ParamSet, cfg: ConditionerConfig) -> Node:
     for layer in range(cfg.L):
         seq = encoder_layer(seq, params, layer, mask, cfg)
     return seq
-
-
-def project_head(hidden: Node, params: ParamSet, cfg: ConditionerConfig,
-                 prefix: str = "head") -> Node:
-    """Shared linear projection of hidden embeddings to pseudo-parameters.
-
-    The identity-head variant returns the embeddings unchanged.
-    """
-    if cfg.identity_head:
-        return hidden
-    return linear(hidden, params[prefix + ".w"], params[prefix + ".b"])

@@ -84,10 +84,6 @@ class checked_mode:
         return False
 
 
-def set_checked(enabled: bool) -> None:
-    _state.checked = bool(enabled)
-
-
 # ---------------------------------------------------------------------------
 # tensors and nodes
 # ---------------------------------------------------------------------------
@@ -355,27 +351,6 @@ def softplus(a) -> Node:
     av = a.value
     out = np.logaddexp(0.0, av)
     return make_node(out, [(a, lambda g: g * 0.5 * (1.0 + np.tanh(0.5 * av)))])
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "mul": mul,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "softplus": softplus,
-    "neg": neg,
-}
-
-
-def elementwise(op: str, *args) -> Node:
-    """Dispatch by name over the supported pointwise operations."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ContractViolation(f"unknown elementwise op {op!r}") from None
-    return fn(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ the not-yet-filled positions irrelevant).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -22,11 +23,10 @@ from .conditioner import (
     conditioner_param_count,
     init_conditioner_params,
     linear,
-    project_head,
+    uniform_init,
 )
 from .diffcore import ContractViolation, DimensionError, Node, ParamSet
 
-HEAD_TYPES = ("affine", "cdf", "shared_cdf", "spline")
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -78,20 +78,14 @@ class ModelConfig:
     spline_blocks: int = 2    # J
 
     def __post_init__(self):
-        if self.head_type not in HEAD_TYPES:
+        if self.head_type not in HEADS:
             raise DimensionError(
-                f"head_type must be one of {HEAD_TYPES}, got {self.head_type!r}"
+                f"head_type must be one of {tuple(HEADS)}, got {self.head_type!r}"
             )
+        self.head().validate()
 
-    def psi_dim(self) -> int:
-        """Pseudo-parameter width per token (per block for spline stacks)."""
-        if self.head_type == "affine":
-            return 2
-        if self.head_type == "cdf":
-            return 3 * self.cdf_hidden + 1
-        if self.head_type == "shared_cdf":
-            return self.E
-        return 3 * self.spline_bins - 1
+    def head(self) -> Head:
+        return HEADS[self.head_type](self)
 
     def conditioner_config(self) -> ConditionerConfig:
         return ConditionerConfig(
@@ -100,31 +94,248 @@ class ModelConfig:
             heads=self.heads,
             L=self.layers,
             mlp_hidden=self.mlp_hidden,
-            psi_dim=self.psi_dim(),
-            identity_head=self.head_type in ("shared_cdf", "spline"),
         )
 
 
-def head_extra_param_count(cfg: ModelConfig) -> int:
-    """Learnable head parameters beyond the conditioner's own projection."""
-    if cfg.head_type == "shared_cdf":
-        h = cfg.cdf_hidden
-        return 3 * h + 1 + h * cfg.E + cfg.E
-    if cfg.head_type == "spline":
-        per_block = cfg.E * cfg.psi_dim() + cfg.psi_dim()
-        mix = cfg.D * (cfg.D - 1) // 2
-        return cfg.spline_blocks * (per_block + mix)
-    return 0
+def project_head(hidden: Node, params: ParamSet, prefix: str = "head") -> Node:
+    """Linear projection of hidden embeddings to a head's pseudo-parameters."""
+    return linear(hidden, params[prefix + ".w"], params[prefix + ".b"])
+
+
+def _psi_values(hidden_i: np.ndarray, params: ParamSet, prefix: str = "head") -> np.ndarray:
+    """project_head on one position's hidden rows [N, E] (inversion path)."""
+    return project_head(dc.constant(hidden_i), params, prefix).value
+
+
+def _require_positive_ints(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# heads: one object per transform family, registered in HEADS
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Head:
+    """One per-dimension invertible transform, parameterized per position by
+    the conditioner's hidden embeddings [N, D, E].
+
+    Besides the defaults below, a head implements:
+
+    * ``init(params, rng)``: add its parameters after the conditioner's,
+      drawing from the build RNG;
+    * ``param_count()``: closed-form count of what ``init`` adds;
+    * ``psi_count()``: pseudo-parameters emitted per input vector;
+    * ``forward(x, hidden, params)``: the graph map x [N, D] ->
+      (y [N, D], per-dimension logdet [N, D]);
+    * ``inverse(params, hidden_i, target, i, state)``: column i of x from
+      column i of y, given the hidden rows [N, E] at position i.
+
+    Transforms and ``project_head`` are looked up as module attributes at
+    call time, so code that patches them (a tracer, say) sees every call.
+    """
+
+    cfg: ModelConfig
+    base_kind = "standard_normal"
+    inversion_tol = 1e-9  # flow-level round-trip tolerance of check_inversion
+
+    def validate(self) -> None:
+        """Reject out-of-range hyperparameters (raises DimensionError)."""
+
+    def describe(self) -> str | None:
+        """Hyperparameter line for `tnaf inspect`, if the head has any."""
+        return None
+
+    def inverse_state(self, params: ParamSet, n: int):
+        """Scratch carried across the dimensions of one inversion."""
+        return None
+
+
+class _ProjectedHead(Head):
+    """Head whose per-position pseudo-parameters are one linear projection
+    `head.{w,b}` of the hidden embedding, `width` values per position."""
+
+    def init(self, params, rng):
+        e = self.cfg.E
+        params.add("head.w", uniform_init(rng, e, (e, self.width)))
+        params.add("head.b", np.zeros(self.width))
+
+    def param_count(self):
+        return (self.cfg.E + 1) * self.width
+
+    def psi_count(self):
+        return self.cfg.D * self.width
+
+
+class AffineHead(_ProjectedHead):
+    """y = mu + exp(log_sigma) * x, psi = [mu | log_sigma]."""
+
+    width = 2
+
+    def forward(self, x, hidden, params):
+        return tf.affine_forward_node(x, project_head(hidden, params))
+
+    def inverse(self, params, hidden_i, target, i, state):
+        return tf.affine_inverse_np(target, _psi_values(hidden_i, params))
+
+
+class CdfHead(_ProjectedHead):
+    """Per-position monotone net sigma(sum exp(w2) tanh(exp(w1) x + b1) + b2),
+    psi = [w1 | b1 | w2 | b2]; lands in (0, 1), so pairs with the uniform base."""
+
+    base_kind = "unit_uniform"
+    # bisection error compounds across dimensions via the conditioner
+    inversion_tol = 1e-4
+
+    @property
+    def width(self):
+        return 3 * self.cfg.cdf_hidden + 1
+
+    def validate(self):
+        _require_positive_ints(H=self.cfg.cdf_hidden)
+
+    def describe(self):
+        return f"H={self.cfg.cdf_hidden}"
+
+    def init(self, params, rng):
+        super().init(params, rng)
+        # exp(w2) must sum to ~1 at init or the sigmoid saturates to exactly
+        # 0/1 in float64, breaking the uniform-base support invariant before
+        # the first step; bias the w2 slots of the projection accordingly.
+        h = self.cfg.cdf_hidden
+        params["head.b"].value[2 * h:3 * h] = -np.log(h)
+
+    def forward(self, x, hidden, params):
+        return tf.cdf_forward_node(x, project_head(hidden, params), self.cfg.cdf_hidden)
+
+    def inverse(self, params, hidden_i, target, i, state):
+        h = self.cfg.cdf_hidden
+        psi = _psi_values(hidden_i, params)
+        return tf.cdf_inv_batch(target, psi[:, :h], psi[:, h:2 * h],
+                                psi[:, 2 * h:3 * h], psi[:, 3 * h])
+
+
+class SharedCdfHead(Head):
+    """One global monotone net `phi.*` whose hidden-layer and output biases
+    are shifted by linear maps of the embedding (no projection layer)."""
+
+    base_kind = CdfHead.base_kind
+    inversion_tol = CdfHead.inversion_tol
+    validate = CdfHead.validate
+    describe = CdfHead.describe
+
+    def init(self, params, rng):
+        h, e = self.cfg.cdf_hidden, self.cfg.E
+        params.add("phi.w1", np.zeros(h))
+        params.add("phi.b1", np.zeros(h))
+        # same saturation guard as the per-token head
+        params.add("phi.w2", np.full(h, -np.log(h)))
+        params.add("phi.b2", np.zeros(1))
+        params.add("phi.w1_cond", uniform_init(rng, e, (h, e)))
+        params.add("phi.w2_cond", uniform_init(rng, e, (1, e)))
+
+    def param_count(self):
+        h, e = self.cfg.cdf_hidden, self.cfg.E
+        return 3 * h + 1 + h * e + e
+
+    def psi_count(self):
+        return self.cfg.D * self.cfg.E
+
+    def forward(self, x, hidden, params):
+        return tf.shared_cdf_forward_node(x, hidden, params)
+
+    def inverse(self, params, hidden_i, target, i, state):
+        b1 = params["phi.b1"].value + hidden_i @ params["phi.w1_cond"].value.T
+        b2 = float(params["phi.b2"].value[0]) + hidden_i @ params["phi.w2_cond"].value.T[:, 0]
+        return tf.cdf_inv_batch(target, params["phi.w1"].value, b1,
+                                params["phi.w2"].value, b2)
+
+
+class SplineHead(Head):
+    """Stack of J blocks: rational-quadratic spline (psi from projection
+    `head{j}`), then unit-lower-triangular mix `mix{j}` (log-det exactly 0).
+
+    Every block's psi comes from the same conditioner pass, so every block's
+    parameters depend only on the original inputs < i.
+    """
+
+    @property
+    def width(self):
+        return 3 * self.cfg.spline_bins - 1
+
+    def validate(self):
+        cfg = self.cfg
+        _require_positive_ints(K=cfg.spline_bins, blocks=cfg.spline_blocks)
+        if not (math.isfinite(cfg.spline_bound) and cfg.spline_bound > 0):
+            raise DimensionError(f"B must be positive and finite, got {cfg.spline_bound}")
+
+    def describe(self):
+        cfg = self.cfg
+        return f"K={cfg.spline_bins} B={cfg.spline_bound} blocks={cfg.spline_blocks}"
+
+    def init(self, params, rng):
+        cfg, e = self.cfg, self.cfg.E
+        for j in range(cfg.spline_blocks):
+            params.add(f"head{j}.w", uniform_init(rng, e, (e, self.width)))
+            params.add(f"head{j}.b", np.zeros(self.width))
+        if cfg.D > 1:
+            for j in range(cfg.spline_blocks):
+                params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
+
+    def param_count(self):
+        cfg = self.cfg
+        per_block = (cfg.E + 1) * self.width + cfg.D * (cfg.D - 1) // 2
+        return cfg.spline_blocks * per_block
+
+    def psi_count(self):
+        return self.cfg.D * self.cfg.spline_blocks * self.width
+
+    def forward(self, x, hidden, params):
+        cfg = self.cfg
+        z, ld_total = x, None
+        for j in range(cfg.spline_blocks):
+            psi = project_head(hidden, params, f"head{j}")
+            z, ld = tf.spline_forward_node(z, psi, cfg.spline_bins, cfg.spline_bound)
+            ld_total = ld if ld_total is None else dc.add(ld_total, ld)
+            free = params[f"mix{j}"] if cfg.D > 1 else None
+            z, _ = tf.mix_forward_node(z, free, cfg.D)
+        return z, ld_total
+
+    def inverse_state(self, params, n):
+        """Per-block pre-mix outputs, filled column by column."""
+        return [np.zeros((n, self.cfg.D)) for _ in range(self.cfg.spline_blocks)]
+
+    def inverse(self, params, hidden_i, target, i, state):
+        """Undo mix row i by forward substitution, then the spline, block by
+        block from the top."""
+        cfg = self.cfg
+        k = cfg.spline_bins
+        v = target.copy()
+        for j in reversed(range(cfg.spline_blocks)):
+            if i > 0:
+                # row i of the strict lower triangle, in np.tril_indices order
+                row = params[f"mix{j}"].value[i * (i - 1) // 2:i * (i + 1) // 2]
+                v = v - state[j][:, :i] @ row
+            psi = _psi_values(hidden_i, params, f"head{j}")
+            state[j][:, i] = v
+            v = tf.spline_inverse_np(v, psi[:, :k], psi[:, k:2 * k], psi[:, 2 * k:],
+                                     cfg.spline_bound)
+        return v
+
+
+HEADS: dict[str, type[Head]] = {
+    "affine": AffineHead,
+    "cdf": CdfHead,
+    "shared_cdf": SharedCdfHead,
+    "spline": SplineHead,
+}
 
 
 def total_param_count(cfg: ModelConfig) -> int:
-    return conditioner_param_count(cfg.conditioner_config()) + head_extra_param_count(cfg)
-
-
-def pseudo_param_count(cfg: ModelConfig) -> int:
-    """Activations emitted per input vector, for the optional reporting mode."""
-    blocks = cfg.spline_blocks if cfg.head_type == "spline" else 1
-    return cfg.D * blocks * cfg.psi_dim()
+    return conditioner_param_count(cfg.conditioner_config()) + cfg.head().param_count()
 
 
 @dataclass
@@ -133,6 +344,7 @@ class FlowModel:
     cond: ConditionerConfig
     params: ParamSet
     base: BaseDistribution
+    head: Head
 
     @property
     def head_type(self) -> str:
@@ -150,48 +362,14 @@ class LogProbResult:
     logp: np.ndarray | float
 
 
-def base_for_head(head_type: str) -> BaseDistribution:
-    """CDF-style heads land in (0,1)^D, so they pair with the uniform base."""
-    if head_type in ("cdf", "shared_cdf"):
-        return BaseDistribution("unit_uniform")
-    return BaseDistribution("standard_normal")
-
-
 def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
-    """Fresh model: conditioner parameters plus head-specific extras."""
+    """Fresh model: conditioner parameters, then the head's."""
     rng = np.random.default_rng(seed)
     cond_cfg = cfg.conditioner_config()
     params = init_conditioner_params(cond_cfg, rng)
-    e = cfg.E
-
-    def uniform(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    if cfg.head_type == "cdf":
-        # exp(w2) must sum to ~1 at init or the sigmoid saturates to exactly
-        # 0/1 in float64, breaking the uniform-base support invariant before
-        # the first step; bias the w2 slots of the projection accordingly.
-        h = cfg.cdf_hidden
-        params["head.b"].value[2 * h:3 * h] = -np.log(h)
-    elif cfg.head_type == "shared_cdf":
-        h = cfg.cdf_hidden
-        params.add("phi.w1", np.zeros(h))
-        params.add("phi.b1", np.zeros(h))
-        # same saturation guard as the per-token head
-        params.add("phi.w2", np.full(h, -np.log(h)))
-        params.add("phi.b2", np.zeros(1))
-        params.add("phi.w1_cond", uniform(e, (h, e)))
-        params.add("phi.w2_cond", uniform(e, (1, e)))
-    elif cfg.head_type == "spline":
-        psi = cfg.psi_dim()
-        for j in range(cfg.spline_blocks):
-            params.add(f"head{j}.w", uniform(e, (e, psi)))
-            params.add(f"head{j}.b", np.zeros(psi))
-        if cfg.D > 1:
-            for j in range(cfg.spline_blocks):
-                params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
-    return FlowModel(cfg, cond_cfg, params, base_for_head(cfg.head_type))
+    head = cfg.head()
+    head.init(params, rng)
+    return FlowModel(cfg, cond_cfg, params, BaseDistribution(head.base_kind), head)
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +377,10 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
 # ---------------------------------------------------------------------------
 
 
-def _phi_view(params: ParamSet) -> dict[str, Node]:
-    names = ("phi.w1", "phi.b1", "phi.w2", "phi.b2", "phi.w1_cond", "phi.w2_cond")
-    return {n: params[n] for n in names}
-
-
 def transform_forward(model: FlowModel, x: np.ndarray) -> tuple[Node, Node]:
     """x [N, D] -> (y [N, D], per-dimension logdet [N, D]) as graph nodes."""
-    cfg = model.config
     hidden = condition(x, model.params, model.cond)
-    xn = dc.constant(x)
-    if cfg.head_type == "affine":
-        psi = project_head(hidden, model.params, model.cond)
-        return tf.affine_forward_node(xn, psi)
-    if cfg.head_type == "cdf":
-        psi = project_head(hidden, model.params, model.cond)
-        return tf.cdf_forward_node(xn, psi, cfg.cdf_hidden)
-    if cfg.head_type == "shared_cdf":
-        return tf.shared_cdf_forward_node(xn, hidden, _phi_view(model.params))
-    # spline stack: all block psi come from the same conditioner pass, so
-    # every block's parameters depend only on the original inputs < i.
-    z: Node = xn
-    ld_total: Optional[Node] = None
-    for j in range(cfg.spline_blocks):
-        psi = linear(hidden, model.params[f"head{j}.w"], model.params[f"head{j}.b"])
-        z, ld = tf.spline_forward_node(z, psi, cfg.spline_bins, cfg.spline_bound)
-        ld_total = ld if ld_total is None else dc.add(ld_total, ld)
-        free = model.params[f"mix{j}"] if cfg.D > 1 else None
-        z, _ = tf.mix_forward_node(z, free, cfg.D)
-    return z, ld_total
+    return model.head.forward(dc.constant(x), hidden, model.params)
 
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
@@ -276,13 +429,6 @@ def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def _head_psi_values(model: FlowModel, hidden_vals: np.ndarray, dim: int,
-                     prefix: str = "head") -> np.ndarray:
-    w = model.params[prefix + ".w"].value
-    b = model.params[prefix + ".b"].value
-    return hidden_vals[:, dim, :] @ w + b
-
-
 def sample(model: FlowModel, n: int, seed: int) -> np.ndarray:
     """Draw n vectors: sample base noise, then invert dimension by dimension."""
     if n < 1:
@@ -299,79 +445,23 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"targets must be [n, {model.D}], got shape {noise.shape}"
         )
-    cfg = model.config
     n, d = noise.shape
-    x = np.zeros((n, d))
-    # per-block pre-mix outputs, needed to undo the mixing rows
-    t_bufs = [np.zeros((n, d)) for _ in range(cfg.spline_blocks)] \
-        if cfg.head_type == "spline" else []
-    mixes = []
-    if cfg.head_type == "spline":
-        for j in range(cfg.spline_blocks):
-            free = model.params[f"mix{j}"].value if d > 1 else np.zeros(0)
-            mixes.append(tf.LowerMixL(free, d).matrix)
     if model.base.kind == "unit_uniform" and not np.all((noise > 0) & (noise < 1)):
         raise DimensionError("uniform-base targets must lie strictly in (0, 1)")
-
+    x = np.zeros((n, d))
+    state = model.head.inverse_state(model.params, n)
     for i in range(d):
         with dc.no_grad():
             hidden = condition(x, model.params, model.cond).value
-        target = noise[:, i]
-        try:
-            if cfg.head_type == "affine":
-                psi = _head_psi_values(model, hidden, i)
-                x[:, i] = (target - psi[:, 0]) / np.exp(psi[:, 1])
-            elif cfg.head_type == "cdf":
-                h = cfg.cdf_hidden
-                psi = _head_psi_values(model, hidden, i)
-                x[:, i] = tf.cdf_inv_batch(
-                    target, psi[:, :h], psi[:, h:2 * h], psi[:, 2 * h:3 * h],
-                    psi[:, 3 * h],
-                )
-            elif cfg.head_type == "shared_cdf":
-                x[:, i] = _shared_cdf_inv_batch(model, hidden[:, i, :], target)
-            else:
-                x[:, i] = _spline_stack_inv_dim(model, hidden, i, target, t_bufs, mixes)
-        except tf.InversionError as err:
-            raise tf.InversionError(
-                f"inversion failed at sample {err.index}, dimension {i}: {err}",
-                index=err.index,
-            ) from err
+            try:
+                x[:, i] = model.head.inverse(model.params, hidden[:, i, :], noise[:, i],
+                                             i, state)
+            except tf.InversionError as err:
+                raise tf.InversionError(
+                    f"inversion failed at sample {err.index}, dimension {i}: {err}",
+                    index=err.index,
+                ) from err
     return x
-
-
-def _shared_cdf_inv_batch(model: FlowModel, h_rows: np.ndarray,
-                          target: np.ndarray) -> np.ndarray:
-    p = model.params
-    w1 = p["phi.w1"].value
-    b1 = p["phi.b1"].value + h_rows @ p["phi.w1_cond"].value.T
-    w2 = p["phi.w2"].value
-    b2 = float(p["phi.b2"].value[0]) + h_rows @ p["phi.w2_cond"].value.T[:, 0]
-
-    def f(x):
-        a = np.exp(w1) * x[..., None] + b1
-        u = (np.tanh(a) * np.exp(w2)).sum(axis=-1) + b2
-        return 0.5 * (1.0 + np.tanh(0.5 * u))
-
-    return tf.monotone_bisect(f, target, tol=1e-6)
-
-
-def _spline_stack_inv_dim(model: FlowModel, hidden: np.ndarray, dim: int,
-                          target: np.ndarray, t_bufs: list[np.ndarray],
-                          mixes: list[np.ndarray]) -> np.ndarray:
-    """Undo mix row `dim` and the spline, block by block from the top."""
-    cfg = model.config
-    k = cfg.spline_bins
-    v = target.copy()
-    for j in reversed(range(cfg.spline_blocks)):
-        if dim > 0:
-            v = v - t_bufs[j][:, :dim] @ mixes[j][dim, :dim]
-        psi = _head_psi_values(model, hidden, dim, prefix=f"head{j}")
-        t_bufs[j][:, dim] = v
-        v = tf.spline_inverse_np(
-            v, psi[:, :k], psi[:, k:2 * k], psi[:, 2 * k:], cfg.spline_bound
-        )
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -98,10 +98,6 @@ def clip_gradients(params: ParamSet, clip_norm: float, step: int = 0) -> float:
     return norm
 
 
-def optimizer_step(params: ParamSet, state: Adam, lr: float) -> None:
-    state.step(lr)
-
-
 def evaluate(model: FlowModel, matrix: DatasetMatrix,
              chunk: int = 4096) -> tuple[float, float]:
     """Mean per-row log-likelihood and its standard error (no-grad)."""

@@ -1,11 +1,9 @@
 """Invertible per-dimension transforms and their log-derivatives.
 
-Each head maps a scalar x to y strictly monotonically and reports
-log|dy/dx|.  Two parallel implementations exist on purpose:
-
-* plain-numpy forms (scalar and vectorized) used for inversion, sampling and
-  as cross-checks;
-* graph forms built from diffcore ops, used inside the training loss.
+Each transform maps x to y strictly monotonically, lane by lane, and reports
+log|dy/dx|.  Every transform has exactly one forward, a batched graph form
+built from diffcore ops (run under ``dc.no_grad()`` it gives plain values),
+and one vectorized numpy inverse used for sampling and inversion.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -14,13 +12,12 @@ is the product of the per-block spline derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ContractViolation, DimensionError, DomainError, Node
+from .diffcore import ContractViolation, DimensionError, Node
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
@@ -40,20 +37,6 @@ class InversionError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AffinePsi:
-    mu: float
-    log_sigma: float
-
-
-def affine_fwd(x: float, psi: AffinePsi) -> tuple[float, float]:
-    return psi.mu + np.exp(psi.log_sigma) * x, psi.log_sigma
-
-
-def affine_inv(y: float, psi: AffinePsi) -> float:
-    return (y - psi.mu) / np.exp(psi.log_sigma)
-
-
 def affine_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:
     """Batched graph form: psi[..., 0] is the shift, psi[..., 1] log-scale."""
     lead = psi.value.shape[:-1]
@@ -63,17 +46,14 @@ def affine_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:
     return y, log_sigma
 
 
+def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Closed-form inverse; psi packs [shift, log-scale] on the last axis."""
+    return (y - psi[..., 0]) / np.exp(psi[..., 1])
+
+
 # ---------------------------------------------------------------------------
 # monotone CDF network (one hidden layer, positivity via exp)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CdfPsi:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
 
 
 def _sigmoid(x):
@@ -82,32 +62,6 @@ def _sigmoid(x):
 
 def _softplus(x):
     return np.logaddexp(0.0, x)
-
-
-def _log1m_tanh_sq(a):
-    # log(1 - tanh(a)^2) = 2*(log 2 - a - softplus(-2a)), stable on both tails
-    return 2.0 * (LOG2 - a - _softplus(-2.0 * a))
-
-
-def _cdf_eval(x, w1, b1, w2, b2):
-    """Vectorized forward of the monotone net; trailing axis is the hidden
-    layer. Returns (y, logdet)."""
-    a = np.exp(w1) * x[..., None] + b1
-    u = (np.tanh(a) * np.exp(w2)).sum(axis=-1) + b2
-    y = _sigmoid(u)
-    log_sig_prime = -_softplus(u) - _softplus(-u)
-    slope = _logsumexp_np(w2 + _log1m_tanh_sq(a) + w1)
-    return y, log_sig_prime + slope
-
-
-def _logsumexp_np(v):
-    m = v.max(axis=-1, keepdims=True)
-    return (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))[..., 0]
-
-
-def cdf_fwd(x: float, psi: CdfPsi) -> tuple[float, float]:
-    y, ld = _cdf_eval(np.asarray(float(x)), psi.w1, psi.b1, psi.w2, psi.b2)
-    return float(y), float(ld)
 
 
 def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
@@ -148,24 +102,14 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def cdf_inv(y: float, psi: CdfPsi, tol: float = 1e-6) -> float:
-    if not 0.0 < y < 1.0:
-        raise DomainError(f"cdf_inv target must lie in (0, 1), got {y}")
-    target = np.asarray([float(y)])
-
-    def f(x):
-        out, _ = _cdf_eval(x, psi.w1, psi.b1, psi.w2, psi.b2)
-        return out
-
-    return float(monotone_bisect(f, target, tol)[0])
-
-
 def cdf_inv_batch(y: np.ndarray, w1, b1, w2, b2, tol: float = 1e-6) -> np.ndarray:
-    """Lane-wise inverse for per-lane hidden-layer parameters [..., H]."""
+    """Lane-wise inverse of the monotone net, for hidden-layer parameters
+    [..., H] per lane (both CDF heads invert through this).  Bisection needs
+    only the net's value, not its log-derivative."""
 
     def f(x):
-        out, _ = _cdf_eval(x, w1, b1, w2, b2)
-        return out
+        a = np.exp(w1) * x[..., None] + b1
+        return _sigmoid((np.tanh(a) * np.exp(w2)).sum(axis=-1) + b2)
 
     return monotone_bisect(f, y, tol)
 
@@ -207,33 +151,9 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SharedCdfPhi:
-    w1: np.ndarray        # [H] raw, exp'd for positivity
-    b1: np.ndarray        # [H]
-    w2: np.ndarray        # [H] raw
-    b2: float
-    w1_cond: np.ndarray   # [H, E], unconstrained conditioning weights
-    w2_cond: np.ndarray   # [1, E]
-
-
-def shared_cdf_fwd(x: float, h_embed: np.ndarray, phi: SharedCdfPhi) -> tuple[float, float]:
-    h_embed = np.asarray(h_embed, dtype=np.float64)
-    if h_embed.shape != (phi.w1_cond.shape[1],):
-        raise DimensionError(
-            f"embedding shape {h_embed.shape} != (E,)=({phi.w1_cond.shape[1]},)"
-        )
-    a = np.exp(phi.w1) * float(x) + phi.w1_cond @ h_embed + phi.b1
-    u = np.tanh(a) @ np.exp(phi.w2) + float((phi.w2_cond @ h_embed)[0]) + phi.b2
-    y = _sigmoid(u)
-    ld = -_softplus(u) - _softplus(-u) + _logsumexp_np(
-        phi.w2 + _log1m_tanh_sq(a) + phi.w1
-    )
-    return float(y), float(ld)
-
-
-def shared_cdf_forward_node(x: Node, h_embed: Node, phi: dict[str, Node]) -> tuple[Node, Node]:
-    """Batched graph form; h_embed is [N, D, E], phi the shared parameters."""
+def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
+    """Batched graph form; h_embed is [N, D, E], phi maps the shared
+    parameter names ``phi.*`` to nodes."""
     n, d, e = h_embed.value.shape
     hdim = phi["phi.w1"].value.shape[0]
     flat = dc.reshape(h_embed, (n * d, e))
@@ -252,24 +172,6 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi: dict[str, Node]) -> tup
 # ---------------------------------------------------------------------------
 # monotonic rational-quadratic spline with identity tails
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SplinePsi:
-    raw_widths: np.ndarray   # [K]
-    raw_heights: np.ndarray  # [K]
-    raw_derivs: np.ndarray   # [K-1]
-    bound: float = 3.0
-
-    @property
-    def num_bins(self) -> int:
-        return len(self.raw_widths)
-
-
-class SplineKnots(NamedTuple):
-    x_knots: np.ndarray
-    y_knots: np.ndarray
-    derivs: np.ndarray
 
 
 def _softmax_np(v):
@@ -295,28 +197,6 @@ def _knot_derivs(raw_d):
     return np.concatenate([ones, inner, ones], axis=-1)
 
 
-def spline_activate(psi: SplinePsi) -> SplineKnots:
-    """Raw pseudo-parameters -> strictly increasing knots and derivatives.
-
-    Boundary derivatives are pinned to 1 so the spline meets its identity
-    tails with matching slope.
-    """
-    if psi.num_bins < 1:
-        raise DimensionError("spline needs at least one bin")
-    if psi.bound <= 0:
-        raise DimensionError("spline interval bound must be positive")
-    if psi.raw_derivs.shape != (psi.num_bins - 1,):
-        raise DimensionError(
-            f"expected {psi.num_bins - 1} interior derivatives, got "
-            f"{psi.raw_derivs.shape}"
-        )
-    return SplineKnots(
-        x_knots=_knot_positions(psi.raw_widths, psi.bound),
-        y_knots=_knot_positions(psi.raw_heights, psi.bound),
-        derivs=_knot_derivs(psi.raw_derivs),
-    )
-
-
 def _bin_index(points, knots, k):
     idx = (points[..., None] >= knots).sum(axis=-1) - 1
     return np.clip(idx, 0, k - 1)
@@ -324,42 +204,6 @@ def _bin_index(points, knots, k):
 
 def _gather(a, idx):
     return np.take_along_axis(a, idx[..., None], axis=-1)[..., 0]
-
-
-def spline_forward_np(x, raw_w, raw_h, raw_d, bound):
-    """Vectorized spline forward; trailing axis of raws is the bin axis."""
-    k = raw_w.shape[-1]
-    xk = _knot_positions(raw_w, bound)
-    yk = _knot_positions(raw_h, bound)
-    dk = _knot_derivs(raw_d)
-    x = np.asarray(x, dtype=np.float64)
-    idx = _bin_index(x, xk, k)
-    x0, x1 = _gather(xk, idx), _gather(xk, idx + 1)
-    y0, y1 = _gather(yk, idx), _gather(yk, idx + 1)
-    d0, d1 = _gather(dk, idx), _gather(dk, idx + 1)
-    w = x1 - x0
-    hgt = y1 - y0
-    s = hgt / w
-    xc = np.clip(x, -bound, bound)
-    xi = (xc - x0) / w
-    t = xi * (1.0 - xi)
-    dsum = d0 + d1 - 2.0 * s
-    denom = s + dsum * t
-    y_in = y0 + hgt * (s * xi * xi + d0 * t) / denom
-    deriv = s * s * (d1 * xi * xi + 2.0 * s * t + d0 * (1.0 - xi) ** 2) / (denom * denom)
-    inside = np.abs(x) < bound
-    y = np.where(inside, y_in, x)
-    ld = np.where(inside, np.log(deriv), 0.0)
-    return y, ld
-
-
-def spline_fwd(x: float, psi: SplinePsi) -> tuple[float, float]:
-    y, ld = spline_forward_np(
-        np.asarray([float(x)]),
-        psi.raw_widths[None, :], psi.raw_heights[None, :], psi.raw_derivs[None, :],
-        psi.bound,
-    )
-    return float(y[0]), float(ld[0])
 
 
 def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
@@ -391,15 +235,6 @@ def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
     xi = np.clip(xi, 0.0, 1.0)
     x_in = x0 + xi * w
     return np.where(np.abs(y) >= bound, y, x_in)
-
-
-def spline_inv(y: float, psi: SplinePsi) -> float:
-    out = spline_inverse_np(
-        np.asarray([float(y)]),
-        psi.raw_widths[None, :], psi.raw_heights[None, :], psi.raw_derivs[None, :],
-        psi.bound,
-    )
-    return float(out[0])
 
 
 def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node, Node]:
@@ -459,41 +294,6 @@ def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node,
 # ---------------------------------------------------------------------------
 # unit-lower-triangular mixing (determinant exactly 1)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LowerMixL:
-    free: np.ndarray  # strictly-lower entries, np.tril_indices(d, -1) order
-    d: int
-
-    def __post_init__(self):
-        expected = self.d * (self.d - 1) // 2
-        if self.free.shape != (expected,):
-            raise DimensionError(
-                f"expected {expected} free entries for d={self.d}, got {self.free.shape}"
-            )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        mat = np.eye(self.d)
-        rows, cols = np.tril_indices(self.d, -1)
-        mat[rows, cols] = self.free
-        return mat
-
-
-def mix_fwd(z: np.ndarray, mix: LowerMixL) -> tuple[np.ndarray, float]:
-    z = np.asarray(z, dtype=np.float64)
-    return mix.matrix @ z, 0.0
-
-
-def mix_inv(z_mixed: np.ndarray, mix: LowerMixL) -> np.ndarray:
-    """Forward substitution against the unit diagonal."""
-    z_mixed = np.asarray(z_mixed, dtype=np.float64)
-    mat = mix.matrix
-    out = np.empty_like(z_mixed)
-    for i in range(mix.d):
-        out[i] = z_mixed[i] - mat[i, :i] @ out[:i]
-    return out
 
 
 def mix_forward_node(z: Node, free: Node, d: int) -> tuple[Node, Node]:

@@ -33,11 +33,10 @@ from tnaf.flow import (
 )
 from tnaf.trainer import TrainConfig, evaluate, train
 from tnaf.transforms import (
-    AffinePsi,
-    affine_fwd,
-    affine_inv,
+    affine_forward_node,
+    affine_inverse_np,
     cdf_inv_batch,
-    spline_forward_np,
+    spline_forward_node,
     spline_inverse_np,
 )
 
@@ -146,13 +145,13 @@ def test_criterion_4_inversion_roundtrip():
         rng = np.random.default_rng(40)
         n = 1000
 
-        # affine: closed form
-        worst = 0.0
-        for _ in range(n):
-            psi = AffinePsi(mu=float(rng.standard_normal()),
-                            log_sigma=float(0.7 * rng.standard_normal()))
-            x = float(3 * rng.standard_normal())
-            worst = max(worst, abs(affine_inv(affine_fwd(x, psi)[0], psi) - x))
+        # affine: closed form, vectorized over 1000 (x, psi) pairs
+        draws = np.array([(rng.standard_normal(), 0.7 * rng.standard_normal(),
+                           3 * rng.standard_normal()) for _ in range(n)])
+        psi, x = draws[:, :2], draws[:, 2]
+        with dc.no_grad():
+            y, _ = affine_forward_node(dc.constant(x), dc.constant(psi))
+        worst = np.abs(affine_inverse_np(y.value, psi) - x).max()
         assert worst < 1e-9, worst
 
         # spline: quadratic inverse, vectorized over 1000 (x, psi) pairs
@@ -161,8 +160,11 @@ def test_criterion_4_inversion_roundtrip():
         raw_h = rng.standard_normal((n, k))
         raw_d = rng.standard_normal((n, k - 1))
         x = rng.uniform(-3.5, 3.5, size=n)
-        y, _ = spline_forward_np(x, raw_w, raw_h, raw_d, 3.0)
-        xr = spline_inverse_np(y, raw_w, raw_h, raw_d, 3.0)
+        with dc.no_grad():
+            y, _ = spline_forward_node(
+                dc.constant(x), dc.constant(np.concatenate([raw_w, raw_h, raw_d], axis=1)),
+                k, 3.0)
+        xr = spline_inverse_np(y.value, raw_w, raw_h, raw_d, 3.0)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
         # cdf: bisection at tol 1e-6 over 1000 (x, psi) pairs

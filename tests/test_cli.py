@@ -229,7 +229,7 @@ class TestCliTrainEval:
         last = capsys.readouterr().out.strip().splitlines()[-1]
         count = int(last.split("param_count=")[1])
         rc = parse_run_config(tiny_model_doc())
-        assert count == total_param_count(rc.model) + 2 * 2  # D * psi_dim
+        assert count == total_param_count(rc.model) + 2 * 2  # D * affine psi width
 
 
 class TestCliSampleInvert:
@@ -313,12 +313,56 @@ class TestCliCheck:
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["check"]) == 2
 
+    @pytest.mark.parametrize("head,key,value", [
+        ("spline", "blocks", 0),
+        ("spline", "B", -1.0),
+        ("spline", "B", 0.0),
+        ("spline", "B", float("inf")),
+        ("spline", "B", float("nan")),
+        ("spline", "K", 0),
+        ("spline", "K", 3.5),
+        ("cdf", "H", 0),
+        ("cdf", "H", 2.5),
+        ("shared_cdf", "H", 0),
+    ])
+    def test_bad_head_hyperparameter_exits_2(self, tmp_path, capsys, head, key, value):
+        doc = tiny_model_doc(head_type=head)
+        doc["model"][key] = value
+        assert main(["check", "-c", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
     def test_d1_model_passes(self, tmp_path, capsys):
         doc = tiny_model_doc()
         doc["model"]["D"] = 1
         doc["data"] = {"toy": "ring", "n": 40, "seed": 1}
         cfg = write_config(tmp_path, doc, name="d1.json")
         assert main(["check", "-c", cfg]) == 0
+
+
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("command", ["eval", "sample", "invert", "check", "inspect"])
+    def test_non_finite_weights_exit_4(self, tmp_path, capsys, command):
+        # save_checkpoint writes a valid crc over whatever it is given, so a
+        # NaN weight arrives intact and must be caught on load
+        rc = parse_run_config(tiny_model_doc(head_type="cdf"))
+        model = build_model(rc.model, seed=1)
+        model.params["head.b"].value[:] = np.nan
+        ckpt = str(tmp_path / "nan.ckpt")
+        save_checkpoint(ckpt, model, StandardizationStats(np.zeros(2), np.ones(2)), rc)
+        data = tmp_path / "d.csv"
+        data.write_text("0.5,0.5\n")
+        out = str(tmp_path / "o.csv")
+        argv = {
+            "eval": ["eval", "-m", ckpt, "-d", str(data)],
+            "sample": ["sample", "-m", ckpt, "-n", "3", "--seed", "1", "-o", out],
+            "invert": ["invert", "-m", ckpt, "-d", str(data), "-o", out],
+            "check": ["check", "-m", ckpt],
+            "inspect": ["inspect", "-m", ckpt],
+        }[command]
+        assert main(argv) == 4
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestCliInspectAblate:

@@ -12,11 +12,12 @@ from tnaf.conditioner import (
     embed_sequence,
     encoder_layer,
     init_conditioner_params,
-    project_head,
 )
 from tnaf.diffcore import DimensionError
+from tnaf.flow import HEADS, ModelConfig, build_model, project_head, total_param_count
 
-TINY = dict(E=8, heads=2, L=1, mlp_hidden=16, psi_dim=3)
+TINY = dict(E=8, heads=2, L=1, mlp_hidden=16)
+PSI = 3  # projection width used by the head-projection tests
 
 
 def tiny_config(d, **overrides):
@@ -28,6 +29,13 @@ def tiny_config(d, **overrides):
 def fresh(d, seed=0, **overrides):
     cfg = tiny_config(d, **overrides)
     return cfg, init_conditioner_params(cfg, np.random.default_rng(seed))
+
+
+def with_projection(params, e, rng):
+    """Add a `head.{w,b}` projection of width PSI, as projected heads do."""
+    params.add("head.w", rng.uniform(-1.0, 1.0, size=(e, PSI)) / np.sqrt(e))
+    params.add("head.b", np.zeros(PSI))
+    return params
 
 
 def zero_weights(params):
@@ -176,40 +184,42 @@ class TestCondition:
 class TestProjectHead:
     def test_zero_weights_gives_bias(self):
         cfg, params = fresh(3, seed=37)
+        with_projection(params, cfg.E, np.random.default_rng(37))
         params["head.w"].value = np.zeros_like(params["head.w"].value)
-        params["head.b"].value = np.arange(cfg.psi_dim, dtype=float)
+        params["head.b"].value = np.arange(PSI, dtype=float)
         h = condition(np.zeros(3), params, cfg)
-        psi = project_head(h, params, cfg).value
+        psi = project_head(h, params).value
         for row in psi:
             np.testing.assert_array_equal(row, params["head.b"].value)
 
     def test_identity_head_returns_embeddings(self):
-        cfg, params = fresh(3, seed=41, identity_head=True, psi_dim=8)
-        h = condition(np.zeros(3), params, cfg)
-        psi = project_head(h, params, cfg)
-        assert psi is h
+        # shared_cdf consumes the embeddings unprojected: no head.* parameters
+        # and one pseudo-parameter per embedding coordinate
+        model = build_model(ModelConfig(D=3, head_type="shared_cdf", E=8, heads=2,
+                                        layers=1, mlp_hidden=16, cdf_hidden=4), seed=41)
+        assert not [n for n in model.params.names() if n.startswith("head")]
+        assert model.head.psi_count() == 3 * 8
 
     def test_cdf_head_psi_dim(self):
-        from tnaf.flow import ModelConfig
-
-        # one hidden layer of width 128 -> 3*128 + 1 pseudo-parameters
+        # one hidden layer of width 128 -> 3*128 + 1 pseudo-parameters per token
         cfg = ModelConfig(D=6, head_type="cdf", cdf_hidden=128)
-        assert cfg.psi_dim() == 385
+        assert HEADS["cdf"](cfg).psi_count() == 6 * 385
 
 
 class TestParamCount:
     def test_closed_form_matches_actual(self):
-        for d, e, heads, layers, m, psi in [(6, 32, 8, 3, 64, 385),
-                                            (3, 8, 2, 1, 16, 13),
-                                            (1, 4, 4, 2, 8, 2)]:
-            cfg = ConditionerConfig(D=d, E=e, heads=heads, L=layers,
-                                    mlp_hidden=m, psi_dim=psi)
+        for d, e, heads, layers, m in [(6, 32, 8, 3, 64),
+                                       (3, 8, 2, 1, 16),
+                                       (1, 4, 4, 2, 8)]:
+            cfg = ConditionerConfig(D=d, E=e, heads=heads, L=layers, mlp_hidden=m)
             params = init_conditioner_params(cfg, np.random.default_rng(0))
             assert params.total_count() == conditioner_param_count(cfg)
 
     def test_reference_config_value(self):
-        cfg = ConditionerConfig(D=6, E=32, heads=8, L=3, mlp_hidden=64, psi_dim=385)
-        assert conditioner_param_count(cfg) == 38_625
+        cfg = ConditionerConfig(D=6, E=32, heads=8, L=3, mlp_hidden=64)
+        # the reference cdf model adds a 32 -> 385 projection to the conditioner
+        assert conditioner_param_count(cfg) + 32 * 385 + 385 == 38_625
+        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_625
 
     def test_slope_in_d_is_e(self):
         for d in (1, 2, 7, 42):
@@ -228,14 +238,15 @@ class TestAutoregressivePsi:
     @pytest.mark.parametrize("seed", range(3))
     def test_psi_jacobian_zero_at_and_above_diagonal(self, seed):
         cfg, params = fresh(4, seed=seed)
+        with_projection(params, cfg.E, np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 100)
-        weights = rng.standard_normal(cfg.psi_dim)
+        weights = rng.standard_normal(PSI)
         x = rng.standard_normal(4)
         step = 1e-5
 
         def reduced(v):
             h = condition(v, params, cfg)
-            return project_head(h, params, cfg).value @ weights
+            return project_head(h, params).value @ weights
 
         for j in range(4):
             xp, xm = x.copy(), x.copy()

@@ -85,12 +85,6 @@ class TestElementwise:
         out = dc.softplus(dc.constant(-700.0)).value
         assert 0.0 <= out < 1e-300
 
-    def test_dispatcher(self):
-        out = dc.elementwise("add", dc.constant(1.0), dc.constant(2.0))
-        assert out.value == 3.0
-        with pytest.raises(ContractViolation):
-            dc.elementwise("cosh", dc.constant(1.0))
-
     def test_log_domain_checked_mode(self):
         with dc.checked_mode():
             with pytest.raises(DomainError):

@@ -13,7 +13,6 @@ from tnaf.trainer import (
     TrainingFault,
     clip_gradients,
     evaluate,
-    optimizer_step,
     train,
 )
 
@@ -70,7 +69,7 @@ class TestAdam:
         params = ParamSet()
         p = params.add("p", np.array([1.0, -2.0]))
         opt = Adam(params)
-        optimizer_step(params, opt, 1e-2)
+        opt.step(1e-2)
         np.testing.assert_array_equal(p.value, [1.0, -2.0])
 
     def test_descent_direction(self):
