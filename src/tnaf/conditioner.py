@@ -4,10 +4,16 @@ Maps an input vector to one hidden embedding per dimension under the
 autoregressive constraint: embedding i may depend on inputs 1..i-1 only.
 The sequence fed to the encoder is [start-token, e(x_1), ..., e(x_{D-1})] --
 the last input never conditions anything, so it is never embedded.
+
+Because hidden row i depends on tokens <= i only, the rows can also be
+produced one at a time: `condition` with a `KVCache` encodes one new token
+per call and attends over the keys and values cached from earlier calls
+(incremental decoding; Shazeer 2019, arXiv:1911.02150).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +22,13 @@ from . import diffcore as dc
 from .diffcore import DimensionError, Node, ParamSet
 
 LAYER_NORM_EPS = 1e-5
+
+
+def require_positive_ints(**values) -> None:
+    """Reject any value that is not an integer >= 1 (bools included)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass
@@ -27,9 +40,8 @@ class ConditionerConfig:
     mlp_hidden: int = 64
 
     def __post_init__(self):
-        for field in ("D", "E", "heads", "L", "mlp_hidden"):
-            if getattr(self, field) < 1:
-                raise DimensionError(f"{field} must be >= 1, got {getattr(self, field)}")
+        require_positive_ints(D=self.D, E=self.E, heads=self.heads, L=self.L,
+                              mlp_hidden=self.mlp_hidden)
         if self.E % self.heads != 0:
             raise DimensionError(f"E={self.E} not divisible by heads={self.heads}")
 
@@ -103,31 +115,69 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     raise DimensionError(f"expected vector or matrix input, got shape {arr.shape}")
 
 
-def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig) -> Node:
-    """Token embeddings: start token at position 0, projected inputs after.
+def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) -> Node:
+    """Token embeddings from position `start` on: the start token at
+    position 0, input p-1 projected (plus its position) at position p > 0.
 
-    Accepts a single vector [D] (returns [D, E]) or a batch [N, D]
-    (returns [N, D, E]).
+    From position 0, `x` is a vector [D] (returns [D, E]) or a batch [N, D]
+    (returns [N, D, E]); the last input is dropped.  An empty batch [N, 0]
+    gives the start token alone ([N, 1, E]).  From position p > 0, `x` holds
+    inputs p-1, p, ... as [N, k] and the result is [N, k, E].
     """
     xb, single = _as_batch(x)
-    n, d = xb.shape
-    if d != cfg.D:
-        raise DimensionError(f"input has {d} columns, config expects D={cfg.D}")
-    pos0 = dc.narrow(params["positional"], 0, 0, 1)
-    bos_row = dc.add(dc.reshape(params["bos"], (1, cfg.E)), pos0)
-    rows = [dc.broadcast_to(bos_row, (n, 1, cfg.E))]
-    if d > 1:
-        cols = dc.constant(xb[:, : d - 1].reshape(-1, 1))
+    n, k = xb.shape
+    rows = []
+    if start == 0:
+        if k not in (0, cfg.D):
+            raise DimensionError(f"input has {k} columns, config expects D={cfg.D}")
+        pos0 = dc.narrow(params["positional"], 0, 0, 1)
+        bos_row = dc.add(dc.reshape(params["bos"], (1, cfg.E)), pos0)
+        rows.append(dc.broadcast_to(bos_row, (n, 1, cfg.E)))
+        xb, start = xb[:, :-1], 1
+    elif not 0 < k <= cfg.D - start:
+        raise DimensionError(f"{k} inputs from position {start} do not fit D={cfg.D}")
+    k = xb.shape[1]
+    if k:
+        cols = dc.constant(xb.reshape(-1, 1))
         proj = dc.add(dc.matmul(cols, params["input_proj.w"]), params["input_proj.b"])
-        proj = dc.reshape(proj, (n, d - 1, cfg.E))
-        rows.append(dc.add(proj, dc.narrow(params["positional"], 0, 1, d - 1)))
+        proj = dc.reshape(proj, (n, k, cfg.E))
+        rows.append(dc.add(proj, dc.narrow(params["positional"], 0, start, k)))
     seq = dc.concat(rows, axis=1) if len(rows) > 1 else rows[0]
-    return dc.reshape(seq, (d, cfg.E)) if single else seq
+    return dc.reshape(seq, seq.value.shape[1:]) if single else seq
 
 
-def encoder_layer(seq: Node, params: ParamSet, layer: int,
-                  mask: np.ndarray, cfg: ConditionerConfig) -> Node:
-    """Pre-norm encoder block: x + MHA(ln(x)), then u + MLP(ln(u))."""
+class KVCache:
+    """Attention keys and values of the tokens encoded so far, per layer.
+
+    Holds arrays [N, heads, D, head_dim] and the number of tokens `length`
+    filled so far.  The cached prefix enters later steps as constants, so a
+    cached pass is value-only (run it under `no_grad`).  One cache serves one
+    sequence of `condition` steps; it is never stored on a model.
+    """
+
+    def __init__(self, cfg: ConditionerConfig, n: int):
+        shape = (n, cfg.heads, cfg.D, cfg.head_dim)
+        self.keys = [np.zeros(shape) for _ in range(cfg.L)]
+        self.values = [np.zeros(shape) for _ in range(cfg.L)]
+        self.length = 0
+
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[Node, Node]:
+        """Store one layer's new keys and values [N, heads, m, head_dim] after
+        the cached ones; return that layer's keys and values through them."""
+        end = self.length + k.shape[2]
+        self.keys[layer][:, :, self.length:end] = k
+        self.values[layer][:, :, self.length:end] = v
+        return (dc.constant(self.keys[layer][:, :, :end]),
+                dc.constant(self.values[layer][:, :, :end]))
+
+
+def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | None,
+                  cfg: ConditionerConfig, cache: KVCache | None = None) -> Node:
+    """Pre-norm encoder block: x + MHA(ln(x)), then u + MLP(ln(u)).
+
+    With a cache, `seq` holds the new tokens only: their keys and values are
+    appended to the cache and their queries attend over the whole prefix.
+    """
     single = seq.value.ndim == 2
     if single:
         seq = dc.reshape(seq, (1,) + seq.value.shape)
@@ -143,6 +193,8 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int,
     q = split_heads(linear(normed, params[p + "wq"], params[p + "bq"]))
     k = split_heads(linear(normed, params[p + "wk"], params[p + "bk"]))
     v = split_heads(linear(normed, params[p + "wv"], params[p + "bv"]))
+    if cache is not None:
+        k, v = cache.extend(layer, k.value, v.value)
 
     scores = dc.mul(dc.matmul(q, dc.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
     attn = dc.masked_softmax(scores, mask)
@@ -155,10 +207,24 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int,
     return dc.reshape(out, (d, e)) if single else out
 
 
-def condition(x, params: ParamSet, cfg: ConditionerConfig) -> Node:
-    """Full conditioner pass: hidden embedding i depends on inputs < i only."""
-    seq = embed_sequence(x, params, cfg)
-    mask = causal_mask(cfg.D)
+def condition(x, params: ParamSet, cfg: ConditionerConfig,
+              cache: KVCache | None = None) -> Node:
+    """Full conditioner pass: hidden embedding i depends on inputs < i only.
+
+    With a cache, one incremental step instead: `x` holds only the newly
+    known input ([N, 1]; [N, 0] for the first step), the token it makes is
+    encoded against the cached prefix, and the result is that position's
+    hidden rows [N, 1, E].  D steps give the D rows of the full pass.
+    """
+    if cache is None:
+        seq, mask = embed_sequence(x, params, cfg), causal_mask(cfg.D)
+    else:
+        # one new query sees every cached key: no mask needed
+        seq, mask = embed_sequence(x, params, cfg, cache.length), None
+        if seq.value.shape[-2] != 1:
+            raise DimensionError(f"a cached step encodes one token, got {seq.value.shape[-2]}")
     for layer in range(cfg.L):
-        seq = encoder_layer(seq, params, layer, mask, cfg)
+        seq = encoder_layer(seq, params, layer, mask, cfg, cache)
+    if cache is not None:
+        cache.length += 1
     return seq

@@ -572,12 +572,15 @@ def softmax_last(a) -> Node:
     return exp(sub(a, expand_last(lse, n)))
 
 
-def masked_softmax(scores, mask: np.ndarray) -> Node:
+def masked_softmax(scores, mask: np.ndarray | None) -> Node:
     """Softmax of scores + mask over the last axis.
 
     mask entries must be 0 or NEG_MASK; masked positions come out exactly 0
-    (the shifted exponent underflows), so their gradients vanish too.
+    (the shifted exponent underflows), so their gradients vanish too.  A mask
+    of None masks nothing and skips the checks.
     """
+    if mask is None:
+        return softmax_last(scores)
     scores = _wrap(scores)
     mask = as_tensor(mask)
     n = scores.value.shape[-1]

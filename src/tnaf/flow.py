@@ -2,15 +2,15 @@
 
 The map x -> y is autoregressive with a lower-triangular Jacobian, so the
 exact log-likelihood is the base log-density of y plus the sum of the
-per-dimension log-derivatives.  Sampling inverts one dimension at a time,
-re-running the conditioner on the partially filled vector (causality makes
-the not-yet-filled positions irrelevant).
+per-dimension log-derivatives.  Sampling inverts one dimension at a time:
+hidden row i depends on inputs < i only, so each dimension encodes one new
+token (the input just recovered) against a key/value cache of the earlier
+ones and reads its hidden row off that step.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +19,12 @@ from . import diffcore as dc
 from . import transforms as tf
 from .conditioner import (
     ConditionerConfig,
+    KVCache,
     condition,
     conditioner_param_count,
     init_conditioner_params,
     linear,
+    require_positive_ints,
     uniform_init,
 )
 from .diffcore import ContractViolation, DimensionError, Node, ParamSet
@@ -82,6 +84,9 @@ class ModelConfig:
             raise DimensionError(
                 f"head_type must be one of {tuple(HEADS)}, got {self.head_type!r}"
             )
+        require_positive_ints(D=self.D, E=self.E, heads=self.heads, layers=self.layers,
+                              mlp_hidden=self.mlp_hidden)
+        self.conditioner_config()  # E divisible by heads
         self.head().validate()
 
     def head(self) -> Head:
@@ -105,12 +110,6 @@ def project_head(hidden: Node, params: ParamSet, prefix: str = "head") -> Node:
 def _psi_values(hidden_i: np.ndarray, params: ParamSet, prefix: str = "head") -> np.ndarray:
     """project_head on one position's hidden rows [N, E] (inversion path)."""
     return project_head(dc.constant(hidden_i), params, prefix).value
-
-
-def _require_positive_ints(**values) -> None:
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,7 @@ class CdfHead(_ProjectedHead):
         return 3 * self.cfg.cdf_hidden + 1
 
     def validate(self):
-        _require_positive_ints(H=self.cfg.cdf_hidden)
+        require_positive_ints(H=self.cfg.cdf_hidden)
 
     def describe(self):
         return f"H={self.cfg.cdf_hidden}"
@@ -268,7 +267,7 @@ class SplineHead(Head):
 
     def validate(self):
         cfg = self.cfg
-        _require_positive_ints(K=cfg.spline_bins, blocks=cfg.spline_blocks)
+        require_positive_ints(K=cfg.spline_bins, blocks=cfg.spline_blocks)
         if not (math.isfinite(cfg.spline_bound) and cfg.spline_bound > 0):
             raise DimensionError(f"B must be positive and finite, got {cfg.spline_bound}")
 
@@ -416,8 +415,10 @@ def log_prob(model: FlowModel, x) -> LogProbResult:
 def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
     """Mean negative log-likelihood over the batch, differentiable in params."""
     batch = dc.as_tensor(batch)
-    if batch.ndim != 2 or batch.shape[0] < 1:
-        raise DimensionError(f"batch must be a nonempty matrix, got shape {batch.shape}")
+    if batch.ndim != 2 or batch.shape[0] < 1 or batch.shape[1] != model.D:
+        raise DimensionError(
+            f"batch must be a nonempty matrix [n, {model.D}], got shape {batch.shape}"
+        )
     y, ld = transform_forward(model, batch)
     model.base.check_support(y.value)
     logp = dc.add(model.base.log_density_node(y), dc.sum_(ld, axis=1))
@@ -439,7 +440,13 @@ def sample(model: FlowModel, n: int, seed: int) -> np.ndarray:
 
 
 def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
-    """Map base-space rows back through the flow, one dimension at a time."""
+    """Map base-space rows back through the flow, one dimension at a time.
+
+    Step i runs one cached conditioner step -- it encodes only the token of
+    x_{i-1}, recovered at step i-1, and attends over the keys and values cached
+    by the steps before -- then inverts the head at position i.  D steps of one
+    token replace D full conditioner passes of D tokens each.
+    """
     noise = dc.as_tensor(targets)
     if noise.ndim != 2 or noise.shape[1] != model.D:
         raise DimensionError(
@@ -450,12 +457,13 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         raise DimensionError("uniform-base targets must lie strictly in (0, 1)")
     x = np.zeros((n, d))
     state = model.head.inverse_state(model.params, n)
-    for i in range(d):
-        with dc.no_grad():
-            hidden = condition(x, model.params, model.cond).value
+    cache = KVCache(model.cond, n)
+    with dc.no_grad():
+        for i in range(d):
+            # step i embeds x_{i-1} (nothing at i=0: the start token)
+            hidden = condition(x[:, max(i - 1, 0):i], model.params, model.cond, cache).value
             try:
-                x[:, i] = model.head.inverse(model.params, hidden[:, i, :], noise[:, i],
-                                             i, state)
+                x[:, i] = model.head.inverse(model.params, hidden[:, 0], noise[:, i], i, state)
             except tf.InversionError as err:
                 raise tf.InversionError(
                     f"inversion failed at sample {err.index}, dimension {i}: {err}",

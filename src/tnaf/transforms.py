@@ -123,7 +123,7 @@ def _split_cdf_psi(psi: Node, h: int):
     return w1, b1, w2, b2
 
 
-def _cdf_core_node(x: Node, a: Node, w2: Node, u_extra: Node | None,
+def _cdf_core_node(a: Node, w2: Node, u_extra: Node | None,
                    w1: Node, b2: Node) -> tuple[Node, Node]:
     """Shared tail of the (conditional) CDF net given pre-activations a."""
     u = dc.add(dc.sum_(dc.mul(dc.tanh(a), dc.exp(w2)), axis=-1), b2)
@@ -143,7 +143,7 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
     w1, b1, w2, b2 = _split_cdf_psi(psi, h)
     xe = dc.expand_last(dc.reshape(x, lead + (1,)), h)
     a = dc.add(dc.mul(dc.exp(w1), xe), b1)
-    return _cdf_core_node(x, a, w2, None, w1, b2)
+    return _cdf_core_node(a, w2, None, w1, b2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
     b2 = dc.reshape(phi["phi.b2"], ())
     u_extra = dc.add(cond2, b2)
     zero = dc.constant(np.zeros((n, d)))
-    return _cdf_core_node(x, a, phi["phi.w2"], u_extra, phi["phi.w1"], zero)
+    return _cdf_core_node(a, phi["phi.w2"], u_extra, phi["phi.w1"], zero)
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,27 @@ class TestCliCheck:
         ("cdf", "H", 0),
         ("cdf", "H", 2.5),
         ("shared_cdf", "H", 0),
+        ("cdf", "H", True),
     ])
     def test_bad_head_hyperparameter_exits_2(self, tmp_path, capsys, head, key, value):
         doc = tiny_model_doc(head_type=head)
+        doc["model"][key] = value
+        assert main(["check", "-c", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("D", 2.0),
+        ("E", 8.0),
+        ("heads", True),
+        ("heads", 3),
+        ("layers", 1.5),
+        ("layers", 0),
+        ("mlp_hidden", True),
+    ])
+    def test_bad_conditioner_shape_exits_2(self, tmp_path, capsys, key, value):
+        doc = tiny_model_doc()
         doc["model"][key] = value
         assert main(["check", "-c", write_config(tmp_path, doc)]) == 2
         err = capsys.readouterr().err

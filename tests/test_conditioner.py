@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from tnaf import conditioner
 from tnaf import diffcore as dc
 from tnaf.conditioner import (
     ConditionerConfig,
+    KVCache,
     causal_mask,
     condition,
     conditioner_param_count,
@@ -14,7 +16,15 @@ from tnaf.conditioner import (
     init_conditioner_params,
 )
 from tnaf.diffcore import DimensionError
-from tnaf.flow import HEADS, ModelConfig, build_model, project_head, total_param_count
+from tnaf.flow import (
+    HEADS,
+    ModelConfig,
+    build_model,
+    forward_values,
+    invert_rows,
+    project_head,
+    total_param_count,
+)
 
 TINY = dict(E=8, heads=2, L=1, mlp_hidden=16)
 PSI = 3  # projection width used by the head-projection tests
@@ -255,3 +265,62 @@ class TestAutoregressivePsi:
             col = (reduced(xp) - reduced(xm)) / (2 * step)
             # psi_i (row i-1) may depend on x_j only for j < i
             assert np.abs(col[: j + 1]).max() < 1e-8
+
+
+class TestKVCache:
+    @staticmethod
+    def cached_rows(x, params, cfg):
+        """Hidden rows from D one-token steps, as invert_rows runs them."""
+        cache = KVCache(cfg, x.shape[0])
+        with dc.no_grad():
+            rows = [condition(x[:, max(i - 1, 0):i], params, cfg, cache).value
+                    for i in range(cfg.D)]
+        assert cache.length == cfg.D
+        return np.concatenate(rows, axis=1)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 63])
+    def test_steps_match_full_pass(self, d):
+        cfg, params = fresh(d, seed=d, L=2)
+        x = np.random.default_rng(d).standard_normal((5, d))
+        full = condition(x, params, cfg).value
+        assert np.abs(self.cached_rows(x, params, cfg) - full).max() <= 1e-12
+
+    def test_step_takes_one_token(self):
+        cfg, params = fresh(4, seed=3)
+        cache = KVCache(cfg, 2)
+        with pytest.raises(DimensionError):
+            condition(np.zeros((2, 4)), params, cfg, cache)
+        condition(np.zeros((2, 0)), params, cfg, cache)
+        with pytest.raises(DimensionError):
+            condition(np.zeros((2, 2)), params, cfg, cache)
+        with pytest.raises(DimensionError):
+            condition(np.zeros((2, 0)), params, cfg, cache)
+
+    def test_embed_from_position_matches_full(self):
+        cfg, params = fresh(4, seed=5)
+        x = np.random.default_rng(5).standard_normal((3, 4))
+        full = embed_sequence(x, params, cfg).value
+        np.testing.assert_array_equal(embed_sequence(x[:, :0], params, cfg).value,
+                                      full[:, :1])
+        np.testing.assert_array_equal(embed_sequence(x[:, 1:3], params, cfg, 2).value,
+                                      full[:, 2:4])
+        with pytest.raises(DimensionError):
+            embed_sequence(x[:, 1:4], params, cfg, 2)
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_invert_rows_encodes_one_token_per_layer_step(self, head, monkeypatch):
+        model = build_model(ModelConfig(D=5, head_type=head, E=8, heads=2, layers=2,
+                                        mlp_hidden=16, cdf_hidden=4, spline_bins=4), seed=7)
+        # forward images invert on every head (fresh cdf heads cannot invert
+        # arbitrary base draws)
+        y, _ = forward_values(model, np.random.default_rng(0).standard_normal((3, 5)))
+        calls = []
+        layer = conditioner.encoder_layer
+
+        def counted(seq, *args, **kwargs):
+            calls.append(seq.value.shape)
+            return layer(seq, *args, **kwargs)
+
+        monkeypatch.setattr(conditioner, "encoder_layer", counted)
+        invert_rows(model, y)
+        assert calls == [(3, 1, model.cond.E)] * (model.cond.L * model.D)
