@@ -18,6 +18,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .conditioner import require_ints
 from .data import StandardizationStats
 from .flow import FlowModel, ModelConfig, build_model
 from .trainer import TrainConfig
@@ -50,6 +52,20 @@ class DataConfig:
     n: Optional[int] = None
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("path", "format", "toy"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"data.{key} must be a string, got {value!r}")
+        if self.n is not None:
+            require_ints(1, n=self.n)
+        require_ints(0, seed=self.seed)
+        fr = self.fractions
+        if (not isinstance(fr, (list, tuple)) or len(fr) != 3
+                or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fr)):
+            raise ConfigError("data.fractions must be a list of three numbers")
+        self.fractions = tuple(float(f) for f in fr)
 
 
 @dataclass
@@ -105,21 +121,15 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         model = ModelConfig(**{_MODEL_KEYS[k]: v for k, v in model_doc.items()})
         train = TrainConfig(**train_doc)
+        data = DataConfig(**data_doc)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from None
 
-    data_kwargs = dict(data_doc)
-    if "fractions" in data_kwargs:
-        fr = data_kwargs["fractions"]
-        if not isinstance(fr, (list, tuple)) or len(fr) != 3:
-            raise ConfigError("data.fractions must be a list of three numbers")
-        data_kwargs["fractions"] = tuple(float(f) for f in fr)
-    data = DataConfig(**data_kwargs)
     if data.toy is None and data.path is None:
         raise ConfigError("data section needs either toy or path")
     if data.toy is not None and data.path is not None:
         raise ConfigError("data.toy and data.path are mutually exclusive")
-    if data.toy is not None and (data.n is None or data.n < 1):
+    if data.toy is not None and data.n is None:
         raise ConfigError("toy data needs a positive row count data.n")
     if data.path is not None and data.format not in ("csv", "raw_f32"):
         raise ConfigError("data.format must be csv or raw_f32 when data.path is set")

@@ -36,7 +36,7 @@ from .data import (
     standardize,
     toy_generate,
 )
-from .diffcore import DimensionError, DomainError
+from .diffcore import DimensionError
 from .flow import (
     FlowModel,
     build_model,
@@ -170,16 +170,22 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"{args.config}: malformed JSON: {err}") from None
     if not isinstance(doc, dict) or set(doc) - {"base", "grid"}:
         raise ConfigError("ablation config needs exactly the keys base and grid")
-    grid = doc.get("grid", {})
+    grid, base_doc = doc.get("grid", {}), doc.get("base", {})
+    if not isinstance(grid, dict) or not isinstance(base_doc, dict):
+        raise ConfigError("ablation base and grid must be JSON objects")
+    if not isinstance(base_doc.get("model", {}), dict):
+        raise ConfigError("model section must be a JSON object")
     if set(grid) - _ABLATE_GRID_KEYS:
         raise ConfigError(f"grid keys must be within {sorted(_ABLATE_GRID_KEYS)}")
+    if not all(isinstance(values, list) for values in grid.values()):
+        raise ConfigError("grid values must be lists")
     head_types = grid.get("head_type", ["cdf"])
     layer_counts = grid.get("layers", [3])
 
     lines = ["head_type\tlayers\ttest_ll\tstd_err\tparam_count"]
     for head_type in head_types:
         for layers in layer_counts:
-            base = copy.deepcopy(doc.get("base", {}))
+            base = copy.deepcopy(base_doc)
             base.setdefault("model", {})
             base["model"]["head_type"] = head_type
             base["model"]["layers"] = layers
@@ -260,7 +266,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, DataError, DimensionError, DomainError) as err:
+    except (ParseError, DataError, DimensionError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except CheckpointError as err:

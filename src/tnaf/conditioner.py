@@ -1,6 +1,6 @@
 """Causal transformer conditioner.
 
-Maps an input vector to one hidden embedding per dimension under the
+Maps each input row to one hidden embedding per dimension under the
 autoregressive constraint: embedding i may depend on inputs 1..i-1 only.
 The sequence fed to the encoder is [start-token, e(x_1), ..., e(x_{D-1})] --
 the last input never conditions anything, so it is never embedded.
@@ -24,11 +24,11 @@ from .diffcore import DimensionError, Node, ParamSet
 LAYER_NORM_EPS = 1e-5
 
 
-def require_positive_ints(**values) -> None:
-    """Reject any value that is not an integer >= 1 (bools included)."""
+def require_ints(minimum: int, **values) -> None:
+    """Reject any value that is not an integer >= minimum (bools included)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise DimensionError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+            raise DimensionError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -40,8 +40,8 @@ class ConditionerConfig:
     mlp_hidden: int = 64
 
     def __post_init__(self):
-        require_positive_ints(D=self.D, E=self.E, heads=self.heads, L=self.L,
-                              mlp_hidden=self.mlp_hidden)
+        require_ints(1, D=self.D, E=self.E, heads=self.heads, L=self.L,
+                     mlp_hidden=self.mlp_hidden)
         if self.E % self.heads != 0:
             raise DimensionError(f"E={self.E} not divisible by heads={self.heads}")
 
@@ -106,25 +106,18 @@ def linear(x: Node, w: Node, b: Node) -> Node:
     return dc.reshape(y, lead + (out_dim,))
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = dc.as_tensor(x)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise DimensionError(f"expected vector or matrix input, got shape {arr.shape}")
-
-
 def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) -> Node:
     """Token embeddings from position `start` on: the start token at
     position 0, input p-1 projected (plus its position) at position p > 0.
 
-    From position 0, `x` is a vector [D] (returns [D, E]) or a batch [N, D]
-    (returns [N, D, E]); the last input is dropped.  An empty batch [N, 0]
-    gives the start token alone ([N, 1, E]).  From position p > 0, `x` holds
-    inputs p-1, p, ... as [N, k] and the result is [N, k, E].
+    From position 0, `x` is a batch [N, D] (returns [N, D, E]); the last
+    input is dropped.  An empty batch [N, 0] gives the start token alone
+    ([N, 1, E]).  From position p > 0, `x` holds inputs p-1, p, ... as
+    [N, k] and the result is [N, k, E].
     """
-    xb, single = _as_batch(x)
+    xb = dc.as_tensor(x)
+    if xb.ndim != 2:
+        raise DimensionError(f"expected a batch matrix [N, k], got shape {xb.shape}")
     n, k = xb.shape
     rows = []
     if start == 0:
@@ -142,8 +135,7 @@ def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) 
         proj = dc.add(dc.matmul(cols, params["input_proj.w"]), params["input_proj.b"])
         proj = dc.reshape(proj, (n, k, cfg.E))
         rows.append(dc.add(proj, dc.narrow(params["positional"], 0, start, k)))
-    seq = dc.concat(rows, axis=1) if len(rows) > 1 else rows[0]
-    return dc.reshape(seq, seq.value.shape[1:]) if single else seq
+    return dc.concat(rows, axis=1) if len(rows) > 1 else rows[0]
 
 
 class KVCache:
@@ -178,9 +170,6 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | No
     With a cache, `seq` holds the new tokens only: their keys and values are
     appended to the cache and their queries attend over the whole prefix.
     """
-    single = seq.value.ndim == 2
-    if single:
-        seq = dc.reshape(seq, (1,) + seq.value.shape)
     n, d, e = seq.value.shape
     h, dk = cfg.heads, cfg.head_dim
     p = f"layer{layer}."
@@ -203,8 +192,7 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | No
 
     normed2 = dc.layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"], LAYER_NORM_EPS)
     hidden = dc.tanh(linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-    out = dc.add(u, linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
-    return dc.reshape(out, (d, e)) if single else out
+    return dc.add(u, linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
 
 
 def condition(x, params: ParamSet, cfg: ConditionerConfig,

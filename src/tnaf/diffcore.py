@@ -4,11 +4,14 @@ The graph is rebuilt on every forward pass (define-by-run): each operation
 returns a Node holding its value plus the local vector-Jacobian rules of its
 parents. backward() walks the graph once in reverse topological order.
 Values are numpy float64 arrays throughout; there is no GPU path and no
-operator fusion beyond the few composite ops defined here.
+operator fusion beyond the few composite ops defined here.  Binary ops follow
+numpy's broadcasting rules, and their gradients are summed back to each
+operand's shape.
 
-Graph construction and backward() are single-threaded per model; value-only
-evaluation under no_grad() of immutable parameters is safe from concurrent
-threads (the mode flags are thread-local).
+no_grad() is the only mode: inside it ops record no parents, so nothing is
+kept for a backward pass.  Graph construction and backward() are
+single-threaded per model; value-only evaluation under no_grad() of immutable
+parameters is safe from concurrent threads (the flag is thread-local).
 """
 
 from __future__ import annotations
@@ -27,16 +30,12 @@ class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
 
 
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain (checked mode only)."""
-
-
 class ContractViolation(RuntimeError):
     """An operation precondition or internal invariant was broken."""
 
 
 # ---------------------------------------------------------------------------
-# global modes
+# the no_grad mode
 # ---------------------------------------------------------------------------
 
 _state = threading.local()
@@ -44,15 +43,6 @@ _state = threading.local()
 
 def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
-
-
-def _checked() -> bool:
-    return getattr(_state, "checked", False)
-
-
-def is_checked() -> bool:
-    """True when NaN/Inf and domain checks are active on this thread."""
-    return _checked()
 
 
 class no_grad:
@@ -68,22 +58,6 @@ class no_grad:
         return False
 
 
-class checked_mode:
-    """Context manager enabling NaN/Inf and domain checks on op outputs."""
-
-    def __init__(self, enabled: bool = True):
-        self._enabled = enabled
-
-    def __enter__(self):
-        self._prev = _checked()
-        _state.checked = self._enabled
-        return self
-
-    def __exit__(self, *exc):
-        _state.checked = self._prev
-        return False
-
-
 # ---------------------------------------------------------------------------
 # tensors and nodes
 # ---------------------------------------------------------------------------
@@ -91,14 +65,7 @@ class checked_mode:
 
 def as_tensor(data) -> np.ndarray:
     """Coerce to a float64 array (the only dtype this module computes in)."""
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
-
-
-def check_finite(arr: np.ndarray, context: str = "tensor") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{context}: non-finite entries detected")
-    return arr
+    return np.asarray(data, dtype=np.float64)
 
 
 class Node:
@@ -116,10 +83,6 @@ class Node:
         self.requires_grad = requires_grad
         self.parents = parents
         self._grad = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.value.shape
 
     @property
     def grad(self) -> np.ndarray:
@@ -144,38 +107,6 @@ class Node:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
-    # Operator sugar; everything routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Node(shape={self.value.shape}, requires_grad={self.requires_grad})"
 
@@ -194,8 +125,6 @@ def _wrap(x) -> Node:
 
 def make_node(value: np.ndarray, parents: Iterable[tuple[Node, Callable]]) -> Node:
     """Build an op result, recording vjps only for grad-requiring parents."""
-    if _checked():
-        check_finite(value, "op output")
     if _grad_enabled():
         recorded = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
         if recorded:
@@ -219,20 +148,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
     def items(self):
         return self._params.items()
-
-    def nodes(self) -> list[Node]:
-        return list(self._params.values())
 
     def total_count(self) -> int:
         return sum(p.value.size for p in self._params.values())
@@ -250,41 +170,34 @@ class ParamSet:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers (suffix rule only: scalar-vs-tensor or an operand whose
-# shape equals the trailing axes of the other)
+# broadcasting (numpy's rules)
 # ---------------------------------------------------------------------------
 
 
-def _is_suffix(small: tuple, big: tuple) -> bool:
-    return len(small) <= len(big) and (len(small) == 0 or big[-len(small):] == small)
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the leading axes introduced by suffix broadcast."""
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast gradient back to `shape`: first the leading axes that
+    broadcasting added, then the size-1 axes it stretched."""
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
-    return g.reshape(shape)
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if stretched:
+        g = g.sum(axis=stretched, keepdims=True)
+    return g
 
 
 def _binary(a, b, fn, vjp_a, vjp_b) -> Node:
     a, b = _wrap(a), _wrap(b)
     av, bv = a.value, b.value
-    if av.shape != bv.shape:
-        if _is_suffix(av.shape, bv.shape):
-            pass
-        elif _is_suffix(bv.shape, av.shape):
-            pass
-        else:
-            raise DimensionError(
-                f"shapes {av.shape} and {bv.shape} are not suffix-broadcastable"
-            )
-    out = fn(av, bv)
+    try:
+        out = fn(av, bv)
+    except ValueError as err:
+        raise DimensionError(f"shapes {av.shape} and {bv.shape} do not broadcast") from err
     return make_node(
         out,
         [
-            (a, lambda g: _reduce_to(vjp_a(g, av, bv), av.shape)),
-            (b, lambda g: _reduce_to(vjp_b(g, av, bv), bv.shape)),
+            (a, lambda g: _unbroadcast(vjp_a(g, av, bv), av.shape)),
+            (b, lambda g: _unbroadcast(vjp_b(g, av, bv), bv.shape)),
         ],
     )
 
@@ -327,8 +240,6 @@ def exp(a) -> Node:
 
 def log(a) -> Node:
     a = _wrap(a)
-    if _checked() and np.any(a.value <= 0.0):
-        raise DomainError("log of non-positive entry")
     av = a.value
     return make_node(np.log(av), [(a, lambda g: g / av)])
 
@@ -388,12 +299,11 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Node:
     ex = np.exp(av - m)
     s = ex.sum(axis=axis, keepdims=True)
     out_kd = m + np.log(s)
-    soft = ex / s
     out = out_kd if keepdims else np.squeeze(out_kd, axis=axis)
 
     def vjp(g):
         gk = g if keepdims else np.expand_dims(g, axis)
-        return gk * soft
+        return gk * (ex / s)
 
     return make_node(out, [(a, vjp)])
 
@@ -453,24 +363,14 @@ def narrow(a, axis: int, start: int, length: int) -> Node:
 
 
 def broadcast_to(a, shape) -> Node:
-    """Broadcast by prepending axes; a.shape must be a suffix of shape."""
-    a = _wrap(a)
-    shape = tuple(shape)
-    if not _is_suffix(a.value.shape, shape):
-        raise DimensionError(f"cannot broadcast {a.value.shape} to {shape} (suffix rule)")
-    out = np.broadcast_to(a.value, shape).copy()
-    src_shape = a.value.shape
-    return make_node(out, [(a, lambda g: _reduce_to(g, src_shape))])
-
-
-def expand_last(a, n: int) -> Node:
-    """Repeat a trailing axis of size 1 to size n."""
+    """Materialize a broadcast to `shape` (numpy's rules)."""
     a = _wrap(a)
     av = a.value
-    if av.shape[-1] != 1:
-        raise DimensionError(f"expand_last needs trailing axis 1, got {av.shape}")
-    out = np.broadcast_to(av, av.shape[:-1] + (n,)).copy()
-    return make_node(out, [(a, lambda g: g.sum(axis=-1, keepdims=True))])
+    try:
+        out = np.broadcast_to(av, shape).copy()
+    except ValueError as err:
+        raise DimensionError(f"cannot broadcast {av.shape} to {tuple(shape)}") from err
+    return make_node(out, [(a, lambda g: _unbroadcast(g, av.shape))])
 
 
 def gather_last(a, idx: np.ndarray) -> Node:
@@ -567,9 +467,7 @@ def matmul(a, b) -> Node:
 def softmax_last(a) -> Node:
     """Softmax over the last axis, via the max-shifted logsumexp."""
     a = _wrap(a)
-    n = a.value.shape[-1]
-    lse = logsumexp(a, axis=-1, keepdims=True)
-    return exp(sub(a, expand_last(lse, n)))
+    return exp(sub(a, logsumexp(a, axis=-1, keepdims=True)))
 
 
 def masked_softmax(scores, mask: np.ndarray | None) -> Node:
@@ -623,10 +521,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
         return inv * (dxhat - m1 - xhat * m2)
 
     def vjp_gain(g):
-        return _reduce_to(g * xhat, (e,))
+        return _unbroadcast(g * xhat, (e,))
 
     def vjp_bias(g):
-        return _reduce_to(g, (e,))
+        return _unbroadcast(g, (e,))
 
     return make_node(out, [(x, vjp_x), (gain, vjp_gain), (bias, vjp_bias)])
 

@@ -24,7 +24,7 @@ from .conditioner import (
     conditioner_param_count,
     init_conditioner_params,
     linear,
-    require_positive_ints,
+    require_ints,
     uniform_init,
 )
 from .diffcore import ContractViolation, DimensionError, Node, ParamSet
@@ -84,8 +84,8 @@ class ModelConfig:
             raise DimensionError(
                 f"head_type must be one of {tuple(HEADS)}, got {self.head_type!r}"
             )
-        require_positive_ints(D=self.D, E=self.E, heads=self.heads, layers=self.layers,
-                              mlp_hidden=self.mlp_hidden)
+        require_ints(1, D=self.D, E=self.E, heads=self.heads, layers=self.layers,
+                     mlp_hidden=self.mlp_hidden)
         self.conditioner_config()  # E divisible by heads
         self.head().validate()
 
@@ -194,7 +194,7 @@ class CdfHead(_ProjectedHead):
         return 3 * self.cfg.cdf_hidden + 1
 
     def validate(self):
-        require_positive_ints(H=self.cfg.cdf_hidden)
+        require_ints(1, H=self.cfg.cdf_hidden)
 
     def describe(self):
         return f"H={self.cfg.cdf_hidden}"
@@ -267,7 +267,7 @@ class SplineHead(Head):
 
     def validate(self):
         cfg = self.cfg
-        require_positive_ints(K=cfg.spline_bins, blocks=cfg.spline_blocks)
+        require_ints(1, K=cfg.spline_bins, blocks=cfg.spline_blocks)
         if not (math.isfinite(cfg.spline_bound) and cfg.spline_bound > 0):
             raise DimensionError(f"B must be positive and finite, got {cfg.spline_bound}")
 

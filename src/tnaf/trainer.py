@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffcore as dc
+from .conditioner import require_ints
 from .data import DatasetMatrix, Splits, batches
 from .diffcore import ContractViolation, ParamSet
 from .flow import FlowModel, log_prob, nll_loss
@@ -38,10 +39,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_steps < 0:
-            raise ValueError("learning_rate, batch_size must be positive; max_steps >= 0")
-        if self.clip_norm <= 0 or self.patience < 1 or self.eval_every < 1:
-            raise ValueError("clip_norm, patience, eval_every must be positive")
+        require_ints(1, batch_size=self.batch_size, patience=self.patience,
+                     eval_every=self.eval_every)
+        require_ints(0, max_steps=self.max_steps, seed=self.seed)
+        if self.learning_rate <= 0 or self.clip_norm <= 0:
+            raise ValueError("learning_rate and clip_norm must be positive")
 
 
 @dataclass
@@ -74,8 +76,6 @@ class Adam:
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             p.value -= lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
-            if dc.is_checked():
-                dc.check_finite(p.value, f"parameter {name} after step {self.t}")
         self.params.zero_grad()
 
 

@@ -141,8 +141,7 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
     """Batched graph form; psi last axis packs [w1 | b1 | w2 | b2]."""
     lead = psi.value.shape[:-1]
     w1, b1, w2, b2 = _split_cdf_psi(psi, h)
-    xe = dc.expand_last(dc.reshape(x, lead + (1,)), h)
-    a = dc.add(dc.mul(dc.exp(w1), xe), b1)
+    a = dc.add(dc.mul(dc.exp(w1), dc.reshape(x, lead + (1,))), b1)
     return _cdf_core_node(a, w2, None, w1, b2)
 
 
@@ -161,7 +160,7 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
                        (n, d, hdim))
     cond2 = dc.reshape(dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0))),
                        (n, d))
-    xe = dc.expand_last(dc.reshape(x, (n, d, 1)), hdim)
+    xe = dc.reshape(x, (n, d, 1))
     a = dc.add(dc.add(dc.mul(dc.exp(phi["phi.w1"]), xe), cond1), phi["phi.b1"])
     b2 = dc.reshape(phi["phi.b2"], ())
     u_extra = dc.add(cond2, b2)

@@ -351,6 +351,30 @@ class TestCliCheck:
         assert err.startswith("config error:") and key in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "batch_size", 1.5),
+        ("train", "seed", 1.5),
+        ("train", "max_steps", -1),
+        ("train", "patience", 0),
+        ("train", "eval_every", True),
+        ("data", "n", "100"),
+        ("data", "n", 2.5),
+        ("data", "seed", "x"),
+        ("data", "fractions", ["a", 0.1, 0.1]),
+        ("data", "path", 7),
+        ("data", "format", 7),
+        ("data", "toy", 7),
+    ])
+    def test_bad_train_or_data_value_exits_2(self, tmp_path, capsys, section, key, value):
+        doc = tiny_model_doc()
+        if key in ("path", "format"):
+            doc["data"] = {"path": "rows.csv", "format": "csv"}
+        doc[section][key] = value
+        assert main(["check", "-c", write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "Traceback" not in err
+
     def test_d1_model_passes(self, tmp_path, capsys):
         doc = tiny_model_doc()
         doc["model"]["D"] = 1
@@ -421,6 +445,19 @@ class TestCliInspectAblate:
         cfg.write_text(json.dumps({"base": tiny_model_doc(),
                                    "grid": {"optimizer": ["sgd"]}}))
         assert main(["ablate", "-c", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("base,grid", [
+        (None, {"layers": 1}),
+        ([], {}),
+        ({"model": []}, {}),
+        (None, []),
+    ])
+    def test_ablate_rejects_malformed_sections(self, tmp_path, capsys, base, grid):
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps({"base": tiny_model_doc() if base is None else base,
+                                   "grid": grid}))
+        assert main(["ablate", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestMiniboonShapeReport:

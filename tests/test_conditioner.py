@@ -75,8 +75,8 @@ class TestCausalMask:
 class TestEmbedSequence:
     def test_d1_is_bos_only(self):
         cfg, params = fresh(1)
-        a = embed_sequence(np.array([0.3]), params, cfg).value
-        b = embed_sequence(np.array([-9.0]), params, cfg).value
+        a = embed_sequence(np.array([[0.3]]), params, cfg).value[0]
+        b = embed_sequence(np.array([[-9.0]]), params, cfg).value[0]
         np.testing.assert_array_equal(a, b)
         expected = params["bos"].value + params["positional"].value[0]
         np.testing.assert_array_equal(a[0], expected)
@@ -86,7 +86,7 @@ class TestEmbedSequence:
         zero_weights(params)
         bos_vec = np.random.default_rng(1).standard_normal(cfg.E)
         params["bos"].value = bos_vec.copy()
-        out = embed_sequence(np.array([1.0, 2.0, 3.0]), params, cfg).value
+        out = embed_sequence(np.array([[1.0, 2.0, 3.0]]), params, cfg).value[0]
         np.testing.assert_array_equal(out[0], bos_vec)
         np.testing.assert_array_equal(out[1:], 0.0)
 
@@ -95,21 +95,21 @@ class TestEmbedSequence:
         x = np.array([0.1, -0.5, 2.0, 7.0])
         x2 = x.copy()
         x2[3] += 123.0
-        a = embed_sequence(x, params, cfg).value
-        b = embed_sequence(x2, params, cfg).value
+        a = embed_sequence(x[None], params, cfg).value[0]
+        b = embed_sequence(x2[None], params, cfg).value[0]
         np.testing.assert_array_equal(a, b)
 
     def test_length_mismatch(self):
         cfg, params = fresh(3)
         with pytest.raises(DimensionError):
-            embed_sequence(np.zeros(4), params, cfg)
+            embed_sequence(np.zeros((1, 4)), params, cfg)
 
     def test_batch_matches_single(self):
         cfg, params = fresh(3, seed=5)
         rows = np.random.default_rng(0).standard_normal((4, 3))
         batched = embed_sequence(rows, params, cfg).value
         for i, row in enumerate(rows):
-            single = embed_sequence(row, params, cfg).value
+            single = embed_sequence(row[None], params, cfg).value[0]
             np.testing.assert_array_equal(batched[i], single)
 
 
@@ -117,25 +117,26 @@ class TestEncoderLayer:
     def test_zero_weights_is_identity(self):
         cfg, params = fresh(3, seed=7)
         zero_weights(params)
-        seq = dc.constant(np.random.default_rng(2).standard_normal((3, cfg.E)))
+        seq = dc.constant(np.random.default_rng(2).standard_normal((1, 3, cfg.E)))
         out = encoder_layer(seq, params, 0, causal_mask(3), cfg)
         np.testing.assert_array_equal(out.value, seq.value)
 
     def test_causal_dependency_by_fd(self):
         cfg, params = fresh(3, seed=11)
         base = np.random.default_rng(4).standard_normal((3, cfg.E))
-        out0 = encoder_layer(dc.constant(base), params, 0, causal_mask(3), cfg).value
+        out0 = encoder_layer(dc.constant(base[None]), params, 0, causal_mask(3), cfg).value[0]
         bumped = base.copy()
         bumped[2] += 1.0  # perturbing the last row must not touch earlier rows
-        out1 = encoder_layer(dc.constant(bumped), params, 0, causal_mask(3), cfg).value
+        out1 = encoder_layer(dc.constant(bumped[None]), params, 0, causal_mask(3),
+                             cfg).value[0]
         np.testing.assert_array_equal(out0[:2], out1[:2])
         assert np.abs(out0[2] - out1[2]).max() > 0
 
     def test_d1_shape(self):
         cfg, params = fresh(1, seed=13)
-        seq = dc.constant(np.random.default_rng(5).standard_normal((1, cfg.E)))
+        seq = dc.constant(np.random.default_rng(5).standard_normal((1, 1, cfg.E)))
         out = encoder_layer(seq, params, 0, causal_mask(1), cfg)
-        assert out.value.shape == (1, cfg.E)
+        assert out.value.shape == (1, 1, cfg.E)
 
 
 class TestCondition:
@@ -145,16 +146,16 @@ class TestCondition:
         j = 2  # bump x_3 (1-indexed): rows h_1..h_3 must not move at all
         bumped = x.copy()
         bumped[j] += 1.0
-        a = condition(x, params, cfg).value
-        b = condition(bumped, params, cfg).value
+        a = condition(x[None], params, cfg).value[0]
+        b = condition(bumped[None], params, cfg).value[0]
         np.testing.assert_array_equal(a[: j + 1], b[: j + 1])
         assert np.abs(a[j + 1:] - b[j + 1:]).max() > 0
 
     def test_first_row_unconditioned(self):
         cfg, params = fresh(4, seed=19)
         rng = np.random.default_rng(7)
-        a = condition(rng.standard_normal(4), params, cfg).value
-        b = condition(rng.standard_normal(4), params, cfg).value
+        a = condition(rng.standard_normal((1, 4)), params, cfg).value[0]
+        b = condition(rng.standard_normal((1, 4)), params, cfg).value[0]
         np.testing.assert_array_equal(a[0], b[0])
 
     def test_scalar_reduction_jacobian_strictly_lower(self):
@@ -165,7 +166,7 @@ class TestCondition:
         step = 1e-5
 
         def reduced(v):
-            return condition(v, params, cfg).value @ weights
+            return condition(v[None], params, cfg).value[0] @ weights
 
         jac = np.zeros((4, 4))
         for j in range(4):
@@ -178,16 +179,16 @@ class TestCondition:
 
     def test_deterministic(self):
         cfg, params = fresh(3, seed=29)
-        x = np.array([0.5, -1.0, 2.0])
+        x = np.array([[0.5, -1.0, 2.0]])
         a = condition(x, params, cfg).value
         b = condition(x, params, cfg).value
         np.testing.assert_array_equal(a, b)
 
     def test_permutation_sensitivity(self):
         cfg, params = fresh(3, seed=31)
-        x = np.array([0.5, -1.0, 2.0])
+        x = np.array([[0.5, -1.0, 2.0]])
         a = condition(x, params, cfg).value
-        b = condition(x[::-1].copy(), params, cfg).value
+        b = condition(x[:, ::-1].copy(), params, cfg).value
         assert np.abs(a - b).max() > 1e-6
 
 
@@ -197,8 +198,8 @@ class TestProjectHead:
         with_projection(params, cfg.E, np.random.default_rng(37))
         params["head.w"].value = np.zeros_like(params["head.w"].value)
         params["head.b"].value = np.arange(PSI, dtype=float)
-        h = condition(np.zeros(3), params, cfg)
-        psi = project_head(h, params).value
+        h = condition(np.zeros((1, 3)), params, cfg)
+        psi = project_head(h, params).value[0]
         for row in psi:
             np.testing.assert_array_equal(row, params["head.b"].value)
 
@@ -255,8 +256,8 @@ class TestAutoregressivePsi:
         step = 1e-5
 
         def reduced(v):
-            h = condition(v, params, cfg)
-            return project_head(h, params).value @ weights
+            h = condition(v[None], params, cfg)
+            return project_head(h, params).value[0] @ weights
 
         for j in range(4):
             xp, xm = x.copy(), x.copy()

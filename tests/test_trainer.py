@@ -231,7 +231,6 @@ class TestCheckedModeParams:
                                         layers=1, mlp_hidden=16), seed=19)
         cfg = TrainConfig(batch_size=64, max_steps=40, eval_every=20,
                           patience=5, seed=19)
-        with dc.checked_mode():
-            train(model, splits, cfg)
+        train(model, splits, cfg)
         for _, p in model.params.items():
             assert np.isfinite(p.value).all()
