@@ -13,6 +13,7 @@ per call and attends over the keys and values cached from earlier calls
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -29,6 +30,14 @@ def require_ints(minimum: int, **values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
             raise DimensionError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_positive_reals(**values) -> None:
+    """Reject any value that is not a finite real number > 0 (bools included)."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not math.isfinite(value) or value <= 0):
+            raise DimensionError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass

@@ -3,10 +3,17 @@
 The graph is rebuilt on every forward pass (define-by-run): each operation
 returns a Node holding its value plus the local vector-Jacobian rules of its
 parents. backward() walks the graph once in reverse topological order.
-Values are numpy float64 arrays throughout; there is no GPU path and no
-operator fusion beyond the few composite ops defined here.  Binary ops follow
-numpy's broadcasting rules, and their gradients are summed back to each
-operand's shape.
+Values are numpy float64 arrays throughout; there is no GPU path.  Binary ops
+follow numpy's broadcasting rules, and their gradients are summed back to each
+operand's shape.  masked_softmax (and softmax_last, its unmasked case) is one
+fused op with a hand-written VJP; layer_norm is the other.
+
+Gradient buffers: an interior node borrows its first gradient contribution
+(often another node's buffer) and allocates a buffer of its own only when a
+second contribution arrives; only owned buffers are added into in place.
+backward() drops each interior node's gradient once its VJPs have run.
+Leaves copy their first contribution, so a parameter's .grad shares memory
+with nothing else and survives backward().
 
 no_grad() is the only mode: inside it ops record no parents, so nothing is
 kept for a backward pass.  Graph construction and backward() are
@@ -72,37 +79,51 @@ class Node:
     """A value in the computation graph.
 
     `parents` holds (parent, vjp) pairs where vjp maps the output gradient to
-    the parent's gradient contribution.  Gradients accumulate across repeated
-    backward() calls until explicitly zeroed.
+    the parent's gradient contribution.  Only leaves (nodes without parents,
+    such as parameters) keep a gradient after backward(); repeated backward()
+    calls accumulate into them until explicitly zeroed.
     """
 
-    __slots__ = ("value", "_grad", "requires_grad", "parents")
+    __slots__ = ("value", "_grad", "_owns_grad", "requires_grad", "parents")
 
     def __init__(self, value, requires_grad: bool = False, parents=()):
         self.value = as_tensor(value)
         self.requires_grad = requires_grad
         self.parents = parents
         self._grad = None
+        self._owns_grad = False
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self.grad = np.zeros_like(self.value)
         return self._grad
 
     @grad.setter
     def grad(self, g) -> None:
         self._grad = None if g is None else as_tensor(g)
+        self._owns_grad = True
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add one gradient contribution.
+
+        An interior node borrows its first contribution, which may be a
+        buffer of another node; a second one allocates the sum (copy on
+        write), and later ones add into that owned buffer.  A leaf copies its
+        first contribution, so its gradient shares memory with no other node.
+        """
         if g.shape != self.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match value shape {self.value.shape}"
             )
         if self._grad is None:
-            self._grad = g.astype(np.float64, copy=True)
-        else:
+            self._owns_grad = not self.parents
+            self._grad = g.copy(order="K") if self._owns_grad else g
+        elif self._owns_grad:
             self._grad += g
+        else:
+            self._grad = self._grad + g
+            self._owns_grad = True
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -465,34 +486,53 @@ def matmul(a, b) -> Node:
 
 
 def softmax_last(a) -> Node:
-    """Softmax over the last axis, via the max-shifted logsumexp."""
-    a = _wrap(a)
-    return exp(sub(a, logsumexp(a, axis=-1, keepdims=True)))
+    """Softmax over the last axis: masked_softmax without a mask."""
+    return masked_softmax(a, None)
 
 
 def masked_softmax(scores, mask: np.ndarray | None) -> Node:
-    """Softmax of scores + mask over the last axis.
+    """Softmax of scores + mask over the last axis, as one fused op.
 
     mask entries must be 0 or NEG_MASK; masked positions come out exactly 0
     (the shifted exponent underflows), so their gradients vanish too.  A mask
     of None masks nothing and skips the checks.
+
+    The value is exp(a - logsumexp(a)) with the max-shifted log-sum-exp, and
+    the VJP is g*y - sum(g*y) * exp(a - max)/sum: the same float64 arithmetic,
+    operation for operation, as the logsumexp/sub/exp graph it replaces.
     """
-    if mask is None:
-        return softmax_last(scores)
     scores = _wrap(scores)
-    mask = as_tensor(mask)
-    n = scores.value.shape[-1]
-    if mask.shape != (n, n) or scores.value.shape[-2] != n:
-        raise DimensionError(
-            f"mask shape {mask.shape} incompatible with scores {scores.value.shape}"
-        )
-    valid = (mask == 0.0) | (mask == NEG_MASK)
-    if not np.all(valid):
-        raise ContractViolation("mask entries must be 0 or the -inf surrogate")
-    if np.any(np.all(mask == NEG_MASK, axis=-1)):
-        raise ContractViolation("masked_softmax: fully masked row")
-    shifted = add(scores, constant(mask))
-    return softmax_last(shifted)
+    a = scores.value
+    if mask is not None:
+        mask = as_tensor(mask)
+        n = a.shape[-1]
+        if mask.shape != (n, n) or a.shape[-2] != n:
+            raise DimensionError(f"mask shape {mask.shape} incompatible with scores {a.shape}")
+        valid = (mask == 0.0) | (mask == NEG_MASK)
+        if not np.all(valid):
+            raise ContractViolation("mask entries must be 0 or the -inf surrogate")
+        if np.any(np.all(mask == NEG_MASK, axis=-1)):
+            raise ContractViolation("masked_softmax: fully masked row")
+        a = a + mask
+    if a.ndim == 0 or a.shape[-1] == 0:
+        raise DimensionError(f"softmax over empty axis of shape {a.shape}")
+    m = a.max(axis=-1, keepdims=True)
+    ex = np.subtract(a, m)
+    np.exp(ex, out=ex)
+    s = ex.sum(axis=-1, keepdims=True)
+    lse = m + np.log(s)
+    # a is scores' own value when there is no mask: never write into it
+    y = np.subtract(a, lse, out=a if mask is not None else None)
+    np.exp(y, out=y)
+
+    def vjp(g):
+        gy = g * y
+        r = ex / s
+        r *= -gy.sum(axis=-1, keepdims=True)
+        r += gy
+        return r
+
+    return make_node(y, [(scores, vjp)])
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
@@ -535,7 +575,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into every grad-requiring node's .grad."""
+    """Accumulate d(loss)/d(leaf) into every grad-requiring leaf's .grad.
+
+    Each interior node's gradient is released once its VJPs have run, so a
+    pass holds only the gradients still waiting for a consumer, and a second
+    backward() of the same loss adds exactly one more pass into the leaves.
+    """
     if loss.value.size != 1:
         raise ContractViolation(f"backward root must be scalar, got shape {loss.value.shape}")
 
@@ -563,6 +608,8 @@ def backward(loss: Node) -> None:
         g = node._grad
         for parent, vjp in node.parents:
             parent.accumulate_grad(as_tensor(vjp(g)))
+        if node.parents:
+            node._grad = None
 
 
 def fd_gradient(f: Callable[[ParamSet], float], params: ParamSet, step: float = 1e-5):

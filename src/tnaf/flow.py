@@ -10,7 +10,6 @@ ones and reads its hidden row off that step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,7 @@ from .conditioner import (
     init_conditioner_params,
     linear,
     require_ints,
+    require_positive_reals,
     uniform_init,
 )
 from .diffcore import ContractViolation, DimensionError, Node, ParamSet
@@ -268,8 +268,7 @@ class SplineHead(Head):
     def validate(self):
         cfg = self.cfg
         require_ints(1, K=cfg.spline_bins, blocks=cfg.spline_blocks)
-        if not (math.isfinite(cfg.spline_bound) and cfg.spline_bound > 0):
-            raise DimensionError(f"B must be positive and finite, got {cfg.spline_bound}")
+        require_positive_reals(B=cfg.spline_bound)
 
     def describe(self):
         cfg = self.cfg

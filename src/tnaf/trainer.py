@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diffcore as dc
-from .conditioner import require_ints
+from .conditioner import require_ints, require_positive_reals
 from .data import DatasetMatrix, Splits, batches
 from .diffcore import ContractViolation, ParamSet
 from .flow import FlowModel, log_prob, nll_loss
@@ -42,8 +42,7 @@ class TrainConfig:
         require_ints(1, batch_size=self.batch_size, patience=self.patience,
                      eval_every=self.eval_every)
         require_ints(0, max_steps=self.max_steps, seed=self.seed)
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
+        require_positive_reals(learning_rate=self.learning_rate, clip_norm=self.clip_norm)
 
 
 @dataclass

@@ -325,6 +325,8 @@ class TestCliCheck:
         ("cdf", "H", 2.5),
         ("shared_cdf", "H", 0),
         ("cdf", "H", True),
+        ("spline", "B", True),
+        ("spline", "B", "x"),
     ])
     def test_bad_head_hyperparameter_exits_2(self, tmp_path, capsys, head, key, value):
         doc = tiny_model_doc(head_type=head)
@@ -357,6 +359,12 @@ class TestCliCheck:
         ("train", "max_steps", -1),
         ("train", "patience", 0),
         ("train", "eval_every", True),
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", float("inf")),
+        ("train", "learning_rate", True),
+        ("train", "learning_rate", "x"),
+        ("train", "clip_norm", float("nan")),
+        ("train", "clip_norm", True),
         ("data", "n", "100"),
         ("data", "n", 2.5),
         ("data", "seed", "x"),

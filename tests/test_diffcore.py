@@ -11,6 +11,8 @@ from tnaf.diffcore import (
     backward,
     fd_gradient,
 )
+from tnaf.flow import ModelConfig, build_model, nll_loss
+from tnaf.trainer import clip_gradients
 
 FD_STEP = 1e-5
 
@@ -243,6 +245,54 @@ class TestMaskedSoftmax:
         assert rel_err(scores.grad, fd["s"]) < 1e-4
 
 
+def _composite_softmax(a):
+    """The logsumexp/sub/exp graph that masked_softmax fuses."""
+    return dc.exp(dc.sub(a, dc.logsumexp(a, -1, keepdims=True)))
+
+
+def _causal_mask(t):
+    m = np.zeros((t, t))
+    m[np.triu_indices(t, 1)] = dc.NEG_MASK
+    return m
+
+
+class TestFusedSoftmaxBitIdentity:
+    """The fused op must reproduce the composite's float64 bytes, values and
+    input gradients alike, since trained models depend on every bit."""
+
+    @staticmethod
+    def run(shape, op, narrow_k=None, seed=0):
+        rng = np.random.default_rng(seed)
+        x = dc.parameter(rng.standard_normal(shape) * 3.0)
+        weights = dc.constant(rng.standard_normal(shape[:-1] + (narrow_k or shape[-1],)))
+        a = x if narrow_k is None else dc.narrow(x, -1, 0, narrow_k)
+        before = x.value.tobytes()
+        out = op(a)
+        backward(dc.sum_(dc.mul(out, weights)))
+        assert x.value.tobytes() == before  # the op never writes into its input
+        return out.value.tobytes(), x.grad.tobytes()
+
+    @pytest.mark.parametrize("t", [1, 2, 63])
+    def test_causal_masked(self, t):
+        mask = _causal_mask(t)
+        fused = self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, mask))
+        composite = self.run((2, 8, t, t), lambda a: _composite_softmax(
+            dc.add(a, dc.constant(mask))))
+        assert fused == composite
+
+    @pytest.mark.parametrize("t", [1, 2, 63])
+    def test_unmasked(self, t):
+        composite = self.run((2, 8, t, t), _composite_softmax)
+        assert self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, None)) == composite
+        assert self.run((2, 8, t, t), dc.softmax_last) == composite
+
+    def test_spline_knot_slice(self):
+        # the spline heads take softmax_last of a [N, D, K] slice of psi
+        shape, k = (5, 16, 23), 8
+        composite = self.run(shape, _composite_softmax, narrow_k=k)
+        assert self.run(shape, dc.softmax_last, narrow_k=k) == composite
+
+
 class TestBackward:
     def test_square(self):
         x = dc.parameter(3.0)
@@ -268,6 +318,71 @@ class TestBackward:
         backward(dc.mul(x, x))
         backward(dc.mul(x, x))
         assert x.grad == 4.0
+
+    def test_repeated_backward_of_one_loss_doubles(self):
+        x = dc.parameter(np.array([1.0, 2.0]))
+        loss = dc.sum_(dc.mul(x, 3.0))
+        backward(loss)
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [6.0, 6.0])
+
+    def test_repeated_backward_of_model_loss_doubles(self):
+        model = build_model(ModelConfig(D=3, head_type="spline", E=8, heads=2, layers=1,
+                                        mlp_hidden=8), seed=0)
+        batch = np.random.default_rng(0).standard_normal((4, 3))
+        backward(nll_loss(model, batch))
+        once = {name: p.grad.copy() for name, p in model.params.items()}
+        model.params.zero_grad()
+        loss = nll_loss(model, batch)
+        backward(loss)
+        backward(loss)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(p.grad, 2.0 * once[name], err_msg=name)
+
+    def test_parameter_grads_share_no_memory(self):
+        params = ParamSet()
+        p1 = params.add("p1", np.ones(3))
+        p2 = params.add("p2", np.ones(3))
+        w = np.array([3.0, -4.0, 12.0])
+        backward(dc.sum_(dc.mul(dc.add(p1, p2), dc.constant(w))))
+        assert not np.shares_memory(p1.grad, p2.grad)
+        norm = clip_gradients(params, 1.0)
+        scale = 1.0 / norm
+        np.testing.assert_array_equal(p1.grad, w * scale)
+        np.testing.assert_array_equal(p2.grad, w * scale)
+
+    @pytest.mark.parametrize("a_first", [True, False])
+    def test_fanout_through_views_is_exact(self, a_first):
+        # h and k both borrow add's gradient buffer, then each takes a second
+        # contribution through mul and a reshape view; neither may write into
+        # the shared buffer (the term order sets which is processed first)
+        x = dc.parameter(np.arange(6.0).reshape(2, 3))
+        h, k = dc.mul(x, 2.0), dc.mul(x, 3.0)
+        w = np.arange(1.0, 7.0).reshape(2, 3)
+        v = np.arange(10.0, 16.0)
+        t_add = dc.sum_(dc.mul(dc.add(h, k), dc.constant(w)))
+        t_mul = dc.sum_(dc.mul(dc.reshape(dc.mul(h, k), (6,)), dc.constant(v)))
+        backward(dc.add(t_add, t_mul) if a_first else dc.add(t_mul, t_add))
+        # loss = sum(w * 5x) + sum(v * 6x^2)
+        np.testing.assert_array_equal(x.grad, 5.0 * w + 12.0 * v.reshape(2, 3) * x.value)
+
+    def test_interior_grads_released(self):
+        model = build_model(ModelConfig(D=3, head_type="cdf", E=8, heads=2, layers=1,
+                                        mlp_hidden=8, cdf_hidden=4), seed=0)
+        loss = nll_loss(model, np.random.default_rng(1).standard_normal((4, 3)))
+        backward(loss)
+        seen, stack, interior = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node.parents:
+                interior += 1
+                assert node._grad is None, node
+            stack.extend(parent for parent, _ in node.parents)
+        assert interior > 50
+        assert all(p._grad is not None for _, p in model.params.items())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_composition_vs_fd(self, seed):
