@@ -359,12 +359,6 @@ class TestCliCheck:
         ("train", "max_steps", -1),
         ("train", "patience", 0),
         ("train", "eval_every", True),
-        ("train", "learning_rate", float("nan")),
-        ("train", "learning_rate", float("inf")),
-        ("train", "learning_rate", True),
-        ("train", "learning_rate", "x"),
-        ("train", "clip_norm", float("nan")),
-        ("train", "clip_norm", True),
         ("data", "n", "100"),
         ("data", "n", 2.5),
         ("data", "seed", "x"),
@@ -372,6 +366,13 @@ class TestCliCheck:
         ("data", "path", 7),
         ("data", "format", 7),
         ("data", "toy", 7),
+        # appended, not grouped with the train rows, so the earlier cases keep their ids
+        ("train", "learning_rate", float("nan")),
+        ("train", "learning_rate", float("inf")),
+        ("train", "learning_rate", True),
+        ("train", "learning_rate", "x"),
+        ("train", "clip_norm", float("nan")),
+        ("train", "clip_norm", True),
     ])
     def test_bad_train_or_data_value_exits_2(self, tmp_path, capsys, section, key, value):
         doc = tiny_model_doc()
