@@ -160,17 +160,6 @@ def run_config_to_dict(rc: RunConfig) -> dict:
     return {"model": model, "train": train, "data": data}
 
 
-def run_config_from_dict(doc: dict) -> RunConfig:
-    doc = dict(doc)
-    data = dict(doc.get("data", {}))
-    # the canonical echo stores explicit nulls; strict parsing expects absence
-    for key in ("path", "format", "toy", "n"):
-        if data.get(key) is None:
-            data.pop(key, None)
-    doc["data"] = data
-    return parse_run_config(doc)
-
-
 # ---------------------------------------------------------------------------
 # binary checkpoint
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
     if zlib.crc32(blob) != header.get("crc32"):
         raise CheckpointError(f"{path}: checkpoint corrupt (crc mismatch)")
     try:
-        rc = run_config_from_dict(header["run_config"])
+        rc = parse_run_config(header["run_config"])
     except (KeyError, ConfigError) as err:
         raise CheckpointError(f"{path}: checkpoint corrupt ({err})") from None
 

@@ -112,9 +112,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}", EXIT_CONFIG)
+
+
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise CliError(f"sample count must be >= 1, got {args.n}", EXIT_CONFIG)
+    _require_seed(args.seed)
     model, stats, _ = load_checkpoint(args.model)
     rows = sample(model, args.n, args.seed)
     save_csv(stats.unapply(rows), args.output)
@@ -134,6 +140,7 @@ def cmd_invert(args) -> int:
 def cmd_check(args) -> int:
     if (args.model is None) == (args.config is None):
         raise CliError("check needs exactly one of -m/--model or -c/--config", EXIT_CONFIG)
+    _require_seed(args.seed)
     if args.model is not None:
         model, _, _ = load_checkpoint(args.model)
     else:

@@ -36,11 +36,6 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class BaseDistribution:
     kind: str  # "standard_normal" | "unit_uniform"
 
-    def log_density(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "standard_normal":
-            return -0.5 * (y * y).sum(axis=-1) - 0.5 * y.shape[-1] * LOG_2PI
-        return np.zeros(y.shape[:-1])
-
     def log_density_node(self, y: Node) -> Node:
         n, d = y.value.shape
         if self.kind == "standard_normal":
@@ -247,10 +242,9 @@ class SharedCdfHead(Head):
         return tf.shared_cdf_forward_node(x, hidden, params)
 
     def inverse(self, params, hidden_i, target, i, state):
-        b1 = params["phi.b1"].value + hidden_i @ params["phi.w1_cond"].value.T
-        b2 = float(params["phi.b2"].value[0]) + hidden_i @ params["phi.w2_cond"].value.T[:, 0]
-        return tf.cdf_inv_batch(target, params["phi.w1"].value, b1,
-                                params["phi.w2"].value, b2)
+        b1, b2 = tf.shared_cdf_biases(dc.constant(hidden_i), params)
+        return tf.cdf_inv_batch(target, params["phi.w1"].value, b1.value,
+                                params["phi.w2"].value, b2.value)
 
 
 class SplineHead(Head):
@@ -303,8 +297,13 @@ class SplineHead(Head):
         return z, ld_total
 
     def inverse_state(self, params, n):
-        """Per-block pre-mix outputs, filled column by column."""
-        return [np.zeros((n, self.cfg.D)) for _ in range(self.cfg.spline_blocks)]
+        """Per block: the mix matrix, and its inputs filled column by column."""
+        cfg = self.cfg
+        return [
+            (dc.strict_lower_embed(params[f"mix{j}"], cfg.D).value if cfg.D > 1 else None,
+             np.zeros((n, cfg.D)))
+            for j in range(cfg.spline_blocks)
+        ]
 
     def inverse(self, params, hidden_i, target, i, state):
         """Undo mix row i by forward substitution, then the spline, block by
@@ -313,12 +312,11 @@ class SplineHead(Head):
         k = cfg.spline_bins
         v = target.copy()
         for j in reversed(range(cfg.spline_blocks)):
+            lmat, premix = state[j]
             if i > 0:
-                # row i of the strict lower triangle, in np.tril_indices order
-                row = params[f"mix{j}"].value[i * (i - 1) // 2:i * (i + 1) // 2]
-                v = v - state[j][:, :i] @ row
+                v = v - premix[:, :i] @ lmat[i, :i]
             psi = _psi_values(hidden_i, params, f"head{j}")
-            state[j][:, i] = v
+            premix[:, i] = v
             v = tf.spline_inverse_np(v, psi[:, :k], psi[:, k:2 * k], psi[:, 2 * k:],
                                      cfg.spline_bound)
         return v
@@ -397,15 +395,21 @@ def forward_values(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return y.value, ld.value
 
 
+def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node]:
+    """x [N, D] -> (y [N, D], logdet [N], log p(x) [N]) as graph nodes."""
+    y, ld = transform_forward(model, x)
+    model.base.check_support(y.value)
+    logdet = dc.sum_(ld, axis=1)
+    return y, logdet, dc.add(model.base.log_density_node(y), logdet)
+
+
 def log_prob(model: FlowModel, x) -> LogProbResult:
     """Exact log-density of a vector or a batch of rows (no-grad)."""
     rows, single = _as_rows(x)
     if rows.shape[1] != model.D:
         raise DimensionError(f"input has {rows.shape[1]} columns, model expects {model.D}")
-    y, ld = forward_values(model, rows)
-    model.base.check_support(y)
-    logdet = ld.sum(axis=1)
-    logp = model.base.log_density(y) + logdet
+    with dc.no_grad():
+        y, logdet, logp = (node.value for node in _log_likelihood(model, rows))
     if single:
         return LogProbResult(y=y[0], logdet=float(logdet[0]), logp=float(logp[0]))
     return LogProbResult(y=y, logdet=logdet, logp=logp)
@@ -418,9 +422,7 @@ def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
         raise DimensionError(
             f"batch must be a nonempty matrix [n, {model.D}], got shape {batch.shape}"
         )
-    y, ld = transform_forward(model, batch)
-    model.base.check_support(y.value)
-    logp = dc.add(model.base.log_density_node(y), dc.sum_(ld, axis=1))
+    _, _, logp = _log_likelihood(model, batch)
     return dc.neg(dc.mean(logp))
 
 
@@ -455,9 +457,9 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
     if model.base.kind == "unit_uniform" and not np.all((noise > 0) & (noise < 1)):
         raise DimensionError("uniform-base targets must lie strictly in (0, 1)")
     x = np.zeros((n, d))
-    state = model.head.inverse_state(model.params, n)
     cache = KVCache(model.cond, n)
     with dc.no_grad():
+        state = model.head.inverse_state(model.params, n)
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
             hidden = condition(x[:, max(i - 1, 0):i], model.params, model.cond, cache).value
@@ -481,14 +483,7 @@ def numerical_jacobian(model: FlowModel, x: np.ndarray, step: float = 1e-5) -> n
     if step <= 0:
         raise DimensionError("jacobian step must be positive")
     x = dc.as_tensor(x)
-    d = model.D
-    jac = np.zeros((d, d))
-    for j in range(d):
-        xp = x.copy()
-        xp[j] += step
-        xm = x.copy()
-        xm[j] -= step
-        yp, _ = forward_values(model, xp[None, :])
-        ym, _ = forward_values(model, xm[None, :])
-        jac[:, j] = (yp[0] - ym[0]) / (2.0 * step)
-    return jac
+    offsets = step * np.eye(model.D)
+    y, _ = forward_values(model, np.concatenate([x + offsets, x - offsets]))
+    yp, ym = np.split(y, 2)
+    return (yp - ym).T / (2.0 * step)

@@ -1,8 +1,8 @@
 """Gradient training loop: Adam, global-norm clipping, early stopping.
 
-Validation runs every `eval_every` steps; the best-validation parameter
-snapshot is restored into the model when training ends, whether by step
-budget, patience, or a training fault.
+Validation runs every `eval_every` steps and after the last step; the
+best-validation parameter snapshot is restored into the model when training
+ends, whether by step budget, patience, or a training fault.
 """
 
 from __future__ import annotations
@@ -112,16 +112,6 @@ def evaluate(model: FlowModel, matrix: DatasetMatrix,
     return mean_ll, std_err
 
 
-def _validate(model: FlowModel, splits: Splits, report: TrainReport, step: int,
-              train_nll: float, log_fn: Optional[Callable[[str], None]]) -> float:
-    val_ll, _ = evaluate(model, splits.val)
-    val_nll = -val_ll
-    report.history.append((step, train_nll, val_nll))
-    if log_fn is not None:
-        log_fn(f"step={step} train_nll={train_nll:.6f} val_nll={val_nll:.6f}")
-    return val_nll
-
-
 def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
           log_fn: Optional[Callable[[str], None]] = None) -> TrainReport:
     """Run the training loop; the model ends up holding the best-val weights."""
@@ -161,8 +151,11 @@ def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
                 raise
             raise TrainingFault(str(err), step) from err
 
-        if step % cfg.eval_every == 0:
-            val_nll = _validate(model, splits, report, step, loss_val, log_fn)
+        if step % cfg.eval_every == 0 or step == cfg.max_steps:
+            val_nll = -evaluate(model, splits.val)[0]
+            report.history.append((step, loss_val, val_nll))
+            if log_fn is not None:
+                log_fn(f"step={step} train_nll={loss_val:.6f} val_nll={val_nll:.6f}")
             if val_nll < best_val:
                 best_val = val_nll
                 report.best_step = step
@@ -172,15 +165,6 @@ def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
                 stale += 1
                 if stale >= cfg.patience:
                     break
-
-    if step % cfg.eval_every != 0:
-        # final state still competes even when the budget is not a multiple
-        # of the validation cadence
-        val_nll = _validate(model, splits, report, step, loss_val, log_fn)
-        if val_nll < best_val:
-            best_val = val_nll
-            report.best_step = step
-            best_snap = model.params.snapshot()
 
     model.params.restore(best_snap)
     if np.isfinite(best_val):

@@ -3,7 +3,12 @@
 Each transform maps x to y strictly monotonically, lane by lane, and reports
 log|dy/dx|.  Every transform has exactly one forward, a batched graph form
 built from diffcore ops (run under ``dc.no_grad()`` it gives plain values),
-and one vectorized numpy inverse used for sampling and inversion.
+and one vectorized inverse used for sampling and inversion.  An inverse gets
+forward values only through the forward's own helpers (the CDF net, the
+shared-CDF biases), so sampling inverts the same float function whose
+log-derivative was trained.  The one recorded exception is the spline
+inverse's knots, built by a numpy copy of the forward's knot arithmetic
+because the graph ops cost about twice as much per call.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -56,10 +61,6 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def _softplus(x):
     return np.logaddexp(0.0, x)
 
@@ -69,7 +70,9 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     """Invert a lane-wise strictly increasing f by bracketing + bisection.
 
     Brackets start at [-1, 1] and double outward; a lane that cannot be
-    bracketed after the cap raises InversionError naming the lane.
+    bracketed after the cap raises InversionError naming the lane.  A lane
+    stops once its bracket is narrower than tol or once its ends are adjacent
+    floats, whose spacing exceeds tol for roots beyond about 4.5e9.
     """
     if tol <= 0:
         raise DimensionError("bisection tolerance must be positive")
@@ -94,8 +97,10 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     if bad.any():
         raise InversionError("upper bracket not found (pathological transform)",
                              index=int(np.argmax(bad)))
-    while float((hi - lo).max()) >= tol:
+    splittable = np.ones(y.shape, dtype=bool)
+    while (splittable & (hi - lo >= tol)).any():
         mid = 0.5 * (lo + hi)
+        splittable &= (lo < mid) & (mid < hi)
         below = f(mid) < y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -104,12 +109,14 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
 
 def cdf_inv_batch(y: np.ndarray, w1, b1, w2, b2, tol: float = 1e-6) -> np.ndarray:
     """Lane-wise inverse of the monotone net, for hidden-layer parameters
-    [..., H] per lane (both CDF heads invert through this).  Bisection needs
-    only the net's value, not its log-derivative."""
+    [..., H] per lane (both CDF heads invert through this).  Bisection
+    evaluates the forward's own net on constants; it needs only the net's
+    value, not its log-derivative."""
+    ew1, b1, ew2, b2 = (dc.constant(v) for v in (np.exp(w1), b1, np.exp(w2), b2))
 
     def f(x):
-        a = np.exp(w1) * x[..., None] + b1
-        return _sigmoid((np.tanh(a) * np.exp(w2)).sum(axis=-1) + b2)
+        _, u = _cdf_net_node(dc.constant(x), ew1, b1, ew2, b2)
+        return dc.sigmoid(u).value
 
     return monotone_bisect(f, y, tol)
 
@@ -123,12 +130,18 @@ def _split_cdf_psi(psi: Node, h: int):
     return w1, b1, w2, b2
 
 
-def _cdf_core_node(a: Node, w2: Node, u_extra: Node | None,
-                   w1: Node, b2: Node) -> tuple[Node, Node]:
-    """Shared tail of the (conditional) CDF net given pre-activations a."""
-    u = dc.add(dc.sum_(dc.mul(dc.tanh(a), dc.exp(w2)), axis=-1), b2)
-    if u_extra is not None:
-        u = dc.add(u, u_extra)
+def _cdf_net_node(x: Node, ew1: Node, b1: Node, ew2: Node, b2: Node) -> tuple[Node, Node]:
+    """The monotone net before its sigmoid, on lanes x [...] with hidden-layer
+    weights ew1 = exp(w1) and ew2 = exp(w2): pre-activations
+    a = ew1 x + b1 [..., H] and u = sum ew2 tanh(a) + b2 [...]."""
+    a = dc.add(dc.mul(ew1, dc.reshape(x, x.value.shape + (1,))), b1)
+    u = dc.add(dc.sum_(dc.mul(dc.tanh(a), ew2), axis=-1), b2)
+    return a, u
+
+
+def _cdf_core_node(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> tuple[Node, Node]:
+    """y = sigmoid(u) of the monotone net and its log-derivative."""
+    a, u = _cdf_net_node(x, dc.exp(w1), b1, dc.exp(w2), b2)
     y = dc.sigmoid(u)
     log_sig_prime = dc.neg(dc.add(dc.softplus(u), dc.softplus(dc.neg(u))))
     log1mt2 = dc.mul(2.0, dc.sub(dc.sub(dc.constant(LOG2), a),
@@ -139,10 +152,7 @@ def _cdf_core_node(a: Node, w2: Node, u_extra: Node | None,
 
 def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
     """Batched graph form; psi last axis packs [w1 | b1 | w2 | b2]."""
-    lead = psi.value.shape[:-1]
-    w1, b1, w2, b2 = _split_cdf_psi(psi, h)
-    a = dc.add(dc.mul(dc.exp(w1), dc.reshape(x, lead + (1,))), b1)
-    return _cdf_core_node(a, w2, None, w1, b2)
+    return _cdf_core_node(x, *_split_cdf_psi(psi, h))
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +160,24 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
-    """Batched graph form; h_embed is [N, D, E], phi maps the shared
-    parameter names ``phi.*`` to nodes."""
-    n, d, e = h_embed.value.shape
+def shared_cdf_biases(h_embed: Node, phi) -> tuple[Node, Node]:
+    """The shared net's biases at embeddings h_embed [..., E]: hidden
+    b1 = w1_cond h + phi.b1 [..., H] and output b2 = w2_cond h + phi.b2 [...].
+    phi maps the shared parameter names ``phi.*`` to nodes."""
+    lead, e = h_embed.value.shape[:-1], h_embed.value.shape[-1]
     hdim = phi["phi.w1"].value.shape[0]
-    flat = dc.reshape(h_embed, (n * d, e))
-    cond1 = dc.reshape(dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0))),
-                       (n, d, hdim))
-    cond2 = dc.reshape(dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0))),
-                       (n, d))
-    xe = dc.reshape(x, (n, d, 1))
-    a = dc.add(dc.add(dc.mul(dc.exp(phi["phi.w1"]), xe), cond1), phi["phi.b1"])
-    b2 = dc.reshape(phi["phi.b2"], ())
-    u_extra = dc.add(cond2, b2)
-    zero = dc.constant(np.zeros((n, d)))
-    return _cdf_core_node(a, phi["phi.w2"], u_extra, phi["phi.w1"], zero)
+    flat = dc.reshape(h_embed, (-1, e))
+    cond1 = dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0)))
+    cond2 = dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0)))
+    b1 = dc.add(dc.reshape(cond1, lead + (hdim,)), phi["phi.b1"])
+    b2 = dc.add(dc.reshape(cond2, lead), dc.reshape(phi["phi.b2"], ()))
+    return b1, b2
+
+
+def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
+    """Batched graph form; h_embed is [N, D, E]."""
+    b1, b2 = shared_cdf_biases(h_embed, phi)
+    return _cdf_core_node(x, phi["phi.w1"], b1, phi["phi.w2"], b2)
 
 
 # ---------------------------------------------------------------------------

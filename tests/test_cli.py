@@ -10,7 +10,6 @@ from tnaf.checkpoint import (
     ConfigError,
     load_checkpoint,
     parse_run_config,
-    run_config_from_dict,
     run_config_to_dict,
     save_checkpoint,
 )
@@ -77,7 +76,7 @@ class TestRunConfig:
     def test_roundtrip_through_dict(self):
         rc = parse_run_config(tiny_model_doc())
         echo = run_config_to_dict(rc)
-        rc2 = run_config_from_dict(echo)
+        rc2 = parse_run_config(echo)
         assert run_config_to_dict(rc2) == echo
 
 
@@ -254,6 +253,17 @@ class TestCliSampleInvert:
     def test_sample_zero_count_usage_error(self, trained, tmp_path):
         assert main(["sample", "-m", str(trained), "-n", "0", "--seed", "1",
                      "-o", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["sample", "check"])
+    def test_negative_seed_usage_error(self, trained, tmp_path, capsys, command):
+        argv = {
+            "sample": ["sample", "-m", str(trained), "-n", "3", "--seed", "-1",
+                       "-o", str(tmp_path / "x.csv")],
+            "check": ["check", "-m", str(trained), "--seed", "-1"],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
     def test_inversion_failure_exits_5(self, tmp_path, capsys):
         # an untrained monotone net covers only a narrow slice of (0, 1);

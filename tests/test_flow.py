@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tnaf import diffcore as dc
+from tnaf.checks import check_inversion
 from tnaf.diffcore import ContractViolation, DimensionError, fd_gradient
 from tnaf.flow import (
     BaseDistribution,
@@ -26,6 +27,11 @@ def tiny_model(d, head, seed=0, **overrides):
                   spline_bins=4, spline_blocks=2)
     kwargs.update(overrides)
     return build_model(ModelConfig(D=d, head_type=head, **kwargs), seed=seed)
+
+
+def normal_logpdf(y):
+    """Closed-form standard-normal log-density of each row."""
+    return -0.5 * (y * y).sum(axis=-1) - 0.5 * y.shape[-1] * np.log(2 * np.pi)
 
 
 def identity_affine(d, seed=0):
@@ -61,12 +67,15 @@ class TestBasePairing:
 
     def test_normal_log_density(self):
         base = BaseDistribution("standard_normal")
-        got = base.log_density(np.zeros((1, 2)))[0]
+        got = base.log_density_node(dc.constant(np.zeros((1, 2)))).value[0]
         assert abs(got + np.log(2 * np.pi)) < 1e-12
+        y = np.random.default_rng(0).standard_normal((4, 3))
+        np.testing.assert_allclose(base.log_density_node(dc.constant(y)).value,
+                                   normal_logpdf(y), rtol=1e-12)
 
     def test_uniform_log_density_and_support(self):
         base = BaseDistribution("unit_uniform")
-        assert base.log_density(np.full((1, 3), 0.25))[0] == 0.0
+        assert base.log_density_node(dc.constant(np.full((1, 3), 0.25))).value[0] == 0.0
         base.check_support(np.array([[0.0, 1.0]]))  # saturated endpoints pass
         with pytest.raises(ContractViolation):
             base.check_support(np.array([[0.5, 1.2]]))
@@ -87,8 +96,7 @@ class TestLogProb:
         model.params["head.b"].value[1] = np.log(2.0)  # sigma = 2 everywhere
         x = np.array([0.3, -1.2, 0.7])
         res = log_prob(model, x)
-        base = BaseDistribution("standard_normal")
-        expected = base.log_density(res.y[None, :])[0] + 3 * np.log(2.0)
+        expected = normal_logpdf(res.y) + 3 * np.log(2.0)
         assert abs(res.logp - expected) < 1e-12
         assert abs(res.logdet - 3 * np.log(2.0)) < 1e-12
 
@@ -96,8 +104,7 @@ class TestLogProb:
         model = tiny_model(3, "spline", seed=5)
         rows = np.random.default_rng(0).standard_normal((6, 3))
         res = log_prob(model, rows)
-        base = BaseDistribution("standard_normal")
-        np.testing.assert_allclose(res.logp, base.log_density(res.y) + res.logdet,
+        np.testing.assert_allclose(res.logp, normal_logpdf(res.y) + res.logdet,
                                    rtol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -222,6 +229,11 @@ class TestSampling:
         y, _ = forward_values(model, x)
         recovered = invert_rows(model, y)
         assert np.abs(recovered - x).max() < tol
+
+    def test_check_inversion_reports_residual(self):
+        result = check_inversion(tiny_model(4, "spline", seed=31))
+        assert result.passed
+        assert float(result.detail.split("residual ")[1]) < 1e-12
 
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):

@@ -241,6 +241,13 @@ class TestCdf:
         hi = cdf_inv(0.6, psi)
         assert lo < hi
 
+    def test_inverse_of_root_beyond_float_spacing(self):
+        # past about 4.5e9 adjacent floats lie further apart than tol, so
+        # the bracket stops shrinking before it is narrower than tol
+        psi = cdf_psi(w1=np.full(4, -25.0), b1=np.zeros(4), w2=np.zeros(4), b2=0.0)
+        y, _ = cdf_fwd(3e10, psi)
+        assert abs(cdf_inv(float(y), psi) - 3e10) <= 1e-12 * 3e10
+
     def test_target_domain_checked(self):
         # uniform-base targets are validated where inversion starts
         model = build_model(ModelConfig(D=1, head_type="cdf", E=8, heads=2, layers=1,

@@ -1,0 +1,129 @@
+"""Print a sha256 for every model output a bit-identical change must keep.
+
+Run it in each of two checkouts and diff the results:
+
+    PYTHONPATH=src python tools/output_hashes.py > hashes.txt
+
+Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
+the CLI quantities as the exact bytes of the files and stdout they produce.
+For each (head, D) model the script hashes the loss and every parameter
+gradient of one training step, ``log_prob`` (y, logdet, logp),
+``invert_rows`` of the ``log_prob`` outputs, and the parameters, validation
+history and ``sample`` after 12 ``train`` steps.  For each head it also
+hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy and the csv of
+``tnaf sample`` from that checkpoint.  An output that raises is hashed as
+the exception's type and message, so failures must match too.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from tnaf import diffcore as dc
+from tnaf.cli import main as cli_main
+from tnaf.data import DatasetMatrix, make_splits
+from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss, sample
+from tnaf.trainer import TrainConfig, train
+
+MODELS = (
+    ("affine", 2), ("affine", 63),
+    ("cdf", 8), ("cdf", 63),
+    ("shared_cdf", 4), ("shared_cdf", 32),
+    ("spline", 16), ("spline", 63),
+)
+SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32}
+ROWS = 16
+
+
+def digest(data) -> str:
+    if not isinstance(data, bytes):
+        data = np.ascontiguousarray(data, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+def emit(name: str, data) -> None:
+    print(f"{name} {digest(data)}", flush=True)
+
+
+def guarded(fn, *args):
+    """fn's result, or the bytes of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:  # noqa: BLE001 -- a raised error is an output too
+        return f"{type(err).__name__}: {err}".encode()
+
+
+def model_hashes(head: str, d: int) -> None:
+    tag = f"{head}.D{d}"
+    cfg = ModelConfig(D=d, head_type=head, cdf_hidden=8, spline_bins=4, **SMALL)
+    rng = np.random.default_rng(d)
+    batch = rng.standard_normal((ROWS, d))
+
+    model = build_model(cfg, seed=1)
+    loss = nll_loss(model, batch)
+    dc.backward(loss)
+    emit(f"{tag}.loss", loss.value)
+    for name, p in model.params.items():
+        emit(f"{tag}.grad.{name}", p.grad)
+    model.params.zero_grad()
+
+    res = log_prob(model, batch)
+    emit(f"{tag}.log_prob.y", res.y)
+    emit(f"{tag}.log_prob.logdet", res.logdet)
+    emit(f"{tag}.log_prob.logp", res.logp)
+    emit(f"{tag}.invert_rows", guarded(invert_rows, model, res.y))
+
+    splits = make_splits(DatasetMatrix(rng.standard_normal((160, d))), seed=2)
+    report = train(model, splits, TrainConfig(batch_size=16, max_steps=12, eval_every=5))
+    emit(f"{tag}.train.history", np.array(report.history))
+    for name, p in model.params.items():
+        emit(f"{tag}.trained.{name}", p.value)
+    emit(f"{tag}.trained.sample", guarded(sample, model, ROWS, 5))
+
+
+def cli_hashes(head: str, workdir: str) -> None:
+    doc = {
+        "model": {"D": 2, "head_type": head, "H": 8, "K": 4, **SMALL},
+        "train": {"batch_size": 32, "max_steps": 37, "eval_every": 10, "seed": 4},
+        "data": {"toy": "ring", "n": 400, "seed": 3},
+    }
+    config = os.path.join(workdir, f"{head}.json")
+    ckpt = os.path.join(workdir, f"{head}.ckpt")
+    rows = os.path.join(workdir, f"{head}.csv")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["train", "-c", config, "-o", ckpt])
+    emit(f"cli.{head}.train.stdout", f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    with open(ckpt, "rb") as fh:
+        emit(f"cli.{head}.train.checkpoint", fh.read())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(["sample", "-m", ckpt, "-n", "16", "--seed", "3", "-o", rows])
+    if code == 0:
+        with open(rows, "rb") as fh:
+            emit(f"cli.{head}.sample", fh.read())
+    else:
+        emit(f"cli.{head}.sample", f"{code}\n{err.getvalue()}".encode())
+
+
+def main() -> int:
+    for head, d in MODELS:
+        model_hashes(head, d)
+    with tempfile.TemporaryDirectory() as workdir:
+        for head in ("affine", "cdf", "shared_cdf", "spline"):
+            cli_hashes(head, workdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
