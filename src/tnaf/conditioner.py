@@ -194,8 +194,10 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | No
     if cache is not None:
         k, v = cache.extend(layer, k.value, v.value)
 
-    scores = dc.mul(dc.matmul(q, dc.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-    attn = dc.masked_softmax(scores, mask)
+    # the softmax applies the 1/sqrt(d_k) scale itself, tile by tile, so the
+    # scaled [N, heads, D, D] scores are never a node of their own
+    scores = dc.matmul(q, dc.transpose(k, (0, 1, 3, 2)))
+    attn = dc.masked_softmax(scores, mask, 1.0 / np.sqrt(dk))
     ctx = dc.reshape(dc.transpose(dc.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
     u = dc.add(seq, linear(ctx, params[p + "wo"], params[p + "bo"]))
 

@@ -446,7 +446,9 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
     Step i runs one cached conditioner step -- it encodes only the token of
     x_{i-1}, recovered at step i-1, and attends over the keys and values cached
     by the steps before -- then inverts the head at position i.  D steps of one
-    token replace D full conditioner passes of D tokens each.
+    token replace D full conditioner passes of D tokens each.  A recovered
+    column that is not finite raises InversionError naming its row and
+    dimension.
     """
     noise = dc.as_tensor(targets)
     if noise.ndim != 2 or noise.shape[1] != model.D:
@@ -458,13 +460,19 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         raise DimensionError("uniform-base targets must lie strictly in (0, 1)")
     x = np.zeros((n, d))
     cache = KVCache(model.cond, n)
-    with dc.no_grad():
+    # a column that overflows is caught by the finiteness check below, so
+    # numpy's floating-point warnings on the way there would say nothing more
+    with dc.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = model.head.inverse_state(model.params, n)
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
             hidden = condition(x[:, max(i - 1, 0):i], model.params, model.cond, cache).value
             try:
                 x[:, i] = model.head.inverse(model.params, hidden[:, 0], noise[:, i], i, state)
+                bad = ~np.isfinite(x[:, i])
+                if bad.any():
+                    raise tf.InversionError("recovered a non-finite value",
+                                            index=int(np.argmax(bad)))
             except tf.InversionError as err:
                 raise tf.InversionError(
                     f"inversion failed at sample {err.index}, dimension {i}: {err}",

@@ -77,26 +77,23 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     if tol <= 0:
         raise DimensionError("bisection tolerance must be positive")
     y = np.asarray(y, dtype=np.float64)
-    lo = np.full(y.shape, -1.0)
-    hi = np.full(y.shape, 1.0)
-    for _ in range(max_doublings):
-        need = f(lo) > y
-        if not need.any():
-            break
-        lo = np.where(need, lo * 2.0, lo)
-    bad = f(lo) > y
-    if bad.any():
-        raise InversionError("lower bracket not found (pathological transform)",
-                             index=int(np.argmax(bad)))
-    for _ in range(max_doublings):
-        need = f(hi) < y
-        if not need.any():
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    bad = f(hi) < y
-    if bad.any():
-        raise InversionError("upper bracket not found (pathological transform)",
-                             index=int(np.argmax(bad)))
+
+    def widen(end, outside, side):
+        # double each lane whose f(end) is still on the wrong side of y; every
+        # end is evaluated once, and the last evaluation decides
+        for _ in range(max_doublings):
+            out = outside(f(end))
+            if not out.any():
+                return end
+            end = np.where(out, end * 2.0, end)
+        out = outside(f(end))
+        if out.any():
+            raise InversionError(f"{side} bracket not found (pathological transform)",
+                                 index=int(np.argmax(out)))
+        return end
+
+    lo = widen(np.full(y.shape, -1.0), lambda v: v > y, "lower")
+    hi = widen(np.full(y.shape, 1.0), lambda v: v < y, "upper")
     splittable = np.ones(y.shape, dtype=bool)
     while (splittable & (hi - lo >= tol)).any():
         mid = 0.5 * (lo + hi)

@@ -277,6 +277,28 @@ class TestCliSampleInvert:
         assert main(["invert", "-m", str(ckpt), "-d", str(targets),
                      "-o", str(tmp_path / "o.csv")]) == 5
 
+    @pytest.mark.parametrize("command", ["sample", "invert"])
+    def test_non_finite_inversion_exits_5(self, tmp_path, capsys, command):
+        # a fresh wide affine flow whose inverse overflows to inf/NaN by
+        # dimension 8 on this noise: nothing may be written
+        rc = parse_run_config({
+            "model": {"D": 63, "head_type": "affine", "E": 16, "heads": 2, "layers": 2,
+                      "mlp_hidden": 32},
+            "data": {"toy": "ring", "n": 10},
+        })
+        ckpt, out = tmp_path / "wide.ckpt", tmp_path / "x.csv"
+        save_checkpoint(str(ckpt), build_model(rc.model, seed=1),
+                        StandardizationStats(np.zeros(63), np.ones(63)), rc)
+        if command == "sample":
+            argv = ["sample", "-m", str(ckpt), "-n", "16", "--seed", "5"]
+        else:
+            noise = tmp_path / "noise.csv"
+            save_csv(np.random.default_rng(5).standard_normal((16, 63)), str(noise))
+            argv = ["invert", "-m", str(ckpt), "-d", str(noise)]
+        assert main(argv + ["-o", str(out)]) == 5
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invert_recovers_noise(self, trained, tmp_path, capsys):
         out = tmp_path / "s.csv"
         main(["sample", "-m", str(trained), "-n", "6", "--seed", "4", "-o", str(out)])

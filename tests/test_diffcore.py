@@ -272,7 +272,9 @@ class TestFusedSoftmaxBitIdentity:
         assert x.value.tobytes() == before  # the op never writes into its input
         return out.value.tobytes(), x.grad.tobytes()
 
-    @pytest.mark.parametrize("t", [1, 2, 63])
+    # 8, 9, 16, 17 and 64 put the edge of a block of SOFTMAX_ROW_BLOCK rows
+    # on the last row, just before it, or one row before a new block
+    @pytest.mark.parametrize("t", [1, 2, 63, 8, 9, 16, 17, 64])
     def test_causal_masked(self, t):
         mask = _causal_mask(t)
         fused = self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, mask))
@@ -285,6 +287,40 @@ class TestFusedSoftmaxBitIdentity:
         composite = self.run((2, 8, t, t), _composite_softmax)
         assert self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, None)) == composite
         assert self.run((2, 8, t, t), dc.softmax_last) == composite
+
+    def test_non_causal_mask(self):
+        # every tile spans only the columns its rows see: here no row sees the
+        # first two columns, the last visible column is not monotone in the
+        # row, and row 3 sees the last column alone
+        t = 19
+        rng = np.random.default_rng(5)
+        visible = rng.random((t, t)) < 0.3
+        visible[np.arange(t), rng.integers(2, t, t)] = True
+        visible[:, :2] = False
+        visible[3] = False
+        visible[3, -1] = True
+        last = t - 1 - np.argmax(visible[:, ::-1], axis=1)
+        assert np.any(np.diff(last) < 0)
+        mask = np.where(visible, 0.0, dc.NEG_MASK)
+        fused = self.run((2, 3, t, t), lambda a: dc.masked_softmax(a, mask))
+        composite = self.run((2, 3, t, t), lambda a: _composite_softmax(
+            dc.add(a, dc.constant(mask))))
+        assert fused == composite
+
+    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("t", [5, 17])
+    def test_scale(self, t, masked):
+        # the scale multiplies each tile before the mask add, as the mul node
+        # it replaces did
+        scale = 1.0 / np.sqrt(3.0)
+        mask = _causal_mask(t) if masked else None
+
+        def composite(a):
+            a = dc.mul(a, scale)
+            return _composite_softmax(a if mask is None else dc.add(a, dc.constant(mask)))
+
+        fused = self.run((2, 3, t, t), lambda a: dc.masked_softmax(a, mask, scale))
+        assert fused == self.run((2, 3, t, t), composite)
 
     def test_spline_knot_slice(self):
         # the spline heads take softmax_last of a [N, D, K] slice of psi

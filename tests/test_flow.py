@@ -18,6 +18,7 @@ from tnaf.flow import (
     sample,
     total_param_count,
 )
+from tnaf.transforms import InversionError
 
 ALL_HEADS = ("affine", "cdf", "shared_cdf", "spline")
 
@@ -234,6 +235,15 @@ class TestSampling:
         result = check_inversion(tiny_model(4, "spline", seed=31))
         assert result.passed
         assert float(result.detail.split("residual ")[1]) < 1e-12
+
+    def test_non_finite_column_raises(self):
+        # a fresh wide affine flow whose inverse overflows on the way: the
+        # overflow raises no RuntimeWarning (the suite turns those into
+        # errors), and the first non-finite column names its row and dimension
+        model = build_model(ModelConfig(D=63, head_type="affine", E=16, heads=2, layers=2,
+                                        mlp_hidden=32), seed=1)
+        with pytest.raises(InversionError, match="sample 5, dimension 8: .*non-finite"):
+            sample(model, 16, seed=5)
 
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):

@@ -256,6 +256,20 @@ class TestCdf:
             with pytest.raises(DimensionError):
                 invert_rows(model, np.array([[bad]]))
 
+    def test_bracket_ends_evaluated_once(self):
+        # lanes that [-1, 1] already brackets cost one evaluation per bracket
+        # end, then one per bisection step: widths 2, 1, 0.5 and 0.25 are not
+        # below tol=0.25, so there are 4 steps
+        calls = []
+
+        def f(x):
+            calls.append(x.copy())
+            return x
+
+        x = tf.monotone_bisect(f, np.array([0.3, -0.7]), tol=0.25)
+        assert len(calls) == 2 + 4
+        np.testing.assert_array_equal(x, [0.3125, -0.6875])
+
     def test_bracket_failure_raises(self):
         # a net whose range is (sig(b2 - sum e^w2), sig(b2 + sum e^w2)):
         # with tiny weights the range is narrow and 0.999 is unreachable

@@ -1,8 +1,12 @@
 """Print a sha256 for every model output a bit-identical change must keep.
 
-Run it in each of two checkouts and diff the results:
+Run this script against each of two checkouts' ``src/`` and diff the results:
 
-    PYTHONPATH=src python tools/output_hashes.py > hashes.txt
+    PYTHONPATH=src python tools/output_hashes.py > new.txt
+    PYTHONPATH=../other/src python tools/output_hashes.py > old.txt
+
+The D=17 model ends its attention rows in a block of one row (masked_softmax
+tiles its rows eight at a time), and D=63 in a block of seven.
 
 Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
 the CLI quantities as the exact bytes of the files and stdout they produce.
@@ -34,7 +38,7 @@ from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss,
 from tnaf.trainer import TrainConfig, train
 
 MODELS = (
-    ("affine", 2), ("affine", 63),
+    ("affine", 2), ("affine", 17), ("affine", 63),
     ("cdf", 8), ("cdf", 63),
     ("shared_cdf", 4), ("shared_cdf", 32),
     ("spline", 16), ("spline", 63),
