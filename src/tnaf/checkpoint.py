@@ -11,7 +11,9 @@ Checkpoint layout (all little-endian):
 
 Parameters are stored float32 and widened to float64 on load; every
 tolerance that crosses a save/load boundary allows for that rounding.  A
-checkpoint holding a non-finite parameter is rejected as corrupt.
+checkpoint holding a non-finite parameter is rejected as corrupt, as is one
+whose header is malformed or whose standardization stats are not finite with
+std > 0.
 save -> load -> save is byte-identical.
 """
 
@@ -194,6 +196,17 @@ def save_checkpoint(path: str, model: FlowModel, stats: StandardizationStats,
         fh.write(blob)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_manifest_entry(entry) -> bool:
+    """A manifest entry: {"name": str, "shape": [int, ...], "offset": int}."""
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and _is_int(entry.get("offset")) and isinstance(entry.get("shape"), list)
+            and all(map(_is_int, entry["shape"])))
+
+
 def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConfig]:
     try:
         with open(path, "rb") as fh:
@@ -210,6 +223,8 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
         header = json.loads(raw[body_start:body_start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError):
         raise CheckpointError(f"{path}: checkpoint corrupt (unreadable header)") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: checkpoint corrupt (header is not a JSON object)")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')}"
@@ -224,6 +239,8 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
 
     model = build_model(rc.model, seed=rc.train.seed)
     manifest = header.get("manifest", [])
+    if not isinstance(manifest, list) or not all(map(_is_manifest_entry, manifest)):
+        raise CheckpointError(f"{path}: checkpoint corrupt (malformed manifest)")
     names = [entry["name"] for entry in manifest]
     if names != model.params.names():
         raise CheckpointError(f"{path}: manifest does not match the architecture")
@@ -251,10 +268,19 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
         raise CheckpointError(f"{path}: checkpoint corrupt (trailing bytes)")
 
     std = header.get("standardization", {})
-    stats = StandardizationStats(
-        mean=np.asarray(std.get("mean", []), dtype=np.float64),
-        std=np.asarray(std.get("std", []), dtype=np.float64),
-    )
+    if not isinstance(std, dict):
+        raise CheckpointError(f"{path}: checkpoint corrupt (malformed standardization)")
+    try:
+        stats = StandardizationStats(
+            mean=np.asarray(std.get("mean", []), dtype=np.float64),
+            std=np.asarray(std.get("std", []), dtype=np.float64),
+        )
+    except (TypeError, ValueError, OverflowError):
+        raise CheckpointError(f"{path}: checkpoint corrupt (standardization stats "
+                              "are not numbers)") from None
     if stats.mean.shape != (rc.model.D,) or stats.std.shape != (rc.model.D,):
         raise CheckpointError(f"{path}: standardization stats do not match D")
+    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+            and (stats.std > 0.0).all()):
+        raise CheckpointError(f"{path}: standardization stats must be finite with std > 0")
     return model, stats, rc

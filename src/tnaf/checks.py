@@ -19,6 +19,7 @@ FD_STEP = 1e-5
 TRIANGULAR_TOL = 1e-8
 LOGDET_RTOL = 1e-6
 GRADIENT_RTOL = 1e-4
+JACOBIAN_TRIALS = 3
 
 
 @dataclass
@@ -32,14 +33,20 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(b), 1e-12)
 
 
-def check_triangularity(model: FlowModel, seed: int = 0, trials: int = 3) -> OracleResult:
-    """The numerical Jacobian must be lower triangular with positive diagonal."""
+def jacobian_trials(model: FlowModel, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+    """JACOBIAN_TRIALS standard-normal points x from default_rng(seed), each
+    with the numerical Jacobian at x: the shared input of the triangularity
+    and log-det oracles."""
     rng = np.random.default_rng(seed)
+    points = [rng.standard_normal(model.D) for _ in range(JACOBIAN_TRIALS)]
+    return [(x, numerical_jacobian(model, x, FD_STEP)) for x in points]
+
+
+def check_triangularity(trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleResult:
+    """The numerical Jacobian must be lower triangular with positive diagonal."""
     worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(model.D)
-        jac = numerical_jacobian(model, x, FD_STEP)
-        upper = np.abs(np.triu(jac, 1)).max() if model.D > 1 else 0.0
+    for _, jac in trials:
+        upper = np.abs(np.triu(jac, 1)).max() if len(jac) > 1 else 0.0
         worst = max(worst, float(upper))
         if upper >= TRIANGULAR_TOL or np.any(np.diag(jac) <= 0.0):
             return OracleResult(
@@ -49,15 +56,13 @@ def check_triangularity(model: FlowModel, seed: int = 0, trials: int = 3) -> Ora
     return OracleResult("triangularity", True, f"max upper magnitude {worst:.2e}")
 
 
-def check_logdet(model: FlowModel, seed: int = 0, trials: int = 3) -> OracleResult:
+def check_logdet(model: FlowModel,
+                 trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleResult:
     """Sum of per-dimension log-derivs vs the brute-force Jacobian determinant."""
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
-        x = rng.standard_normal(model.D)
+    for x, jac in trials:
         _, ld = forward_values(model, x[None, :])
         claimed = float(ld.sum())
-        jac = numerical_jacobian(model, x, FD_STEP)
         sign, logdet = np.linalg.slogdet(jac)
         if sign <= 0:
             return OracleResult("logdet", False, "numerical Jacobian not orientation-preserving")
@@ -143,9 +148,10 @@ def check_inversion(model: FlowModel, seed: int = 0, rows: int = 64) -> OracleRe
 
 
 def run_all_checks(model: FlowModel, seed: int = 0) -> list[OracleResult]:
+    trials = jacobian_trials(model, seed)
     return [
-        check_triangularity(model, seed),
-        check_logdet(model, seed),
+        check_triangularity(trials),
+        check_logdet(model, trials),
         check_gradient(model, seed),
         check_inversion(model, seed),
     ]

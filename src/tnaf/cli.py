@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 internal error, 2 config/usage error, 3 data error
 (including dimension mismatch), 4 corrupt checkpoint (including non-finite
-weights), 5 inversion failure.
+weights, a malformed header or unusable standardization stats), 5 inversion
+failure.
 """
 
 from __future__ import annotations

@@ -97,15 +97,6 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
     return params
 
 
-def causal_mask(d: int) -> np.ndarray:
-    """Additive mask: entry (r, c) is 0 for c <= r, the -inf surrogate above."""
-    if d < 1:
-        raise DimensionError(f"mask size must be >= 1, got {d}")
-    mask = np.zeros((d, d))
-    mask[np.triu_indices(d, 1)] = dc.NEG_MASK
-    return mask
-
-
 def linear(x: Node, w: Node, b: Node) -> Node:
     """Position-wise affine map over the last axis."""
     in_dim, out_dim = w.value.shape
@@ -172,10 +163,11 @@ class KVCache:
                 dc.constant(self.values[layer][:, :, :end]))
 
 
-def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | None,
-                  cfg: ConditionerConfig, cache: KVCache | None = None) -> Node:
+def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfig,
+                  cache: KVCache | None = None) -> Node:
     """Pre-norm encoder block: x + MHA(ln(x)), then u + MLP(ln(u)).
 
+    Without a cache the attention is causal: token i attends to tokens <= i.
     With a cache, `seq` holds the new tokens only: their keys and values are
     appended to the cache and their queries attend over the whole prefix.
     """
@@ -197,7 +189,7 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, mask: np.ndarray | No
     # the softmax applies the 1/sqrt(d_k) scale itself, tile by tile, so the
     # scaled [N, heads, D, D] scores are never a node of their own
     scores = dc.matmul(q, dc.transpose(k, (0, 1, 3, 2)))
-    attn = dc.masked_softmax(scores, mask, 1.0 / np.sqrt(dk))
+    attn = dc.masked_softmax(scores, cache is None, 1.0 / np.sqrt(dk))
     ctx = dc.reshape(dc.transpose(dc.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
     u = dc.add(seq, linear(ctx, params[p + "wo"], params[p + "bo"]))
 
@@ -215,15 +207,11 @@ def condition(x, params: ParamSet, cfg: ConditionerConfig,
     encoded against the cached prefix, and the result is that position's
     hidden rows [N, 1, E].  D steps give the D rows of the full pass.
     """
-    if cache is None:
-        seq, mask = embed_sequence(x, params, cfg), causal_mask(cfg.D)
-    else:
-        # one new query sees every cached key: no mask needed
-        seq, mask = embed_sequence(x, params, cfg, cache.length), None
-        if seq.value.shape[-2] != 1:
-            raise DimensionError(f"a cached step encodes one token, got {seq.value.shape[-2]}")
+    seq = embed_sequence(x, params, cfg, 0 if cache is None else cache.length)
+    if cache is not None and seq.value.shape[-2] != 1:
+        raise DimensionError(f"a cached step encodes one token, got {seq.value.shape[-2]}")
     for layer in range(cfg.L):
-        seq = encoder_layer(seq, params, layer, mask, cfg, cache)
+        seq = encoder_layer(seq, params, layer, cfg, cache)
     if cache is not None:
         cache.length += 1
     return seq

@@ -5,11 +5,11 @@ returns a Node holding its value plus the local vector-Jacobian rules of its
 parents. backward() walks the graph once in reverse topological order.
 Values are numpy float64 arrays throughout; there is no GPU path.  Binary ops
 follow numpy's broadcasting rules, and their gradients are summed back to each
-operand's shape.  masked_softmax (and softmax_last, its unmasked case) is one
-fused op with a hand-written VJP; layer_norm is the other.  masked_softmax
-takes the attention's 1/sqrt(d_k) as its `scale` and, under a mask, works
-in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those rows can see,
-skipping the scores a causal mask hides.  Its row sums still run over the
+operand's shape.  masked_softmax is one fused op with a hand-written VJP;
+layer_norm is the other.  masked_softmax takes the attention's 1/sqrt(d_k)
+as its `scale` and a `causal` flag; a causal call builds its own mask and
+works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those rows can
+see, skipping the scores the mask hides.  Its row sums still run over the
 full zero-padded rows and the skipped lanes hold exact +0, so values and
 gradients, signed zeros included, are those of the dense op.
 
@@ -422,14 +422,6 @@ def gather_last(a, idx: np.ndarray) -> Node:
     return make_node(out, [(a, vjp)])
 
 
-def cumsum_last(a) -> Node:
-    a = _wrap(a)
-    out = np.cumsum(a.value, axis=-1)
-    return make_node(
-        out, [(a, lambda g: np.flip(np.cumsum(np.flip(g, -1), -1), -1))]
-    )
-
-
 def where(cond: np.ndarray, a, b) -> Node:
     """Select elementwise by a constant boolean mask."""
     a, b = _wrap(a), _wrap(b)
@@ -496,37 +488,6 @@ def matmul(a, b) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def softmax_last(a) -> Node:
-    """Softmax over the last axis: masked_softmax without a mask."""
-    return masked_softmax(a, None)
-
-
-def _mask_tiles(mask: np.ndarray | None, shape: tuple) -> list[tuple[slice, slice]] | None:
-    """Check an additive mask against scores of `shape` and tile it: one
-    (rows, cols) pair per block of SOFTMAX_ROW_BLOCK query rows, cols being the
-    narrowest column range that holds every column those rows can see.  None
-    when one tile would hold every score (no mask, or one block of rows that
-    sees every column)."""
-    if mask is None:
-        return None
-    n = shape[-1]
-    if mask.shape != (n, n) or shape[-2] != n:
-        raise DimensionError(f"mask shape {mask.shape} incompatible with scores {shape}")
-    visible = mask == 0.0
-    if not np.all(visible | (mask == NEG_MASK)):
-        raise ContractViolation("mask entries must be 0 or the -inf surrogate")
-    if not np.all(visible.any(axis=-1)):
-        raise ContractViolation("masked_softmax: fully masked row")
-    tiles = []
-    for start in range(0, n, SOFTMAX_ROW_BLOCK):
-        rows = slice(start, start + SOFTMAX_ROW_BLOCK)
-        cols = np.flatnonzero(visible[rows].any(axis=0))
-        tiles.append((rows, slice(int(cols[0]), int(cols[-1]) + 1)))
-    if len(tiles) == 1 and tiles[0][1] == slice(0, n):
-        return None
-    return tiles
-
-
 def _logits(a: np.ndarray, mask: np.ndarray | None, scale: float) -> np.ndarray:
     """scale * a + mask in a new array (a itself when there is nothing to do)."""
     t = a * scale if scale != 1.0 else a
@@ -535,12 +496,13 @@ def _logits(a: np.ndarray, mask: np.ndarray | None, scale: float) -> np.ndarray:
     return t
 
 
-def masked_softmax(scores, mask: np.ndarray | None, scale: float = 1.0) -> Node:
-    """Softmax of scale * scores + mask over the last axis, as one fused op.
+def masked_softmax(scores, causal: bool, scale: float = 1.0) -> Node:
+    """Softmax of scale * scores over the last axis, as one fused op; with
+    `causal`, query row r sees key columns 0..r only.
 
-    mask entries must be 0 or NEG_MASK; masked positions come out exactly +0
-    (the shifted exponent underflows), so their gradients vanish too.  A mask
-    of None masks nothing and skips the checks.
+    Causal scores must be square in their last two axes.  The hidden
+    positions get NEG_MASK added and come out exactly +0 (the shifted
+    exponent underflows), so their gradients vanish too.
 
     The value is exp(a - logsumexp(a)) with the max-shifted log-sum-exp,
     a = scale * scores + mask, and the VJP is
@@ -548,25 +510,29 @@ def masked_softmax(scores, mask: np.ndarray | None, scale: float = 1.0) -> Node:
     operation for operation, as the mul/add/logsumexp/sub/exp graph it
     replaces.
 
-    With a mask the query rows go in blocks of SOFTMAX_ROW_BLOCK, each on a
-    tile of only the columns its rows can see (a causal mask hides about half
-    the scores).  The exponentials go into a zero-filled buffer of full width,
-    so each row sum still runs over the whole padded row: a shorter sum groups
-    its terms differently and rounds differently.  Skipped lanes of the value
-    and of the kept exponentials hold exact +0, as the underflow gives, and
-    the VJP still runs over full rows, so masked lanes keep the dense op's
-    signed-zero gradients.  (A tile's max is the row's max while
-    |scale * scores| stays far below -NEG_MASK.)  When one tile would hold
-    every score, the dense arithmetic runs with no padding and no extra copy.
+    Causal rows go in blocks of SOFTMAX_ROW_BLOCK, each on a tile of only the
+    columns its rows can see, skipping about half the scores.  The
+    exponentials go into a zero-filled buffer of full width, so each row sum
+    still runs over the whole padded row: a shorter sum groups its terms
+    differently and rounds differently.  Skipped lanes of the value and of
+    the kept exponentials hold exact +0, as the underflow gives, and the VJP
+    still runs over full rows, so hidden lanes keep the dense op's signed-zero
+    gradients.  (A tile's max is the row's max while |scale * scores| stays
+    far below -NEG_MASK.)  When one block holds every row
+    (n <= SOFTMAX_ROW_BLOCK) or nothing is hidden, the dense arithmetic runs
+    with no padding and no extra copy.
     """
     scores = _wrap(scores)
     a = scores.value
     if a.ndim == 0 or a.shape[-1] == 0:
         raise DimensionError(f"softmax over empty axis of shape {a.shape}")
-    if mask is not None:
-        mask = as_tensor(mask)
-    tiles = _mask_tiles(mask, a.shape)
-    if tiles is None:
+    n = a.shape[-1]
+    mask = None
+    if causal:
+        if a.ndim < 2 or a.shape[-2] != n:
+            raise DimensionError(f"causal softmax needs square scores, got {a.shape}")
+        mask = np.triu(np.full((n, n), NEG_MASK), 1)
+    if mask is None or n <= SOFTMAX_ROW_BLOCK:
         t = _logits(a, mask, scale)
         m = t.max(axis=-1, keepdims=True)
         ex = np.subtract(t, m)
@@ -577,6 +543,8 @@ def masked_softmax(scores, mask: np.ndarray | None, scale: float = 1.0) -> Node:
         y = np.subtract(t, lse, out=None if t is a else t)
         np.exp(y, out=y)
     else:
+        tiles = [(slice(r, r + SOFTMAX_ROW_BLOCK), slice(0, min(r + SOFTMAX_ROW_BLOCK, n)))
+                 for r in range(0, n, SOFTMAX_ROW_BLOCK)]
         ex = np.zeros(a.shape)
         m = np.empty(a.shape[:-1] + (1,))
         logits = []

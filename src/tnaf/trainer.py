@@ -19,6 +19,12 @@ from .data import DatasetMatrix, Splits, batches
 from .diffcore import ContractViolation, ParamSet
 from .flow import FlowModel, log_prob, nll_loss
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# rows per log_prob call in evaluate, bounding its peak memory
+EVAL_CHUNK = 4096
+
 
 class TrainingFault(RuntimeError):
     """Non-finite loss or gradients; carries the failing step number."""
@@ -54,27 +60,24 @@ class TrainReport:
 
 
 class Adam:
-    """Bias-corrected adaptive-moment optimizer (beta1=0.9, beta2=0.999)."""
+    """Bias-corrected adaptive-moment optimizer (ADAM_BETA1, ADAM_BETA2,
+    ADAM_EPS)."""
 
-    def __init__(self, params: ParamSet, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: ParamSet):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.value) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.value) for name, p in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.value -= lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
+            self.m[name] = ADAM_BETA1 * self.m[name] + (1.0 - ADAM_BETA1) * g
+            self.v[name] = ADAM_BETA2 * self.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+            p.value -= lr * (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + ADAM_EPS)
         self.params.zero_grad()
 
 
@@ -97,15 +100,14 @@ def clip_gradients(params: ParamSet, clip_norm: float, step: int = 0) -> float:
     return norm
 
 
-def evaluate(model: FlowModel, matrix: DatasetMatrix,
-             chunk: int = 4096) -> tuple[float, float]:
+def evaluate(model: FlowModel, matrix: DatasetMatrix) -> tuple[float, float]:
     """Mean per-row log-likelihood and its standard error (no-grad)."""
     rows = matrix.data
     if rows.shape[0] < 1:
         raise ValueError("cannot evaluate on an empty matrix")
     logps = []
-    for start in range(0, rows.shape[0], chunk):
-        logps.append(log_prob(model, rows[start:start + chunk]).logp)
+    for start in range(0, rows.shape[0], EVAL_CHUNK):
+        logps.append(log_prob(model, rows[start:start + EVAL_CHUNK]).logp)
     lp = np.concatenate(logps)
     mean_ll = float(lp.mean())
     std_err = float(lp.std(ddof=1) / np.sqrt(lp.size)) if lp.size > 1 else 0.0

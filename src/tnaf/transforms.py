@@ -5,10 +5,8 @@ log|dy/dx|.  Every transform has exactly one forward, a batched graph form
 built from diffcore ops (run under ``dc.no_grad()`` it gives plain values),
 and one vectorized inverse used for sampling and inversion.  An inverse gets
 forward values only through the forward's own helpers (the CDF net, the
-shared-CDF biases), so sampling inverts the same float function whose
-log-derivative was trained.  The one recorded exception is the spline
-inverse's knots, built by a numpy copy of the forward's knot arithmetic
-because the graph ops cost about twice as much per call.
+shared-CDF biases, the spline knots), so sampling inverts the same float
+function whose log-derivative was trained.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -26,6 +24,8 @@ from .diffcore import ContractViolation, DimensionError, Node
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
+# monotone_bisect doubles a bracket end at most this often (to +-2**64)
+MAX_DOUBLINGS = 64
 LOG2 = float(np.log(2.0))
 
 
@@ -66,7 +66,7 @@ def _softplus(x):
 
 
 def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                    tol: float, max_doublings: int = 64) -> np.ndarray:
+                    tol: float) -> np.ndarray:
     """Invert a lane-wise strictly increasing f by bracketing + bisection.
 
     Brackets start at [-1, 1] and double outward; a lane that cannot be
@@ -81,7 +81,7 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     def widen(end, outside, side):
         # double each lane whose f(end) is still on the wrong side of y; every
         # end is evaluated once, and the last evaluation decides
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             out = outside(f(end))
             if not out.any():
                 return end
@@ -182,20 +182,48 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def _softmax_np(v):
-    m = v.max(axis=-1, keepdims=True)
-    e = np.exp(v - m)
-    return e / e.sum(axis=-1, keepdims=True)
+def _knot_parts(raw, bound):
+    """The knots [-B, interior cumulative points, B], bins floored then
+    renormalized, and the softmax terms y, ex, s that the knot node's VJP reads.
 
-
-def _knot_positions(raw, bound):
-    """[-B, interior cumulative points, B]; bins floored then renormalized."""
+    The softmax is masked_softmax's dense arithmetic: y = exp(raw - (m + log s))
+    with m the row max, ex = exp(raw - m) and s the sum of ex."""
     k = raw.shape[-1]
-    q = MIN_BIN + (1.0 - MIN_BIN * k) * _softmax_np(raw)
+    m = raw.max(axis=-1, keepdims=True)
+    ex = np.exp(raw - m)
+    s = ex.sum(axis=-1, keepdims=True)
+    y = np.exp(raw - (m + np.log(s)))
+    q = MIN_BIN + (1.0 - MIN_BIN * k) * y
     interior = -bound + 2.0 * bound * np.cumsum(q, axis=-1)[..., : k - 1]
     lead = raw.shape[:-1]
     edge = np.full(lead + (1,), bound)
-    return np.concatenate([-edge, interior, edge], axis=-1)
+    return np.concatenate([-edge, interior, edge], axis=-1), y, ex, s
+
+
+def _knot_positions(raw, bound):
+    """The knots of _knot_parts alone, as the inverse reads them."""
+    return _knot_parts(raw, bound)[0]
+
+
+def _knots_node(raw: Node, bound: float) -> Node:
+    """_knot_positions as one graph node.  Its VJP replays, op for op, the
+    softmax/mul/add/cumsum/narrow/mul/add/concat chain it replaces: only the
+    interior knots depend on raw, so a K=1 spline's knots are a constant."""
+    k = raw.value.shape[-1]
+    knots, y, ex, s = _knot_parts(raw.value, bound)
+    if k == 1:
+        return dc.constant(knots)
+
+    def vjp(g):
+        g_cum = np.zeros_like(y)
+        g_cum[..., : k - 1] = g[..., 1:k] * (2.0 * bound)
+        gy = np.flip(np.cumsum(np.flip(g_cum, -1), -1), -1) * (1.0 - MIN_BIN * k) * y
+        r = ex / s
+        r *= -gy.sum(axis=-1, keepdims=True)
+        r += gy
+        return r
+
+    return dc.make_node(knots, [(raw, vjp)])
 
 
 def _knot_derivs(raw_d):
@@ -203,6 +231,17 @@ def _knot_derivs(raw_d):
     ones = np.ones(lead + (1,))
     inner = _softplus(raw_d) + MIN_DERIV
     return np.concatenate([ones, inner, ones], axis=-1)
+
+
+def _knot_derivs_node(raw_d: Node) -> Node:
+    """_knot_derivs as one graph node (a constant at K=1, where raw_d is
+    empty); the VJP is softplus's, read through the interior slice."""
+    rv = raw_d.value
+    dknots = _knot_derivs(rv)
+    if rv.shape[-1] == 0:
+        return dc.constant(dknots)
+    return dc.make_node(
+        dknots, [(raw_d, lambda g: g[..., 1:-1] * 0.5 * (1.0 + np.tanh(0.5 * rv)))])
 
 
 def _bin_index(points, knots, k):
@@ -247,29 +286,12 @@ def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
 
 def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node, Node]:
     """Batched graph form of the spline; psi packs [widths | heights | derivs]."""
-    lead = psi.value.shape[:-1]
     raw_w = dc.narrow(psi, -1, 0, k)
     raw_h = dc.narrow(psi, -1, k, k)
     raw_d = dc.narrow(psi, -1, 2 * k, k - 1)
-
-    def knots(raw):
-        q = dc.add(MIN_BIN, dc.mul(1.0 - MIN_BIN * k, dc.softmax_last(raw)))
-        edge = dc.constant(np.full(lead + (1,), bound))
-        parts = [dc.neg(edge)]
-        if k > 1:
-            cum = dc.narrow(dc.cumsum_last(q), -1, 0, k - 1)
-            parts.append(dc.add(-bound, dc.mul(2.0 * bound, cum)))
-        parts.append(edge)
-        return dc.concat(parts, axis=-1)
-
-    xk = knots(raw_w)
-    yk = knots(raw_h)
-    ones = dc.constant(np.ones(lead + (1,)))
-    dparts = [ones]
-    if k > 1:
-        dparts.append(dc.add(dc.softplus(raw_d), MIN_DERIV))
-    dparts.append(ones)
-    dknots = dc.concat(dparts, axis=-1)
+    xk = _knots_node(raw_w, bound)
+    yk = _knots_node(raw_h, bound)
+    dknots = _knot_derivs_node(raw_d)
 
     xv = x.value
     idx = _bin_index(xv, xk.value, k)

@@ -1,6 +1,7 @@
 """Config parsing, checkpoint format, and the CLI command surface."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -130,6 +131,40 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(str(path))
+
+
+def _drop_offset(h):
+    del h["manifest"][0]["offset"]
+
+
+# each edit changes the header in place or returns a replacement; the blob
+# and its crc stay intact
+MALFORMED_HEADERS = {
+    "entry_without_offset": _drop_offset,
+    "string_manifest": lambda h: h.update(manifest="head.w"),
+    "non_list_shape": lambda h: h["manifest"][0].update(shape=4),
+    "non_numeric_mean": lambda h: h["standardization"].update(mean=["a", "b"]),
+    "list_header": lambda h: [h],
+    "zero_std": lambda h: h["standardization"].update(std=[0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_checkpoint_header_exits_4(tmp_path, capsys, edit):
+    rc = parse_run_config(tiny_model_doc())
+    stats = StandardizationStats(mean=np.zeros(2), std=np.ones(2))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(rc.model, seed=1), stats, rc)
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12:12 + n])
+    header = edit(header) or header
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n:])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+    assert main(["inspect", "-m", str(path)]) == 4
+    assert "checkpoint error" in capsys.readouterr().err
 
 
 class TestCliTrainEval:

@@ -8,7 +8,6 @@ from tnaf import diffcore as dc
 from tnaf.conditioner import (
     ConditionerConfig,
     KVCache,
-    causal_mask,
     condition,
     conditioner_param_count,
     embed_sequence,
@@ -58,18 +57,22 @@ def zero_weights(params):
 
 
 class TestCausalMask:
+    """The attention's causal softmax hides exactly the columns c > r."""
+
+    @staticmethod
+    def hidden(d):
+        return dc.masked_softmax(dc.constant(np.zeros((1, d, d))), True).value[0] == 0.0
+
     def test_single(self):
-        np.testing.assert_array_equal(causal_mask(1), [[0.0]])
+        np.testing.assert_array_equal(
+            dc.masked_softmax(dc.constant(np.zeros((1, 1))), True).value, [[1.0]])
 
     def test_three(self):
-        m = causal_mask(3)
-        inf = dc.NEG_MASK
-        np.testing.assert_array_equal(
-            m, [[0.0, inf, inf], [0.0, 0.0, inf], [0.0, 0.0, 0.0]]
-        )
+        np.testing.assert_array_equal(self.hidden(3), np.triu(np.ones((3, 3), bool), 1))
 
     def test_last_row_attends_everywhere(self):
-        assert (causal_mask(5)[4] == 0.0).all()
+        # 17 rows span three row blocks of the tiled softmax
+        assert not self.hidden(17)[16].any()
 
 
 class TestEmbedSequence:
@@ -118,24 +121,23 @@ class TestEncoderLayer:
         cfg, params = fresh(3, seed=7)
         zero_weights(params)
         seq = dc.constant(np.random.default_rng(2).standard_normal((1, 3, cfg.E)))
-        out = encoder_layer(seq, params, 0, causal_mask(3), cfg)
+        out = encoder_layer(seq, params, 0, cfg)
         np.testing.assert_array_equal(out.value, seq.value)
 
     def test_causal_dependency_by_fd(self):
         cfg, params = fresh(3, seed=11)
         base = np.random.default_rng(4).standard_normal((3, cfg.E))
-        out0 = encoder_layer(dc.constant(base[None]), params, 0, causal_mask(3), cfg).value[0]
+        out0 = encoder_layer(dc.constant(base[None]), params, 0, cfg).value[0]
         bumped = base.copy()
         bumped[2] += 1.0  # perturbing the last row must not touch earlier rows
-        out1 = encoder_layer(dc.constant(bumped[None]), params, 0, causal_mask(3),
-                             cfg).value[0]
+        out1 = encoder_layer(dc.constant(bumped[None]), params, 0, cfg).value[0]
         np.testing.assert_array_equal(out0[:2], out1[:2])
         assert np.abs(out0[2] - out1[2]).max() > 0
 
     def test_d1_shape(self):
         cfg, params = fresh(1, seed=13)
         seq = dc.constant(np.random.default_rng(5).standard_normal((1, 1, cfg.E)))
-        out = encoder_layer(seq, params, 0, causal_mask(1), cfg)
+        out = encoder_layer(seq, params, 0, cfg)
         assert out.value.shape == (1, 1, cfg.E)
 
 

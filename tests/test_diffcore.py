@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tnaf import diffcore as dc
+from tnaf import transforms as tf
 from tnaf.diffcore import (
     ContractViolation,
     DimensionError,
@@ -189,46 +190,36 @@ class TestLayerNorm:
 
 
 class TestMaskedSoftmax:
-    def mask(self):
-        m = np.zeros((3, 3))
-        m[np.triu_indices(3, 1)] = dc.NEG_MASK
-        return m
-
     def test_uniform_over_unmasked(self):
         scores = dc.constant(np.zeros((1, 3, 3)))
-        out = dc.masked_softmax(scores, self.mask()).value[0]
+        out = dc.masked_softmax(scores, True).value[0]
         np.testing.assert_allclose(out[1], [0.5, 0.5, 0.0], atol=1e-15)
         np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_masked_positions_exactly_zero(self):
         rng = np.random.default_rng(6)
         scores = dc.constant(rng.standard_normal((2, 3, 3)))
-        out = dc.masked_softmax(scores, self.mask()).value
+        out = dc.masked_softmax(scores, True).value
         assert (out[:, np.triu_indices(3, 1)[0], np.triu_indices(3, 1)[1]] == 0.0).all()
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         scores = dc.constant(rng.standard_normal((4, 3, 3)) * 10)
-        out = dc.masked_softmax(scores, self.mask()).value
+        out = dc.masked_softmax(scores, True).value
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_gradient_zero_at_masked(self):
         rng = np.random.default_rng(8)
         scores = dc.parameter(rng.standard_normal((1, 3, 3)))
-        out = dc.masked_softmax(scores, self.mask())
+        out = dc.masked_softmax(scores, True)
         backward(dc.sum_(dc.mul(out, out)))
         rows, cols = np.triu_indices(3, 1)
         assert (scores.grad[0, rows, cols] == 0.0).all()
 
-    def test_fully_masked_row_rejected(self):
-        m = np.full((2, 2), dc.NEG_MASK)
-        with pytest.raises(ContractViolation):
-            dc.masked_softmax(dc.constant(np.zeros((1, 2, 2))), m)
-
-    def test_invalid_mask_values_rejected(self):
-        m = np.full((2, 2), -5.0)
-        with pytest.raises(ContractViolation):
-            dc.masked_softmax(dc.constant(np.zeros((1, 2, 2))), m)
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (3,)])
+    def test_non_square_causal_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            dc.masked_softmax(dc.constant(np.zeros(shape)), True)
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(9)
@@ -237,7 +228,7 @@ class TestMaskedSoftmax:
         weights = rng.standard_normal((2, 3, 3))
 
         def loss():
-            return dc.sum_(dc.mul(dc.masked_softmax(scores, self.mask()),
+            return dc.sum_(dc.mul(dc.masked_softmax(scores, True),
                                   dc.constant(weights)))
 
         backward(loss())
@@ -256,6 +247,28 @@ def _causal_mask(t):
     return m
 
 
+def _cumsum_last(a):
+    """Cumulative sum over the last axis as a graph op; its VJP is the
+    reversed cumulative sum."""
+    return dc.make_node(np.cumsum(a.value, axis=-1),
+                        [(a, lambda g: np.flip(np.cumsum(np.flip(g, -1), -1), -1))])
+
+
+def _composite_knots(raw, bound):
+    """The op chain that transforms._knots_node replaces (K > 1)."""
+    k = raw.value.shape[-1]
+    edge = dc.constant(np.full(raw.value.shape[:-1] + (1,), bound))
+    q = dc.add(tf.MIN_BIN, dc.mul(1.0 - tf.MIN_BIN * k, _composite_softmax(raw)))
+    cum = dc.narrow(_cumsum_last(q), -1, 0, k - 1)
+    return dc.concat([dc.neg(edge), dc.add(-bound, dc.mul(2.0 * bound, cum)), edge], axis=-1)
+
+
+def _composite_knot_derivs(raw_d):
+    """The op chain that transforms._knot_derivs_node replaces (K > 1)."""
+    ones = dc.constant(np.ones(raw_d.value.shape[:-1] + (1,)))
+    return dc.concat([ones, dc.add(dc.softplus(raw_d), tf.MIN_DERIV), ones], axis=-1)
+
+
 class TestFusedSoftmaxBitIdentity:
     """The fused op must reproduce the composite's float64 bytes, values and
     input gradients alike, since trained models depend on every bit."""
@@ -264,10 +277,10 @@ class TestFusedSoftmaxBitIdentity:
     def run(shape, op, narrow_k=None, seed=0):
         rng = np.random.default_rng(seed)
         x = dc.parameter(rng.standard_normal(shape) * 3.0)
-        weights = dc.constant(rng.standard_normal(shape[:-1] + (narrow_k or shape[-1],)))
         a = x if narrow_k is None else dc.narrow(x, -1, 0, narrow_k)
         before = x.value.tobytes()
         out = op(a)
+        weights = dc.constant(rng.standard_normal(out.value.shape))
         backward(dc.sum_(dc.mul(out, weights)))
         assert x.value.tobytes() == before  # the op never writes into its input
         return out.value.tobytes(), x.grad.tobytes()
@@ -277,7 +290,7 @@ class TestFusedSoftmaxBitIdentity:
     @pytest.mark.parametrize("t", [1, 2, 63, 8, 9, 16, 17, 64])
     def test_causal_masked(self, t):
         mask = _causal_mask(t)
-        fused = self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, mask))
+        fused = self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, True))
         composite = self.run((2, 8, t, t), lambda a: _composite_softmax(
             dc.add(a, dc.constant(mask))))
         assert fused == composite
@@ -285,48 +298,30 @@ class TestFusedSoftmaxBitIdentity:
     @pytest.mark.parametrize("t", [1, 2, 63])
     def test_unmasked(self, t):
         composite = self.run((2, 8, t, t), _composite_softmax)
-        assert self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, None)) == composite
-        assert self.run((2, 8, t, t), dc.softmax_last) == composite
+        assert self.run((2, 8, t, t), lambda a: dc.masked_softmax(a, False)) == composite
 
-    def test_non_causal_mask(self):
-        # every tile spans only the columns its rows see: here no row sees the
-        # first two columns, the last visible column is not monotone in the
-        # row, and row 3 sees the last column alone
-        t = 19
-        rng = np.random.default_rng(5)
-        visible = rng.random((t, t)) < 0.3
-        visible[np.arange(t), rng.integers(2, t, t)] = True
-        visible[:, :2] = False
-        visible[3] = False
-        visible[3, -1] = True
-        last = t - 1 - np.argmax(visible[:, ::-1], axis=1)
-        assert np.any(np.diff(last) < 0)
-        mask = np.where(visible, 0.0, dc.NEG_MASK)
-        fused = self.run((2, 3, t, t), lambda a: dc.masked_softmax(a, mask))
-        composite = self.run((2, 3, t, t), lambda a: _composite_softmax(
-            dc.add(a, dc.constant(mask))))
-        assert fused == composite
-
-    @pytest.mark.parametrize("masked", [True, False])
+    @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("t", [5, 17])
-    def test_scale(self, t, masked):
+    def test_scale(self, t, causal):
         # the scale multiplies each tile before the mask add, as the mul node
         # it replaces did
         scale = 1.0 / np.sqrt(3.0)
-        mask = _causal_mask(t) if masked else None
+        mask = _causal_mask(t) if causal else None
 
         def composite(a):
             a = dc.mul(a, scale)
             return _composite_softmax(a if mask is None else dc.add(a, dc.constant(mask)))
 
-        fused = self.run((2, 3, t, t), lambda a: dc.masked_softmax(a, mask, scale))
+        fused = self.run((2, 3, t, t), lambda a: dc.masked_softmax(a, causal, scale))
         assert fused == self.run((2, 3, t, t), composite)
 
     def test_spline_knot_slice(self):
-        # the spline heads take softmax_last of a [N, D, K] slice of psi
-        shape, k = (5, 16, 23), 8
-        composite = self.run(shape, _composite_softmax, narrow_k=k)
-        assert self.run(shape, dc.softmax_last, narrow_k=k) == composite
+        # the spline heads build their knots from [N, D, K] slices of psi
+        shape, k, bound = (5, 16, 23), 8, 3.0
+        knots = self.run(shape, lambda a: tf._knots_node(a, bound), narrow_k=k)
+        assert knots == self.run(shape, lambda a: _composite_knots(a, bound), narrow_k=k)
+        derivs = self.run(shape, tf._knot_derivs_node, narrow_k=k - 1)
+        assert derivs == self.run(shape, _composite_knot_derivs, narrow_k=k - 1)
 
 
 class TestBackward:
@@ -471,13 +466,13 @@ def _op_zoo(x):
         "stretched_broadcast": dc.sum_(dc.mul(dc.narrow(x, 1, 0, 1),
                                               dc.constant(np.arange(30.0).reshape(2, 3, 5)))),
         "gather_last": dc.sum_(dc.gather_last(x, idx)),
-        "cumsum_last": dc.sum_(dc.mul(dc.cumsum_last(x),
-                                      dc.constant(np.arange(12.0).reshape(3, 4)))),
+        "knots": dc.sum_(dc.mul(tf._knots_node(x, 2.0),
+                                dc.constant(np.arange(15.0).reshape(3, 5)))),
+        "knot_derivs": dc.sum_(dc.mul(tf._knot_derivs_node(x),
+                                      dc.constant(np.arange(18.0).reshape(3, 6)))),
         "where": dc.sum_(dc.where(cond, dc.mul(x, x), dc.neg(x))),
         "clip": dc.sum_(dc.mul(dc.clip(x, -0.9, 0.9), dc.constant(np.ones((3, 4))))),
         "matmul": dc.sum_(dc.matmul(x, dc.constant(np.linspace(-1, 1, 8).reshape(4, 2)))),
-        "softmax": dc.sum_(dc.mul(dc.softmax_last(x),
-                                  dc.constant(np.arange(12.0).reshape(3, 4)))),
         "logsumexp_keepdims": dc.sum_(dc.logsumexp(x, axis=0, keepdims=True)),
     }
 
@@ -556,11 +551,6 @@ class TestShapeOps:
         expected = np.zeros((3, 4))
         expected[[0, 1, 2], idx] = 1.0
         np.testing.assert_array_equal(a.grad, expected)
-
-    def test_cumsum_gradient(self):
-        a = dc.parameter(np.array([1.0, 2.0, 3.0]))
-        backward(dc.sum_(dc.mul(dc.cumsum_last(a), dc.constant([1.0, 10.0, 100.0]))))
-        np.testing.assert_array_equal(a.grad, [111.0, 110.0, 100.0])
 
     def test_concat_narrow_roundtrip(self):
         a = dc.parameter(np.ones((2, 3)))
