@@ -281,12 +281,6 @@ def tanh(a) -> Node:
     return make_node(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
-def sigmoid(a) -> Node:
-    a = _wrap(a)
-    out = 0.5 * (1.0 + np.tanh(0.5 * a.value))
-    return make_node(out, [(a, lambda g: g * out * (1.0 - out))])
-
-
 def softplus(a) -> Node:
     """log(1 + e^x), computed stably for large |x|."""
     a = _wrap(a)

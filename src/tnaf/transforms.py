@@ -1,12 +1,13 @@
 """Invertible per-dimension transforms and their log-derivatives.
 
-Each transform maps x to y strictly monotonically, lane by lane, and reports
-log|dy/dx|.  Every transform has exactly one forward, a batched graph form
-built from diffcore ops (run under ``dc.no_grad()`` it gives plain values),
-and one vectorized inverse used for sampling and inversion.  An inverse gets
-forward values only through the forward's own helpers (the CDF net, the
-shared-CDF biases, the spline knots), so sampling inverts the same float
-function whose log-derivative was trained.
+Each transform maps the real line onto itself strictly monotonically, lane
+by lane, and reports log|dy/dx|, so every head pairs with the flow's
+standard-normal base.  Every transform has exactly one forward, a batched
+graph form built from diffcore ops (run under ``dc.no_grad()`` it gives plain
+values), and one vectorized inverse used for sampling and inversion.  An
+inverse gets forward values only through the forward's own helpers (the CDF
+net, the shared-CDF biases, the spline knots), so sampling inverts the same
+float function whose log-derivative was trained.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -57,7 +58,7 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# monotone CDF network (one hidden layer, positivity via exp)
+# monotone CDF network: one tanh layer plus a linear term, positivity via exp
 # ---------------------------------------------------------------------------
 
 
@@ -104,16 +105,16 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def cdf_inv_batch(y: np.ndarray, w1, b1, w2, b2, tol: float = 1e-6) -> np.ndarray:
+def cdf_inv_batch(y: np.ndarray, w1, b1, w2, b2, c, tol: float = 1e-6) -> np.ndarray:
     """Lane-wise inverse of the monotone net, for hidden-layer parameters
-    [..., H] per lane (both CDF heads invert through this).  Bisection
-    evaluates the forward's own net on constants; it needs only the net's
-    value, not its log-derivative."""
-    ew1, b1, ew2, b2 = (dc.constant(v) for v in (np.exp(w1), b1, np.exp(w2), b2))
+    w1, b1, w2 [..., H] and b2, c per lane (both CDF heads invert through
+    this).  Bisection evaluates the forward's own net on constants; it needs
+    only the net's value, not its log-derivative."""
+    ew1, b1, ew2, b2, ec = (dc.constant(v) for v in
+                            (np.exp(w1), b1, np.exp(w2), b2, np.exp(c)))
 
     def f(x):
-        _, u = _cdf_net_node(dc.constant(x), ew1, b1, ew2, b2)
-        return dc.sigmoid(u).value
+        return _cdf_net_node(dc.constant(x), ew1, b1, ew2, b2, ec)[1].value
 
     return monotone_bisect(f, y, tol)
 
@@ -124,31 +125,34 @@ def _split_cdf_psi(psi: Node, h: int):
     b1 = dc.narrow(psi, -1, h, h)
     w2 = dc.narrow(psi, -1, 2 * h, h)
     b2 = dc.reshape(dc.narrow(psi, -1, 3 * h, 1), lead)
-    return w1, b1, w2, b2
+    c = dc.reshape(dc.narrow(psi, -1, 3 * h + 1, 1), lead)
+    return w1, b1, w2, b2, c
 
 
-def _cdf_net_node(x: Node, ew1: Node, b1: Node, ew2: Node, b2: Node) -> tuple[Node, Node]:
-    """The monotone net before its sigmoid, on lanes x [...] with hidden-layer
-    weights ew1 = exp(w1) and ew2 = exp(w2): pre-activations
-    a = ew1 x + b1 [..., H] and u = sum ew2 tanh(a) + b2 [...]."""
+def _cdf_net_node(x: Node, ew1: Node, b1: Node, ew2: Node, b2: Node,
+                  ec: Node) -> tuple[Node, Node]:
+    """The monotone net on lanes x [...] with weights ew1 = exp(w1),
+    ew2 = exp(w2) [..., H] and ec = exp(c): pre-activations
+    a = ew1 x + b1 [..., H] and y = b2 + ec x + sum ew2 tanh(a) [...]."""
     a = dc.add(dc.mul(ew1, dc.reshape(x, x.value.shape + (1,))), b1)
     u = dc.add(dc.sum_(dc.mul(dc.tanh(a), ew2), axis=-1), b2)
-    return a, u
+    return a, dc.add(u, dc.mul(ec, x))
 
 
-def _cdf_core_node(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> tuple[Node, Node]:
-    """y = sigmoid(u) of the monotone net and its log-derivative."""
-    a, u = _cdf_net_node(x, dc.exp(w1), b1, dc.exp(w2), b2)
-    y = dc.sigmoid(u)
-    log_sig_prime = dc.neg(dc.add(dc.softplus(u), dc.softplus(dc.neg(u))))
+def _cdf_core_node(x: Node, w1: Node, b1: Node, w2: Node, b2: Node,
+                   c: Node) -> tuple[Node, Node]:
+    """The monotone net and its log-derivative log(e^c + e^L), where
+    L = log sum_j exp(w1_j + w2_j) (1 - tanh(a_j)^2) is the tanh layer's
+    log-slope."""
+    a, y = _cdf_net_node(x, dc.exp(w1), b1, dc.exp(w2), b2, dc.exp(c))
     log1mt2 = dc.mul(2.0, dc.sub(dc.sub(dc.constant(LOG2), a),
                                  dc.softplus(dc.mul(-2.0, a))))
     slope = dc.logsumexp(dc.add(dc.add(w2, log1mt2), w1), axis=-1)
-    return y, dc.add(log_sig_prime, slope)
+    return y, dc.add(c, dc.softplus(dc.sub(slope, c)))
 
 
 def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
-    """Batched graph form; psi last axis packs [w1 | b1 | w2 | b2]."""
+    """Batched graph form; psi last axis packs [w1 | b1 | w2 | b2 | c]."""
     return _cdf_core_node(x, *_split_cdf_psi(psi, h))
 
 
@@ -174,7 +178,8 @@ def shared_cdf_biases(h_embed: Node, phi) -> tuple[Node, Node]:
 def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
     """Batched graph form; h_embed is [N, D, E]."""
     b1, b2 = shared_cdf_biases(h_embed, phi)
-    return _cdf_core_node(x, phi["phi.w1"], b1, phi["phi.w2"], b2)
+    return _cdf_core_node(x, phi["phi.w1"], b1, phi["phi.w2"], b2,
+                          dc.reshape(phi["phi.c"], ()))
 
 
 # ---------------------------------------------------------------------------

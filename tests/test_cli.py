@@ -301,14 +301,14 @@ class TestCliSampleInvert:
         assert err.startswith("error: ") and "seed" in err
 
     def test_inversion_failure_exits_5(self, tmp_path, capsys):
-        # an untrained monotone net covers only a narrow slice of (0, 1);
-        # a target outside its range is uninvertible by contract
+        # the monotone net maps the real line onto itself, but bisection
+        # brackets roots only within +-2**64; 1e300 lies beyond
         cfg = write_config(tmp_path, tiny_model_doc(head_type="cdf"))
         ckpt = tmp_path / "out.ckpt"
         main(["train", "-c", cfg, "-o", str(ckpt)])
         capsys.readouterr()
         targets = tmp_path / "targets.csv"
-        targets.write_text("0.9999999,0.5\n")
+        targets.write_text("1e300,0.5\n")
         assert main(["invert", "-m", str(ckpt), "-d", str(targets),
                      "-o", str(tmp_path / "o.csv")]) == 5
 
@@ -450,6 +450,15 @@ class TestCliCheck:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert "Traceback" not in err
+
+    def test_fresh_default_shared_cdf_passes(self, tmp_path, capsys):
+        # the default width H=128 at D=8
+        data = tmp_path / "d8.csv"
+        save_csv(np.random.default_rng(0).standard_normal((40, 8)), str(data))
+        doc = {"model": {"D": 8, "head_type": "shared_cdf"},
+               "data": {"path": str(data), "format": "csv"}}
+        assert main(["check", "-c", write_config(tmp_path, doc)]) == 0
+        assert "inversion: PASS" in capsys.readouterr().out
 
     def test_d1_model_passes(self, tmp_path, capsys):
         doc = tiny_model_doc()

@@ -214,9 +214,9 @@ class TestProjectHead:
         assert model.head.psi_count() == 3 * 8
 
     def test_cdf_head_psi_dim(self):
-        # one hidden layer of width 128 -> 3*128 + 1 pseudo-parameters per token
+        # one hidden layer of width 128 -> 3*128 + 2 pseudo-parameters per token
         cfg = ModelConfig(D=6, head_type="cdf", cdf_hidden=128)
-        assert HEADS["cdf"](cfg).psi_count() == 6 * 385
+        assert HEADS["cdf"](cfg).psi_count() == 6 * 386
 
 
 class TestParamCount:
@@ -230,9 +230,9 @@ class TestParamCount:
 
     def test_reference_config_value(self):
         cfg = ConditionerConfig(D=6, E=32, heads=8, L=3, mlp_hidden=64)
-        # the reference cdf model adds a 32 -> 385 projection to the conditioner
-        assert conditioner_param_count(cfg) + 32 * 385 + 385 == 38_625
-        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_625
+        # the reference cdf model adds a 32 -> 386 projection to the conditioner
+        assert conditioner_param_count(cfg) + 32 * 386 + 386 == 38_658
+        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_658
 
     def test_slope_in_d_is_e(self):
         for d in (1, 2, 7, 42):
@@ -314,8 +314,6 @@ class TestKVCache:
     def test_invert_rows_encodes_one_token_per_layer_step(self, head, monkeypatch):
         model = build_model(ModelConfig(D=5, head_type=head, E=8, heads=2, layers=2,
                                         mlp_hidden=16, cdf_hidden=4, spline_bins=4), seed=7)
-        # forward images invert on every head (fresh cdf heads cannot invert
-        # arbitrary base draws)
         y, _ = forward_values(model, np.random.default_rng(0).standard_normal((3, 5)))
         calls = []
         layer = conditioner.encoder_layer

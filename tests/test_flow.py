@@ -5,9 +5,8 @@ import pytest
 
 from tnaf import diffcore as dc
 from tnaf.checks import check_inversion
-from tnaf.diffcore import ContractViolation, DimensionError, fd_gradient
+from tnaf.diffcore import DimensionError, fd_gradient
 from tnaf.flow import (
-    BaseDistribution,
     ModelConfig,
     build_model,
     forward_values,
@@ -42,46 +41,14 @@ def identity_affine(d, seed=0):
     return model
 
 
-def widen_cdf_range(model):
-    """Push sum(exp(w2)) up so the net's output range covers ~(0, 1).
-
-    Untrained monotone nets only reach (sig(b2 - S), sig(b2 + S)) with
-    S = sum(exp(w2)); uniform draws outside that range are legitimately
-    uninvertible, which trained models avoid.
-    """
-    h = model.config.cdf_hidden
-    if model.head_type == "cdf":
-        model.params["head.b"].value[2 * h:3 * h] += np.log(40.0)
-    elif model.head_type == "shared_cdf":
-        model.params["phi.w2"].value += np.log(40.0) + np.log(h)
-    return model
-
-
 class TestBasePairing:
-    def test_uniform_for_cdf_heads(self):
-        assert tiny_model(2, "cdf").base.kind == "unit_uniform"
-        assert tiny_model(2, "shared_cdf").base.kind == "unit_uniform"
-
-    def test_normal_otherwise(self):
-        assert tiny_model(2, "affine").base.kind == "standard_normal"
-        assert tiny_model(2, "spline").base.kind == "standard_normal"
-
     def test_normal_log_density(self):
-        base = BaseDistribution("standard_normal")
-        got = base.log_density_node(dc.constant(np.zeros((1, 2)))).value[0]
-        assert abs(got + np.log(2 * np.pi)) < 1e-12
+        # every head shares the standard-normal base; an identity flow shows it
+        model = identity_affine(3)
+        got = log_prob(model, np.zeros(3)).logp
+        assert abs(got + 1.5 * np.log(2 * np.pi)) < 1e-12
         y = np.random.default_rng(0).standard_normal((4, 3))
-        np.testing.assert_allclose(base.log_density_node(dc.constant(y)).value,
-                                   normal_logpdf(y), rtol=1e-12)
-
-    def test_uniform_log_density_and_support(self):
-        base = BaseDistribution("unit_uniform")
-        assert base.log_density_node(dc.constant(np.full((1, 3), 0.25))).value[0] == 0.0
-        base.check_support(np.array([[0.0, 1.0]]))  # saturated endpoints pass
-        with pytest.raises(ContractViolation):
-            base.check_support(np.array([[0.5, 1.2]]))
-        with pytest.raises(ContractViolation):
-            base.check_support(np.array([[-0.1, 0.5]]))
+        np.testing.assert_allclose(log_prob(model, y).logp, normal_logpdf(y), rtol=1e-12)
 
 
 class TestLogProb:
@@ -196,8 +163,7 @@ class TestNllGradient:
 class TestSampling:
     def test_identity_flow_returns_noise(self):
         model = identity_affine(3)
-        rng = np.random.default_rng(21)
-        expected = model.base.sample(rng, 10, 3)
+        expected = np.random.default_rng(21).standard_normal((10, 3))
         got = sample(model, 10, seed=21)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -211,11 +177,10 @@ class TestSampling:
         ("affine", 1e-9), ("spline", 1e-9), ("cdf", 1e-4), ("shared_cdf", 1e-4),
     ])
     def test_noise_recovered_by_forward(self, head, tol):
-        model = widen_cdf_range(tiny_model(3, head, seed=23))
+        model = tiny_model(3, head, seed=23)
         seed = 29
         rows = sample(model, 16, seed=seed)
-        rng = np.random.default_rng(seed)
-        drawn = model.base.sample(rng, 16, 3)
+        drawn = np.random.default_rng(seed).standard_normal((16, 3))
         res = log_prob(model, rows)
         assert np.abs(res.y - drawn).max() < tol
 
@@ -249,10 +214,13 @@ class TestSampling:
         with pytest.raises(DimensionError):
             sample(tiny_model(2, "affine"), 0, seed=0)
 
-    def test_uniform_targets_validated(self):
-        model = tiny_model(2, "cdf", seed=37)
-        with pytest.raises(DimensionError):
-            invert_rows(model, np.array([[0.5, 1.5]]))
+    def test_non_finite_targets_validated(self):
+        # a non-finite target is rejected in any column, not only the first
+        for head in ALL_HEADS:
+            model = tiny_model(2, head, seed=37)
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DimensionError, match="finite"):
+                    invert_rows(model, np.array([[0.5, bad]]))
 
     def test_sampling_moments_match_base(self):
         # empirical mean/cov of an identity flow against the standard normal
@@ -277,7 +245,7 @@ class TestParamCounts:
 
     def test_default_cdf_reference(self):
         cfg = ModelConfig(D=6, head_type="cdf")
-        assert total_param_count(cfg) == 38_625
+        assert total_param_count(cfg) == 38_658
 
     def test_miniboone_shape_default(self):
         cfg = ModelConfig(D=43, head_type="cdf")

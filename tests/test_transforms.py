@@ -38,16 +38,15 @@ def _logsumexp(v):
     return (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))[..., 0]
 
 
-def _cdf_reference(x, w1, b1, w2, b2):
+def _cdf_reference(x, w1, b1, w2, b2, c):
     """Plain-numpy monotone net and its log-derivative (independent of the
     graph form); the trailing axis of the weights is the hidden layer."""
-    a = np.exp(w1) * np.asarray(x)[..., None] + b1
-    u = (np.tanh(a) * np.exp(w2)).sum(axis=-1) + b2
-    y = 0.5 * (1.0 + np.tanh(0.5 * u))
-    log_sig_prime = -np.logaddexp(0.0, u) - np.logaddexp(0.0, -u)
+    x = np.asarray(x)
+    a = np.exp(w1) * x[..., None] + b1
+    y = b2 + np.exp(c) * x + (np.tanh(a) * np.exp(w2)).sum(axis=-1)
     # log(1 - tanh(a)^2) = 2*(log 2 - a - softplus(-2a)), stable on both tails
     log1m_tanh_sq = 2.0 * (np.log(2.0) - a - np.logaddexp(0.0, -2.0 * a))
-    return y, log_sig_prime + _logsumexp(w2 + log1m_tanh_sq + w1)
+    return y, np.logaddexp(c, _logsumexp(w2 + log1m_tanh_sq + w1))
 
 
 def _spline_reference(x, raw_w, raw_h, raw_d, bound):
@@ -74,7 +73,7 @@ def _spline_reference(x, raw_w, raw_h, raw_d, bound):
 
 
 # psi vectors below use the graph heads' packing:
-# affine [mu | log_sigma], cdf [w1 | b1 | w2 | b2], spline [widths | heights | derivs]
+# affine [mu | log_sigma], cdf [w1 | b1 | w2 | b2 | c], spline [widths | heights | derivs]
 
 
 def affine_fwd(x, mu, log_sigma):
@@ -85,18 +84,18 @@ def affine_inv(y, mu, log_sigma):
     return float(tf.affine_inverse_np(np.array([y]), np.array([[mu, log_sigma]]))[0])
 
 
-def cdf_psi(w1, b1, w2, b2):
-    return np.concatenate([w1, b1, w2, [b2]])
+def cdf_psi(w1, b1, w2, b2, c):
+    return np.concatenate([w1, b1, w2, [b2, c]])
 
 
 def cdf_fwd(x, psi):
-    return _graph_scalar(tf.cdf_forward_node, x, psi, (psi.size - 1) // 3)
+    return _graph_scalar(tf.cdf_forward_node, x, psi, (psi.size - 2) // 3)
 
 
 def cdf_inv(y, psi, tol=1e-6):
-    h = (psi.size - 1) // 3
+    h = (psi.size - 2) // 3
     out = tf.cdf_inv_batch(np.array([y]), psi[:h], psi[h:2 * h], psi[2 * h:3 * h],
-                           psi[3 * h], tol=tol)
+                           psi[3 * h], psi[3 * h + 1], tol=tol)
     return float(out[0])
 
 
@@ -106,6 +105,7 @@ def random_cdf_psi(rng, h=4, scale=0.5):
         b1=scale * rng.standard_normal(h),
         w2=scale * rng.standard_normal(h) - np.log(h),
         b2=float(scale * rng.standard_normal()),
+        c=float(scale * rng.standard_normal()),
     )
 
 
@@ -195,10 +195,11 @@ class TestAffine:
 
 class TestCdf:
     def test_analytic_at_zero(self):
-        psi = cdf_psi(w1=np.zeros(1), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
+        # y = x + tanh(x): y(0) = 0 and slope 1 + 1
+        psi = cdf_psi(w1=np.zeros(1), b1=np.zeros(1), w2=np.zeros(1), b2=0.0, c=0.0)
         y, ld = cdf_fwd(0.0, psi)
-        assert y == 0.5
-        assert abs(ld - np.log(0.25)) < 1e-12
+        assert y == 0.0
+        assert abs(ld - np.log(2.0)) < 1e-12
 
     def test_strictly_increasing(self):
         rng = np.random.default_rng(1)
@@ -208,12 +209,14 @@ class TestCdf:
             ys = np.array([cdf_fwd(float(x), psi)[0] for x in xs])
             assert (np.diff(ys) > 0).all()
 
-    def test_output_in_unit_interval(self):
+    def test_output_onto_reals(self):
+        # every target, however far out, has a preimage the forward maps back
         rng = np.random.default_rng(2)
         for _ in range(50):
             psi = random_cdf_psi(rng)
-            y, _ = cdf_fwd(float(10 * rng.standard_normal()), psi)
-            assert 0.0 < y < 1.0
+            for target in (-1e12, -1e3, -1.0, 1.0, 1e3, 1e12):
+                y, _ = cdf_fwd(cdf_inv(target, psi), psi)
+                assert abs(y - target) <= 1e-5 * max(1.0, abs(target))
 
     def test_logdet_matches_fd_slope(self):
         rng = np.random.default_rng(3)
@@ -225,8 +228,8 @@ class TestCdf:
             assert abs(np.exp(ld) - slope) / slope < 1e-6
 
     def test_inverse_symmetric_case(self):
-        psi = cdf_psi(w1=np.zeros(1), b1=np.zeros(1), w2=np.zeros(1), b2=0.0)
-        assert abs(cdf_inv(0.5, psi, tol=1e-8)) < 1e-8
+        psi = cdf_psi(w1=np.zeros(1), b1=np.zeros(1), w2=np.zeros(1), b2=0.0, c=0.0)
+        assert abs(cdf_inv(0.0, psi, tol=1e-8)) < 1e-8
 
     def test_inverse_hits_forward_target(self):
         rng = np.random.default_rng(4)
@@ -244,17 +247,21 @@ class TestCdf:
     def test_inverse_of_root_beyond_float_spacing(self):
         # past about 4.5e9 adjacent floats lie further apart than tol, so
         # the bracket stops shrinking before it is narrower than tol
-        psi = cdf_psi(w1=np.full(4, -25.0), b1=np.zeros(4), w2=np.zeros(4), b2=0.0)
+        psi = cdf_psi(w1=np.full(4, -25.0), b1=np.zeros(4), w2=np.zeros(4), b2=0.0,
+                      c=-25.0)
         y, _ = cdf_fwd(3e10, psi)
         assert abs(cdf_inv(float(y), psi) - 3e10) <= 1e-12 * 3e10
 
     def test_target_domain_checked(self):
-        # uniform-base targets are validated where inversion starts
-        model = build_model(ModelConfig(D=1, head_type="cdf", E=8, heads=2, layers=1,
-                                        mlp_hidden=16, cdf_hidden=4))
-        for bad in (0.0, 1.0, -0.3, 1.5):
-            with pytest.raises(DimensionError):
-                invert_rows(model, np.array([[bad]]))
+        # targets are validated where inversion starts, for every head:
+        # bisection would return a number for a NaN target, and no bracket
+        # holds an infinite one
+        for head in ("affine", "cdf", "shared_cdf", "spline"):
+            model = build_model(ModelConfig(D=1, head_type=head, E=8, heads=2, layers=1,
+                                            mlp_hidden=16, cdf_hidden=4, spline_bins=4))
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DimensionError):
+                    invert_rows(model, np.array([[bad]]))
 
     def test_bracket_ends_evaluated_once(self):
         # lanes that [-1, 1] already brackets cost one evaluation per bracket
@@ -271,21 +278,21 @@ class TestCdf:
         np.testing.assert_array_equal(x, [0.3125, -0.6875])
 
     def test_bracket_failure_raises(self):
-        # a net whose range is (sig(b2 - sum e^w2), sig(b2 + sum e^w2)):
-        # with tiny weights the range is narrow and 0.999 is unreachable
-        psi = cdf_psi(w1=np.full(2, -30.0), b1=np.zeros(2),
-                      w2=np.full(2, -30.0), b2=0.0)
+        # the root of a finite target beyond the bracket cap, 2**64, is not
+        # bracketed
+        psi = cdf_psi(w1=np.zeros(2), b1=np.zeros(2), w2=np.zeros(2), b2=0.0, c=0.0)
         with pytest.raises(InversionError):
-            cdf_inv(0.999, psi)
+            cdf_inv(1e300, psi)
 
     def test_graph_matches_plain(self):
         rng = np.random.default_rng(7)
         h = 4
-        psi_rows = rng.standard_normal((2, 3, 3 * h + 1)) * 0.5
+        psi_rows = rng.standard_normal((2, 3, 3 * h + 2)) * 0.5
         x = rng.standard_normal((2, 3))
         y_node, ld_node = tf.cdf_forward_node(dc.constant(x), dc.constant(psi_rows), h)
         y, ld = _cdf_reference(x, psi_rows[..., :h], psi_rows[..., h:2 * h],
-                               psi_rows[..., 2 * h:3 * h], psi_rows[..., 3 * h])
+                               psi_rows[..., 2 * h:3 * h], psi_rows[..., 3 * h],
+                               psi_rows[..., 3 * h + 1])
         assert np.abs(y - y_node.value).max() < 1e-12
         assert np.abs(ld - ld_node.value).max() < 1e-12
 
@@ -297,6 +304,7 @@ class TestSharedCdf:
             "phi.b1": 0.3 * rng.standard_normal(h),
             "phi.w2": 0.3 * rng.standard_normal(h) - np.log(h),
             "phi.b2": 0.3 * rng.standard_normal(1),
+            "phi.c": 0.3 * rng.standard_normal(1),
             "phi.w1_cond": rng.standard_normal((h, e)) / np.sqrt(e),
             "phi.w2_cond": rng.standard_normal((1, e)) / np.sqrt(e),
         }
@@ -313,7 +321,7 @@ class TestSharedCdf:
         """The shared net is the per-token net with embedding-shifted biases."""
         b1 = phi["phi.b1"] + h_rows @ phi["phi.w1_cond"].T
         b2 = phi["phi.b2"][0] + (h_rows @ phi["phi.w2_cond"].T)[..., 0]
-        return _cdf_reference(x, phi["phi.w1"], b1, phi["phi.w2"], b2)
+        return _cdf_reference(x, phi["phi.w1"], b1, phi["phi.w2"], b2, phi["phi.c"][0])
 
     def scalar(self, x, h_embed, phi):
         y, ld = self.shared_fwd(np.array([[x]]), h_embed[None, None, :], phi)
@@ -322,7 +330,8 @@ class TestSharedCdf:
     def test_zero_conditioning_reduces_to_cdf(self):
         rng = np.random.default_rng(8)
         phi = self.make_phi(rng)
-        psi = cdf_psi(phi["phi.w1"], phi["phi.b1"], phi["phi.w2"], phi["phi.b2"][0])
+        psi = cdf_psi(phi["phi.w1"], phi["phi.b1"], phi["phi.w2"], phi["phi.b2"][0],
+                      phi["phi.c"][0])
         for x in (-1.5, 0.0, 2.0):
             ys, lds = self.scalar(x, np.zeros(6), phi)
             yc, ldc = cdf_fwd(x, psi)
@@ -570,7 +579,7 @@ class TestGraphLogdetOracles:
     def test_cdf_graph_logdet(self, seed):
         rng = np.random.default_rng(seed)
         h = 6
-        psi = dc.constant(0.5 * rng.standard_normal((4, 2, 3 * h + 1)))
+        psi = dc.constant(0.5 * rng.standard_normal((4, 2, 3 * h + 2)))
         x = rng.standard_normal((4, 2))
 
         _, ld = tf.cdf_forward_node(dc.constant(x), psi, h)
