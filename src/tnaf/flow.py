@@ -268,7 +268,7 @@ class SplineHead(Head):
             z, ld = tf.spline_forward_node(z, psi, cfg.spline_bins, cfg.spline_bound)
             ld_total = ld if ld_total is None else dc.add(ld_total, ld)
             free = params[f"mix{j}"] if cfg.D > 1 else None
-            z, _ = tf.mix_forward_node(z, free, cfg.D)
+            z = tf.mix_forward_node(z, free, cfg.D)
         return z, ld_total
 
     def inverse_state(self, params, n):

@@ -189,20 +189,16 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
 
 def _knot_parts(raw, bound):
     """The knots [-B, interior cumulative points, B], bins floored then
-    renormalized, and the softmax terms y, ex, s that the knot node's VJP reads.
-
-    The softmax is masked_softmax's dense arithmetic: y = exp(raw - (m + log s))
-    with m the row max, ex = exp(raw - m) and s the sum of ex."""
+    renormalized, and the bin softmax y = ex / sum(ex), ex = exp(raw - max),
+    that the knot node's VJP reads."""
     k = raw.shape[-1]
-    m = raw.max(axis=-1, keepdims=True)
-    ex = np.exp(raw - m)
-    s = ex.sum(axis=-1, keepdims=True)
-    y = np.exp(raw - (m + np.log(s)))
+    y = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    y /= y.sum(axis=-1, keepdims=True)
     q = MIN_BIN + (1.0 - MIN_BIN * k) * y
     interior = -bound + 2.0 * bound * np.cumsum(q, axis=-1)[..., : k - 1]
     lead = raw.shape[:-1]
     edge = np.full(lead + (1,), bound)
-    return np.concatenate([-edge, interior, edge], axis=-1), y, ex, s
+    return np.concatenate([-edge, interior, edge], axis=-1), y
 
 
 def _knot_positions(raw, bound):
@@ -211,11 +207,12 @@ def _knot_positions(raw, bound):
 
 
 def _knots_node(raw: Node, bound: float) -> Node:
-    """_knot_positions as one graph node.  Its VJP replays, op for op, the
-    softmax/mul/add/cumsum/narrow/mul/add/concat chain it replaces: only the
-    interior knots depend on raw, so a K=1 spline's knots are a constant."""
+    """_knot_positions as one graph node.  Only the interior knots depend on
+    raw, so a K=1 spline's knots are a constant.  The VJP runs the cumulative
+    sum backwards into gy, the gradient times y, then the softmax's
+    gy - y * sum(gy)."""
     k = raw.value.shape[-1]
-    knots, y, ex, s = _knot_parts(raw.value, bound)
+    knots, y = _knot_parts(raw.value, bound)
     if k == 1:
         return dc.constant(knots)
 
@@ -223,10 +220,7 @@ def _knots_node(raw: Node, bound: float) -> Node:
         g_cum = np.zeros_like(y)
         g_cum[..., : k - 1] = g[..., 1:k] * (2.0 * bound)
         gy = np.flip(np.cumsum(np.flip(g_cum, -1), -1), -1) * (1.0 - MIN_BIN * k) * y
-        r = ex / s
-        r *= -gy.sum(axis=-1, keepdims=True)
-        r += gy
-        return r
+        return gy - y * gy.sum(axis=-1, keepdims=True)
 
     return dc.make_node(knots, [(raw, vjp)])
 
@@ -331,10 +325,10 @@ def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node,
 # ---------------------------------------------------------------------------
 
 
-def mix_forward_node(z: Node, free: Node, d: int) -> tuple[Node, Node]:
-    """Batched graph form: rows of z are mixed by I + strict-lower(free)."""
+def mix_forward_node(z: Node, free: Node, d: int) -> Node:
+    """Batched graph form: rows of z are mixed by I + strict-lower(free).
+    The determinant is 1, so the mix adds nothing to the log-det."""
     if d == 1:
-        return z, dc.constant(np.zeros(z.value.shape))
+        return z
     lmat = dc.strict_lower_embed(free, d)
-    out = dc.matmul(z, dc.transpose(lmat, (1, 0)))
-    return out, dc.constant(np.zeros(z.value.shape))
+    return dc.matmul(z, dc.transpose(lmat, (1, 0)))
