@@ -180,10 +180,7 @@ class CdfHead(_ProjectedHead):
         return tf.cdf_forward_node(x, project_head(hidden, params), self.cfg.cdf_hidden)
 
     def inverse(self, params, hidden_i, target, i, state):
-        h = self.cfg.cdf_hidden
-        psi = _psi_values(hidden_i, params)
-        return tf.cdf_inv_batch(target, psi[:, :h], psi[:, h:2 * h],
-                                psi[:, 2 * h:3 * h], psi[:, 3 * h], psi[:, 3 * h + 1])
+        return tf.cdf_inv_batch(target, _psi_values(hidden_i, params), self.cfg.cdf_hidden)
 
 
 class SharedCdfHead(Head):
@@ -217,9 +214,8 @@ class SharedCdfHead(Head):
         return tf.shared_cdf_forward_node(x, hidden, params)
 
     def inverse(self, params, hidden_i, target, i, state):
-        b1, b2 = tf.shared_cdf_biases(dc.constant(hidden_i), params)
-        return tf.cdf_inv_batch(target, params["phi.w1"].value, b1.value,
-                                params["phi.w2"].value, b2.value, params["phi.c"].value)
+        psi = tf.shared_cdf_psi(dc.constant(hidden_i), params).value
+        return tf.cdf_inv_batch(target, psi, self.cfg.cdf_hidden)
 
 
 class SplineHead(Head):

@@ -3,11 +3,12 @@
 Each transform maps the real line onto itself strictly monotonically, lane
 by lane, and reports log|dy/dx|, so every head pairs with the flow's
 standard-normal base.  Every transform has exactly one forward, a batched
-graph form built from diffcore ops (run under ``dc.no_grad()`` it gives plain
-values), and one vectorized inverse used for sampling and inversion.  An
-inverse gets forward values only through the forward's own helpers (the CDF
-net, the shared-CDF biases, the spline knots), so sampling inverts the same
-float function whose log-derivative was trained.
+graph form (run under ``dc.no_grad()`` it gives plain values), and one
+vectorized inverse used for sampling and inversion.  The CDF net and the
+spline knots are hand-written graph nodes over plain-numpy helpers
+(``_cdf_net``, ``_knot_parts``); an inverse gets forward values only through
+those same helpers, so sampling inverts the same float function whose
+log-derivative was trained.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -62,10 +63,6 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                     tol: float) -> np.ndarray:
     """Invert a lane-wise strictly increasing f by bracketing + bisection.
@@ -105,55 +102,65 @@ def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return 0.5 * (lo + hi)
 
 
-def cdf_inv_batch(y: np.ndarray, w1, b1, w2, b2, c, tol: float = 1e-6) -> np.ndarray:
-    """Lane-wise inverse of the monotone net, for hidden-layer parameters
-    w1, b1, w2 [..., H] and b2, c per lane (both CDF heads invert through
-    this).  Bisection evaluates the forward's own net on constants; it needs
-    only the net's value, not its log-derivative."""
-    ew1, b1, ew2, b2, ec = (dc.constant(v) for v in
-                            (np.exp(w1), b1, np.exp(w2), b2, np.exp(c)))
-
-    def f(x):
-        return _cdf_net_node(dc.constant(x), ew1, b1, ew2, b2, ec)[1].value
-
-    return monotone_bisect(f, y, tol)
+def _cdf_params(psi: np.ndarray, h: int):
+    """Views of psi [..., 3H + 2] as (w1, b1, w2 [..., H], b2, c [...])."""
+    return (psi[..., :h], psi[..., h:2 * h], psi[..., 2 * h:3 * h], psi[..., 3 * h],
+            psi[..., 3 * h + 1])
 
 
-def _split_cdf_psi(psi: Node, h: int):
-    lead = psi.value.shape[:-1]
-    w1 = dc.narrow(psi, -1, 0, h)
-    b1 = dc.narrow(psi, -1, h, h)
-    w2 = dc.narrow(psi, -1, 2 * h, h)
-    b2 = dc.reshape(dc.narrow(psi, -1, 3 * h, 1), lead)
-    c = dc.reshape(dc.narrow(psi, -1, 3 * h + 1, 1), lead)
-    return w1, b1, w2, b2, c
+def _cdf_net(x, ew1, b1, ew2, b2, ec):
+    """The monotone net on lanes x [...], weights ew1 = exp(w1), ew2 = exp(w2)
+    [..., H] and ec = exp(c): the pre-activations a = ew1 x + b1 [..., H],
+    tanh(a), and y = b2 + ec x + sum ew2 tanh(a) [...]."""
+    a = ew1 * x[..., None] + b1
+    t = np.tanh(a)
+    return a, t, (t * ew2).sum(axis=-1) + b2 + ec * x
 
 
-def _cdf_net_node(x: Node, ew1: Node, b1: Node, ew2: Node, b2: Node,
-                  ec: Node) -> tuple[Node, Node]:
-    """The monotone net on lanes x [...] with weights ew1 = exp(w1),
-    ew2 = exp(w2) [..., H] and ec = exp(c): pre-activations
-    a = ew1 x + b1 [..., H] and y = b2 + ec x + sum ew2 tanh(a) [...]."""
-    a = dc.add(dc.mul(ew1, dc.reshape(x, x.value.shape + (1,))), b1)
-    u = dc.add(dc.sum_(dc.mul(dc.tanh(a), ew2), axis=-1), b2)
-    return a, dc.add(u, dc.mul(ec, x))
-
-
-def _cdf_core_node(x: Node, w1: Node, b1: Node, w2: Node, b2: Node,
-                   c: Node) -> tuple[Node, Node]:
-    """The monotone net and its log-derivative log(e^c + e^L), where
-    L = log sum_j exp(w1_j + w2_j) (1 - tanh(a_j)^2) is the tanh layer's
-    log-slope."""
-    a, y = _cdf_net_node(x, dc.exp(w1), b1, dc.exp(w2), b2, dc.exp(c))
-    log1mt2 = dc.mul(2.0, dc.sub(dc.sub(dc.constant(LOG2), a),
-                                 dc.softplus(dc.mul(-2.0, a))))
-    slope = dc.logsumexp(dc.add(dc.add(w2, log1mt2), w1), axis=-1)
-    return y, dc.add(c, dc.softplus(dc.sub(slope, c)))
+def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, h: int, tol: float = 1e-6) -> np.ndarray:
+    """Lane-wise inverse of the monotone net, psi [..., 3H + 2] packed as in
+    cdf_forward_node (both CDF heads invert through this): the weights are
+    exponentiated once, then bisection evaluates the forward's own _cdf_net."""
+    w1, b1, w2, b2, c = _cdf_params(psi, h)
+    ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
+    return monotone_bisect(lambda x: _cdf_net(x, ew1, b1, ew2, b2, ec)[2], y, tol)
 
 
 def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
-    """Batched graph form; psi last axis packs [w1 | b1 | w2 | b2 | c]."""
-    return _cdf_core_node(x, *_split_cdf_psi(psi, h))
+    """The monotone net y and its log-derivative ld = c + softplus(L - c),
+    L = logsumexp_j(w1_j + w2_j + log(1 - tanh(a_j)^2)), as two graph nodes
+    whose only parent is psi [..., 3H + 2], packed [w1 | b1 | w2 | b2 | c].
+    x enters by value: both heads pass the data columns as constants, so no
+    gradient flows to x."""
+    xv = x.value
+    w1, b1, w2, b2, c = _cdf_params(psi.value, h)
+    ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
+    a, t, y = _cdf_net(xv, ew1, b1, ew2, b2, ec)
+    # log(1 - tanh(a)^2) = 2 (log 2 - |a| - log1p(e^{-2|a|})), stable on both tails
+    abs_a = np.abs(a)
+    lr = w2 + 2.0 * (LOG2 - abs_a - np.log1p(np.exp(-2.0 * abs_a))) + w1
+    m = lr.max(axis=-1, keepdims=True)
+    ex = np.exp(lr - m)
+    s = ex.sum(axis=-1, keepdims=True)
+    z = (m + np.log(s))[..., 0] - c  # L - c
+    ld = c + np.logaddexp(0.0, z)
+    xh = xv[..., None]
+
+    def pack(gw1, gb1, gw2, gb2, gc):
+        return np.concatenate([gw1, gb1, gw2, gb2[..., None], gc[..., None]], axis=-1)
+
+    def y_vjp(g):
+        gh = g[..., None]
+        ga = gh * ew2 * (1.0 - t * t)
+        return pack(ga * xh * ew1, ga, gh * ew2 * t, g, g * ec * xv)
+
+    def ld_vjp(g):
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+        p = (g * sig)[..., None] * (ex / s)
+        pt2 = -2.0 * p * t
+        return pack(p + pt2 * xh * ew1, pt2, p, np.zeros_like(g), g * (1.0 - sig))
+
+    return dc.make_node(y, [(psi, y_vjp)]), dc.make_node(ld, [(psi, ld_vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +168,26 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def shared_cdf_biases(h_embed: Node, phi) -> tuple[Node, Node]:
-    """The shared net's biases at embeddings h_embed [..., E]: hidden
-    b1 = w1_cond h + phi.b1 [..., H] and output b2 = w2_cond h + phi.b2 [...].
-    phi maps the shared parameter names ``phi.*`` to nodes."""
+def shared_cdf_psi(h_embed: Node, phi) -> Node:
+    """The shared net at embeddings h_embed [..., E] as cdf_forward_node's psi
+    [..., 3H + 2]: phi.w1, phi.w2 and phi.c broadcast to every position, and
+    biases b1 = w1_cond h + phi.b1, b2 = w2_cond h + phi.b2 shifted by the
+    embedding.  phi maps the shared parameter names ``phi.*`` to nodes."""
     lead, e = h_embed.value.shape[:-1], h_embed.value.shape[-1]
     hdim = phi["phi.w1"].value.shape[0]
     flat = dc.reshape(h_embed, (-1, e))
     cond1 = dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0)))
     cond2 = dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0)))
     b1 = dc.add(dc.reshape(cond1, lead + (hdim,)), phi["phi.b1"])
-    b2 = dc.add(dc.reshape(cond2, lead), dc.reshape(phi["phi.b2"], ()))
-    return b1, b2
+    b2 = dc.add(dc.reshape(cond2, lead + (1,)), phi["phi.b2"])
+    return dc.concat([dc.broadcast_to(phi["phi.w1"], lead + (hdim,)), b1,
+                      dc.broadcast_to(phi["phi.w2"], lead + (hdim,)), b2,
+                      dc.broadcast_to(phi["phi.c"], lead + (1,))], axis=-1)
 
 
 def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
     """Batched graph form; h_embed is [N, D, E]."""
-    b1, b2 = shared_cdf_biases(h_embed, phi)
-    return _cdf_core_node(x, phi["phi.w1"], b1, phi["phi.w2"], b2,
-                          dc.reshape(phi["phi.c"], ()))
+    return cdf_forward_node(x, shared_cdf_psi(h_embed, phi), phi["phi.w1"].value.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +209,11 @@ def _knot_parts(raw, bound):
     return np.concatenate([-edge, interior, edge], axis=-1), y
 
 
-def _knot_positions(raw, bound):
-    """The knots of _knot_parts alone, as the inverse reads them."""
-    return _knot_parts(raw, bound)[0]
-
-
 def _knots_node(raw: Node, bound: float) -> Node:
-    """_knot_positions as one graph node.  Only the interior knots depend on
-    raw, so a K=1 spline's knots are a constant.  The VJP runs the cumulative
-    sum backwards into gy, the gradient times y, then the softmax's
-    gy - y * sum(gy)."""
+    """The knots of _knot_parts as one graph node.  Only the interior knots
+    depend on raw, so a K=1 spline's knots are a constant.  The VJP runs the
+    cumulative sum backwards into gy, the gradient times y, then the
+    softmax's gy - y * sum(gy)."""
     k = raw.value.shape[-1]
     knots, y = _knot_parts(raw.value, bound)
     if k == 1:
@@ -228,7 +231,7 @@ def _knots_node(raw: Node, bound: float) -> Node:
 def _knot_derivs(raw_d):
     lead = raw_d.shape[:-1]
     ones = np.ones(lead + (1,))
-    inner = _softplus(raw_d) + MIN_DERIV
+    inner = np.logaddexp(0.0, raw_d) + MIN_DERIV
     return np.concatenate([ones, inner, ones], axis=-1)
 
 
@@ -255,8 +258,8 @@ def _gather(a, idx):
 def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
     """Vectorized inverse: solve the bin-local quadratic, stable root form."""
     k = raw_w.shape[-1]
-    xk = _knot_positions(raw_w, bound)
-    yk = _knot_positions(raw_h, bound)
+    xk = _knot_parts(raw_w, bound)[0]
+    yk = _knot_parts(raw_h, bound)[0]
     dk = _knot_derivs(raw_d)
     y = np.asarray(y, dtype=np.float64)
     yc = np.clip(y, -bound, bound)

@@ -179,7 +179,8 @@ def test_criterion_4_inversion_roundtrip():
         x = 2.0 * rng.standard_normal(n)
         a = np.exp(w1) * x[:, None] + b1
         y = b2 + np.exp(c) * x + (np.tanh(a) * np.exp(w2)).sum(-1)
-        xr = cdf_inv_batch(y, w1, b1, w2, b2, c, tol=1e-6)
+        psi = np.concatenate([w1, b1, w2, b2[:, None], c[:, None]], axis=1)
+        xr = cdf_inv_batch(y, psi, h, tol=1e-6)
         assert np.abs(xr - x).max() < 2e-6, np.abs(xr - x).max()
 
 

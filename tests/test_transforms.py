@@ -49,11 +49,31 @@ def _cdf_reference(x, w1, b1, w2, b2, c):
     return y, np.logaddexp(c, _logsumexp(w2 + log1m_tanh_sq + w1))
 
 
+def _composite_cdf(x, w1, b1, w2, b2, c):
+    """The diffcore op chain that transforms.cdf_forward_node replaces: the
+    net on exp'd weights, then log(e^c + e^L) from logsumexp and softplus."""
+    a = dc.add(dc.mul(dc.exp(w1), dc.reshape(x, x.value.shape + (1,))), b1)
+    u = dc.add(dc.sum_(dc.mul(dc.tanh(a), dc.exp(w2)), axis=-1), b2)
+    y = dc.add(u, dc.mul(dc.exp(c), x))
+    log1mt2 = dc.mul(2.0, dc.sub(dc.sub(dc.constant(tf.LOG2), a),
+                                 dc.softplus(dc.mul(-2.0, a))))
+    slope = dc.logsumexp(dc.add(dc.add(w2, log1mt2), w1), axis=-1)
+    return y, dc.add(c, dc.softplus(dc.sub(slope, c)))
+
+
+def _composite_cdf_psi(x, psi, h):
+    """_composite_cdf on psi narrowed into [w1 | b1 | w2 | b2 | c]."""
+    lead = psi.value.shape[:-1]
+    parts = [dc.narrow(psi, -1, k * h, h) for k in range(3)]
+    b2, c = (dc.reshape(dc.narrow(psi, -1, 3 * h + k, 1), lead) for k in range(2))
+    return _composite_cdf(x, parts[0], parts[1], parts[2], b2, c)
+
+
 def _spline_reference(x, raw_w, raw_h, raw_d, bound):
     """Plain-numpy spline forward; trailing axis of the raws is the bin axis."""
     k = raw_w.shape[-1]
-    xk = tf._knot_positions(raw_w, bound)
-    yk = tf._knot_positions(raw_h, bound)
+    xk = tf._knot_parts(raw_w, bound)[0]
+    yk = tf._knot_parts(raw_h, bound)[0]
     dk = tf._knot_derivs(raw_d)
     x = np.asarray(x, dtype=np.float64)
     idx = tf._bin_index(x, xk, k)
@@ -93,9 +113,7 @@ def cdf_fwd(x, psi):
 
 
 def cdf_inv(y, psi, tol=1e-6):
-    h = (psi.size - 2) // 3
-    out = tf.cdf_inv_batch(np.array([y]), psi[:h], psi[h:2 * h], psi[2 * h:3 * h],
-                           psi[3 * h], psi[3 * h + 1], tol=tol)
+    out = tf.cdf_inv_batch(np.array([y]), psi[None, :], (psi.size - 2) // 3, tol=tol)
     return float(out[0])
 
 
@@ -124,7 +142,7 @@ def spline_inv(y, psi, bound=BOUND):
 
 
 def x_knots(psi, bound=BOUND):
-    return tf._knot_positions(spline_parts(psi)[0], bound)
+    return tf._knot_parts(spline_parts(psi)[0], bound)[0]
 
 
 def random_spline_psi(rng, k=6, scale=1.0):
@@ -296,6 +314,59 @@ class TestCdf:
         assert np.abs(ld - ld_node.value).max() < 1e-12
 
 
+def _weighted_grad(forward, x, psi_value, h, g, which):
+    """Value of output `which` (0: y, 1: ld) of forward(x, psi, h) and the
+    psi gradient of sum(g * output)."""
+    psi = dc.parameter(psi_value.copy())
+    out = forward(dc.constant(x), psi, h)[which]
+    dc.backward(dc.sum_(dc.mul(out, dc.constant(g))))
+    return out.value, psi.grad
+
+
+class TestCdfNode:
+    """cdf_forward_node against the composite chain it replaces."""
+
+    H = 6
+
+    def case(self, scale, seed):
+        rng = np.random.default_rng(seed)
+        psi = scale * rng.standard_normal((4, 3, 3 * self.H + 2))
+        return psi, 2.0 * rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+
+    def test_matches_composite(self):
+        saturated = 0
+        for scale in (0.5, 2.0, 8.0, 30.0):
+            for seed in range(3):
+                psi, x, g = self.case(scale, seed)
+                a = np.exp(psi[..., :self.H]) * x[..., None] + psi[..., self.H:2 * self.H]
+                saturated += int((np.abs(a) > 20).sum())
+                for which in (0, 1):
+                    v, gp = _weighted_grad(tf.cdf_forward_node, x, psi, self.H, g, which)
+                    vc, gc = _weighted_grad(_composite_cdf_psi, x, psi, self.H, g, which)
+                    if which == 0:
+                        np.testing.assert_array_equal(v, vc)
+                    else:
+                        assert np.abs(v - vc).max() <= 3e-14, (scale, seed)
+                    assert np.isfinite(gp).all()
+                    assert np.abs(gp - gc).max() <= 1e-15 * np.abs(gc).max(), (scale, seed, which)
+        assert saturated > 0
+
+    def test_psi_gradient_matches_central_difference(self):
+        psi, x, g = self.case(0.5, 7)
+        for which in (0, 1):
+            _, grad = _weighted_grad(tf.cdf_forward_node, x, psi, self.H, g, which)
+
+            def f(value, i):
+                bumped = psi.copy()
+                bumped.flat[i] = value
+                with dc.no_grad():
+                    out = tf.cdf_forward_node(dc.constant(x), dc.constant(bumped), self.H)
+                return float((g * out[which].value).sum())
+
+            fd = np.array([fd_slope(lambda v: f(v, i), psi.flat[i]) for i in range(psi.size)])
+            assert np.abs(fd - grad.ravel()).max() <= 1e-6 * max(1.0, np.abs(fd).max()), which
+
+
 class TestSharedCdf:
     def make_phi(self, rng, h=4, e=6):
         return {
@@ -360,6 +431,40 @@ class TestSharedCdf:
         with pytest.raises(DimensionError):
             self.scalar(0.0, np.zeros(5), phi)
 
+    def test_phi_gradients_pass_through_broadcasts(self):
+        # the global phi.w1, phi.w2 and phi.c reach every position through
+        # shared_cdf_psi's broadcasts; their gradients sum over positions
+        rng = np.random.default_rng(13)
+        phi_values = self.make_phi(rng)
+        x = rng.standard_normal((3, 2))
+        h_rows = rng.standard_normal((3, 2, 6))
+        gy, gld = rng.standard_normal((2, 3, 2))
+
+        def grads(forward):
+            phi = {name: dc.parameter(v.copy()) for name, v in phi_values.items()}
+            y, ld = forward(dc.constant(x), dc.constant(h_rows), phi)
+            dc.backward(dc.add(dc.sum_(dc.mul(y, dc.constant(gy))),
+                               dc.sum_(dc.mul(ld, dc.constant(gld)))))
+            return {name: node.grad for name, node in phi.items()}
+
+        def composite(x, h_embed, phi):
+            # the shared head before shared_cdf_psi: biases shifted by the
+            # embedding, global weights broadcast by the ops themselves
+            flat = dc.reshape(h_embed, (6, 6))
+            cond1 = dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0)))
+            cond2 = dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0)))
+            b1 = dc.add(dc.reshape(cond1, (3, 2, 4)), phi["phi.b1"])
+            b2 = dc.add(dc.reshape(cond2, (3, 2)), dc.reshape(phi["phi.b2"], ()))
+            return _composite_cdf(x, phi["phi.w1"], b1, phi["phi.w2"], b2,
+                                  dc.reshape(phi["phi.c"], ()))
+
+        got, want = grads(tf.shared_cdf_forward_node), grads(composite)
+        for name in ("phi.w1", "phi.w2", "phi.c", "phi.b1", "phi.b2", "phi.w1_cond",
+                     "phi.w2_cond"):
+            assert np.abs(got[name]).max() > 0, name
+            np.testing.assert_allclose(got[name], want[name], rtol=0,
+                                       atol=1e-14 * np.abs(want[name]).max(), err_msg=name)
+
     def test_graph_matches_plain(self):
         rng = np.random.default_rng(12)
         phi = self.make_phi(rng)
@@ -374,17 +479,17 @@ class TestSharedCdf:
 class TestSplineActivation:
     def test_identity_configuration(self):
         raw_w, raw_h, raw_d = spline_parts(identity_spline_psi(k=4))
-        xk = tf._knot_positions(raw_w, BOUND)
+        xk = tf._knot_parts(raw_w, BOUND)[0]
         np.testing.assert_allclose(xk, np.linspace(-3, 3, 5), atol=1e-12)
-        np.testing.assert_allclose(tf._knot_positions(raw_h, BOUND), xk, atol=1e-12)
+        np.testing.assert_allclose(tf._knot_parts(raw_h, BOUND)[0], xk, atol=1e-12)
         np.testing.assert_allclose(tf._knot_derivs(raw_d), 1.0, atol=1e-12)
 
     def test_knots_strictly_increasing_and_span(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             raw_w, raw_h, _ = spline_parts(random_spline_psi(rng, k=8, scale=3.0))
-            xk = tf._knot_positions(raw_w, BOUND)
-            yk = tf._knot_positions(raw_h, BOUND)
+            xk = tf._knot_parts(raw_w, BOUND)[0]
+            yk = tf._knot_parts(raw_h, BOUND)[0]
             assert xk[0] == -BOUND
             assert xk[-1] == BOUND
             assert (np.diff(xk) > 0).all()
