@@ -129,9 +129,9 @@ def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
 def check_inversion(model: FlowModel, seed: int = 0, rows: int = 64) -> OracleResult:
     """x -> y -> x round trip through the model's own inverse path.
 
-    The tolerance is the head's: bisection error compounds across dimensions
-    via the conditioner, so bisection heads allow 1e-4 at flow level
-    (per-transform round trips are held to 2e-6 in the acceptance suite).
+    The tolerance is the head's, 1e-9 for every head: the CDF heads' Newton
+    inverse lands within about 1e-12 of each per-dimension root, so the error
+    that compounds across dimensions via the conditioner stays far below it.
     The detail also reports the residual max|f(x_hat) - y|, which measures
     the inverter apart from the conditioning of the model; it has no bound.
     """

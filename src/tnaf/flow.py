@@ -155,9 +155,6 @@ class CdfHead(_ProjectedHead):
     b2 + exp(c) x + sum exp(w2) tanh(exp(w1) x + b1), psi = [w1 | b1 | w2 | b2 | c];
     the linear term makes it map the real line onto itself."""
 
-    # bisection error compounds across dimensions via the conditioner
-    inversion_tol = 1e-4
-
     @property
     def width(self):
         return 3 * self.cfg.cdf_hidden + 2
@@ -188,7 +185,6 @@ class SharedCdfHead(Head):
     global phi.c) whose hidden-layer and output biases are shifted by linear
     maps of the embedding (no projection layer)."""
 
-    inversion_tol = CdfHead.inversion_tol
     validate = CdfHead.validate
     describe = CdfHead.describe
 

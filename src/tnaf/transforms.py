@@ -8,7 +8,9 @@ vectorized inverse used for sampling and inversion.  The CDF net and the
 spline knots are hand-written graph nodes over plain-numpy helpers
 (``_cdf_net``, ``_knot_parts``); an inverse gets forward values only through
 those same helpers, so sampling inverts the same float function whose
-log-derivative was trained.
+log-derivative was trained.  The affine and spline inverses are closed
+forms; the CDF net is inverted by bracketed, safeguarded Newton iteration
+(``monotone_bisect``) on its value and slope.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -63,43 +65,67 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def monotone_bisect(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
-                    tol: float) -> np.ndarray:
-    """Invert a lane-wise strictly increasing f by bracketing + bisection.
+def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                    y: np.ndarray, tol: float) -> np.ndarray:
+    """Invert a lane-wise strictly increasing f by bracketing + safeguarded
+    Newton; f(x) returns (value, slope).
 
     Brackets start at [-1, 1] and double outward; a lane that cannot be
-    bracketed after the cap raises InversionError naming the lane.  A lane
-    stops once its bracket is narrower than tol or once its ends are adjacent
-    floats, whose spacing exceeds tol for roots beyond about 4.5e9.
+    bracketed after the cap raises InversionError naming the lane.  Newton
+    then starts at the bracket midpoint, or at a bracket end that is already
+    a root, and every evaluation moves one bracket end to x.  A Newton
+    iterate that leaves the bracket, is not finite (a zero or underflowed
+    slope) or is not under half the step before last (the guard of Numerical
+    Recipes' rtsafe, which breaks Newton 2-cycles) is replaced by the bracket
+    midpoint.  A lane stops once its step is below tol, once its bracket is
+    narrower than tol, or once its ends are adjacent floats, whose spacing
+    exceeds tol for roots beyond about 4.5e9.  The perfbench tracer patches
+    this function by name.
     """
     if tol <= 0:
-        raise DimensionError("bisection tolerance must be positive")
+        raise DimensionError("inversion tolerance must be positive")
     y = np.asarray(y, dtype=np.float64)
 
     def widen(end, outside, side):
         # double each lane whose f(end) is still on the wrong side of y; every
         # end is evaluated once, and the last evaluation decides
         for _ in range(MAX_DOUBLINGS):
-            out = outside(f(end))
+            v = f(end)[0]
+            out = outside(v)
             if not out.any():
-                return end
+                return end, v
             end = np.where(out, end * 2.0, end)
-        out = outside(f(end))
+        v = f(end)[0]
+        out = outside(v)
         if out.any():
             raise InversionError(f"{side} bracket not found (pathological transform)",
                                  index=int(np.argmax(out)))
-        return end
+        return end, v
 
-    lo = widen(np.full(y.shape, -1.0), lambda v: v > y, "lower")
-    hi = widen(np.full(y.shape, 1.0), lambda v: v < y, "upper")
-    splittable = np.ones(y.shape, dtype=bool)
-    while (splittable & (hi - lo >= tol)).any():
+    lo, v_lo = widen(np.full(y.shape, -1.0), lambda v: v > y, "lower")
+    hi, v_hi = widen(np.full(y.shape, 1.0), lambda v: v < y, "upper")
+    # a lane whose root is a bracket end (x = +-1, +-2, +-4, ...) starts on it:
+    # Newton from inside can overshoot that root at every step, and the lane
+    # would end at bisection accuracy
+    x = np.where(v_lo == y, lo, np.where(v_hi == y, hi, 0.5 * (lo + hi)))
+    step = before = hi - lo
+    active = np.ones(y.shape, dtype=bool)
+    while active.any():
+        v, slope = f(x)
+        below = v < y
+        lo = np.where(below, x, lo)
+        hi = np.where(below, hi, x)
         mid = 0.5 * (lo + hi)
-        splittable &= (lo < mid) & (mid < hi)
-        below = f(mid) < y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            newton = x - (v - y) / slope
+        # NaN fails every comparison, so a non-finite iterate bisects
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) < 0.5 * before)
+        nxt = np.where(ok, newton, mid)
+        moved = np.abs(nxt - x)
+        x = np.where(active, nxt, x)
+        active &= (moved >= tol) & (hi - lo >= tol) & (lo < mid) & (mid < hi)
+        step, before = moved, step
+    return x
 
 
 def _cdf_params(psi: np.ndarray, h: int):
@@ -119,11 +145,20 @@ def _cdf_net(x, ew1, b1, ew2, b2, ec):
 
 def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, h: int, tol: float = 1e-6) -> np.ndarray:
     """Lane-wise inverse of the monotone net, psi [..., 3H + 2] packed as in
-    cdf_forward_node (both CDF heads invert through this): the weights are
-    exponentiated once, then bisection evaluates the forward's own _cdf_net."""
+    cdf_forward_node (both CDF heads invert through this).  The weights are
+    exponentiated once; each Newton evaluation takes its value from the
+    forward's own _cdf_net and its slope ec + sum ew1 ew2 (1 - t^2) from the
+    same tanh t, as s12 - sum t^2 ew1 ew2 with s12 = ec + sum ew1 ew2."""
     w1, b1, w2, b2, c = _cdf_params(psi, h)
     ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
-    return monotone_bisect(lambda x: _cdf_net(x, ew1, b1, ew2, b2, ec)[2], y, tol)
+    ew12 = ew1 * ew2
+    s12 = ec + ew12.sum(axis=-1)
+
+    def value_and_slope(x):
+        _, t, v = _cdf_net(x, ew1, b1, ew2, b2, ec)
+        return v, s12 - np.einsum("...h,...h->...", t * t, ew12)
+
+    return monotone_bisect(value_and_slope, y, tol)
 
 
 def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:

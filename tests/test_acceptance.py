@@ -169,7 +169,7 @@ def test_criterion_4_inversion_roundtrip():
         xr = spline_inverse_np(y.value, raw_w, raw_h, raw_d, 3.0)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
-        # cdf: bisection at tol 1e-6 over 1000 (x, psi) pairs
+        # cdf: safeguarded Newton at tol 1e-6 over 1000 (x, psi) pairs
         h = 16
         w1 = 0.5 * rng.standard_normal((n, h))
         b1 = 0.5 * rng.standard_normal((n, h))
@@ -181,7 +181,7 @@ def test_criterion_4_inversion_roundtrip():
         y = b2 + np.exp(c) * x + (np.tanh(a) * np.exp(w2)).sum(-1)
         psi = np.concatenate([w1, b1, w2, b2[:, None], c[:, None]], axis=1)
         xr = cdf_inv_batch(y, psi, h, tol=1e-6)
-        assert np.abs(xr - x).max() < 2e-6, np.abs(xr - x).max()
+        assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
 
 # ---------------------------------------------------------------------------

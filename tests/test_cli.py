@@ -301,7 +301,7 @@ class TestCliSampleInvert:
         assert err.startswith("error: ") and "seed" in err
 
     def test_inversion_failure_exits_5(self, tmp_path, capsys):
-        # the monotone net maps the real line onto itself, but bisection
+        # the monotone net maps the real line onto itself, but the inverse
         # brackets roots only within +-2**64; 1e300 lies beyond
         cfg = write_config(tmp_path, tiny_model_doc(head_type="cdf"))
         ckpt = tmp_path / "out.ckpt"

@@ -185,8 +185,8 @@ class TestSampling:
         assert np.abs(res.y - drawn).max() < tol
 
     @pytest.mark.parametrize("head,tol", [
-        # bisection error compounds across dimensions through the conditioner,
-        # so the flow-level tolerance is looser than the per-transform one
+        # the cdf rows are loose upper bounds; test_heads holds every head's
+        # round trip to its inversion_tol, 1e-9
         ("affine", 1e-9), ("spline", 1e-9), ("cdf", 1e-5), ("shared_cdf", 1e-5),
     ])
     def test_forward_then_invert_roundtrip(self, head, tol):

@@ -4,6 +4,8 @@ Every logdet claim is checked against a central-difference slope of the
 corresponding forward map; inverses are checked by round trip.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,8 +273,8 @@ class TestCdf:
 
     def test_target_domain_checked(self):
         # targets are validated where inversion starts, for every head:
-        # bisection would return a number for a NaN target, and no bracket
-        # holds an infinite one
+        # an iterative inverse would return a number for a NaN target, and no
+        # bracket holds an infinite one
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             model = build_model(ModelConfig(D=1, head_type=head, E=8, heads=2, layers=1,
                                             mlp_hidden=16, cdf_hidden=4, spline_bins=4))
@@ -282,17 +284,112 @@ class TestCdf:
 
     def test_bracket_ends_evaluated_once(self):
         # lanes that [-1, 1] already brackets cost one evaluation per bracket
-        # end, then one per bisection step: widths 2, 1, 0.5 and 0.25 are not
-        # below tol=0.25, so there are 4 steps
+        # end; on a line of slope 1, Newton lands on each root from the
+        # midpoint in one step and stops at the next evaluation, a step of 0
         calls = []
 
         def f(x):
             calls.append(x.copy())
-            return x
+            return x, np.ones_like(x)
 
-        x = tf.monotone_bisect(f, np.array([0.3, -0.7]), tol=0.25)
-        assert len(calls) == 2 + 4
-        np.testing.assert_array_equal(x, [0.3125, -0.6875])
+        x = tf.monotone_bisect(f, np.array([0.3, -0.7]), tol=1e-6)
+        assert len(calls) == 2 + 2
+        np.testing.assert_array_equal(calls[0], [-1.0, -1.0])
+        np.testing.assert_array_equal(calls[1], [1.0, 1.0])
+        np.testing.assert_array_equal(x, [0.3, -0.7])
+
+    def test_zero_slope_bisects_silently(self):
+        # a steep, saturated net: e^c underflows to 0 and tanh(a) rounds to
+        # +-1 away from the root near 0.6, so the slope there is exactly 0 and
+        # the Newton iterate is not finite; those steps bisect, and no
+        # RuntimeWarning escapes.  The last Newton step, below tol, leaves an
+        # error of about (f''/2f') tol^2, up to 4.5e-11 on this steep net at
+        # tol 1e-6 and below 1e-12 at tol 1e-9
+        psi = cdf_psi(w1=np.array([5.0]), b1=np.array([-0.6 * np.exp(5.0)]),
+                      w2=np.zeros(1), b2=0.0, c=-800.0)
+        roots = 0.6 + np.array([-0.015, -0.002, 0.0, 0.001, 0.012])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for root in roots:
+                y, _ = cdf_fwd(root, psi)
+                assert abs(cdf_inv(y, psi) - root) < 1e-9
+                assert abs(cdf_inv(y, psi, tol=1e-9) - root) < 1e-12
+
+    def test_root_on_bracket_end(self):
+        # roots at +-2^k are bracket ends; on 0.2 x + tanh(x - r), Newton
+        # from inside overshoots each of them, so only starting at the end
+        # lands on it
+        for r in (-16.0, -2.0, -1.0, 1.0, 2.0, 16.0):
+            psi = cdf_psi(w1=np.zeros(1), b1=np.array([-r]), w2=np.zeros(1), b2=0.0,
+                          c=np.log(0.2))
+            y, _ = cdf_fwd(r, psi)
+            assert abs(cdf_inv(y, psi) - r) < 1e-12
+
+    def test_newton_step_outside_bracket_bisects(self):
+        # tanh(x - 1.6) = 0 is bracketed by [-1, 2]; from the midpoint 0.5,
+        # Newton jumps to 2.73, past the bracket, so the next evaluation is
+        # the midpoint of [0.5, 2]
+        calls = []
+
+        def f(x):
+            calls.append(float(x[0]))
+            t = np.tanh(x - 1.6)
+            return t, 1.0 - t * t
+
+        x = tf.monotone_bisect(f, np.zeros(1), tol=1e-6)
+        assert calls[:5] == [-1.0, 1.0, 2.0, 0.5, 1.25]
+        assert abs(x[0] - 1.6) < 1e-12
+
+    def test_newton_two_cycle_bisects(self):
+        # on 0.2 x + tanh(x - 21) = 4.2, bracketed Newton from the midpoint
+        # 15.5 of [-1, 32] falls into the attracting 2-cycle 21 +- 4.99, and
+        # each step only moves one bracket end between the cycle's points;
+        # a step not under half the step before last bisects instead
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            assert len(calls) <= 100, "Newton 2-cycle not broken"
+            t = np.tanh(x - 21.0)
+            return 0.2 * x + t, 1.2 - t * t
+
+        x = tf.monotone_bisect(f, np.array([4.2]), tol=1e-6)
+        assert abs(x[0] - 21.0) < 1e-12
+        assert len(calls) <= 7 + 5  # 7 bracket evaluations, 5 measured
+
+    def test_criterion_4_pairs_evaluation_count(self, monkeypatch):
+        # acceptance criterion 4's 1000 cdf pairs, replayed from its seed-40
+        # stream after its affine and spline draws: bisection to 1e-6 took
+        # 32 calls of f, Newton measured 14
+        rng = np.random.default_rng(40)
+        n, h = 1000, 16
+        rng.standard_normal((n, 3))
+        rng.standard_normal((n, 8))
+        rng.standard_normal((n, 8))
+        rng.standard_normal((n, 7))
+        rng.uniform(-3.5, 3.5, size=n)
+        w1 = 0.5 * rng.standard_normal((n, h))
+        b1 = 0.5 * rng.standard_normal((n, h))
+        w2 = 0.5 * rng.standard_normal((n, h)) - np.log(h)
+        b2 = 0.5 * rng.standard_normal(n)
+        c = 0.5 * rng.standard_normal(n)
+        x = 2.0 * rng.standard_normal(n)
+        psi = np.concatenate([w1, b1, w2, b2[:, None], c[:, None]], axis=1)
+        with dc.no_grad():
+            y = tf.cdf_forward_node(dc.constant(x), dc.constant(psi), h)[0].value
+
+        solve, calls = tf.monotone_bisect, []
+
+        def counted(f, target, tol):
+            def g(v):
+                calls.append(v)
+                return f(v)
+            return solve(g, target, tol)
+
+        monkeypatch.setattr(tf, "monotone_bisect", counted)
+        xr = tf.cdf_inv_batch(y, psi, h, tol=1e-6)
+        assert len(calls) <= 16, len(calls)
+        assert np.abs(xr - x).max() < 1e-9
 
     def test_bracket_failure_raises(self):
         # the root of a finite target beyond the bracket cap, 2**64, is not
