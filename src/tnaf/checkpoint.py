@@ -35,6 +35,7 @@ from .trainer import TrainConfig
 
 MAGIC = b"TNAFCKPT"
 FORMAT_VERSION = 1
+PARAM_DTYPE = "<f4"  # the blob's parameter values
 _HEADER_LEN = struct.Struct("<I")
 
 
@@ -173,7 +174,7 @@ def save_checkpoint(path: str, model: FlowModel, stats: StandardizationStats,
     blobs = []
     offset = 0
     for name, node in model.params.items():
-        raw = np.ascontiguousarray(node.value, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(node.value, dtype=PARAM_DTYPE).tobytes()
         manifest.append({"name": name, "shape": list(node.value.shape), "offset": offset})
         offset += len(raw)
         blobs.append(raw)
@@ -194,6 +195,14 @@ def save_checkpoint(path: str, model: FlowModel, stats: StandardizationStats,
         fh.write(_HEADER_LEN.pack(len(header_bytes)))
         fh.write(header_bytes)
         fh.write(blob)
+
+
+def round_to_stored(model: FlowModel) -> None:
+    """Round every parameter in place to the value a checkpoint stores, so
+    the model in memory is the one save_checkpoint writes and load_checkpoint
+    reads back."""
+    for _, node in model.params.items():
+        node.value = node.value.astype(PARAM_DTYPE).astype(np.float64)
 
 
 def _is_int(value) -> bool:
@@ -259,7 +268,7 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
         end = offset + 4 * count
         if end > len(blob):
             raise CheckpointError(f"{path}: checkpoint corrupt (truncated blob)")
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        values = np.frombuffer(blob, dtype=PARAM_DTYPE, count=count, offset=offset)
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: parameter {entry['name']} has non-finite values")
         node.value = values.astype(np.float64).reshape(shape)

@@ -29,8 +29,10 @@ class OracleResult:
     detail: str
 
 
-def _rel(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-12)
+def _scaled_err(claimed, reference):
+    """|claimed - reference| / max(|reference|, 1): relative where
+    |reference| >= 1, absolute below, so it is defined at a log-det of 0."""
+    return np.abs(claimed - reference) / np.maximum(np.abs(reference), 1.0)
 
 
 def jacobian_trials(model: FlowModel, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -58,22 +60,39 @@ def check_triangularity(trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleRe
 
 def check_logdet(model: FlowModel,
                  trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleResult:
-    """Sum of per-dimension log-derivs vs the brute-force Jacobian determinant."""
-    worst = 0.0
+    """The claimed log-derivatives vs the numerical Jacobian, twice: their sum
+    vs the brute-force log-determinant, and each dimension's ld_i vs
+    log J_ii.  Both errors are scaled by max(|numerical|, 1) and bounded by
+    LOGDET_RTOL."""
+    worst_sum = worst_dim = 0.0
     for x, jac in trials:
         _, ld = forward_values(model, x[None, :])
         claimed = float(ld.sum())
         sign, logdet = np.linalg.slogdet(jac)
         if sign <= 0:
             return OracleResult("logdet", False, "numerical Jacobian not orientation-preserving")
-        err = _rel(claimed, float(logdet))
-        worst = max(worst, err)
+        err = float(_scaled_err(claimed, logdet))
+        worst_sum = max(worst_sum, err)
         if err >= LOGDET_RTOL:
             return OracleResult(
                 "logdet", False,
-                f"claimed {claimed:.8f} vs numerical {logdet:.8f} (rel {err:.2e})",
+                f"claimed {claimed:.8f} vs numerical {logdet:.8f} (scaled err {err:.2e})",
             )
-    return OracleResult("logdet", True, f"max relative error {worst:.2e}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_diag = np.log(np.diag(jac))
+        dim_err = _scaled_err(ld[0], log_diag)
+        # a NaN (a non-positive J_ii) fails the comparison too
+        bad = ~(dim_err < LOGDET_RTOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return OracleResult(
+                "logdet", False,
+                f"dimension {i}: claimed {ld[0, i]:.8f} vs log J_ii {log_diag[i]:.8f} "
+                f"(scaled err {dim_err[i]:.2e})",
+            )
+        worst_dim = max(worst_dim, float(dim_err.max()))
+    return OracleResult("logdet", True, f"max scaled error {worst_sum:.2e} on the sum, "
+                                         f"{worst_dim:.2e} per dimension")
 
 
 def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,

@@ -22,6 +22,7 @@ from .checkpoint import (
     load_checkpoint,
     load_run_config,
     parse_run_config,
+    round_to_stored,
     save_checkpoint,
 )
 from .checks import run_all_checks
@@ -82,6 +83,8 @@ def _train_run(rc: RunConfig, log_fn) -> tuple[FlowModel, StandardizationStats, 
     splits, stats = _pipeline(rc)
     model = build_model(rc.model, seed=rc.train.seed)
     train(model, splits, rc.train, log_fn=log_fn)
+    # the reported test_ll is the checkpoint's own, which `tnaf eval` reproduces
+    round_to_stored(model)
     test_ll, test_err = evaluate(model, splits.test)
     return model, stats, test_ll, test_err
 

@@ -189,7 +189,8 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfi
     # the softmax applies the 1/sqrt(d_k) scale itself, tile by tile, so the
     # scaled [N, heads, D, D] scores are never a node of their own
     scores = dc.matmul(q, dc.transpose(k, (0, 1, 3, 2)))
-    attn = dc.masked_softmax(scores, cache is None, 1.0 / np.sqrt(dk))
+    # a Python float: a numpy float64 scale would promote float32 scores
+    attn = dc.masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
     ctx = dc.reshape(dc.transpose(dc.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
     u = dc.add(seq, linear(ctx, params[p + "wo"], params[p + "bo"]))
 

@@ -1,9 +1,13 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 or float64 tensors.
 
 The graph is rebuilt on every forward pass (define-by-run): each operation
 returns a Node holding its value plus the local vector-Jacobian rules of its
 parents. backward() walks the graph once in reverse topological order.
-Values are numpy float64 arrays throughout; there is no GPU path.  Binary ops
+Values are numpy float64 or float32 arrays; there is no GPU path.  The dtype
+follows the inputs: no op promotes a float32 graph to float64.  A Python
+number or other constant operand of a binary op takes the other operand's
+dtype, and every buffer an op allocates takes its input's, so one graph
+computes in one precision throughout; there is no mode to switch.  Binary ops
 follow numpy's broadcasting rules, and their gradients are summed back to each
 operand's shape.  masked_softmax is one fused op with a hand-written VJP;
 layer_norm is the other.  masked_softmax takes the attention's 1/sqrt(d_k)
@@ -32,7 +36,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 # Additive mask surrogate for "minus infinity" in attention scores.  Large
-# enough that exp() underflows to exactly 0.0 after the max shift.
+# enough that exp() underflows to exactly 0.0 after the max shift, and finite
+# in float32 as well as float64.
 NEG_MASK = -1e30
 
 # Query rows per tile of masked_softmax.  On causal [64, 8, 63, 63] scores a
@@ -79,9 +84,19 @@ class no_grad:
 # ---------------------------------------------------------------------------
 
 
+_F64, _F32 = np.dtype(np.float64), np.dtype(np.float32)
+
+
 def as_tensor(data) -> np.ndarray:
-    """Coerce to a float64 array (the only dtype this module computes in)."""
-    return np.asarray(data, dtype=np.float64)
+    """`data` as an array in one of the two dtypes this module computes in: a
+    float32 or float64 array as it is, anything else coerced to float64.
+
+    Every node passes through here, so a float32 or float64 ndarray returns
+    before any numpy call."""
+    if type(data) is np.ndarray and (data.dtype is _F64 or data.dtype is _F32):
+        return data
+    arr = np.asarray(data)
+    return arr if arr.dtype == _F32 else arr.astype(_F64, copy=False)
 
 
 class Node:
@@ -217,6 +232,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _binary(a, b, fn, vjp_a, vjp_b) -> Node:
+    # a constant operand such as the 1.0 of sub(1.0, x) takes the node
+    # operand's dtype: as a float64 0-d array it would promote a float32
+    # operand to float64 (NumPy 2 promotion, NEP 50)
+    if not isinstance(a, Node) and isinstance(b, Node):
+        a = constant(np.asarray(a, b.value.dtype))
+    elif not isinstance(b, Node) and isinstance(a, Node):
+        b = constant(np.asarray(b, a.value.dtype))
     a, b = _wrap(a), _wrap(b)
     av, bv = a.value, b.value
     try:
@@ -447,7 +469,7 @@ def strict_lower_embed(free, d: int) -> Node:
         raise DimensionError(
             f"expected {len(rows)} free entries for d={d}, got shape {free.value.shape}"
         )
-    out = np.eye(d)
+    out = np.eye(d, dtype=free.value.dtype)
     out[rows, cols] = free.value
     return make_node(out, [(free, lambda g: g[rows, cols])])
 
@@ -504,12 +526,12 @@ def masked_softmax(scores, causal: bool, scale: float = 1.0) -> Node:
     if causal:
         if a.ndim < 2 or a.shape[-2] != n:
             raise DimensionError(f"causal softmax needs square scores, got {a.shape}")
-        mask = np.triu(np.full((n, n), NEG_MASK), 1)
+        mask = np.triu(np.full((n, n), NEG_MASK, a.dtype), 1)
         tiles = [(..., slice(r, r + SOFTMAX_ROW_BLOCK), slice(0, min(r + SOFTMAX_ROW_BLOCK, n)))
                  for r in range(0, n, SOFTMAX_ROW_BLOCK)]
     else:
         tiles = [(...,)]
-    y = np.zeros(a.shape)
+    y = np.zeros(a.shape, a.dtype)
     for tile in tiles:
         t = a[tile] * scale
         if causal:
@@ -519,7 +541,7 @@ def masked_softmax(scores, causal: bool, scale: float = 1.0) -> Node:
         np.divide(t, t.sum(axis=-1, keepdims=True), out=y[tile])
 
     def vjp(g):
-        gs = np.zeros(a.shape)
+        gs = np.zeros(a.shape, a.dtype)
         for tile in tiles:
             yt, gt = y[tile], g[tile]
             # einsum forms the row sums of g * y without a temporary

@@ -346,7 +346,7 @@ def transform_forward(model: FlowModel, x: np.ndarray) -> tuple[Node, Node]:
 
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
-    arr = dc.as_tensor(x)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         return arr[None, :], True
     if arr.ndim == 2:
@@ -370,7 +370,8 @@ def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node]:
 
 
 def log_prob(model: FlowModel, x) -> LogProbResult:
-    """Exact log-density of a vector or a batch of rows (no-grad)."""
+    """Exact log-density of a vector or a batch of rows (no-grad), in float64
+    whatever the input's dtype."""
     rows, single = _as_rows(x)
     if rows.shape[1] != model.D:
         raise DimensionError(f"input has {rows.shape[1]} columns, model expects {model.D}")
@@ -407,7 +408,8 @@ def sample(model: FlowModel, n: int, seed: int) -> np.ndarray:
 
 
 def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
-    """Map base-space rows back through the flow, one dimension at a time.
+    """Map base-space rows back through the flow, one dimension at a time,
+    in float64 whatever the targets' dtype.
 
     Step i runs one cached conditioner step -- it encodes only the token of
     x_{i-1}, recovered at step i-1, and attends over the keys and values cached
@@ -416,7 +418,7 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
     must be finite (DimensionError otherwise); a recovered column that is
     not finite raises InversionError naming its row and dimension.
     """
-    noise = dc.as_tensor(targets)
+    noise = np.asarray(targets, dtype=np.float64)
     if noise.ndim != 2 or noise.shape[1] != model.D:
         raise DimensionError(
             f"targets must be [n, {model.D}], got shape {noise.shape}"
@@ -456,7 +458,7 @@ def numerical_jacobian(model: FlowModel, x: np.ndarray, step: float = 1e-5) -> n
     """Central-difference Jacobian of the map x -> y (test oracle)."""
     if step <= 0:
         raise DimensionError("jacobian step must be positive")
-    x = dc.as_tensor(x)
+    x = np.asarray(x, dtype=np.float64)
     offsets = step * np.eye(model.D)
     y, _ = forward_values(model, np.concatenate([x + offsets, x - offsets]))
     yp, ym = np.split(y, 2)

@@ -1,5 +1,12 @@
 """Gradient training loop: Adam, global-norm clipping, early stopping.
 
+Each step computes in mixed precision (Micikevicius et al. 2018,
+arXiv:1710.03740): the loss and its gradients come from a float32 graph over
+float32 copies of the parameters and of the batch, and each gradient is
+widened into its float64 master parameter.  Clipping, Adam (its moments as
+well as the masters) and validation run in float64, as does every density
+the model reports outside training.
+
 Validation runs every `eval_every` steps and after the last step; the
 best-validation parameter snapshot is restored into the model when training
 ends, whether by step budget, patience, or a training fault.
@@ -8,7 +15,7 @@ ends, whether by step budget, patience, or a training fault.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,6 +107,27 @@ def clip_gradients(params: ParamSet, clip_norm: float, step: int = 0) -> float:
     return norm
 
 
+def float32_gradients(model: FlowModel, batch: np.ndarray, step: int = 0) -> float:
+    """The batch's mean NLL and its parameter gradients, computed in float32.
+
+    `nll_loss` and `backward` run on float32 leaf copies of the parameters,
+    with the batch cast to float32; each copy's gradient is then widened into
+    the float64 master's `.grad`, replacing what it held.  Returns the float32
+    loss as a float.  A non-finite loss raises TrainingFault.
+    """
+    shadow = ParamSet()
+    for name, p in model.params.items():
+        shadow.add(name, p.value.astype(np.float32))
+    loss = nll_loss(replace(model, params=shadow), np.asarray(batch, dtype=np.float32))
+    loss_val = float(loss.value)
+    if not np.isfinite(loss_val):
+        raise TrainingFault("non-finite loss", step)
+    dc.backward(loss)
+    for name, p in model.params.items():
+        p.grad = shadow[name].grad.astype(np.float64)
+    return loss_val
+
+
 def evaluate(model: FlowModel, matrix: DatasetMatrix) -> tuple[float, float]:
     """Mean per-row log-likelihood and its standard error (no-grad)."""
     rows = matrix.data
@@ -140,11 +168,7 @@ def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
             batch_iter = batches(splits.train, cfg.batch_size, cfg.seed, epoch)
             batch = next(batch_iter)
         try:
-            loss = nll_loss(model, batch)
-            loss_val = float(loss.value)
-            if not np.isfinite(loss_val):
-                raise TrainingFault("non-finite loss", step)
-            dc.backward(loss)
+            loss_val = float32_gradients(model, batch, step)
             clip_gradients(model.params, cfg.clip_norm, step)
             opt.step(cfg.learning_rate)
         except (TrainingFault, ContractViolation) as err:

@@ -240,7 +240,7 @@ def _knot_parts(raw, bound):
     q = MIN_BIN + (1.0 - MIN_BIN * k) * y
     interior = -bound + 2.0 * bound * np.cumsum(q, axis=-1)[..., : k - 1]
     lead = raw.shape[:-1]
-    edge = np.full(lead + (1,), bound)
+    edge = np.full(lead + (1,), bound, raw.dtype)
     return np.concatenate([-edge, interior, edge], axis=-1), y
 
 
@@ -265,7 +265,7 @@ def _knots_node(raw: Node, bound: float) -> Node:
 
 def _knot_derivs(raw_d):
     lead = raw_d.shape[:-1]
-    ones = np.ones(lead + (1,))
+    ones = np.ones(lead + (1,), raw_d.dtype)
     inner = np.logaddexp(0.0, raw_d) + MIN_DERIV
     return np.concatenate([ones, inner, ones], axis=-1)
 
@@ -354,7 +354,7 @@ def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node,
     ld_in = dc.sub(dc.log(deriv_num), dc.mul(2.0, dc.log(denom)))
     inside = np.abs(xv) < bound
     y = dc.where(inside, y_in, x)
-    ld = dc.where(inside, ld_in, dc.constant(np.zeros(xv.shape)))
+    ld = dc.where(inside, ld_in, dc.constant(np.zeros_like(xv)))
     return y, ld
 
 

@@ -14,9 +14,11 @@ from tnaf.checkpoint import (
     run_config_to_dict,
     save_checkpoint,
 )
-from tnaf.cli import main
+from tnaf import checks
+from tnaf.cli import _pipeline, _train_run, main
 from tnaf.data import StandardizationStats, load_matrix, save_csv
-from tnaf.flow import build_model, total_param_count
+from tnaf.flow import build_model, forward_values, total_param_count
+from tnaf.trainer import evaluate
 
 
 def tiny_model_doc(head_type="affine", layers=1, with_train=True, **data):
@@ -202,7 +204,6 @@ class TestCliTrainEval:
         ckpt = tmp_path / "out.ckpt"
         main(["train", "-c", cfg, "-o", str(ckpt)])
         printed = capsys.readouterr().out.strip().splitlines()[-1]
-        train_ll = float(printed.split()[0].split("=")[1])
 
         # rebuild the raw test split with the same deterministic pipeline
         matrix = toy_generate("ring", 400, seed=3)
@@ -210,8 +211,20 @@ class TestCliTrainEval:
         test_csv = tmp_path / "test.csv"
         save_csv(splits.test.data, str(test_csv))
         assert main(["eval", "-m", str(ckpt), "-d", str(test_csv)]) == 0
-        eval_ll = float(capsys.readouterr().out.strip().split()[0].split("=")[1])
-        assert abs(eval_ll - train_ll) < 1e-4
+        # train reports the saved float32 parameters' score, so eval of the
+        # checkpoint prints the same test_ll and standard error to the digit
+        evaluated = capsys.readouterr().out.strip()
+        assert evaluated == printed.split(" param_count=")[0]
+
+    @pytest.mark.parametrize("head_type", ["affine", "spline"])
+    def test_train_reports_the_checkpoint_test_ll(self, tmp_path, head_type):
+        # what cmd_train does: train, report, save
+        rc = parse_run_config(tiny_model_doc(head_type))
+        model, stats, test_ll, test_err = _train_run(rc, log_fn=None)
+        ckpt = str(tmp_path / "out.ckpt")
+        save_checkpoint(ckpt, model, stats, rc)
+        loaded, _, _ = load_checkpoint(ckpt)
+        assert evaluate(loaded, _pipeline(rc)[0].test) == (test_ll, test_err)
 
     def test_eval_raw_f32_format(self, tmp_path, capsys):
         from tnaf.data import DatasetMatrix, save_raw_f32
@@ -459,6 +472,30 @@ class TestCliCheck:
                "data": {"path": str(data), "format": "csv"}}
         assert main(["check", "-c", write_config(tmp_path, doc)]) == 0
         assert "inversion: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corruption", [None, "sum", "split"])
+    def test_logdet_oracle_at_logdet_zero(self, tmp_path, capsys, monkeypatch, corruption):
+        # a fresh K=1 spline with zero mixes is the identity: log-det exactly 0
+        data = tmp_path / "d4.csv"
+        save_csv(np.random.default_rng(0).standard_normal((40, 4)), str(data))
+        doc = {"model": {"D": 4, "head_type": "spline", "K": 1},
+               "data": {"path": str(data), "format": "csv"}}
+        if corruption is not None:
+            # "sum" moves the total log-det; "split" keeps the total and
+            # moves log-derivative from dimension 1 to dimension 0
+            shift = np.array([1e-3, 0.0 if corruption == "sum" else -1e-3, 0.0, 0.0])
+
+            def corrupted(model, x):
+                y, ld = forward_values(model, x)
+                return y, ld + shift
+
+            monkeypatch.setattr(checks, "forward_values", corrupted)
+        code = main(["check", "-c", write_config(tmp_path, doc)])
+        out = capsys.readouterr().out
+        if corruption is None:
+            assert code == 0 and "logdet: PASS" in out
+        else:
+            assert code == 1 and "logdet: FAIL" in out
 
     def test_d1_model_passes(self, tmp_path, capsys):
         doc = tiny_model_doc()

@@ -6,13 +6,14 @@ import pytest
 from tnaf import diffcore as dc
 from tnaf.data import DatasetMatrix, make_splits, standardize
 from tnaf.diffcore import ParamSet
-from tnaf.flow import ModelConfig, build_model, log_prob
+from tnaf.flow import HEADS, ModelConfig, build_model, log_prob, nll_loss
 from tnaf.trainer import (
     Adam,
     TrainConfig,
     TrainingFault,
     clip_gradients,
     evaluate,
+    float32_gradients,
     train,
 )
 
@@ -195,6 +196,51 @@ class TestTrain:
         assert err.value.step == 1
         for name, value in before.items():
             np.testing.assert_array_equal(model.params[name].value, value)
+
+
+class TestFloat32Step:
+    """The float32 graph each training step runs, against the float64 graph."""
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    @pytest.mark.parametrize("d", [2, 8, 63])
+    def test_loss_and_gradients_match_float64(self, head, d):
+        model = build_model(ModelConfig(D=d, head_type=head), seed=d)
+        batch = np.random.default_rng(d).standard_normal((32, d))
+        loss32 = float32_gradients(model, batch)
+        grads32 = {name: p.grad for name, p in model.params.items()}
+        model.params.zero_grad()
+        loss64 = nll_loss(model, batch)
+        dc.backward(loss64)
+        # one bound against the global max |g|: every layer*.bk gradient is 0
+        # in exact arithmetic (the softmax is shift-invariant), so it holds
+        # float noise alone and has no scale of its own
+        scale = max(np.abs(p.grad).max() for _, p in model.params.items())
+        assert abs(loss32 - float(loss64.value)) < 1e-5 * abs(float(loss64.value))
+        for name, p in model.params.items():
+            assert grads32[name].dtype == np.float64
+            assert np.abs(grads32[name] - p.grad).max() < 1e-4 * scale, name
+
+    @pytest.mark.parametrize("head", sorted(HEADS))
+    def test_every_node_and_gradient_is_float32(self, head, monkeypatch):
+        # D=63 passes every promotion trap: the spline's mix matrices, several
+        # softmax row tiles, each head's own buffers
+        model = build_model(ModelConfig(D=63, head_type=head), seed=1)
+        batch = np.random.default_rng(1).standard_normal((8, 63))
+        dtypes = set()
+        init, accumulate = dc.Node.__init__, dc.Node.accumulate_grad
+
+        def recording_init(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            dtypes.add(("node", node.value.dtype))
+
+        def recording_accumulate(node, g):
+            dtypes.add(("grad", g.dtype))
+            accumulate(node, g)
+
+        monkeypatch.setattr(dc.Node, "__init__", recording_init)
+        monkeypatch.setattr(dc.Node, "accumulate_grad", recording_accumulate)
+        float32_gradients(model, batch)
+        assert dtypes == {("node", np.dtype(np.float32)), ("grad", np.dtype(np.float32))}
 
 
 class TestEvaluate:

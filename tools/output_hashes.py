@@ -11,7 +11,9 @@ tiles its rows eight at a time), and D=63 in a block of seven.
 Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
 the CLI quantities as the exact bytes of the files and stdout they produce.
 For each (head, D) model the script hashes the loss and every parameter
-gradient of one training step, ``log_prob`` (y, logdet, logp),
+gradient of one batch, once from the float64 graph and once from the
+float32 graph a training step runs (``float32_gradients``: its loss and
+every gradient widened to float64), ``log_prob`` (y, logdet, logp),
 ``invert_rows`` of the ``log_prob`` outputs, and the parameters, validation
 history and ``sample`` after 12 ``train`` steps.  For each head it also
 hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy and the csv of
@@ -35,7 +37,7 @@ from tnaf import diffcore as dc
 from tnaf.cli import main as cli_main
 from tnaf.data import DatasetMatrix, make_splits
 from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss, sample
-from tnaf.trainer import TrainConfig, train
+from tnaf.trainer import TrainConfig, float32_gradients, train
 
 MODELS = (
     ("affine", 2), ("affine", 17), ("affine", 63),
@@ -77,6 +79,10 @@ def model_hashes(head: str, d: int) -> None:
     emit(f"{tag}.loss", loss.value)
     for name, p in model.params.items():
         emit(f"{tag}.grad.{name}", p.grad)
+    model.params.zero_grad()
+    emit(f"{tag}.loss32", guarded(float32_gradients, model, batch))
+    for name, p in model.params.items():
+        emit(f"{tag}.grad32.{name}", p.grad)
     model.params.zero_grad()
 
     res = log_prob(model, batch)
