@@ -62,7 +62,7 @@ class ConditionerConfig:
 def conditioner_param_count(cfg: ConditionerConfig) -> int:
     """Closed-form size of the conditioner (affine in D with slope E)."""
     e, m, d = cfg.E, cfg.mlp_hidden, cfg.D
-    per_layer = 2 * e + 4 * (e * e + e) + 2 * e + e * m + m + m * e + e
+    per_layer = 2 * e + 4 * e * e + 3 * e + 2 * e + e * m + m + m * e + e
     return 2 * e + e + d * e + cfg.L * per_layer
 
 
@@ -85,9 +85,12 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
         p = f"layer{layer}."
         params.add(p + "ln1.g", np.ones(e))
         params.add(p + "ln1.b", np.zeros(e))
+        # no key bias: q.(k + bk) shifts a whole score row by q.bk, and the
+        # softmax ignores that shift
         for name in ("wq", "wk", "wv", "wo"):
             params.add(p + name, uniform_init(rng, e, (e, e)))
-            params.add(p + name.replace("w", "b"), np.zeros(e))
+            if name != "wk":
+                params.add(p + name.replace("w", "b"), np.zeros(e))
         params.add(p + "ln2.g", np.ones(e))
         params.add(p + "ln2.b", np.zeros(e))
         params.add(p + "mlp.w1", uniform_init(rng, e, (e, m)))
@@ -95,15 +98,6 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
         params.add(p + "mlp.w2", uniform_init(rng, m, (m, e)))
         params.add(p + "mlp.b2", np.zeros(e))
     return params
-
-
-def linear(x: Node, w: Node, b: Node) -> Node:
-    """Position-wise affine map over the last axis."""
-    in_dim, out_dim = w.value.shape
-    lead = x.value.shape[:-1]
-    flat = dc.reshape(x, (-1, in_dim))
-    y = dc.add(dc.matmul(flat, w), b)
-    return dc.reshape(y, lead + (out_dim,))
 
 
 def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) -> Node:
@@ -131,9 +125,7 @@ def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) 
         raise DimensionError(f"{k} inputs from position {start} do not fit D={cfg.D}")
     k = xb.shape[1]
     if k:
-        cols = dc.constant(xb.reshape(-1, 1))
-        proj = dc.add(dc.matmul(cols, params["input_proj.w"]), params["input_proj.b"])
-        proj = dc.reshape(proj, (n, k, cfg.E))
+        proj = dc.linear(xb[..., None], params["input_proj.w"], params["input_proj.b"])
         rows.append(dc.add(proj, dc.narrow(params["positional"], 0, start, k)))
     return dc.concat(rows, axis=1) if len(rows) > 1 else rows[0]
 
@@ -180,9 +172,9 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfi
     def split_heads(t):
         return dc.transpose(dc.reshape(t, (n, d, h, dk)), (0, 2, 1, 3))
 
-    q = split_heads(linear(normed, params[p + "wq"], params[p + "bq"]))
-    k = split_heads(linear(normed, params[p + "wk"], params[p + "bk"]))
-    v = split_heads(linear(normed, params[p + "wv"], params[p + "bv"]))
+    q = split_heads(dc.linear(normed, params[p + "wq"], params[p + "bq"]))
+    k = split_heads(dc.linear(normed, params[p + "wk"]))
+    v = split_heads(dc.linear(normed, params[p + "wv"], params[p + "bv"]))
     if cache is not None:
         k, v = cache.extend(layer, k.value, v.value)
 
@@ -192,11 +184,11 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfi
     # a Python float: a numpy float64 scale would promote float32 scores
     attn = dc.masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
     ctx = dc.reshape(dc.transpose(dc.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
-    u = dc.add(seq, linear(ctx, params[p + "wo"], params[p + "bo"]))
+    u = dc.add(seq, dc.linear(ctx, params[p + "wo"], params[p + "bo"]))
 
     normed2 = dc.layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"], LAYER_NORM_EPS)
-    hidden = dc.tanh(linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-    return dc.add(u, linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
+    hidden = dc.tanh(dc.linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+    return dc.add(u, dc.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
 
 
 def condition(x, params: ParamSet, cfg: ConditionerConfig,

@@ -23,12 +23,11 @@ from .conditioner import (
     condition,
     conditioner_param_count,
     init_conditioner_params,
-    linear,
     require_ints,
     require_positive_reals,
     uniform_init,
 )
-from .diffcore import DimensionError, Node, ParamSet
+from .diffcore import DimensionError, Node, ParamSet, linear
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 

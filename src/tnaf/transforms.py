@@ -208,13 +208,10 @@ def shared_cdf_psi(h_embed: Node, phi) -> Node:
     [..., 3H + 2]: phi.w1, phi.w2 and phi.c broadcast to every position, and
     biases b1 = w1_cond h + phi.b1, b2 = w2_cond h + phi.b2 shifted by the
     embedding.  phi maps the shared parameter names ``phi.*`` to nodes."""
-    lead, e = h_embed.value.shape[:-1], h_embed.value.shape[-1]
+    lead = h_embed.value.shape[:-1]
     hdim = phi["phi.w1"].value.shape[0]
-    flat = dc.reshape(h_embed, (-1, e))
-    cond1 = dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0)))
-    cond2 = dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0)))
-    b1 = dc.add(dc.reshape(cond1, lead + (hdim,)), phi["phi.b1"])
-    b2 = dc.add(dc.reshape(cond2, lead + (1,)), phi["phi.b2"])
+    b1 = dc.linear(h_embed, dc.transpose(phi["phi.w1_cond"], (1, 0)), phi["phi.b1"])
+    b2 = dc.linear(h_embed, dc.transpose(phi["phi.w2_cond"], (1, 0)), phi["phi.b2"])
     return dc.concat([dc.broadcast_to(phi["phi.w1"], lead + (hdim,)), b1,
                       dc.broadcast_to(phi["phi.w2"], lead + (hdim,)), b2,
                       dc.broadcast_to(phi["phi.c"], lead + (1,))], axis=-1)

@@ -141,6 +141,33 @@ class TestEncoderLayer:
         assert out.value.shape == (1, 1, cfg.E)
 
 
+class TestGraphSize:
+    """Each affine map over the last axis is one dc.linear node."""
+
+    @staticmethod
+    def nodes_made(monkeypatch, fn) -> int:
+        made = []
+        real = dc.make_node
+        monkeypatch.setattr(dc, "make_node", lambda *a: made.append(1) or real(*a))
+        fn()
+        return len(made)
+
+    def test_encoder_layer(self, monkeypatch):
+        # layer norm, 3 x (linear, reshape, transpose), key transpose, two
+        # matmuls around the softmax, transpose, reshape, output linear, add;
+        # layer norm, linear, tanh, linear, add
+        cfg, params = fresh(5)
+        seq = embed_sequence(np.random.default_rng(0).standard_normal((3, 5)), params, cfg)
+        assert self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg)) == 23
+
+    def test_embed_sequence(self, monkeypatch):
+        # start token: narrow, reshape, add, broadcast_to; inputs: linear,
+        # narrow, add; one concat
+        cfg, params = fresh(5)
+        x = np.random.default_rng(0).standard_normal((3, 5))
+        assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 8
+
+
 class TestCondition:
     def test_prefix_rows_bit_identical_under_late_perturbation(self):
         cfg, params = fresh(5, seed=17)
@@ -231,8 +258,8 @@ class TestParamCount:
     def test_reference_config_value(self):
         cfg = ConditionerConfig(D=6, E=32, heads=8, L=3, mlp_hidden=64)
         # the reference cdf model adds a 32 -> 386 projection to the conditioner
-        assert conditioner_param_count(cfg) + 32 * 386 + 386 == 38_658
-        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_658
+        assert conditioner_param_count(cfg) + 32 * 386 + 386 == 38_562
+        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_562
 
     def test_slope_in_d_is_e(self):
         for d in (1, 2, 7, 42):

@@ -68,6 +68,66 @@ class TestMatmul:
         np.testing.assert_allclose(out.value, a @ b)
 
 
+def _composite_linear(x, w, b=None):
+    """The reshape -> matmul -> add -> reshape chain that linear replaces."""
+    in_dim, out_dim = w.value.shape
+    y = dc.matmul(dc.reshape(x, (-1, in_dim)), w)
+    if b is not None:
+        y = dc.add(y, b)
+    return dc.reshape(y, x.value.shape[:-1] + (out_dim,))
+
+
+class TestLinear:
+    @staticmethod
+    def run(op, lead, bias, dtype, seed=0):
+        """op's value and its x, w (and b) gradients for a random upstream
+        gradient."""
+        rng = np.random.default_rng(seed)
+        x = dc.parameter(rng.standard_normal(lead + (5,)).astype(dtype))
+        w = dc.parameter(rng.standard_normal((5, 3)).astype(dtype))
+        b = dc.parameter(rng.standard_normal(3).astype(dtype)) if bias else None
+        out = op(x, w, b)
+        weights = dc.constant(rng.standard_normal(out.value.shape).astype(dtype))
+        backward(dc.sum_(dc.mul(out, weights)))
+        return [out.value, x.grad, w.grad] + ([b.grad] if bias else [])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("lead", [(4,), (2, 3), (2, 3, 4)])
+    def test_bit_identical_to_composite(self, lead, bias, dtype):
+        fused = self.run(dc.linear, lead, bias, dtype)
+        composite = self.run(_composite_linear, lead, bias, dtype)
+        assert len(fused) == len(composite) == (4 if bias else 3)
+        for f, c in zip(fused, composite):
+            assert f.dtype == dtype
+            np.testing.assert_array_equal(f, c)
+
+    def test_gradient_vs_fd(self):
+        rng = np.random.default_rng(1)
+        params = ParamSet()
+        x = params.add("x", rng.standard_normal((2, 5, 4)))
+        w = params.add("w", rng.standard_normal((4, 3)))
+        b = params.add("b", rng.standard_normal(3))
+        weights = dc.constant(rng.standard_normal((2, 5, 3)))
+
+        def loss():
+            return dc.sum_(dc.mul(dc.tanh(dc.linear(x, w, b)), weights))
+
+        backward(loss())
+        fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
+        for name in ("x", "w", "b"):
+            assert rel_err(params[name].grad, fd[name]) < 1e-4, name
+
+    def test_in_dim_mismatch_names_shapes(self):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
+            dc.linear(np.zeros((2, 3)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 2)])
+    def test_bias_shape_checked(self, shape):
+        with pytest.raises(DimensionError):
+            dc.linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(shape))
+
+
 class TestElementwise:
     def test_tanh_zero_gradient_one(self):
         x = dc.parameter(0.0)
@@ -407,7 +467,7 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, 5.0 * w + 12.0 * v.reshape(2, 3) * x.value)
 
     def test_interior_grads_released(self):
-        model = build_model(ModelConfig(D=3, head_type="cdf", E=8, heads=2, layers=1,
+        model = build_model(ModelConfig(D=3, head_type="cdf", E=8, heads=2, layers=2,
                                         mlp_hidden=8, cdf_hidden=4), seed=0)
         loss = nll_loss(model, np.random.default_rng(1).standard_normal((4, 3)))
         backward(loss)

@@ -245,7 +245,7 @@ class TestParamCounts:
 
     def test_default_cdf_reference(self):
         cfg = ModelConfig(D=6, head_type="cdf")
-        assert total_param_count(cfg) == 38_658
+        assert total_param_count(cfg) == 38_562
 
     def test_miniboone_shape_default(self):
         cfg = ModelConfig(D=43, head_type="cdf")

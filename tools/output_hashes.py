@@ -67,9 +67,13 @@ def guarded(fn, *args):
         return f"{type(err).__name__}: {err}".encode()
 
 
+def model_config(head: str, d: int) -> ModelConfig:
+    return ModelConfig(D=d, head_type=head, cdf_hidden=8, spline_bins=4, **SMALL)
+
+
 def model_hashes(head: str, d: int) -> None:
     tag = f"{head}.D{d}"
-    cfg = ModelConfig(D=d, head_type=head, cdf_hidden=8, spline_bins=4, **SMALL)
+    cfg = model_config(head, d)
     rng = np.random.default_rng(d)
     batch = rng.standard_normal((ROWS, d))
 
