@@ -9,12 +9,14 @@ number or other constant operand of a binary op takes the other operand's
 dtype, and every buffer an op allocates takes its input's, so one graph
 computes in one precision throughout; there is no mode to switch.  Binary ops
 follow numpy's broadcasting rules, and their gradients are summed back to each
-operand's shape.  Three fused ops have hand-written VJPs: masked_softmax,
-layer_norm and linear, the affine map over the last axis behind every
-projection in the model.  masked_softmax takes the attention's 1/sqrt(d_k)
-as its `scale` and a `causal` flag; a causal call builds its own mask and
-works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those rows can
-see, skipping the scores the mask hides.
+operand's shape.  The ops are the ones the model needs: add, mul, neg, exp,
+tanh, sum_, mean, the shape ops, strict_lower_embed, matmul, and three fused
+ops with hand-written VJPs: masked_softmax, layer_norm and linear, the affine
+map over the last axis behind every projection.  The transform heads build
+their own nodes with make_node.  masked_softmax takes the attention's
+1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
+mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those
+rows can see, skipping the scores the mask hides.
 
 Gradient buffers: an interior node borrows its first gradient contribution
 (often another node's buffer) and allocates a buffer of its own only when a
@@ -233,7 +235,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _binary(a, b, fn, vjp_a, vjp_b) -> Node:
-    # a constant operand such as the 1.0 of sub(1.0, x) takes the node
+    # a constant operand such as the 2.0 of mul(2.0, x) takes the node
     # operand's dtype: as a float64 0-d array it would promote a float32
     # operand to float64 (NumPy 2 promotion, NEP 50)
     if not isinstance(a, Node) and isinstance(b, Node):
@@ -264,20 +266,8 @@ def add(a, b) -> Node:
     return _binary(a, b, np.add, lambda g, av, bv: g, lambda g, av, bv: g)
 
 
-def sub(a, b) -> Node:
-    return _binary(a, b, np.subtract, lambda g, av, bv: g, lambda g, av, bv: -g)
-
-
 def mul(a, b) -> Node:
     return _binary(a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
-
-
-def div(a, b) -> Node:
-    return _binary(
-        a, b, np.divide,
-        lambda g, av, bv: g / bv,
-        lambda g, av, bv: -g * av / (bv * bv),
-    )
 
 
 def neg(a) -> Node:
@@ -291,24 +281,10 @@ def exp(a) -> Node:
     return make_node(out, [(a, lambda g: g * out)])
 
 
-def log(a) -> Node:
-    a = _wrap(a)
-    av = a.value
-    return make_node(np.log(av), [(a, lambda g: g / av)])
-
-
 def tanh(a) -> Node:
     a = _wrap(a)
     out = np.tanh(a.value)
     return make_node(out, [(a, lambda g: g * (1.0 - out * out))])
-
-
-def softplus(a) -> Node:
-    """log(1 + e^x), computed stably for large |x|."""
-    a = _wrap(a)
-    av = a.value
-    out = np.logaddexp(0.0, av)
-    return make_node(out, [(a, lambda g: g * 0.5 * (1.0 + np.tanh(0.5 * av)))])
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +310,6 @@ def mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
     a = _wrap(a)
     n = a.value.size if axis is None else a.value.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Node:
-    """Max-shifted log-sum-exp along one axis; exact for constant inputs."""
-    a = _wrap(a)
-    av = a.value
-    if av.ndim == 0 or av.shape[axis] == 0:
-        raise DimensionError(f"logsumexp over empty axis of shape {av.shape}")
-    m = av.max(axis=axis, keepdims=True)
-    ex = np.exp(av - m)
-    s = ex.sum(axis=axis, keepdims=True)
-    out_kd = m + np.log(s)
-    out = out_kd if keepdims else np.squeeze(out_kd, axis=axis)
-
-    def vjp(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
-        return gk * (ex / s)
-
-    return make_node(out, [(a, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -419,47 +376,6 @@ def broadcast_to(a, shape) -> Node:
     except ValueError as err:
         raise DimensionError(f"cannot broadcast {av.shape} to {tuple(shape)}") from err
     return make_node(out, [(a, lambda g: _unbroadcast(g, av.shape))])
-
-
-def gather_last(a, idx: np.ndarray) -> Node:
-    """Pick one entry per leading position along the last axis."""
-    a = _wrap(a)
-    av = a.value
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape != av.shape[:-1]:
-        raise DimensionError(f"index shape {idx.shape} != leading shape {av.shape[:-1]}")
-    out = np.take_along_axis(av, idx[..., None], axis=-1)[..., 0]
-
-    def vjp(g):
-        full = np.zeros_like(av)
-        np.put_along_axis(full, idx[..., None], g[..., None], axis=-1)
-        return full
-
-    return make_node(out, [(a, vjp)])
-
-
-def where(cond: np.ndarray, a, b) -> Node:
-    """Select elementwise by a constant boolean mask."""
-    a, b = _wrap(a), _wrap(b)
-    cond = np.asarray(cond, dtype=bool)
-    if a.value.shape != b.value.shape or cond.shape != a.value.shape:
-        raise DimensionError(
-            f"where shapes differ: cond {cond.shape}, a {a.value.shape}, b {b.value.shape}"
-        )
-    out = np.where(cond, a.value, b.value)
-    return make_node(
-        out,
-        [(a, lambda g: g * cond), (b, lambda g: g * ~cond)],
-    )
-
-
-def clip(a, lo: float, hi: float) -> Node:
-    """Clamp values; gradient is zero outside the open interval (lo, hi)."""
-    a = _wrap(a)
-    av = a.value
-    out = np.clip(av, lo, hi)
-    inside = (av > lo) & (av < hi)
-    return make_node(out, [(a, lambda g: g * inside)])
 
 
 def strict_lower_embed(free, d: int) -> Node:

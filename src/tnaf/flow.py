@@ -275,7 +275,6 @@ class SplineHead(Head):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top."""
         cfg = self.cfg
-        k = cfg.spline_bins
         v = target.copy()
         for j in reversed(range(cfg.spline_blocks)):
             lmat, premix = state[j]
@@ -283,8 +282,7 @@ class SplineHead(Head):
                 v = v - premix[:, :i] @ lmat[i, :i]
             psi = _psi_values(hidden_i, params, f"head{j}")
             premix[:, i] = v
-            v = tf.spline_inverse_np(v, psi[:, :k], psi[:, k:2 * k], psi[:, 2 * k:],
-                                     cfg.spline_bound)
+            v = tf.spline_inverse_np(v, psi, cfg.spline_bins, cfg.spline_bound)
         return v
 
 

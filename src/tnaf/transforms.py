@@ -5,10 +5,10 @@ by lane, and reports log|dy/dx|, so every head pairs with the flow's
 standard-normal base.  Every transform has exactly one forward, a batched
 graph form (run under ``dc.no_grad()`` it gives plain values), and one
 vectorized inverse used for sampling and inversion.  The CDF net and the
-spline knots are hand-written graph nodes over plain-numpy helpers
-(``_cdf_net``, ``_knot_parts``); an inverse gets forward values only through
-those same helpers, so sampling inverts the same float function whose
-log-derivative was trained.  The affine and spline inverses are closed
+spline are hand-written graph nodes over plain-numpy helpers (``_cdf_net``;
+``_spline_parts`` and ``_spline_bins``); an inverse gets forward values only
+through those same helpers, so sampling inverts the same float function
+whose log-derivative was trained.  The affine and spline inverses are closed
 forms; the CDF net is inverted by bracketed, safeguarded Newton iteration
 (``monotone_bisect``) on its value and slope.
 
@@ -227,80 +227,41 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def _knot_parts(raw, bound):
-    """The knots [-B, interior cumulative points, B], bins floored then
-    renormalized, and the bin softmax y = ex / sum(ex), ex = exp(raw - max),
-    that the knot node's VJP reads."""
-    k = raw.shape[-1]
-    y = np.exp(raw - raw.max(axis=-1, keepdims=True))
-    y /= y.sum(axis=-1, keepdims=True)
-    q = MIN_BIN + (1.0 - MIN_BIN * k) * y
-    interior = -bound + 2.0 * bound * np.cumsum(q, axis=-1)[..., : k - 1]
-    lead = raw.shape[:-1]
-    edge = np.full(lead + (1,), bound, raw.dtype)
-    return np.concatenate([-edge, interior, edge], axis=-1), y
+def _spline_parts(psi, k, bound):
+    """The knot table [..., 3, K + 1] of psi [..., 3K - 1] packed [widths |
+    heights | derivs]: the x and y knots (-B, cumulative floored bins, B) from
+    one softmax and one cumsum over a [..., 2, K] view, then the knot
+    derivatives (1 at both ends).  Also the softmax p [..., 2, K] for the VJP."""
+    lead = psi.shape[:-1]
+    raw = psi[..., :2 * k].reshape(lead + (2, k))
+    p = np.exp(raw - raw.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    q = MIN_BIN + (1.0 - MIN_BIN * k) * p
+    table = np.ones(lead + (3, k + 1), psi.dtype)
+    table[..., :2, 0], table[..., :2, k] = -bound, bound
+    table[..., :2, 1:k] = -bound + 2.0 * bound * np.cumsum(q, axis=-1)[..., : k - 1]
+    table[..., 2, 1:k] = np.logaddexp(0.0, psi[..., 2 * k:]) + MIN_DERIV
+    return table, p
 
 
-def _knots_node(raw: Node, bound: float) -> Node:
-    """The knots of _knot_parts as one graph node.  Only the interior knots
-    depend on raw, so a K=1 spline's knots are a constant.  The VJP runs the
-    cumulative sum backwards into gy, the gradient times y, then the
-    softmax's gy - y * sum(gy)."""
-    k = raw.value.shape[-1]
-    knots, y = _knot_parts(raw.value, bound)
-    if k == 1:
-        return dc.constant(knots)
-
-    def vjp(g):
-        g_cum = np.zeros_like(y)
-        g_cum[..., : k - 1] = g[..., 1:k] * (2.0 * bound)
-        gy = np.flip(np.cumsum(np.flip(g_cum, -1), -1), -1) * (1.0 - MIN_BIN * k) * y
-        return gy - y * gy.sum(axis=-1, keepdims=True)
-
-    return dc.make_node(knots, [(raw, vjp)])
+def _spline_bins(points, table, row):
+    """Each point's bin on knot row `row` (0: x, 1: y), clipped so the tails
+    read an outer bin: the flat table indices [3, 2, ...] of its ends idx and
+    idx + 1 in each row, and the table there, (x0, x1), (y0, y1), (d0, d1)."""
+    k = table.shape[-1] - 1
+    idx = np.clip((points[..., None] >= table[..., row, :]).sum(axis=-1) - 1, 0, k - 1)
+    lane = np.arange(0, table.size, 3 * (k + 1)).reshape(idx.shape) + idx
+    at = np.add.outer(np.arange(0, 3 * (k + 1), k + 1)[:, None] + (0, 1), lane)
+    return at, table.take(at)
 
 
-def _knot_derivs(raw_d):
-    lead = raw_d.shape[:-1]
-    ones = np.ones(lead + (1,), raw_d.dtype)
-    inner = np.logaddexp(0.0, raw_d) + MIN_DERIV
-    return np.concatenate([ones, inner, ones], axis=-1)
-
-
-def _knot_derivs_node(raw_d: Node) -> Node:
-    """_knot_derivs as one graph node (a constant at K=1, where raw_d is
-    empty); the VJP is softplus's, read through the interior slice."""
-    rv = raw_d.value
-    dknots = _knot_derivs(rv)
-    if rv.shape[-1] == 0:
-        return dc.constant(dknots)
-    return dc.make_node(
-        dknots, [(raw_d, lambda g: g[..., 1:-1] * 0.5 * (1.0 + np.tanh(0.5 * rv)))])
-
-
-def _bin_index(points, knots, k):
-    idx = (points[..., None] >= knots).sum(axis=-1) - 1
-    return np.clip(idx, 0, k - 1)
-
-
-def _gather(a, idx):
-    return np.take_along_axis(a, idx[..., None], axis=-1)[..., 0]
-
-
-def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
-    """Vectorized inverse: solve the bin-local quadratic, stable root form."""
-    k = raw_w.shape[-1]
-    xk = _knot_parts(raw_w, bound)[0]
-    yk = _knot_parts(raw_h, bound)[0]
-    dk = _knot_derivs(raw_d)
+def spline_inverse_np(y, psi, k, bound):
+    """Vectorized inverse on psi [..., 3K - 1] packed as in
+    spline_forward_node: solve the bin-local quadratic, stable root form."""
     y = np.asarray(y, dtype=np.float64)
     yc = np.clip(y, -bound, bound)
-    idx = _bin_index(yc, yk, k)
-    x0, x1 = _gather(xk, idx), _gather(xk, idx + 1)
-    y0, y1 = _gather(yk, idx), _gather(yk, idx + 1)
-    d0, d1 = _gather(dk, idx), _gather(dk, idx + 1)
-    w = x1 - x0
-    hgt = y1 - y0
+    (x0, x1), (y0, y1), (d0, d1) = _spline_bins(yc, _spline_parts(psi, k, bound)[0], 1)[1]
+    w, hgt = x1 - x0, y1 - y0
     s = hgt / w
     r = yc - y0
     dsum = d0 + d1 - 2.0 * s
@@ -314,45 +275,83 @@ def spline_inverse_np(y, raw_w, raw_h, raw_d, bound):
     if np.any((xi < -1e-9) | (xi > 1.0 + 1e-9)):
         raise ContractViolation("spline inverse: root escaped [0, 1]")
     xi = np.clip(xi, 0.0, 1.0)
-    x_in = x0 + xi * w
-    return np.where(np.abs(y) >= bound, y, x_in)
+    return np.where((np.abs(y) < bound) & (k > 1), x0 + xi * w, y)
 
 
 def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node, Node]:
-    """Batched graph form of the spline; psi packs [widths | heights | derivs]."""
-    raw_w = dc.narrow(psi, -1, 0, k)
-    raw_h = dc.narrow(psi, -1, k, k)
-    raw_d = dc.narrow(psi, -1, 2 * k, k - 1)
-    xk = _knots_node(raw_w, bound)
-    yk = _knots_node(raw_h, bound)
-    dknots = _knot_derivs_node(raw_d)
+    """The spline y and its log-derivative ld on lanes x [...], psi [..., 3K -
+    1] packed [widths | heights | derivs], as three graph nodes: a bin node
+    over psi holding each lane's six bin values [3, 2, ...], and y and ld over
+    the bin node and x.  Lanes outside (-B, B), and all of a K=1 spline, are
+    the identity with ld = 0; a lane at +-B takes the outside gradient.
 
-    xv = x.value
-    idx = _bin_index(xv, xk.value, k)
-    x0, x1 = dc.gather_last(xk, idx), dc.gather_last(xk, idx + 1)
-    y0, y1 = dc.gather_last(yk, idx), dc.gather_last(yk, idx + 1)
-    d0, d1 = dc.gather_last(dknots, idx), dc.gather_last(dknots, idx + 1)
-    w = dc.sub(x1, x0)
-    hgt = dc.sub(y1, y0)
-    s = dc.div(hgt, w)
-    xc = dc.clip(x, -bound, bound)
-    xi = dc.div(dc.sub(xc, x0), w)
-    one_m = dc.sub(1.0, xi)
-    t = dc.mul(xi, one_m)
-    dsum = dc.sub(dc.add(d0, d1), dc.mul(2.0, s))
-    denom = dc.add(s, dc.mul(dsum, t))
-    num = dc.mul(hgt, dc.add(dc.mul(s, dc.mul(xi, xi)), dc.mul(d0, t)))
-    y_in = dc.add(y0, dc.div(num, denom))
-    deriv_num = dc.mul(
-        dc.mul(s, s),
-        dc.add(dc.add(dc.mul(d1, dc.mul(xi, xi)), dc.mul(dc.mul(2.0, s), t)),
-               dc.mul(d0, dc.mul(one_m, one_m))),
-    )
-    ld_in = dc.sub(dc.log(deriv_num), dc.mul(2.0, dc.log(denom)))
-    inside = np.abs(xv) < bound
-    y = dc.where(inside, y_in, x)
-    ld = dc.where(inside, ld_in, dc.constant(np.zeros_like(xv)))
-    return y, ld
+    The bin node's VJP scatters into the knot table at idx and idx + 1 (distinct
+    slots), then runs the reversed cumsum, softmax and softplus VJPs once for
+    both outputs.  Inside, dy/dx = exp(ld), and d(ld)/dx carries the second
+    derivative; outside, dy/dx = 1 and d(ld)/dx = 0."""
+    xv, pv = x.value, psi.value
+    table, p = _spline_parts(pv, k, bound)
+    at, bins = _spline_bins(xv, table, 0)
+    (x0, x1), (y0, y1), (d0, d1) = bins
+    inside = (np.abs(xv) < bound) & (k > 1)
+    w, hgt = x1 - x0, y1 - y0
+    s = hgt / w
+    xi = (np.clip(xv, -bound, bound) - x0) / w
+    om = 1.0 - xi
+    t = xi * om
+    dsum = d0 + d1 - 2.0 * s
+    den = s + dsum * t
+    a = s * (xi * xi) + d0 * t  # y = y0 + hgt a / den
+    num = hgt * a
+    b = d1 * (xi * xi) + 2.0 * s * t + d0 * (om * om)  # dy/dx = s^2 b / den^2
+    dn = s * s * b
+    y = np.where(inside, y0 + num / den, xv)
+    ld = np.where(inside, np.log(dn) - 2.0 * np.log(den), 0.0)
+
+    def bins_vjp(g):
+        gt = np.zeros(table.shape, g.dtype)
+        np.put(gt, at, g)
+        g_cum = np.zeros_like(p)
+        g_cum[..., : k - 1] = gt[..., :2, 1:k] * (2.0 * bound)
+        gq = np.flip(np.cumsum(np.flip(g_cum, -1), -1), -1) * (1.0 - MIN_BIN * k) * p
+        g_raw = (gq - p * gq.sum(axis=-1, keepdims=True)).reshape(pv.shape[:-1] + (2 * k,))
+        g_d = gt[..., 2, 1:k] * 0.5 * (1.0 + np.tanh(0.5 * pv[..., 2 * k:]))
+        return np.concatenate([g_raw, g_d], axis=-1)
+
+    def to_bins(g_den, g_s, g_t, g_xi, g_h, g_y0, g_d0, g_d1):
+        # back through den = s + dsum t, dsum = d0 + d1 - 2 s, t = xi (1 - xi),
+        # xi = (xc - x0) / w, s = hgt / w, w = x1 - x0 and hgt = y1 - y0
+        g_dsum = g_den * t
+        g_s = g_s + g_den - 2.0 * g_dsum
+        g_xc = (g_xi + (g_t + g_den * dsum) * (om - xi)) / w
+        g_w = -(g_xc * xi + g_s * s / w)
+        g_h = g_h + g_s / w
+        return np.stack([-g_xc - g_w, g_w, g_y0 - g_h, g_h, g_d0 + g_dsum,
+                         g_d1 + g_dsum]).reshape(bins.shape)
+
+    def y_bins(g):
+        g = g * inside
+        q = g / den
+        ga = q * hgt
+        return to_bins(-q * num / den, ga * xi * xi, ga * d0, 2.0 * ga * s * xi, q * a, g,
+                       ga * t, 0.0)
+
+    def ld_bins(g):
+        g = g * inside
+        gb = g / b
+        return to_bins(-2.0 * g / den, 2.0 * (g / s + gb * t), 2.0 * gb * s,
+                       2.0 * gb * (d1 * xi - d0 * om), 0.0, 0.0, gb * om * om, gb * xi * xi)
+
+    def y_x(g):
+        return np.where(inside, g * (dn / (den * den)), g)
+
+    def ld_x(g):
+        db = 2.0 * (d1 * xi + s * (om - xi) - d0 * om)
+        return np.where(inside, g * ((db / b - 2.0 * dsum * (om - xi) / den) / w), 0.0)
+
+    bin_node = dc.make_node(bins, [(psi, bins_vjp)])
+    return (dc.make_node(y, [(bin_node, y_bins), (x, y_x)]),
+            dc.make_node(ld, [(bin_node, ld_bins), (x, ld_x)]))
 
 
 # ---------------------------------------------------------------------------

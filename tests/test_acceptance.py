@@ -162,11 +162,10 @@ def test_criterion_4_inversion_roundtrip():
         raw_h = rng.standard_normal((n, k))
         raw_d = rng.standard_normal((n, k - 1))
         x = rng.uniform(-3.5, 3.5, size=n)
+        psi = np.concatenate([raw_w, raw_h, raw_d], axis=1)
         with dc.no_grad():
-            y, _ = spline_forward_node(
-                dc.constant(x), dc.constant(np.concatenate([raw_w, raw_h, raw_d], axis=1)),
-                k, 3.0)
-        xr = spline_inverse_np(y.value, raw_w, raw_h, raw_d, 3.0)
+            y, _ = spline_forward_node(dc.constant(x), dc.constant(psi), k, 3.0)
+        xr = spline_inverse_np(y.value, psi, k, 3.0)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
         # cdf: safeguarded Newton at tol 1e-6 over 1000 (x, psi) pairs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composite_ops as cops
 from tnaf import diffcore as dc
 from tnaf import transforms as tf
 from tnaf.diffcore import (
@@ -137,11 +138,11 @@ class TestElementwise:
         assert x.grad == 1.0
 
     def test_softplus_large_is_stable(self):
-        out = dc.softplus(dc.constant(30.0)).value
+        out = cops.softplus(dc.constant(30.0)).value
         assert abs(out - 30.0) < 1e-9
 
     def test_softplus_negative_tail(self):
-        out = dc.softplus(dc.constant(-700.0)).value
+        out = cops.softplus(dc.constant(-700.0)).value
         assert 0.0 <= out < 1e-300
 
     def test_suffix_broadcast_vector(self):
@@ -159,7 +160,7 @@ class TestElementwise:
     @pytest.mark.parametrize("seed", range(10))
     def test_unary_gradients_vs_fd(self, seed):
         rng = np.random.default_rng(seed)
-        ops = [dc.exp, dc.tanh, dc.softplus, dc.neg]
+        ops = [dc.exp, dc.tanh, cops.softplus, dc.neg]
         for op in ops:
             params = ParamSet()
             x = params.add("x", rng.standard_normal(6))
@@ -175,26 +176,26 @@ class TestElementwise:
 
 class TestLogsumexp:
     def test_constant_vector(self):
-        out = dc.logsumexp(dc.constant([2.5, 2.5, 2.5]))
+        out = cops.logsumexp(dc.constant([2.5, 2.5, 2.5]))
         assert abs(out.value - (2.5 + np.log(3.0))) < 1e-12
 
     def test_singleton(self):
-        assert dc.logsumexp(dc.constant([0.0])).value == 0.0
+        assert cops.logsumexp(dc.constant([0.0])).value == 0.0
 
     def test_no_overflow(self):
-        out = dc.logsumexp(dc.constant([1000.0, 1000.0]))
+        out = cops.logsumexp(dc.constant([1000.0, 1000.0]))
         assert abs(out.value - (1000.0 + np.log(2.0))) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(7)
-        base = dc.logsumexp(dc.constant(v)).value
-        shifted = dc.logsumexp(dc.constant(v + 11.25)).value
+        base = cops.logsumexp(dc.constant(v)).value
+        shifted = cops.logsumexp(dc.constant(v + 11.25)).value
         assert abs(shifted - (base + 11.25)) < 1e-12
 
     def test_empty_axis_rejected(self):
         with pytest.raises(DimensionError):
-            dc.logsumexp(dc.constant(np.ones((2, 0))))
+            cops.logsumexp(dc.constant(np.ones((2, 0))))
 
     def test_gradient_vs_fd(self):
         rng = np.random.default_rng(4)
@@ -202,9 +203,9 @@ class TestLogsumexp:
         x = params.add("x", rng.standard_normal((3, 5)))
 
         def f(_):
-            return float(dc.sum_(dc.logsumexp(x, axis=-1)).value)
+            return float(dc.sum_(cops.logsumexp(x, axis=-1)).value)
 
-        backward(dc.sum_(dc.logsumexp(x, axis=-1)))
+        backward(dc.sum_(cops.logsumexp(x, axis=-1)))
         fd = fd_gradient(f, params, FD_STEP)
         assert rel_err(x.grad, fd["x"]) < 1e-4
 
@@ -303,7 +304,7 @@ class TestMaskedSoftmax:
 
 def _composite_softmax(a):
     """The logsumexp/sub/exp graph that masked_softmax fuses."""
-    return dc.exp(dc.sub(a, dc.logsumexp(a, -1, keepdims=True)))
+    return dc.exp(cops.sub(a, cops.logsumexp(a, -1, keepdims=True)))
 
 
 def _causal_mask(t):
@@ -320,7 +321,7 @@ def _cumsum_last(a):
 
 
 def _composite_knots(raw, bound):
-    """The op chain that transforms._knots_node replaces (K > 1)."""
+    """The knot op chain, one row of transforms._spline_parts' table (K > 1)."""
     k = raw.value.shape[-1]
     edge = dc.constant(np.full(raw.value.shape[:-1] + (1,), bound))
     q = dc.add(tf.MIN_BIN, dc.mul(1.0 - tf.MIN_BIN * k, _composite_softmax(raw)))
@@ -329,24 +330,41 @@ def _composite_knots(raw, bound):
 
 
 def _composite_knot_derivs(raw_d):
-    """The op chain that transforms._knot_derivs_node replaces (K > 1)."""
+    """The knot derivative op chain, row 2 of the table (K > 1)."""
     ones = dc.constant(np.ones(raw_d.value.shape[:-1] + (1,)))
-    return dc.concat([ones, dc.add(dc.softplus(raw_d), tf.MIN_DERIV), ones], axis=-1)
+    return dc.concat([ones, dc.add(cops.softplus(raw_d), tf.MIN_DERIV), ones], axis=-1)
+
+
+def _composite_spline_bins(psi, points, k, bound):
+    """The spline's six bin values [3, 2, ...] gathered from the composite
+    knots and knot derivatives at each point's bin on the x knots."""
+    xk = _composite_knots(dc.narrow(psi, -1, 0, k), bound)
+    rows = (xk, _composite_knots(dc.narrow(psi, -1, k, k), bound),
+            _composite_knot_derivs(dc.narrow(psi, -1, 2 * k, k - 1)))
+    idx = np.clip((points[..., None] >= xk.value).sum(axis=-1) - 1, 0, k - 1)
+    ends = [dc.reshape(cops.gather_last(row, i), (1,) + points.shape)
+            for row in rows for i in (idx, idx + 1)]
+    return dc.reshape(dc.concat(ends, axis=0), (3, 2) + points.shape)
+
+
+def _spline_bins_node(psi, points, k, bound):
+    """The bin node of transforms.spline_forward_node: y's parent over psi."""
+    y, _ = tf.spline_forward_node(dc.constant(points), psi, k, bound)
+    return y.parents[0][0]
 
 
 class TestFusedSoftmaxBitIdentity:
     """The fused ops agree with the composites they replace: values within
-    2e-15 (knots 2e-14) and input gradients within 2e-15 * max|g| for an
-    upstream gradient g.  The spline's knot derivatives stay bit-identical."""
+    2e-15 (spline knots 2e-14) and input gradients within 2e-15 * max|g| for
+    an upstream gradient g.  The spline's knot derivatives stay bit-identical."""
 
     @staticmethod
-    def run(shape, op, narrow_k=None, seed=0):
+    def run(shape, op, seed=0):
         """The op's value, the input gradient and max|g| for random g."""
         rng = np.random.default_rng(seed)
         x = dc.parameter(rng.standard_normal(shape) * 3.0)
-        a = x if narrow_k is None else dc.narrow(x, -1, 0, narrow_k)
         before = x.value.tobytes()
-        out = op(a)
+        out = op(x)
         weights = dc.constant(rng.standard_normal(out.value.shape))
         backward(dc.sum_(dc.mul(out, weights)))
         assert x.value.tobytes() == before  # the op never writes into its input
@@ -387,15 +405,16 @@ class TestFusedSoftmaxBitIdentity:
         self.agree(fused, self.run((2, 3, t, t), composite))
 
     def test_spline_knot_slice(self):
-        # the spline heads build their knots from [N, D, K] slices of psi
+        # the spline's bin node gathers from knots built over [N, D, K]
+        # slices of psi [N, D, 3K - 1]; the derivative slots of its value and
+        # of the psi gradient are bit-identical to the composite's
         shape, k, bound = (5, 16, 23), 8, 3.0
-        knots = self.run(shape, lambda a: tf._knots_node(a, bound), narrow_k=k)
-        self.agree(knots, self.run(shape, lambda a: _composite_knots(a, bound), narrow_k=k),
-                   value_tol=2e-14)
-        derivs = self.run(shape, tf._knot_derivs_node, narrow_k=k - 1)
-        composite = self.run(shape, _composite_knot_derivs, narrow_k=k - 1)
-        for fused_part, composite_part in zip(derivs, composite):
-            np.testing.assert_array_equal(fused_part, composite_part)
+        points = np.random.default_rng(1).uniform(-bound, bound, shape[:-1])
+        fused = self.run(shape, lambda a: _spline_bins_node(a, points, k, bound))
+        composite = self.run(shape, lambda a: _composite_spline_bins(a, points, k, bound))
+        self.agree(fused, composite, value_tol=2e-14)
+        np.testing.assert_array_equal(fused[0][2], composite[0][2])
+        np.testing.assert_array_equal(fused[1][..., 2 * k:], composite[1][..., 2 * k:])
 
 
 class TestBackward:
@@ -496,12 +515,18 @@ class TestBackward:
         def loss():
             h = dc.tanh(dc.matmul(dc.constant(x), w1))
             out = dc.add(dc.matmul(h, w2), b)
-            return dc.sum_(dc.mul(dc.softplus(out), out))
+            return dc.sum_(dc.mul(cops.softplus(out), out))
 
         backward(loss())
         fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
         for name in ("w1", "w2", "b"):
             assert rel_err(params[name].grad, fd[name]) < 1e-4
+
+
+def _spline_sum(x, psi):
+    """sum(y) + sum(2 ld) of a K=3 spline with bound 2."""
+    y, ld = tf.spline_forward_node(dc._wrap(x), dc._wrap(psi), 3, 2.0)
+    return dc.add(dc.sum_(y), dc.sum_(dc.mul(ld, 2.0)))
 
 
 def _op_zoo(x):
@@ -512,17 +537,17 @@ def _op_zoo(x):
     cond = np.array([[True, False, True, True]] * 3)
     return {
         "add": dc.sum_(dc.add(x, n)),
-        "sub": dc.sum_(dc.sub(n, x)),
+        "sub": dc.sum_(cops.sub(n, x)),
         "mul": dc.sum_(dc.mul(x, n)),
-        "div": dc.sum_(dc.div(n, dc.add(dc.mul(x, x), 0.5))),
+        "div": dc.sum_(cops.div(n, dc.add(dc.mul(x, x), 0.5))),
         "neg": dc.sum_(dc.neg(x)),
         "exp": dc.sum_(dc.exp(x)),
-        "log": dc.sum_(dc.log(dc.add(dc.mul(x, x), 0.5))),
+        "log": dc.sum_(cops.log(dc.add(dc.mul(x, x), 0.5))),
         "tanh": dc.sum_(dc.tanh(x)),
-        "softplus": dc.sum_(dc.softplus(x)),
+        "softplus": dc.sum_(cops.softplus(x)),
         "sum_axis": dc.sum_(dc.mul(dc.sum_(x, axis=0), dc.constant(np.arange(1.0, 5.0)))),
         "mean": dc.sum_(dc.mul(dc.mean(x, axis=1), dc.constant(np.arange(1.0, 4.0)))),
-        "logsumexp": dc.sum_(dc.logsumexp(x, axis=-1)),
+        "logsumexp": dc.sum_(cops.logsumexp(x, axis=-1)),
         "reshape": dc.sum_(dc.mul(dc.reshape(x, (2, 6)), dc.constant(np.ones((2, 6))))),
         "transpose": dc.sum_(dc.mul(dc.transpose(x, (1, 0)), dc.constant(np.ones((4, 3))))),
         "concat": dc.sum_(dc.mul(dc.concat([x, x], axis=1),
@@ -533,15 +558,15 @@ def _op_zoo(x):
             dc.constant(np.arange(8.0).reshape(2, 1, 4)))),
         "stretched_broadcast": dc.sum_(dc.mul(dc.narrow(x, 1, 0, 1),
                                               dc.constant(np.arange(30.0).reshape(2, 3, 5)))),
-        "gather_last": dc.sum_(dc.gather_last(x, idx)),
-        "knots": dc.sum_(dc.mul(tf._knots_node(x, 2.0),
-                                dc.constant(np.arange(15.0).reshape(3, 5)))),
-        "knot_derivs": dc.sum_(dc.mul(tf._knot_derivs_node(x),
-                                      dc.constant(np.arange(18.0).reshape(3, 6)))),
-        "where": dc.sum_(dc.where(cond, dc.mul(x, x), dc.neg(x))),
-        "clip": dc.sum_(dc.mul(dc.clip(x, -0.9, 0.9), dc.constant(np.ones((3, 4))))),
+        "gather_last": dc.sum_(cops.gather_last(x, idx)),
+        # a K=3 spline (psi [3, 8]): over psi at three points, then over the
+        # 12 lanes of x, some in the tails of B = 2, for fixed psi
+        "spline_psi": _spline_sum(np.array([-1.3, 0.2, 1.7]), dc.concat([x, dc.neg(x)], 1)),
+        "spline_x": _spline_sum(x, np.linspace(-1.0, 1.0, 96).reshape(3, 4, 8)),
+        "where": dc.sum_(cops.where(cond, dc.mul(x, x), dc.neg(x))),
+        "clip": dc.sum_(dc.mul(cops.clip(x, -0.9, 0.9), dc.constant(np.ones((3, 4))))),
         "matmul": dc.sum_(dc.matmul(x, dc.constant(np.linspace(-1, 1, 8).reshape(4, 2)))),
-        "logsumexp_keepdims": dc.sum_(dc.logsumexp(x, axis=0, keepdims=True)),
+        "logsumexp_keepdims": dc.sum_(cops.logsumexp(x, axis=0, keepdims=True)),
     }
 
 
@@ -606,14 +631,14 @@ class TestShapeOps:
         a = dc.parameter(np.array([1.0, 2.0, 3.0]))
         b = dc.parameter(np.array([4.0, 5.0, 6.0]))
         cond = np.array([True, False, True])
-        backward(dc.sum_(dc.where(cond, a, b)))
+        backward(dc.sum_(cops.where(cond, a, b)))
         np.testing.assert_array_equal(a.grad, [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(b.grad, [0.0, 1.0, 0.0])
 
     def test_gather_and_scatter(self):
         a = dc.parameter(np.arange(12.0).reshape(3, 4))
         idx = np.array([1, 0, 3])
-        out = dc.gather_last(a, idx)
+        out = cops.gather_last(a, idx)
         np.testing.assert_array_equal(out.value, [1.0, 4.0, 11.0])
         backward(dc.sum_(out))
         expected = np.zeros((3, 4))
@@ -646,7 +671,7 @@ class TestShapeOps:
 
     def test_clip_gradient_mask(self):
         a = dc.parameter(np.array([-2.0, 0.0, 2.0]))
-        backward(dc.sum_(dc.clip(a, -1.0, 1.0)))
+        backward(dc.sum_(cops.clip(a, -1.0, 1.0)))
         np.testing.assert_array_equal(a.grad, [0.0, 1.0, 0.0])
 
 

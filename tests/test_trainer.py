@@ -22,7 +22,7 @@ def loss_of(params):
     # simple quadratic bowl sum((p - 3)^2)
     total = None
     for _, p in params.items():
-        term = dc.sum_(dc.mul(dc.sub(p, 3.0), dc.sub(p, 3.0)))
+        term = dc.sum_(dc.mul(dc.add(p, -3.0), dc.add(p, -3.0)))
         total = term if total is None else dc.add(total, term)
     return total
 

@@ -9,10 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
+import composite_ops as cops
 from tnaf import diffcore as dc
 from tnaf import transforms as tf
 from tnaf.diffcore import DimensionError
-from tnaf.flow import ModelConfig, build_model, forward_values, invert_rows
+from tnaf.flow import ModelConfig, build_model, forward_values, invert_rows, nll_loss
 from tnaf.transforms import InversionError
 
 FD = 1e-4
@@ -57,10 +58,10 @@ def _composite_cdf(x, w1, b1, w2, b2, c):
     a = dc.add(dc.mul(dc.exp(w1), dc.reshape(x, x.value.shape + (1,))), b1)
     u = dc.add(dc.sum_(dc.mul(dc.tanh(a), dc.exp(w2)), axis=-1), b2)
     y = dc.add(u, dc.mul(dc.exp(c), x))
-    log1mt2 = dc.mul(2.0, dc.sub(dc.sub(dc.constant(tf.LOG2), a),
-                                 dc.softplus(dc.mul(-2.0, a))))
-    slope = dc.logsumexp(dc.add(dc.add(w2, log1mt2), w1), axis=-1)
-    return y, dc.add(c, dc.softplus(dc.sub(slope, c)))
+    log1mt2 = dc.mul(2.0, cops.sub(cops.sub(dc.constant(tf.LOG2), a),
+                                   cops.softplus(dc.mul(-2.0, a))))
+    slope = cops.logsumexp(dc.add(dc.add(w2, log1mt2), w1), axis=-1)
+    return y, dc.add(c, cops.softplus(cops.sub(slope, c)))
 
 
 def _composite_cdf_psi(x, psi, h):
@@ -71,27 +72,70 @@ def _composite_cdf_psi(x, psi, h):
     return _composite_cdf(x, parts[0], parts[1], parts[2], b2, c)
 
 
-def _spline_reference(x, raw_w, raw_h, raw_d, bound):
-    """Plain-numpy spline forward; trailing axis of the raws is the bin axis."""
-    k = raw_w.shape[-1]
-    xk = tf._knot_parts(raw_w, bound)[0]
-    yk = tf._knot_parts(raw_h, bound)[0]
-    dk = tf._knot_derivs(raw_d)
-    x = np.asarray(x, dtype=np.float64)
-    idx = tf._bin_index(x, xk, k)
-    x0, x1 = tf._gather(xk, idx), tf._gather(xk, idx + 1)
-    y0, y1 = tf._gather(yk, idx), tf._gather(yk, idx + 1)
-    d0, d1 = tf._gather(dk, idx), tf._gather(dk, idx + 1)
-    w = x1 - x0
-    hgt = y1 - y0
-    s = hgt / w
-    xi = (np.clip(x, -bound, bound) - x0) / w
-    t = xi * (1.0 - xi)
-    denom = s + (d0 + d1 - 2.0 * s) * t
-    y_in = y0 + hgt * (s * xi * xi + d0 * t) / denom
-    deriv = s * s * (d1 * xi * xi + 2.0 * s * t + d0 * (1.0 - xi) ** 2) / (denom * denom)
-    inside = np.abs(x) < bound
-    return np.where(inside, y_in, x), np.where(inside, np.log(deriv), 0.0)
+def _knots_node(raw, bound):
+    """One row of knots [-B, cumulative floored bins, B] over raw [..., K] as
+    a node whose VJP runs the cumulative sum backwards, then the softmax's."""
+    k = raw.value.shape[-1]
+    p = np.exp(raw.value - raw.value.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    interior = -bound + 2.0 * bound * np.cumsum(tf.MIN_BIN + (1.0 - tf.MIN_BIN * k) * p,
+                                                axis=-1)[..., : k - 1]
+    edge = np.full(raw.value.shape[:-1] + (1,), bound, raw.value.dtype)
+    knots = np.concatenate([-edge, interior, edge], axis=-1)
+    if k == 1:
+        return dc.constant(knots)
+
+    def vjp(g):
+        g_cum = np.zeros_like(p)
+        g_cum[..., : k - 1] = g[..., 1:k] * (2.0 * bound)
+        gp = np.flip(np.cumsum(np.flip(g_cum, -1), -1), -1) * (1.0 - tf.MIN_BIN * k) * p
+        return gp - p * gp.sum(axis=-1, keepdims=True)
+
+    return dc.make_node(knots, [(raw, vjp)])
+
+
+def _knot_derivs_node(raw_d):
+    """Knot derivatives [1, softplus(raw_d) + MIN_DERIV, 1] as a node."""
+    rv = raw_d.value
+    ones = np.ones(rv.shape[:-1] + (1,), rv.dtype)
+    dknots = np.concatenate([ones, np.logaddexp(0.0, rv) + tf.MIN_DERIV, ones], axis=-1)
+    if rv.shape[-1] == 0:
+        return dc.constant(dknots)
+    return dc.make_node(
+        dknots, [(raw_d, lambda g: g[..., 1:-1] * 0.5 * (1.0 + np.tanh(0.5 * rv)))])
+
+
+def _composite_spline(x, psi, k, bound):
+    """The op chain that transforms.spline_forward_node replaces: knot nodes
+    over narrows of psi, six gathers, a clip, two wheres and about 30
+    arithmetic nodes."""
+    xk = _knots_node(dc.narrow(psi, -1, 0, k), bound)
+    yk = _knots_node(dc.narrow(psi, -1, k, k), bound)
+    dknots = _knot_derivs_node(dc.narrow(psi, -1, 2 * k, k - 1))
+    xv = x.value
+    idx = np.clip((xv[..., None] >= xk.value).sum(axis=-1) - 1, 0, k - 1)
+    x0, x1 = cops.gather_last(xk, idx), cops.gather_last(xk, idx + 1)
+    y0, y1 = cops.gather_last(yk, idx), cops.gather_last(yk, idx + 1)
+    d0, d1 = cops.gather_last(dknots, idx), cops.gather_last(dknots, idx + 1)
+    w = cops.sub(x1, x0)
+    hgt = cops.sub(y1, y0)
+    s = cops.div(hgt, w)
+    xi = cops.div(cops.sub(cops.clip(x, -bound, bound), x0), w)
+    one_m = cops.sub(1.0, xi)
+    t = dc.mul(xi, one_m)
+    dsum = cops.sub(dc.add(d0, d1), dc.mul(2.0, s))
+    denom = dc.add(s, dc.mul(dsum, t))
+    num = dc.mul(hgt, dc.add(dc.mul(s, dc.mul(xi, xi)), dc.mul(d0, t)))
+    y_in = dc.add(y0, cops.div(num, denom))
+    deriv_num = dc.mul(
+        dc.mul(s, s),
+        dc.add(dc.add(dc.mul(d1, dc.mul(xi, xi)), dc.mul(dc.mul(2.0, s), t)),
+               dc.mul(d0, dc.mul(one_m, one_m))),
+    )
+    ld_in = cops.sub(cops.log(deriv_num), dc.mul(2.0, cops.log(denom)))
+    inside = np.abs(xv) < bound
+    return (cops.where(inside, y_in, x),
+            cops.where(inside, ld_in, dc.constant(np.zeros_like(xv))))
 
 
 # psi vectors below use the graph heads' packing:
@@ -129,9 +173,9 @@ def random_cdf_psi(rng, h=4, scale=0.5):
     )
 
 
-def spline_parts(psi):
-    k = (psi.shape[-1] + 1) // 3
-    return psi[..., :k], psi[..., k:2 * k], psi[..., 2 * k:]
+def spline_table(psi, bound=BOUND):
+    """_spline_parts' table of one psi: x knots, y knots, knot derivatives."""
+    return tf._spline_parts(psi, (psi.shape[-1] + 1) // 3, bound)[0]
 
 
 def spline_fwd(x, psi, bound=BOUND):
@@ -139,12 +183,12 @@ def spline_fwd(x, psi, bound=BOUND):
 
 
 def spline_inv(y, psi, bound=BOUND):
-    raw_w, raw_h, raw_d = spline_parts(psi[None, :])
-    return float(tf.spline_inverse_np(np.array([y]), raw_w, raw_h, raw_d, bound)[0])
+    k = (psi.size + 1) // 3
+    return float(tf.spline_inverse_np(np.array([y]), psi[None, :], k, bound)[0])
 
 
 def x_knots(psi, bound=BOUND):
-    return tf._knot_parts(spline_parts(psi)[0], bound)[0]
+    return spline_table(psi, bound)[0]
 
 
 def random_spline_psi(rng, k=6, scale=1.0):
@@ -575,32 +619,27 @@ class TestSharedCdf:
 
 class TestSplineActivation:
     def test_identity_configuration(self):
-        raw_w, raw_h, raw_d = spline_parts(identity_spline_psi(k=4))
-        xk = tf._knot_parts(raw_w, BOUND)[0]
+        xk, yk, derivs = spline_table(identity_spline_psi(k=4))
         np.testing.assert_allclose(xk, np.linspace(-3, 3, 5), atol=1e-12)
-        np.testing.assert_allclose(tf._knot_parts(raw_h, BOUND)[0], xk, atol=1e-12)
-        np.testing.assert_allclose(tf._knot_derivs(raw_d), 1.0, atol=1e-12)
+        np.testing.assert_allclose(yk, xk, atol=1e-12)
+        np.testing.assert_allclose(derivs, 1.0, atol=1e-12)
 
     def test_knots_strictly_increasing_and_span(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            raw_w, raw_h, _ = spline_parts(random_spline_psi(rng, k=8, scale=3.0))
-            xk = tf._knot_parts(raw_w, BOUND)[0]
-            yk = tf._knot_parts(raw_h, BOUND)[0]
-            assert xk[0] == -BOUND
-            assert xk[-1] == BOUND
+            xk, yk, _ = spline_table(random_spline_psi(rng, k=8, scale=3.0))
+            assert xk[0] == yk[0] == -BOUND
+            assert xk[-1] == yk[-1] == BOUND
             assert (np.diff(xk) > 0).all()
             assert (np.diff(yk) > 0).all()
 
     def test_derivative_floor(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            raw_d = spline_parts(random_spline_psi(rng, k=8, scale=5.0))[2]
-            assert (tf._knot_derivs(raw_d) >= tf.MIN_DERIV).all()
+            assert (spline_table(random_spline_psi(rng, k=8, scale=5.0))[2] >= tf.MIN_DERIV).all()
 
     def test_boundary_derivatives_pinned(self):
-        raw_d = spline_parts(random_spline_psi(np.random.default_rng(14)))[2]
-        derivs = tf._knot_derivs(raw_d)
+        derivs = spline_table(random_spline_psi(np.random.default_rng(14)))[2]
         assert derivs[0] == 1.0
         assert derivs[-1] == 1.0
 
@@ -650,7 +689,7 @@ class TestSplineForward:
         eps = 1e-7
         for _ in range(20):
             psi = random_spline_psi(rng)
-            derivs = tf._knot_derivs(spline_parts(psi)[2])
+            derivs = spline_table(psi)[2]
             for i, knot in enumerate(x_knots(psi)[1:-1], start=1):
                 knot = float(knot)
                 y_lo, _ = spline_fwd(knot - eps, psi)
@@ -709,14 +748,133 @@ class TestSplineInverse:
     def test_graph_matches_plain(self):
         rng = np.random.default_rng(22)
         k = 5
-        psi_rows = rng.standard_normal((3, 2, 3 * k - 1))
-        x = rng.uniform(-4, 4, size=(3, 2))
-        y_node, ld_node = tf.spline_forward_node(
-            dc.constant(x), dc.constant(psi_rows), k, 3.0
-        )
-        y, ld = _spline_reference(x, *spline_parts(psi_rows), 3.0)
-        assert np.abs(y - y_node.value).max() < 1e-12
-        assert np.abs(ld - ld_node.value).max() < 1e-12
+        psi_rows = dc.constant(rng.standard_normal((3, 2, 3 * k - 1)))
+        x = dc.constant(rng.uniform(-4, 4, size=(3, 2)))
+        for got, want in zip(tf.spline_forward_node(x, psi_rows, k, 3.0),
+                             _composite_spline(x, psi_rows, k, 3.0)):
+            np.testing.assert_array_equal(got.value, want.value)
+
+
+def _spline_grads(forward, x, psi, k, g, which):
+    """Value of output `which` (0: y, 1: ld) of forward(x, psi, k, BOUND) and
+    the psi and x gradients of sum(g * output)."""
+    xp, pp = dc.parameter(x.copy()), dc.parameter(psi.copy())
+    out = forward(xp, pp, k, BOUND)[which]
+    dc.backward(dc.sum_(dc.mul(out, dc.constant(g))))
+    return out.value, pp.grad, xp.grad
+
+
+class TestSplineNode:
+    """spline_forward_node against the op chain it replaces and against
+    central differences."""
+
+    @staticmethod
+    def case(rng, k, scale, dtype, lead=(6, 7)):
+        """psi, lanes x over (-4, 4): inside and in both tails, with lanes
+        exactly at -B, B and 0, and an upstream gradient g."""
+        psi = scale * rng.standard_normal(lead + (3 * k - 1,))
+        x = rng.uniform(-4.0, 4.0, lead)
+        x[0, :3] = (-BOUND, BOUND, 0.0)
+        return psi.astype(dtype), x.astype(dtype), rng.standard_normal(lead).astype(dtype)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 4e-15), (np.float32, 4e-6)])
+    def test_matches_composite(self, dtype, tol):
+        # y and ld byte-equal, psi and x gradients within tol * max|reference|;
+        # float32 inputs give float32 values and gradients
+        rng = np.random.default_rng(30)
+        for k in (2, 5, 8):
+            for scale in (0.5, 2.0, 5.0):
+                psi, x, g = self.case(rng, k, scale, dtype)
+                for which in (0, 1):
+                    got = _spline_grads(tf.spline_forward_node, x, psi, k, g, which)
+                    want = _spline_grads(_composite_spline, x, psi, k, g, which)
+                    assert got[0].dtype == dtype
+                    assert got[0].tobytes() == want[0].tobytes(), (k, scale, which)
+                    for grad, ref in zip(got[1:], want[1:]):
+                        assert grad.dtype == dtype
+                        assert np.abs(grad - ref).max() <= tol * np.abs(ref).max(), (k, scale)
+
+    def test_gradient_at_bound(self):
+        # a lane at +-B is in the identity tail: x takes g through y and
+        # nothing through ld, and psi takes nothing from the lane
+        rng = np.random.default_rng(31)
+        psi = rng.standard_normal((2, 3, 3 * 6 - 1))
+        x = np.array([[-BOUND, BOUND, -BOUND], [BOUND, BOUND, -BOUND]])
+        g = rng.standard_normal((2, 3))
+        for which, gx in ((0, g), (1, 0.0)):
+            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, 6, g, which)
+            np.testing.assert_array_equal(value, x if which == 0 else 0.0)
+            np.testing.assert_array_equal(grad_x, gx)
+            np.testing.assert_array_equal(grad_psi, 0.0)
+
+    def test_gradient_matches_central_difference(self):
+        k = 4
+        rng = np.random.default_rng(32)
+        psi = rng.standard_normal((2, 4, 3 * k - 1))
+        # inside (-B, B), both tails, and the bound itself for the psi gradient
+        x = np.array([[-3.6, -1.3, 0.45, 2.2], [4.1, -0.8, BOUND, 1.6]])
+        g = rng.standard_normal((2, 4))
+        table = tf._spline_parts(psi, k, BOUND)[0]
+        assert np.abs(table[..., 0, 1:-1] - x[..., None]).min() > 1e-2
+
+        def value(which, x_in, psi_in):
+            with dc.no_grad():
+                out = tf.spline_forward_node(dc.constant(x_in), dc.constant(psi_in), k, BOUND)
+            return float((g * out[which].value).sum())
+
+        def bumped(a, i, v):
+            a = a.copy()
+            a.flat[i] = v
+            return a
+
+        for which in (0, 1):
+            _, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, k, g, which)
+            fd_psi = np.array([fd_slope(lambda v: value(which, x, bumped(psi, i, v)), psi.flat[i])
+                               for i in range(psi.size)])
+            assert np.abs(fd_psi - grad_psi.ravel()).max() <= 1e-6 * max(1.0, np.abs(fd_psi).max())
+            # ld's slope jumps at +-B, so x is checked off the bound
+            lanes = [i for i in range(x.size) if abs(x.flat[i]) != BOUND]
+            fd_x = np.array([fd_slope(lambda v: value(which, bumped(x, i, v), psi), x.flat[i])
+                             for i in lanes])
+            fd_err = np.abs(fd_x - grad_x.ravel()[lanes]).max()
+            assert fd_err <= 1e-6 * max(1.0, np.abs(fd_x).max())
+
+    def test_one_bin_is_identity(self):
+        # K=1: both knot rows are [-B, B] and both derivatives 1, so every
+        # lane is the identity, ld is 0, and psi gets no gradient
+        rng = np.random.default_rng(33)
+        psi, x, g = self.case(rng, 1, 3.0, np.float64, lead=(5, 4))
+        for which in (0, 1):
+            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, 1, g, which)
+            np.testing.assert_array_equal(value, x if which == 0 else 0.0)
+            np.testing.assert_array_equal(grad_psi, 0.0)
+            np.testing.assert_array_equal(grad_x, g if which == 0 else 0.0)
+        np.testing.assert_array_equal(tf.spline_inverse_np(x, psi, 1, BOUND), x)
+
+    def test_three_nodes_per_call(self, monkeypatch):
+        # the spline is three nodes per block in a training loss, not an op chain
+        model = build_model(ModelConfig(D=4, head_type="spline", E=8, heads=2, layers=1,
+                                        mlp_hidden=16, spline_bins=6, spline_blocks=2), seed=0)
+        make_node, forward = dc.make_node, tf.spline_forward_node
+        calls, depth = [], []
+
+        def counted_make_node(value, parents):
+            if depth:
+                calls[-1] += 1
+            return make_node(value, parents)
+
+        def counted_forward(*args):
+            calls.append(0)
+            depth.append(1)
+            try:
+                return forward(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(dc, "make_node", counted_make_node)
+        monkeypatch.setattr(tf, "spline_forward_node", counted_forward)
+        dc.backward(nll_loss(model, np.random.default_rng(0).standard_normal((3, 4))))
+        assert calls == [3, 3]
 
 
 class TestMix:
