@@ -161,9 +161,9 @@ def save_csv(rows: np.ndarray, path: str, column_names: Optional[list[str]] = No
 def make_splits(matrix: DatasetMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> Splits:
     """Deterministic seeded shuffle, partitioned train/val/test."""
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):  # NaN fails both
         raise DataError(f"need three positive fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise DataError(f"fractions must sum to 1, got {sum(fractions)}")
     n = matrix.n_rows
     sizes = [int(np.floor(f * n)) for f in fractions]

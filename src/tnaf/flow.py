@@ -70,14 +70,14 @@ class ModelConfig:
         )
 
 
-def project_head(hidden: Node, params: ParamSet, prefix: str = "head") -> Node:
-    """Linear projection of hidden embeddings to a head's pseudo-parameters."""
-    return linear(hidden, params[prefix + ".w"], params[prefix + ".b"])
+def project_head(hidden: Node, params: ParamSet) -> Node:
+    """Linear projection `head.{w,b}` of hidden embeddings to a head's psi."""
+    return linear(hidden, params["head.w"], params["head.b"])
 
 
-def _psi_values(hidden_i: np.ndarray, params: ParamSet, prefix: str = "head") -> np.ndarray:
+def _psi_values(hidden_i: np.ndarray, params: ParamSet) -> np.ndarray:
     """project_head on one position's hidden rows [N, E] (inversion path)."""
-    return project_head(dc.constant(hidden_i), params, prefix).value
+    return project_head(dc.constant(hidden_i), params).value
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +180,9 @@ class CdfHead(_ProjectedHead):
 
 
 class SharedCdfHead(Head):
-    """One global monotone net `phi.*` (the per-token net's map, with one
-    global phi.c) whose hidden-layer and output biases are shifted by linear
-    maps of the embedding (no projection layer)."""
+    """One global monotone net `phi.*` (the per-token net's map, one global
+    phi.c) whose biases b1 and b2 are shifted by the embedding's linear maps
+    `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; no projection layer."""
 
     validate = CdfHead.validate
     describe = CdfHead.describe
@@ -195,8 +195,9 @@ class SharedCdfHead(Head):
         params.add("phi.w2", np.full(h, -np.log(h)))
         params.add("phi.b2", np.zeros(1))
         params.add("phi.c", np.zeros(1))
-        params.add("phi.w1_cond", uniform_init(rng, e, (h, e)))
-        params.add("phi.w2_cond", uniform_init(rng, e, (1, e)))
+        # stored [E, out] as `linear` reads them: the [out, E] draws, transposed
+        params.add("phi.w1_cond", np.ascontiguousarray(uniform_init(rng, e, (h, e)).T))
+        params.add("phi.w2_cond", np.ascontiguousarray(uniform_init(rng, e, (1, e)).T))
 
     def param_count(self):
         h, e = self.cfg.cdf_hidden, self.cfg.E
@@ -213,9 +214,10 @@ class SharedCdfHead(Head):
         return tf.cdf_inv_batch(target, psi, self.cfg.cdf_hidden)
 
 
-class SplineHead(Head):
-    """Stack of J blocks: rational-quadratic spline (psi from projection
-    `head{j}`), then unit-lower-triangular mix `mix{j}` (log-det exactly 0).
+class SplineHead(_ProjectedHead):
+    """Stack of J blocks: rational-quadratic spline, then unit-lower-triangular
+    mix `mix{j}` (log-det exactly 0).  One projection `head.{w,b}` emits all
+    J blocks' psi, block j in columns [j (3K - 1), (j + 1)(3K - 1)).
 
     Every block's psi comes from the same conditioner pass, so every block's
     parameters depend only on the original inputs < i.
@@ -223,7 +225,7 @@ class SplineHead(Head):
 
     @property
     def width(self):
-        return 3 * self.cfg.spline_bins - 1
+        return self.cfg.spline_blocks * (3 * self.cfg.spline_bins - 1)
 
     def validate(self):
         cfg = self.cfg
@@ -235,27 +237,25 @@ class SplineHead(Head):
         return f"K={cfg.spline_bins} B={cfg.spline_bound} blocks={cfg.spline_blocks}"
 
     def init(self, params, rng):
-        cfg, e = self.cfg, self.cfg.E
-        for j in range(cfg.spline_blocks):
-            params.add(f"head{j}.w", uniform_init(rng, e, (e, self.width)))
-            params.add(f"head{j}.b", np.zeros(self.width))
+        cfg, e, bw = self.cfg, self.cfg.E, 3 * self.cfg.spline_bins - 1
+        # one [E, 3K - 1] draw per block: block j's initial weights do not depend on J
+        params.add("head.w", np.hstack([uniform_init(rng, e, (e, bw))
+                                        for _ in range(cfg.spline_blocks)]))
+        params.add("head.b", np.zeros(self.width))
         if cfg.D > 1:
             for j in range(cfg.spline_blocks):
                 params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
 
     def param_count(self):
         cfg = self.cfg
-        per_block = (cfg.E + 1) * self.width + cfg.D * (cfg.D - 1) // 2
-        return cfg.spline_blocks * per_block
-
-    def psi_count(self):
-        return self.cfg.D * self.cfg.spline_blocks * self.width
+        return super().param_count() + cfg.spline_blocks * (cfg.D * (cfg.D - 1) // 2)
 
     def forward(self, x, hidden, params):
-        cfg = self.cfg
+        cfg, bw = self.cfg, 3 * self.cfg.spline_bins - 1
+        psi_all = project_head(hidden, params)
         z, ld_total = x, None
         for j in range(cfg.spline_blocks):
-            psi = project_head(hidden, params, f"head{j}")
+            psi = dc.narrow(psi_all, -1, j * bw, bw)
             z, ld = tf.spline_forward_node(z, psi, cfg.spline_bins, cfg.spline_bound)
             ld_total = ld if ld_total is None else dc.add(ld_total, ld)
             free = params[f"mix{j}"] if cfg.D > 1 else None
@@ -275,14 +275,14 @@ class SplineHead(Head):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top."""
         cfg = self.cfg
+        psis = np.split(_psi_values(hidden_i, params), cfg.spline_blocks, axis=1)
         v = target.copy()
         for j in reversed(range(cfg.spline_blocks)):
             lmat, premix = state[j]
             if i > 0:
                 v = v - premix[:, :i] @ lmat[i, :i]
-            psi = _psi_values(hidden_i, params, f"head{j}")
             premix[:, i] = v
-            v = tf.spline_inverse_np(v, psi, cfg.spline_bins, cfg.spline_bound)
+            v = tf.spline_inverse_np(v, psis[j], cfg.spline_bins, cfg.spline_bound)
         return v
 
 

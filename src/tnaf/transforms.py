@@ -206,12 +206,12 @@ def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
 def shared_cdf_psi(h_embed: Node, phi) -> Node:
     """The shared net at embeddings h_embed [..., E] as cdf_forward_node's psi
     [..., 3H + 2]: phi.w1, phi.w2 and phi.c broadcast to every position, and
-    biases b1 = w1_cond h + phi.b1, b2 = w2_cond h + phi.b2 shifted by the
+    biases b1 = h w1_cond + phi.b1, b2 = h w2_cond + phi.b2 shifted by the
     embedding.  phi maps the shared parameter names ``phi.*`` to nodes."""
     lead = h_embed.value.shape[:-1]
     hdim = phi["phi.w1"].value.shape[0]
-    b1 = dc.linear(h_embed, dc.transpose(phi["phi.w1_cond"], (1, 0)), phi["phi.b1"])
-    b2 = dc.linear(h_embed, dc.transpose(phi["phi.w2_cond"], (1, 0)), phi["phi.b2"])
+    b1 = dc.linear(h_embed, phi["phi.w1_cond"], phi["phi.b1"])
+    b2 = dc.linear(h_embed, phi["phi.w2_cond"], phi["phi.b2"])
     return dc.concat([dc.broadcast_to(phi["phi.w1"], lead + (hdim,)), b1,
                       dc.broadcast_to(phi["phi.w2"], lead + (hdim,)), b2,
                       dc.broadcast_to(phi["phi.c"], lead + (1,))], axis=-1)

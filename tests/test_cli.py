@@ -151,22 +151,69 @@ MALFORMED_HEADERS = {
 }
 
 
-@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
-def test_malformed_checkpoint_header_exits_4(tmp_path, capsys, edit):
-    rc = parse_run_config(tiny_model_doc())
-    stats = StandardizationStats(mean=np.zeros(2), std=np.ones(2))
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), build_model(rc.model, seed=1), stats, rc)
+def rewrite_header(path, edit):
+    """Apply edit to a checkpoint's header, keeping its blob and crc."""
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 8)
     header = json.loads(raw[12:12 + n])
     header = edit(header) or header
     encoded = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n:])
+
+
+@pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+def test_malformed_checkpoint_header_exits_4(tmp_path, capsys, edit):
+    rc = parse_run_config(tiny_model_doc())
+    stats = StandardizationStats(mean=np.zeros(2), std=np.ones(2))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(rc.model, seed=1), stats, rc)
+    rewrite_header(path, edit)
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
     assert main(["inspect", "-m", str(path)]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def _per_block_projections(header):
+    """A two-block spline's manifest as it was with one projection head{j} per
+    block."""
+    manifest, old, offset = header["manifest"], [], 0
+    for entry in manifest:
+        if entry["name"] in ("head.w", "head.b"):
+            continue
+        if entry["name"] == "mix0":
+            # head.w [E, 2W] and head.b [2W] as head0.{w,b} and head1.{w,b}
+            e, width = next(x["shape"] for x in manifest if x["name"] == "head.w")
+            for j in range(2):
+                old += [{"name": f"head{j}.w", "shape": [e, width // 2]},
+                        {"name": f"head{j}.b", "shape": [width // 2]}]
+        old.append(entry)
+    for entry in old:
+        entry["offset"] = offset
+        offset += int(np.prod(entry["shape"]))
+    header["manifest"] = old
+
+
+def _conditioning_weight_as_out_by_e(header):
+    """shared_cdf's manifest with phi.w1_cond in its old [H, E] shape."""
+    for entry in header["manifest"]:
+        if entry["name"] == "phi.w1_cond":
+            entry["shape"] = entry["shape"][::-1]
+
+
+@pytest.mark.parametrize("head_type, edit, message", [
+    ("spline", _per_block_projections, "manifest does not match the architecture"),
+    ("shared_cdf", _conditioning_weight_as_out_by_e,
+     "parameter phi.w1_cond has shape (4, 8), expected (8, 4)"),
+])
+def test_old_projection_layout_exits_4(tmp_path, capsys, head_type, edit, message):
+    rc = parse_run_config(tiny_model_doc(head_type=head_type))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(rc.model, seed=1),
+                    StandardizationStats(mean=np.zeros(2), std=np.ones(2)), rc)
+    rewrite_header(path, edit)
+    assert main(["inspect", "-m", str(path)]) == 4
+    assert message in capsys.readouterr().err
 
 
 class TestCliTrainEval:
@@ -249,6 +296,16 @@ class TestCliTrainEval:
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2,3\n4,5,6\n")
         assert main(["eval", "-m", str(ckpt), "-d", str(bad)]) == 3
+
+    def test_nan_split_fraction_exits_3(self, tmp_path, capsys):
+        # json reads NaN as a number; it must fail the positivity check
+        doc = tiny_model_doc(toy="ring", n=400, seed=3,
+                             fractions=[float("nan"), 0.5, 0.5])
+        cfg = write_config(tmp_path, doc)
+        assert "NaN" in (tmp_path / "run.json").read_text()
+        assert main(["train", "-c", cfg, "-o", str(tmp_path / "out.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert "data error:" in err and "Traceback" not in err
 
     def test_eval_empty_data_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, tiny_model_doc())

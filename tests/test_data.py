@@ -137,6 +137,8 @@ class TestSplits:
             make_splits(matrix, (0.5, 0.5, 0.5), seed=0)
         with pytest.raises(DataError):
             make_splits(matrix, (1.0, -0.5, 0.5), seed=0)
+        with pytest.raises(DataError):
+            make_splits(matrix, (np.nan, 0.5, 0.5), seed=0)
 
     def test_zero_size_split(self):
         matrix = DatasetMatrix(np.ones((3, 1)))

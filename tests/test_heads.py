@@ -9,22 +9,27 @@ import hashlib
 import numpy as np
 import pytest
 
+from tnaf import flow
 from tnaf.checkpoint import load_checkpoint, parse_run_config, save_checkpoint
 from tnaf.cli import main
+from tnaf.conditioner import init_conditioner_params, uniform_init
 from tnaf.data import StandardizationStats
 from tnaf.flow import (
-    HEADS, build_model, forward_values, invert_rows, log_prob, sample, total_param_count,
+    HEADS, build_model, forward_values, invert_rows, log_prob, nll_loss, sample,
+    total_param_count,
 )
 
 # sha256 of the untrained checkpoint of tiny_doc(head) at seed 0, re-pinned
-# when the all-zero attention key biases layer*.bk left the manifest (every
-# other stored value kept its bytes).  Pins parameter names, order and shapes
-# and the order of the build-RNG draws.
+# when the all-zero attention key biases layer*.bk left the manifest, and
+# for spline and shared_cdf when the spline's per-block projections
+# head{j}.{w,b} became one head.{w,b} and phi.w{1,2}_cond were stored [E, out]
+# (every stored value kept its bytes or, for phi.w1_cond, its transpose's).
+# Pins parameter names, order and shapes and the order of the build-RNG draws.
 GOLDEN_SHA256 = {
     "affine": "eea15fb36962ed084396f0a421ef3ee1c6b73923d21f2710ddbbc5a1bb9a699f",
     "cdf": "ab3928594ee06571fdd714c00e3746c1e0d0ca1051dde8941a761a192a146846",
-    "shared_cdf": "0d608a76df29aaf8bb09180615b9d3f338e2563c6dbeb6e980e0d7037539ca01",
-    "spline": "9e88bdae56a699fe5ea2cc814c6e474b4b2374a6a39a633207524fa1e442a94b",
+    "shared_cdf": "58ec072cb12e1508d8659d3d049aec3ca74f9239952003c7289db95a64d74a20",
+    "spline": "232965862223ab14f26bebf25b52e450bac8017dc93f2f4749b475840dc7d769",
 }
 
 
@@ -55,11 +60,10 @@ def test_param_count_matches_parameters(head, tmp_path):
 
 def test_psi_count_behind_count_with_psi(head, tmp_path, capsys):
     model, _, path = untrained(head, tmp_path)
-    # projected heads emit the widths of their head*.b biases per position;
+    # projected heads emit the width of their one head.b bias per position;
     # unprojected ones read the E-wide embedding itself
-    widths = sum(p.value.size for name, p in model.params.items()
-                 if name.startswith("head") and name.endswith(".b"))
-    assert model.head.psi_count() == model.D * (widths or model.config.E)
+    width = model.params["head.b"].value.size if "head.b" in model.params.names() else 0
+    assert model.head.psi_count() == model.D * (width or model.config.E)
     assert main(["inspect", "-m", str(path), "--count-with-psi"]) == 0
     printed = capsys.readouterr().out.split("param_count=")[1].split()[0]
     assert int(printed) == total_param_count(model.config) + model.head.psi_count()
@@ -102,3 +106,62 @@ def test_untrained_checkpoint_matches_golden_hash(head, tmp_path):
     _, _, path = untrained(head, tmp_path)
     assert head in GOLDEN_SHA256, f"pin the untrained checkpoint hash of head {head!r}"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[head]
+
+
+def counting_project_head(monkeypatch):
+    """Wrap flow.project_head, as a tracer does; returns the call log."""
+    calls = []
+    inner = flow.project_head
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "project_head", counted)
+    return calls
+
+
+def test_spline_projects_once_per_loss(tmp_path, monkeypatch):
+    # one projection emits every block's psi; one per block would be J calls
+    model, _, _ = untrained("spline", tmp_path)
+    assert model.config.spline_blocks == 2
+    calls = counting_project_head(monkeypatch)
+    nll_loss(model, np.random.default_rng(0).standard_normal((4, 3)))
+    assert len(calls) == 1
+
+
+def test_spline_projects_once_per_inverted_dimension(tmp_path, monkeypatch):
+    model, _, _ = untrained("spline", tmp_path)
+    calls = counting_project_head(monkeypatch)
+    invert_rows(model, np.random.default_rng(0).standard_normal((4, 3)))
+    assert len(calls) == model.D
+
+
+def replay_head_draws(cfg, seed=0):
+    """The build RNG as the head's init finds it, past the conditioner's draws
+    (untrained() builds at seed 0)."""
+    rng = np.random.default_rng(seed)
+    init_conditioner_params(cfg.conditioner_config(), rng)
+    return rng
+
+
+def test_spline_projection_keeps_the_per_block_draws(tmp_path):
+    model, _, _ = untrained("spline", tmp_path)
+    cfg = model.config
+    rng = replay_head_draws(cfg)
+    blocks = [uniform_init(rng, cfg.E, (cfg.E, 3 * cfg.spline_bins - 1))
+              for _ in range(cfg.spline_blocks)]
+    joined = np.concatenate(blocks, axis=1)
+    assert model.params["head.w"].value.tobytes() == joined.tobytes()
+
+
+def test_shared_cdf_conditioning_weights_are_the_old_draws_transposed(tmp_path):
+    model, _, _ = untrained("shared_cdf", tmp_path)
+    cfg = model.config
+    rng = replay_head_draws(cfg)
+    w1 = uniform_init(rng, cfg.E, (cfg.cdf_hidden, cfg.E))
+    w2 = uniform_init(rng, cfg.E, (1, cfg.E))
+    for name, old in (("phi.w1_cond", w1), ("phi.w2_cond", w2)):
+        value = model.params[name].value
+        assert value.shape == (cfg.E, old.shape[0]) and value.flags.c_contiguous
+        assert value.tobytes() == np.ascontiguousarray(old.T).tobytes()

@@ -208,8 +208,8 @@ def mix_only_flow(free, d, bound=BOUND):
     model = build_model(ModelConfig(D=d, head_type="spline", E=8, heads=2, layers=1,
                                     mlp_hidden=16, spline_bins=4, spline_bound=bound,
                                     spline_blocks=1))
-    model.params["head0.w"].value[:] = 0.0
-    model.params["head0.b"].value = identity_spline_psi(k=4)
+    model.params["head.w"].value[:] = 0.0
+    model.params["head.b"].value = identity_spline_psi(k=4)
     if d > 1:
         model.params["mix0"].value = np.asarray(free, dtype=np.float64)
     return model
@@ -516,8 +516,8 @@ class TestSharedCdf:
             "phi.w2": 0.3 * rng.standard_normal(h) - np.log(h),
             "phi.b2": 0.3 * rng.standard_normal(1),
             "phi.c": 0.3 * rng.standard_normal(1),
-            "phi.w1_cond": rng.standard_normal((h, e)) / np.sqrt(e),
-            "phi.w2_cond": rng.standard_normal((1, e)) / np.sqrt(e),
+            "phi.w1_cond": rng.standard_normal((e, h)) / np.sqrt(e),
+            "phi.w2_cond": rng.standard_normal((e, 1)) / np.sqrt(e),
         }
 
     def shared_fwd(self, x, h_rows, phi):
@@ -530,8 +530,8 @@ class TestSharedCdf:
 
     def reference(self, x, h_rows, phi):
         """The shared net is the per-token net with embedding-shifted biases."""
-        b1 = phi["phi.b1"] + h_rows @ phi["phi.w1_cond"].T
-        b2 = phi["phi.b2"][0] + (h_rows @ phi["phi.w2_cond"].T)[..., 0]
+        b1 = phi["phi.b1"] + h_rows @ phi["phi.w1_cond"]
+        b2 = phi["phi.b2"][0] + (h_rows @ phi["phi.w2_cond"])[..., 0]
         return _cdf_reference(x, phi["phi.w1"], b1, phi["phi.w2"], b2, phi["phi.c"][0])
 
     def scalar(self, x, h_embed, phi):
@@ -592,8 +592,8 @@ class TestSharedCdf:
             # the shared head before shared_cdf_psi: biases shifted by the
             # embedding, global weights broadcast by the ops themselves
             flat = dc.reshape(h_embed, (6, 6))
-            cond1 = dc.matmul(flat, dc.transpose(phi["phi.w1_cond"], (1, 0)))
-            cond2 = dc.matmul(flat, dc.transpose(phi["phi.w2_cond"], (1, 0)))
+            cond1 = dc.matmul(flat, phi["phi.w1_cond"])
+            cond2 = dc.matmul(flat, phi["phi.w2_cond"])
             b1 = dc.add(dc.reshape(cond1, (3, 2, 4)), phi["phi.b1"])
             b2 = dc.add(dc.reshape(cond2, (3, 2)), dc.reshape(phi["phi.b2"], ()))
             return _composite_cdf(x, phi["phi.w1"], b1, phi["phi.w2"], b2,
