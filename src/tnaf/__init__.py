@@ -9,7 +9,7 @@ inversion.
 from . import checks, checkpoint, cli, conditioner, data, diffcore, flow, trainer, transforms
 from .checkpoint import RunConfig, load_checkpoint, save_checkpoint
 from .data import DatasetMatrix, Splits, StandardizationStats, load_matrix, make_splits, standardize, toy_generate
-from .flow import FlowModel, ModelConfig, build_model, log_prob, nll_loss, sample, total_param_count
+from .flow import FlowModel, ModelConfig, build_model, log_prob, nll_loss, sample
 from .trainer import TrainConfig, TrainReport, evaluate, train
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "save_checkpoint",
     "standardize",
     "toy_generate",
-    "total_param_count",
     "train",
     "trainer",
     "transforms",

@@ -23,7 +23,7 @@ import json
 import numbers
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -90,11 +90,8 @@ _MODEL_KEYS = {
     "B": "spline_bound",
     "blocks": "spline_blocks",
 }
-_TRAIN_KEYS = {
-    "learning_rate", "batch_size", "max_steps", "clip_norm",
-    "patience", "eval_every", "seed",
-}
-_DATA_KEYS = {"path", "format", "toy", "n", "fractions", "seed"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+_DATA_KEYS = {f.name for f in fields(DataConfig)}
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
@@ -139,28 +136,25 @@ def parse_run_config(doc: dict) -> RunConfig:
     return RunConfig(model=model, train=train, data=data)
 
 
-def load_run_config(path: str) -> RunConfig:
+def read_json(path: str):
+    """The JSON document in a UTF-8 file; ConfigError if it is not one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: malformed JSON: {err}") from None
-    return parse_run_config(doc)
+
+
+def load_run_config(path: str) -> RunConfig:
+    return parse_run_config(read_json(path))
 
 
 def run_config_to_dict(rc: RunConfig) -> dict:
     """Canonical full echo (defaults filled in), as stored in checkpoints."""
-    model = {key: getattr(rc.model, field) for key, field in _MODEL_KEYS.items()}
-    train = {k: getattr(rc.train, k) for k in sorted(_TRAIN_KEYS)}
-    data = {
-        "path": rc.data.path,
-        "format": rc.data.format,
-        "toy": rc.data.toy,
-        "n": rc.data.n,
-        "fractions": list(rc.data.fractions),
-        "seed": rc.data.seed,
-    }
-    return {"model": model, "train": train, "data": data}
+    model = {key: getattr(rc.model, name) for key, name in _MODEL_KEYS.items()}
+    return {"model": model, "train": asdict(rc.train), "data": asdict(rc.data)}
 
 
 # ---------------------------------------------------------------------------

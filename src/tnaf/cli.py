@@ -1,16 +1,15 @@
 """Command-line surface: train, eval, sample, invert, check, inspect, ablate.
 
 Exit codes: 0 success, 1 internal error, 2 config/usage error, 3 data error
-(including dimension mismatch), 4 corrupt checkpoint (including non-finite
-weights, a malformed header or unusable standardization stats), 5 inversion
-failure.
+(including dimension mismatch and a file that cannot be read or written), 4
+corrupt checkpoint (including non-finite weights, a malformed header or
+unusable standardization stats), 5 inversion failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import json
 import sys
 
 import numpy as np
@@ -22,6 +21,7 @@ from .checkpoint import (
     load_checkpoint,
     load_run_config,
     parse_run_config,
+    read_json,
     round_to_stored,
     save_checkpoint,
 )
@@ -39,13 +39,7 @@ from .data import (
     toy_generate,
 )
 from .diffcore import DimensionError
-from .flow import (
-    FlowModel,
-    build_model,
-    invert_rows,
-    sample,
-    total_param_count,
-)
+from .flow import FlowModel, build_model, invert_rows, sample
 from .trainer import TrainingFault, evaluate, train
 from .transforms import InversionError
 
@@ -90,7 +84,7 @@ def _train_run(rc: RunConfig, log_fn) -> tuple[FlowModel, StandardizationStats, 
 
 
 def _printed_count(model: FlowModel, with_psi: bool) -> int:
-    count = total_param_count(model.config)
+    count = model.params.total_count()
     if with_psi:
         count += model.head.psi_count()
     return count
@@ -174,11 +168,7 @@ _ABLATE_GRID_KEYS = {"head_type", "layers"}
 
 
 def cmd_ablate(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{args.config}: malformed JSON: {err}") from None
+    doc = read_json(args.config)
     if not isinstance(doc, dict) or set(doc) - {"base", "grid"}:
         raise ConfigError("ablation config needs exactly the keys base and grid")
     grid, base_doc = doc.get("grid", {}), doc.get("base", {})
@@ -204,7 +194,7 @@ def cmd_ablate(args) -> int:
             model, _, test_ll, test_err = _train_run(rc, log_fn=None)
             lines.append(
                 f"{head_type}\t{layers}\t{test_ll:.6f}\t{test_err:.6f}"
-                f"\t{total_param_count(model.config)}"
+                f"\t{model.params.total_count()}"
             )
     table = "\n".join(lines)
     print(table)
@@ -289,8 +279,8 @@ def main(argv=None) -> int:
     except TrainingFault as err:
         print(f"training fault: {err}", file=sys.stderr)
         return EXIT_INTERNAL
-    except FileNotFoundError as err:
-        print(f"file not found: {err}", file=sys.stderr)
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return EXIT_DATA
 
 

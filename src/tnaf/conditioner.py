@@ -9,18 +9,24 @@ Because hidden row i depends on tokens <= i only, the rows can also be
 produced one at a time: `condition` with a `KVCache` encodes one new token
 per call and attends over the keys and values cached from earlier calls
 (incremental decoding; Shazeer 2019, arXiv:1911.02150).
+
+Every function reads its shape (D, E, heads, layers, mlp_hidden) from the
+flow's `ModelConfig`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import DimensionError, Node, ParamSet
+
+if TYPE_CHECKING:
+    from .flow import ModelConfig
 
 LAYER_NORM_EPS = 1e-5
 
@@ -40,39 +46,13 @@ def require_positive_reals(**values) -> None:
             raise DimensionError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-@dataclass
-class ConditionerConfig:
-    D: int
-    E: int = 32
-    heads: int = 8
-    L: int = 3
-    mlp_hidden: int = 64
-
-    def __post_init__(self):
-        require_ints(1, D=self.D, E=self.E, heads=self.heads, L=self.L,
-                     mlp_hidden=self.mlp_hidden)
-        if self.E % self.heads != 0:
-            raise DimensionError(f"E={self.E} not divisible by heads={self.heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.E // self.heads
-
-
-def conditioner_param_count(cfg: ConditionerConfig) -> int:
-    """Closed-form size of the conditioner (affine in D with slope E)."""
-    e, m, d = cfg.E, cfg.mlp_hidden, cfg.D
-    per_layer = 2 * e + 4 * e * e + 3 * e + 2 * e + e * m + m + m * e + e
-    return 2 * e + e + d * e + cfg.L * per_layer
-
-
 def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     """Weights ~ U(+-1/sqrt(fan_in)), drawn from the build RNG."""
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) -> ParamSet:
+def init_conditioner_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
     """Fresh parameters: weights ~ U(+-1/sqrt(fan_in)), biases 0, position
     and start-token embeddings ~ N(0, 0.02)."""
     e, m = cfg.E, cfg.mlp_hidden
@@ -81,7 +61,7 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
     params.add("input_proj.b", np.zeros(e))
     params.add("bos", rng.normal(0.0, 0.02, size=e))
     params.add("positional", rng.normal(0.0, 0.02, size=(cfg.D, e)))
-    for layer in range(cfg.L):
+    for layer in range(cfg.layers):
         p = f"layer{layer}."
         params.add(p + "ln1.g", np.ones(e))
         params.add(p + "ln1.b", np.zeros(e))
@@ -100,7 +80,7 @@ def init_conditioner_params(cfg: ConditionerConfig, rng: np.random.Generator) ->
     return params
 
 
-def embed_sequence(x, params: ParamSet, cfg: ConditionerConfig, start: int = 0) -> Node:
+def embed_sequence(x, params: ParamSet, cfg: ModelConfig, start: int = 0) -> Node:
     """Token embeddings from position `start` on: the start token at
     position 0, input p-1 projected (plus its position) at position p > 0.
 
@@ -139,10 +119,10 @@ class KVCache:
     sequence of `condition` steps; it is never stored on a model.
     """
 
-    def __init__(self, cfg: ConditionerConfig, n: int):
-        shape = (n, cfg.heads, cfg.D, cfg.head_dim)
-        self.keys = [np.zeros(shape) for _ in range(cfg.L)]
-        self.values = [np.zeros(shape) for _ in range(cfg.L)]
+    def __init__(self, cfg: ModelConfig, n: int):
+        shape = (n, cfg.heads, cfg.D, cfg.E // cfg.heads)
+        self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
+        self.values = [np.zeros(shape) for _ in range(cfg.layers)]
         self.length = 0
 
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[Node, Node]:
@@ -155,7 +135,7 @@ class KVCache:
                 dc.constant(self.values[layer][:, :, :end]))
 
 
-def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfig,
+def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
                   cache: KVCache | None = None) -> Node:
     """Pre-norm encoder block: x + MHA(ln(x)), then u + MLP(ln(u)).
 
@@ -164,7 +144,7 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfi
     appended to the cache and their queries attend over the whole prefix.
     """
     n, d, e = seq.value.shape
-    h, dk = cfg.heads, cfg.head_dim
+    h, dk = cfg.heads, cfg.E // cfg.heads
     p = f"layer{layer}."
 
     normed = dc.layer_norm(seq, params[p + "ln1.g"], params[p + "ln1.b"], LAYER_NORM_EPS)
@@ -191,7 +171,7 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ConditionerConfi
     return dc.add(u, dc.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
 
 
-def condition(x, params: ParamSet, cfg: ConditionerConfig,
+def condition(x, params: ParamSet, cfg: ModelConfig,
               cache: KVCache | None = None) -> Node:
     """Full conditioner pass: hidden embedding i depends on inputs < i only.
 
@@ -203,7 +183,7 @@ def condition(x, params: ParamSet, cfg: ConditionerConfig,
     seq = embed_sequence(x, params, cfg, 0 if cache is None else cache.length)
     if cache is not None and seq.value.shape[-2] != 1:
         raise DimensionError(f"a cached step encodes one token, got {seq.value.shape[-2]}")
-    for layer in range(cfg.L):
+    for layer in range(cfg.layers):
         seq = encoder_layer(seq, params, layer, cfg, cache)
     if cache is not None:
         cache.length += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -30,7 +30,6 @@ class DataError(ValueError):
 @dataclass
 class DatasetMatrix:
     data: np.ndarray  # [N, D] float64
-    column_names: Optional[list[str]] = None
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -73,17 +72,18 @@ def _reject_nonfinite(data: np.ndarray, source: str) -> None:
 
 
 def _load_csv(path: str) -> DatasetMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text: {err}") from None
     if not lines:
         raise ParseError(f"{path}: empty dataset")
-    column_names = None
     start = 0
     try:
         [float(tok) for tok in lines[0].split(",")]
     except ValueError:
-        column_names = [tok.strip() for tok in lines[0].split(",")]
-        start = 1
+        start = 1  # a header line
     if start >= len(lines):
         raise ParseError(f"{path}: no data rows after header")
     rows = []
@@ -100,13 +100,12 @@ def _load_csv(path: str) -> DatasetMatrix:
             rows.append([float(tok) for tok in tokens])
         except ValueError as err:
             raise ParseError(f"{path}: line {lineno}: {err}") from None
-    if column_names is not None and len(column_names) != width:
-        raise ParseError(
-            f"{path}: header has {len(column_names)} names but rows have {width} fields"
-        )
+    names = len(lines[0].split(","))
+    if start and names != width:
+        raise ParseError(f"{path}: header has {names} names but rows have {width} fields")
     data = np.asarray(rows, dtype=np.float64)
     _reject_nonfinite(data, path)
-    return DatasetMatrix(data, column_names)
+    return DatasetMatrix(data)
 
 
 _RAW_HEADER = struct.Struct("<QQ")
@@ -145,10 +144,8 @@ def save_raw_f32(matrix: DatasetMatrix, path: str) -> None:
         fh.write(np.ascontiguousarray(matrix.data, dtype="<f4").tobytes())
 
 
-def save_csv(rows: np.ndarray, path: str, column_names: Optional[list[str]] = None) -> None:
+def save_csv(rows: np.ndarray, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if column_names:
-            fh.write(",".join(column_names) + "\n")
         for row in np.atleast_2d(rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -173,7 +170,7 @@ def make_splits(matrix: DatasetMatrix, fractions=(0.8, 0.1, 0.1), seed: int = 0)
         raise DataError(f"split of size 0 for {n} rows with fractions {fractions}")
     perm = np.random.default_rng(seed).permutation(n)
     parts = np.split(matrix.data[perm], np.cumsum(sizes)[:-1])
-    return Splits(*(DatasetMatrix(p.copy(), matrix.column_names) for p in parts))
+    return Splits(*(DatasetMatrix(p.copy()) for p in parts))
 
 
 def standardize(splits: Splits) -> tuple[Splits, StandardizationStats]:
@@ -187,10 +184,8 @@ def standardize(splits: Splits) -> tuple[Splits, StandardizationStats]:
     if zero.size:
         raise DataError(f"column {int(zero[0])} has zero variance in the train split")
     stats = StandardizationStats(mean, std)
-    out = Splits(*(
-        DatasetMatrix(stats.apply(part.data), part.column_names)
-        for part in (splits.train, splits.val, splits.test)
-    ))
+    out = Splits(*(DatasetMatrix(stats.apply(part.data))
+                   for part in (splits.train, splits.val, splits.test)))
     return out, stats
 
 
@@ -248,7 +243,7 @@ def toy_generate(name: str, n: int, seed: int) -> DatasetMatrix:
         data = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
     else:
         raise DataError(f"unknown toy distribution {name!r}")
-    return DatasetMatrix(data, ["x0", "x1"])
+    return DatasetMatrix(data)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,8 @@ import numpy as np
 from . import diffcore as dc
 from . import transforms as tf
 from .conditioner import (
-    ConditionerConfig,
     KVCache,
     condition,
-    conditioner_param_count,
     init_conditioner_params,
     require_ints,
     require_positive_reals,
@@ -54,20 +52,12 @@ class ModelConfig:
             )
         require_ints(1, D=self.D, E=self.E, heads=self.heads, layers=self.layers,
                      mlp_hidden=self.mlp_hidden)
-        self.conditioner_config()  # E divisible by heads
+        if self.E % self.heads != 0:
+            raise DimensionError(f"E={self.E} not divisible by heads={self.heads}")
         self.head().validate()
 
     def head(self) -> Head:
         return HEADS[self.head_type](self)
-
-    def conditioner_config(self) -> ConditionerConfig:
-        return ConditionerConfig(
-            D=self.D,
-            E=self.E,
-            heads=self.heads,
-            L=self.layers,
-            mlp_hidden=self.mlp_hidden,
-        )
 
 
 def project_head(hidden: Node, params: ParamSet) -> Node:
@@ -94,7 +84,6 @@ class Head:
 
     * ``init(params, rng)``: add its parameters after the conditioner's,
       drawing from the build RNG;
-    * ``param_count()``: closed-form count of what ``init`` adds;
     * ``psi_count()``: pseudo-parameters emitted per input vector;
     * ``forward(x, hidden, params)``: the graph map x [N, D] ->
       (y [N, D], per-dimension logdet [N, D]), each dimension strictly
@@ -129,9 +118,6 @@ class _ProjectedHead(Head):
         e = self.cfg.E
         params.add("head.w", uniform_init(rng, e, (e, self.width)))
         params.add("head.b", np.zeros(self.width))
-
-    def param_count(self):
-        return (self.cfg.E + 1) * self.width
 
     def psi_count(self):
         return self.cfg.D * self.width
@@ -199,10 +185,6 @@ class SharedCdfHead(Head):
         params.add("phi.w1_cond", np.ascontiguousarray(uniform_init(rng, e, (h, e)).T))
         params.add("phi.w2_cond", np.ascontiguousarray(uniform_init(rng, e, (1, e)).T))
 
-    def param_count(self):
-        h, e = self.cfg.cdf_hidden, self.cfg.E
-        return 3 * h + 2 + h * e + e
-
     def psi_count(self):
         return self.cfg.D * self.cfg.E
 
@@ -245,10 +227,6 @@ class SplineHead(_ProjectedHead):
         if cfg.D > 1:
             for j in range(cfg.spline_blocks):
                 params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
-
-    def param_count(self):
-        cfg = self.cfg
-        return super().param_count() + cfg.spline_blocks * (cfg.D * (cfg.D - 1) // 2)
 
     def forward(self, x, hidden, params):
         cfg, bw = self.cfg, 3 * self.cfg.spline_bins - 1
@@ -294,14 +272,9 @@ HEADS: dict[str, type[Head]] = {
 }
 
 
-def total_param_count(cfg: ModelConfig) -> int:
-    return conditioner_param_count(cfg.conditioner_config()) + cfg.head().param_count()
-
-
 @dataclass
 class FlowModel:
     config: ModelConfig
-    cond: ConditionerConfig
     params: ParamSet
     head: Head
 
@@ -324,11 +297,10 @@ class LogProbResult:
 def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
     """Fresh model: conditioner parameters, then the head's."""
     rng = np.random.default_rng(seed)
-    cond_cfg = cfg.conditioner_config()
-    params = init_conditioner_params(cond_cfg, rng)
+    params = init_conditioner_params(cfg, rng)
     head = cfg.head()
     head.init(params, rng)
-    return FlowModel(cfg, cond_cfg, params, head)
+    return FlowModel(cfg, params, head)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +310,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
 
 def transform_forward(model: FlowModel, x: np.ndarray) -> tuple[Node, Node]:
     """x [N, D] -> (y [N, D], per-dimension logdet [N, D]) as graph nodes."""
-    hidden = condition(x, model.params, model.cond)
+    hidden = condition(x, model.params, model.config)
     return model.head.forward(dc.constant(x), hidden, model.params)
 
 
@@ -424,14 +396,14 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         raise DimensionError("targets must be finite")
     n, d = noise.shape
     x = np.zeros((n, d))
-    cache = KVCache(model.cond, n)
+    cache = KVCache(model.config, n)
     # a column that overflows is caught by the finiteness check below, so
     # numpy's floating-point warnings on the way there would say nothing more
     with dc.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = model.head.inverse_state(model.params, n)
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
-            hidden = condition(x[:, max(i - 1, 0):i], model.params, model.cond, cache).value
+            hidden = condition(x[:, max(i - 1, 0):i], model.params, model.config, cache).value
             try:
                 x[:, i] = model.head.inverse(model.params, hidden[:, 0], noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])

@@ -2,13 +2,17 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from tnaf.checkpoint import (
+    _MODEL_KEYS,
     CheckpointError,
     ConfigError,
+    DataConfig,
+    RunConfig,
     load_checkpoint,
     parse_run_config,
     run_config_to_dict,
@@ -17,8 +21,8 @@ from tnaf.checkpoint import (
 from tnaf import checks
 from tnaf.cli import _pipeline, _train_run, main
 from tnaf.data import StandardizationStats, load_matrix, save_csv
-from tnaf.flow import build_model, forward_values, total_param_count
-from tnaf.trainer import evaluate
+from tnaf.flow import ModelConfig, build_model, forward_values
+from tnaf.trainer import TrainConfig, evaluate
 
 
 def tiny_model_doc(head_type="affine", layers=1, with_train=True, **data):
@@ -81,6 +85,30 @@ class TestRunConfig:
         echo = run_config_to_dict(rc)
         rc2 = parse_run_config(echo)
         assert run_config_to_dict(rc2) == echo
+
+    def test_every_model_field_has_a_key(self):
+        # a field without a key would drop out of the checkpoint's echo, and
+        # load_checkpoint would rebuild the model with that field's default
+        assert set(_MODEL_KEYS.values()) == {f.name for f in fields(ModelConfig)}
+
+    def test_echo_of_a_full_config(self):
+        rc = RunConfig(
+            model=ModelConfig(D=3, head_type="spline", E=12, heads=3, layers=2,
+                              mlp_hidden=20, cdf_hidden=5, spline_bins=6,
+                              spline_bound=2.5, spline_blocks=3),
+            train=TrainConfig(learning_rate=0.01, batch_size=32, max_steps=70,
+                              clip_norm=2.0, patience=4, eval_every=9, seed=6),
+            data=DataConfig(path="x.csv", format="csv", n=80,
+                            fractions=(0.5, 0.25, 0.25), seed=2),
+        )
+        assert run_config_to_dict(rc) == {
+            "model": {"D": 3, "E": 12, "heads": 3, "layers": 2, "mlp_hidden": 20,
+                      "head_type": "spline", "H": 5, "K": 6, "B": 2.5, "blocks": 3},
+            "train": {"learning_rate": 0.01, "batch_size": 32, "max_steps": 70,
+                      "clip_norm": 2.0, "patience": 4, "eval_every": 9, "seed": 6},
+            "data": {"path": "x.csv", "format": "csv", "toy": None, "n": 80,
+                     "fractions": (0.5, 0.25, 0.25), "seed": 2},
+        }
 
 
 class TestCheckpointFormat:
@@ -225,9 +253,8 @@ class TestCliTrainEval:
         last = out[-1]
         assert last.startswith("test_ll=")
         assert "param_count=" in last
-        count = int(last.split("param_count=")[1])
-        rc = parse_run_config(tiny_model_doc())
-        assert count == total_param_count(rc.model)
+        # the parameters of tiny_model_doc's D=2 affine model
+        assert int(last.split("param_count=")[1]) == 650
         assert ckpt.exists()
 
     def test_malformed_json_exits_2(self, tmp_path):
@@ -332,8 +359,49 @@ class TestCliTrainEval:
         main(["train", "-c", cfg, "-o", str(ckpt), "--count-with-psi"])
         last = capsys.readouterr().out.strip().splitlines()[-1]
         count = int(last.split("param_count=")[1])
+        assert count == 650 + 2 * 2  # D * affine psi width
+
+
+class TestUnreadableInput:
+    """A file that cannot be read or decoded exits with a code and one
+    stderr line, never a traceback."""
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
         rc = parse_run_config(tiny_model_doc())
-        assert count == total_param_count(rc.model) + 2 * 2  # D * affine psi width
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), build_model(rc.model),
+                        StandardizationStats(np.zeros(2), np.ones(2)), rc)
+        return str(path)
+
+    @staticmethod
+    def one_line(capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_directory_as_config_exits_3(self, tmp_path, capsys, command):
+        out = ["-o", str(tmp_path / "out")] if command == "train" else []
+        assert main([command, "-c", str(tmp_path), *out]) == 3
+        self.one_line(capsys, "file error:")
+
+    def test_directory_as_eval_data_exits_3(self, tmp_path, capsys, ckpt):
+        assert main(["eval", "-m", ckpt, "-d", str(tmp_path)]) == 3
+        self.one_line(capsys, "file error:")
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"model": {"D": 2}, "data": "\xff"}')
+        out = ["-o", str(tmp_path / "out")] if command == "train" else []
+        assert main([command, "-c", str(cfg), *out]) == 2
+        self.one_line(capsys, "config error:")
+
+    def test_non_utf8_eval_data_exits_3(self, tmp_path, capsys, ckpt):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"1.0,2.0\n\xff,3.0\n")
+        assert main(["eval", "-m", ckpt, "-d", str(data)]) == 3
+        self.one_line(capsys, "data error:")
 
 
 class TestCliSampleInvert:

@@ -6,10 +6,8 @@ import pytest
 from tnaf import conditioner
 from tnaf import diffcore as dc
 from tnaf.conditioner import (
-    ConditionerConfig,
     KVCache,
     condition,
-    conditioner_param_count,
     embed_sequence,
     encoder_layer,
     init_conditioner_params,
@@ -22,17 +20,16 @@ from tnaf.flow import (
     forward_values,
     invert_rows,
     project_head,
-    total_param_count,
 )
 
-TINY = dict(E=8, heads=2, L=1, mlp_hidden=16)
+TINY = dict(E=8, heads=2, layers=1, mlp_hidden=16)
 PSI = 3  # projection width used by the head-projection tests
 
 
 def tiny_config(d, **overrides):
     kwargs = dict(TINY)
     kwargs.update(overrides)
-    return ConditionerConfig(D=d, **kwargs)
+    return ModelConfig(D=d, **kwargs)
 
 
 def fresh(d, seed=0, **overrides):
@@ -246,32 +243,36 @@ class TestProjectHead:
         assert HEADS["cdf"](cfg).psi_count() == 6 * 386
 
 
+def conditioner_count(cfg):
+    return init_conditioner_params(cfg, np.random.default_rng(0)).total_count()
+
+
 class TestParamCount:
     def test_closed_form_matches_actual(self):
-        for d, e, heads, layers, m in [(6, 32, 8, 3, 64),
-                                       (3, 8, 2, 1, 16),
-                                       (1, 4, 4, 2, 8)]:
-            cfg = ConditionerConfig(D=d, E=e, heads=heads, L=layers, mlp_hidden=m)
-            params = init_conditioner_params(cfg, np.random.default_rng(0))
-            assert params.total_count() == conditioner_param_count(cfg)
+        # 3E + DE + layers (4E^2 + 8E + 2Em + m) for each shape
+        for (d, e, heads, layers, m), count in [((6, 32, 8, 3, 64), 25_824),
+                                                ((3, 8, 2, 1, 16), 640),
+                                                ((1, 4, 4, 2, 8), 352)]:
+            cfg = ModelConfig(D=d, E=e, heads=heads, layers=layers, mlp_hidden=m)
+            assert conditioner_count(cfg) == count, cfg
 
     def test_reference_config_value(self):
-        cfg = ConditionerConfig(D=6, E=32, heads=8, L=3, mlp_hidden=64)
+        cfg = ModelConfig(D=6, head_type="cdf")
         # the reference cdf model adds a 32 -> 386 projection to the conditioner
-        assert conditioner_param_count(cfg) + 32 * 386 + 386 == 38_562
-        assert total_param_count(ModelConfig(D=6, head_type="cdf")) == 38_562
+        assert conditioner_count(cfg) + 32 * 386 + 386 == 38_562
+        assert build_model(cfg).params.total_count() == 38_562
 
     def test_slope_in_d_is_e(self):
         for d in (1, 2, 7, 42):
-            a = conditioner_param_count(tiny_config(d))
-            b = conditioner_param_count(tiny_config(d + 1))
+            a = conditioner_count(tiny_config(d))
+            b = conditioner_count(tiny_config(d + 1))
             assert b - a == TINY["E"]
 
     def test_invalid_configs_rejected(self):
-        with pytest.raises(DimensionError):
-            ConditionerConfig(D=2, E=6, heads=4)
-        with pytest.raises(DimensionError):
-            ConditionerConfig(D=0, E=8, heads=2)
+        with pytest.raises(DimensionError, match="not divisible"):
+            ModelConfig(D=2, E=6, heads=4)
+        with pytest.raises(DimensionError, match="D must be"):
+            ModelConfig(D=0, E=8, heads=2)
 
 
 class TestAutoregressivePsi:
@@ -310,7 +311,7 @@ class TestKVCache:
 
     @pytest.mark.parametrize("d", [1, 2, 8, 63])
     def test_steps_match_full_pass(self, d):
-        cfg, params = fresh(d, seed=d, L=2)
+        cfg, params = fresh(d, seed=d, layers=2)
         x = np.random.default_rng(d).standard_normal((5, d))
         full = condition(x, params, cfg).value
         assert np.abs(self.cached_rows(x, params, cfg) - full).max() <= 1e-12
@@ -351,4 +352,4 @@ class TestKVCache:
 
         monkeypatch.setattr(conditioner, "encoder_layer", counted)
         invert_rows(model, y)
-        assert calls == [(3, 1, model.cond.E)] * (model.cond.L * model.D)
+        assert calls == [(3, 1, model.config.E)] * (model.config.layers * model.D)

@@ -32,13 +32,11 @@ class TestCsv:
         path.write_text("1,2\n3,4\n")
         m = load_matrix(str(path), "csv")
         np.testing.assert_array_equal(m.data, [[1.0, 2.0], [3.0, 4.0]])
-        assert m.column_names is None
 
     def test_header_autodetected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("alpha,beta\n1,2\n")
         m = load_matrix(str(path), "csv")
-        assert m.column_names == ["alpha", "beta"]
         np.testing.assert_array_equal(m.data, [[1.0, 2.0]])
 
     def test_ragged_row_names_line(self, tmp_path):

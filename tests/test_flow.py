@@ -15,7 +15,6 @@ from tnaf.flow import (
     nll_loss,
     numerical_jacobian,
     sample,
-    total_param_count,
 )
 from tnaf.transforms import InversionError
 
@@ -235,23 +234,28 @@ class TestSampling:
         assert abs(cov[0, 1]) < 3 * se_mean
 
 
+def param_count(cfg):
+    return build_model(cfg).params.total_count()
+
+
 class TestParamCounts:
     def test_matches_actual_all_heads(self):
+        # tiny_model's counts at D = 1, 2, 5: the conditioner grows by E = 8 per
+        # dimension, and the spline's two mixes by D - 1 each
+        expected = {"affine": (642, 650, 674), "cdf": (750, 758, 782),
+                    "shared_cdf": (678, 686, 710), "spline": (822, 832, 874)}
         for head in ALL_HEADS:
-            for d in (1, 2, 5):
-                model = tiny_model(d, head)
-                assert model.params.total_count() == total_param_count(model.config), (
-                    head, d)
+            for d, count in zip((1, 2, 5), expected[head]):
+                assert tiny_model(d, head).params.total_count() == count, (head, d)
 
     def test_default_cdf_reference(self):
-        cfg = ModelConfig(D=6, head_type="cdf")
-        assert total_param_count(cfg) == 38_562
+        assert param_count(ModelConfig(D=6, head_type="cdf")) == 38_562
 
     def test_miniboone_shape_default(self):
         cfg = ModelConfig(D=43, head_type="cdf")
-        assert total_param_count(cfg) < 10 ** 5
+        assert param_count(cfg) == 39_746 < 10 ** 5
         bigger = ModelConfig(D=44, head_type="cdf")
-        assert total_param_count(bigger) - total_param_count(cfg) == 32
+        assert param_count(bigger) - param_count(cfg) == 32
 
     def test_d1_edge(self):
         model = tiny_model(1, "spline")

@@ -39,5 +39,5 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
             for kind in ("grad", "grad32", "trained"):
                 assert f"{tag}.{kind}.{param}" in names
     for head in HEADS:
-        for output in ("train.stdout", "train.checkpoint", "sample"):
+        for output in ("train.stdout", "train.checkpoint", "sample", "inspect"):
             assert f"cli.{head}.{output}" in names

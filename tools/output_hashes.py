@@ -16,8 +16,9 @@ float32 graph a training step runs (``float32_gradients``: its loss and
 every gradient widened to float64), ``log_prob`` (y, logdet, logp),
 ``invert_rows`` of the ``log_prob`` outputs, and the parameters, validation
 history and ``sample`` after 12 ``train`` steps.  For each head it also
-hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy and the csv of
-``tnaf sample`` from that checkpoint.  An output that raises is hashed as
+hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy, the csv of
+``tnaf sample`` from that checkpoint, and the stdout of ``tnaf inspect
+--count-with-psi`` on it (its parameter and psi counts).  An output that raises is hashed as
 the exception's type and message, so failures must match too.
 """
 
@@ -128,6 +129,10 @@ def cli_hashes(head: str, workdir: str) -> None:
             emit(f"cli.{head}.sample", fh.read())
     else:
         emit(f"cli.{head}.sample", f"{code}\n{err.getvalue()}".encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["inspect", "-m", ckpt, "--count-with-psi"])
+    emit(f"cli.{head}.inspect", f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
 
 
 def main() -> int:
