@@ -12,8 +12,9 @@ Checkpoint layout (all little-endian):
 Parameters are stored float32 and widened to float64 on load; every
 tolerance that crosses a save/load boundary allows for that rounding.  A
 checkpoint holding a non-finite parameter is rejected as corrupt, as is one
-whose header is malformed or whose standardization stats are not finite with
-std > 0.
+whose header is malformed, whose manifest is not, as JSON text, the one
+save_checkpoint writes for the model its run config builds, or whose
+standardization stats are not finite with std > 0.
 save -> load -> save is byte-identical.
 """
 
@@ -36,6 +37,7 @@ from .trainer import TrainConfig
 MAGIC = b"TNAFCKPT"
 FORMAT_VERSION = 1
 PARAM_DTYPE = "<f4"  # the blob's parameter values
+_ITEMSIZE = np.dtype(PARAM_DTYPE).itemsize
 _HEADER_LEN = struct.Struct("<I")
 
 
@@ -78,20 +80,7 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
 
-_MODEL_KEYS = {
-    "D": "D",
-    "E": "E",
-    "heads": "heads",
-    "layers": "layers",
-    "mlp_hidden": "mlp_hidden",
-    "head_type": "head_type",
-    "H": "cdf_hidden",
-    "K": "spline_bins",
-    "B": "spline_bound",
-    "blocks": "spline_blocks",
-}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-_DATA_KEYS = {f.name for f in fields(DataConfig)}
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
@@ -105,26 +94,21 @@ def parse_run_config(doc: dict) -> RunConfig:
     documented defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
-    _reject_unknown(doc, {"model", "train", "data"}, "config")
-    model_doc = doc.get("model", {})
-    train_doc = doc.get("train", {})
-    data_doc = doc.get("data", {})
-    for name, section in (("model", model_doc), ("train", train_doc), ("data", data_doc)):
+    _reject_unknown(doc, _SECTIONS, "config")
+    built = {}
+    for name, cls in _SECTIONS.items():
+        section = doc.get(name, {})
         if not isinstance(section, dict):
             raise ConfigError(f"{name} section must be a JSON object")
-    _reject_unknown(model_doc, _MODEL_KEYS, "model")
-    _reject_unknown(train_doc, _TRAIN_KEYS, "train")
-    _reject_unknown(data_doc, _DATA_KEYS, "data")
+        _reject_unknown(section, [f.name for f in fields(cls)], name)
+        if cls is ModelConfig and "D" not in section:
+            raise ConfigError("model.D is required")
+        try:
+            built[name] = cls(**section)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(str(err)) from None
 
-    if "D" not in model_doc:
-        raise ConfigError("model.D is required")
-    try:
-        model = ModelConfig(**{_MODEL_KEYS[k]: v for k, v in model_doc.items()})
-        train = TrainConfig(**train_doc)
-        data = DataConfig(**data_doc)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from None
-
+    data = built["data"]
     if data.toy is None and data.path is None:
         raise ConfigError("data section needs either toy or path")
     if data.toy is not None and data.path is not None:
@@ -133,7 +117,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError("toy data needs a positive row count data.n")
     if data.path is not None and data.format not in ("csv", "raw_f32"):
         raise ConfigError("data.format must be csv or raw_f32 when data.path is set")
-    return RunConfig(model=model, train=train, data=data)
+    return RunConfig(**built)
 
 
 def read_json(path: str):
@@ -151,39 +135,40 @@ def load_run_config(path: str) -> RunConfig:
     return parse_run_config(read_json(path))
 
 
-def run_config_to_dict(rc: RunConfig) -> dict:
-    """Canonical full echo (defaults filled in), as stored in checkpoints."""
-    model = {key: getattr(rc.model, name) for key, name in _MODEL_KEYS.items()}
-    return {"model": model, "train": asdict(rc.train), "data": asdict(rc.data)}
-
-
 # ---------------------------------------------------------------------------
 # binary checkpoint
 # ---------------------------------------------------------------------------
 
 
+def _canonical(obj) -> str:
+    """The JSON text a checkpoint header is written in."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _manifest(model: FlowModel) -> list[dict]:
+    """Name, shape and byte offset in the blob of every parameter, in order."""
+    manifest, offset = [], 0
+    for name, node in model.params.items():
+        manifest.append({"name": name, "shape": list(node.value.shape), "offset": offset})
+        offset += node.value.size * _ITEMSIZE
+    return manifest
+
+
 def save_checkpoint(path: str, model: FlowModel, stats: StandardizationStats,
                     run_config: RunConfig) -> None:
-    manifest = []
-    blobs = []
-    offset = 0
-    for name, node in model.params.items():
-        raw = np.ascontiguousarray(node.value, dtype=PARAM_DTYPE).tobytes()
-        manifest.append({"name": name, "shape": list(node.value.shape), "offset": offset})
-        offset += len(raw)
-        blobs.append(raw)
-    blob = b"".join(blobs)
+    blob = b"".join(np.ascontiguousarray(node.value, dtype=PARAM_DTYPE).tobytes()
+                    for _, node in model.params.items())
     header = {
         "format_version": FORMAT_VERSION,
-        "run_config": run_config_to_dict(run_config),
+        "run_config": asdict(run_config),
         "standardization": {
             "mean": [float(v) for v in stats.mean],
             "std": [float(v) for v in stats.std],
         },
-        "manifest": manifest,
+        "manifest": _manifest(model),
         "crc32": zlib.crc32(blob),
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header_bytes = _canonical(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER_LEN.pack(len(header_bytes)))
@@ -197,17 +182,6 @@ def round_to_stored(model: FlowModel) -> None:
     reads back."""
     for _, node in model.params.items():
         node.value = node.value.astype(PARAM_DTYPE).astype(np.float64)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_manifest_entry(entry) -> bool:
-    """A manifest entry: {"name": str, "shape": [int, ...], "offset": int}."""
-    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and _is_int(entry.get("offset")) and isinstance(entry.get("shape"), list)
-            and all(map(_is_int, entry["shape"])))
 
 
 def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConfig]:
@@ -241,34 +215,28 @@ def load_checkpoint(path: str) -> tuple[FlowModel, StandardizationStats, RunConf
         raise CheckpointError(f"{path}: checkpoint corrupt ({err})") from None
 
     model = build_model(rc.model, seed=rc.train.seed)
-    manifest = header.get("manifest", [])
-    if not isinstance(manifest, list) or not all(map(_is_manifest_entry, manifest)):
+    stored, expected = header.get("manifest"), _manifest(model)
+    if not isinstance(stored, list):
         raise CheckpointError(f"{path}: checkpoint corrupt (malformed manifest)")
-    names = [entry["name"] for entry in manifest]
-    if names != model.params.names():
-        raise CheckpointError(f"{path}: manifest does not match the architecture")
-    offset = 0
-    for entry in manifest:
-        if entry["offset"] != offset:
-            raise CheckpointError(f"{path}: manifest offsets not contiguous")
-        shape = tuple(entry["shape"])
-        node = model.params[entry["name"]]
-        if shape != node.value.shape:
+    for got, want in zip(stored, expected):
+        if _canonical(got) != _canonical(want):
             raise CheckpointError(
-                f"{path}: parameter {entry['name']} has shape {shape}, "
-                f"expected {node.value.shape}"
+                f"{path}: manifest does not match the architecture: parameter {want['name']} "
+                f"is stored as {_canonical(got)}, expected {_canonical(want)}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
-        if end > len(blob):
-            raise CheckpointError(f"{path}: checkpoint corrupt (truncated blob)")
-        values = np.frombuffer(blob, dtype=PARAM_DTYPE, count=count, offset=offset)
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: parameter {entry['name']} has non-finite values")
-        node.value = values.astype(np.float64).reshape(shape)
-        offset = end
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: checkpoint corrupt (trailing bytes)")
+    if len(stored) != len(expected):
+        raise CheckpointError(f"{path}: manifest does not match the architecture: "
+                              f"{len(stored)} entries, expected {len(expected)}")
+    if len(blob) != model.params.total_count() * _ITEMSIZE:
+        raise CheckpointError(f"{path}: checkpoint corrupt (blob size does not match "
+                              "the manifest)")
+    values = np.frombuffer(blob, dtype=PARAM_DTYPE)
+    for entry, (name, node) in zip(expected, model.params.items()):
+        start = entry["offset"] // _ITEMSIZE
+        chunk = values[start:start + node.value.size]
+        if not np.isfinite(chunk).all():
+            raise CheckpointError(f"{path}: parameter {name} has non-finite values")
+        node.value = chunk.astype(np.float64).reshape(node.value.shape)
 
     std = header.get("standardization", {})
     if not isinstance(std, dict):

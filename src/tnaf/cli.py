@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .data import (
     toy_generate,
 )
 from .diffcore import DimensionError
-from .flow import FlowModel, build_model, invert_rows, sample
+from .flow import FlowModel, ModelConfig, build_model, invert_rows, sample
 from .trainer import TrainingFault, evaluate, train
 from .transforms import InversionError
 
@@ -90,8 +92,19 @@ def _printed_count(model: FlowModel, with_psi: bool) -> int:
     return count
 
 
+def _require_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, before any training,
+    without creating, truncating or removing path."""
+    if os.path.exists(path):
+        os.close(os.open(path, os.O_WRONLY))
+    else:
+        with tempfile.TemporaryFile(dir=os.path.dirname(path) or "."):
+            pass
+
+
 def cmd_train(args) -> int:
     rc = load_run_config(args.config)
+    _require_writable(args.output)
     model, stats, test_ll, test_err = _train_run(rc, log_fn=print)
     save_checkpoint(args.output, model, stats, rc)
     count = _printed_count(model, args.count_with_psi)
@@ -180,8 +193,12 @@ def cmd_ablate(args) -> int:
         raise ConfigError(f"grid keys must be within {sorted(_ABLATE_GRID_KEYS)}")
     if not all(isinstance(values, list) for values in grid.values()):
         raise ConfigError("grid values must be lists")
-    head_types = grid.get("head_type", ["cdf"])
-    layer_counts = grid.get("layers", [3])
+    if args.output:
+        _require_writable(args.output)
+    # an axis the grid omits keeps the base's value, or ModelConfig's default
+    model_doc = base_doc.get("model", {})
+    head_types, layer_counts = (grid.get(key, [model_doc.get(key, getattr(ModelConfig, key))])
+                                for key in ("head_type", "layers"))
 
     lines = ["head_type\tlayers\ttest_ll\tstd_err\tparam_count"]
     for head_type in head_types:

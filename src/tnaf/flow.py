@@ -40,10 +40,10 @@ class ModelConfig:
     heads: int = 8
     layers: int = 3
     mlp_hidden: int = 64
-    cdf_hidden: int = 128     # H, hidden width of the monotone net heads
-    spline_bins: int = 8      # K
-    spline_bound: float = 3.0  # B, identity outside [-B, B]
-    spline_blocks: int = 2    # J
+    H: int = 128      # hidden width of the monotone net heads
+    K: int = 8        # spline bins
+    B: float = 3.0    # spline bound: identity outside [-B, B]
+    blocks: int = 2   # spline blocks J
 
     def __post_init__(self):
         if self.head_type not in HEADS:
@@ -97,13 +97,16 @@ class Head:
 
     cfg: ModelConfig
     inversion_tol = 1e-9  # flow-level round-trip tolerance of check_inversion
+    # the ModelConfig fields the head reads, shown by `tnaf inspect`; a plain
+    # class attribute, since an annotated one would become a dataclass field
+    keys = ()
 
     def validate(self) -> None:
         """Reject out-of-range hyperparameters (raises DimensionError)."""
 
     def describe(self) -> str | None:
         """Hyperparameter line for `tnaf inspect`, if the head has any."""
-        return None
+        return " ".join(f"{key}={getattr(self.cfg, key)}" for key in self.keys) or None
 
     def inverse_state(self, params: ParamSet, n: int):
         """Scratch carried across the dimensions of one inversion."""
@@ -142,27 +145,26 @@ class CdfHead(_ProjectedHead):
 
     @property
     def width(self):
-        return 3 * self.cfg.cdf_hidden + 2
+        return 3 * self.cfg.H + 2
+
+    keys = ("H",)
 
     def validate(self):
-        require_ints(1, H=self.cfg.cdf_hidden)
-
-    def describe(self):
-        return f"H={self.cfg.cdf_hidden}"
+        require_ints(1, H=self.cfg.H)
 
     def init(self, params, rng):
         super().init(params, rng)
         # keep sum exp(w2) near 1 at init: without this bias the tanh layer
         # sums H unit steps, and a fresh D=8 model's NLL on the d8-cdf
         # benchmark data measured 27564 nats instead of 16
-        h = self.cfg.cdf_hidden
+        h = self.cfg.H
         params["head.b"].value[2 * h:3 * h] = -np.log(h)
 
     def forward(self, x, hidden, params):
-        return tf.cdf_forward_node(x, project_head(hidden, params), self.cfg.cdf_hidden)
+        return tf.cdf_forward_node(x, project_head(hidden, params), self.cfg.H)
 
     def inverse(self, params, hidden_i, target, i, state):
-        return tf.cdf_inv_batch(target, _psi_values(hidden_i, params), self.cfg.cdf_hidden)
+        return tf.cdf_inv_batch(target, _psi_values(hidden_i, params), self.cfg.H)
 
 
 class SharedCdfHead(Head):
@@ -170,11 +172,11 @@ class SharedCdfHead(Head):
     phi.c) whose biases b1 and b2 are shifted by the embedding's linear maps
     `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; no projection layer."""
 
+    keys = CdfHead.keys
     validate = CdfHead.validate
-    describe = CdfHead.describe
 
     def init(self, params, rng):
-        h, e = self.cfg.cdf_hidden, self.cfg.E
+        h, e = self.cfg.H, self.cfg.E
         params.add("phi.w1", np.zeros(h))
         params.add("phi.b1", np.zeros(h))
         # same init bias as the per-token head
@@ -193,7 +195,7 @@ class SharedCdfHead(Head):
 
     def inverse(self, params, hidden_i, target, i, state):
         psi = tf.shared_cdf_psi(dc.constant(hidden_i), params).value
-        return tf.cdf_inv_batch(target, psi, self.cfg.cdf_hidden)
+        return tf.cdf_inv_batch(target, psi, self.cfg.H)
 
 
 class SplineHead(_ProjectedHead):
@@ -207,34 +209,32 @@ class SplineHead(_ProjectedHead):
 
     @property
     def width(self):
-        return self.cfg.spline_blocks * (3 * self.cfg.spline_bins - 1)
+        return self.cfg.blocks * (3 * self.cfg.K - 1)
+
+    keys = ("K", "B", "blocks")
 
     def validate(self):
         cfg = self.cfg
-        require_ints(1, K=cfg.spline_bins, blocks=cfg.spline_blocks)
-        require_positive_reals(B=cfg.spline_bound)
-
-    def describe(self):
-        cfg = self.cfg
-        return f"K={cfg.spline_bins} B={cfg.spline_bound} blocks={cfg.spline_blocks}"
+        require_ints(1, K=cfg.K, blocks=cfg.blocks)
+        require_positive_reals(B=cfg.B)
 
     def init(self, params, rng):
-        cfg, e, bw = self.cfg, self.cfg.E, 3 * self.cfg.spline_bins - 1
+        cfg, e, bw = self.cfg, self.cfg.E, 3 * self.cfg.K - 1
         # one [E, 3K - 1] draw per block: block j's initial weights do not depend on J
         params.add("head.w", np.hstack([uniform_init(rng, e, (e, bw))
-                                        for _ in range(cfg.spline_blocks)]))
+                                        for _ in range(cfg.blocks)]))
         params.add("head.b", np.zeros(self.width))
         if cfg.D > 1:
-            for j in range(cfg.spline_blocks):
+            for j in range(cfg.blocks):
                 params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
 
     def forward(self, x, hidden, params):
-        cfg, bw = self.cfg, 3 * self.cfg.spline_bins - 1
+        cfg, bw = self.cfg, 3 * self.cfg.K - 1
         psi_all = project_head(hidden, params)
         z, ld_total = x, None
-        for j in range(cfg.spline_blocks):
+        for j in range(cfg.blocks):
             psi = dc.narrow(psi_all, -1, j * bw, bw)
-            z, ld = tf.spline_forward_node(z, psi, cfg.spline_bins, cfg.spline_bound)
+            z, ld = tf.spline_forward_node(z, psi, cfg.K, cfg.B)
             ld_total = ld if ld_total is None else dc.add(ld_total, ld)
             free = params[f"mix{j}"] if cfg.D > 1 else None
             z = tf.mix_forward_node(z, free, cfg.D)
@@ -246,21 +246,21 @@ class SplineHead(_ProjectedHead):
         return [
             (dc.strict_lower_embed(params[f"mix{j}"], cfg.D).value if cfg.D > 1 else None,
              np.zeros((n, cfg.D)))
-            for j in range(cfg.spline_blocks)
+            for j in range(cfg.blocks)
         ]
 
     def inverse(self, params, hidden_i, target, i, state):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top."""
         cfg = self.cfg
-        psis = np.split(_psi_values(hidden_i, params), cfg.spline_blocks, axis=1)
+        psis = np.split(_psi_values(hidden_i, params), cfg.blocks, axis=1)
         v = target.copy()
-        for j in reversed(range(cfg.spline_blocks)):
+        for j in reversed(range(cfg.blocks)):
             lmat, premix = state[j]
             if i > 0:
                 v = v - premix[:, :i] @ lmat[i, :i]
             premix[:, i] = v
-            v = tf.spline_inverse_np(v, psis[j], cfg.spline_bins, cfg.spline_bound)
+            v = tf.spline_inverse_np(v, psis[j], cfg.K, cfg.B)
         return v
 
 
@@ -277,10 +277,6 @@ class FlowModel:
     config: ModelConfig
     params: ParamSet
     head: Head
-
-    @property
-    def head_type(self) -> str:
-        return self.config.head_type
 
     @property
     def D(self) -> int:

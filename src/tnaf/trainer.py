@@ -147,10 +147,6 @@ def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
     """Run the training loop; the model ends up holding the best-val weights."""
     t0 = time.perf_counter()
     report = TrainReport()
-    if cfg.max_steps == 0:
-        report.wall_seconds = time.perf_counter() - t0
-        return report
-
     opt = Adam(model.params)
     best_snap = model.params.snapshot()
     best_val = np.inf

@@ -64,7 +64,7 @@ def criterion(name):
 def small_model(d, head, seed):
     return build_model(
         ModelConfig(D=d, head_type=head, E=16, heads=4, layers=2, mlp_hidden=32,
-                    cdf_hidden=8, spline_bins=4, spline_blocks=2),
+                    H=8, K=4, blocks=2),
         seed=seed,
     )
 
@@ -116,7 +116,7 @@ def test_criterion_3_gradient_oracle():
         for seed in range(5):
             model = build_model(
                 ModelConfig(D=3, head_type="cdf", E=8, heads=2, layers=1,
-                            mlp_hidden=16, cdf_hidden=4),
+                            mlp_hidden=16, H=4),
                 seed=seed,
             )
             batch = np.random.default_rng(3000 + seed).standard_normal((6, 3))
@@ -303,10 +303,9 @@ def test_criterion_7_parameter_efficiency():
             (ModelConfig(D=6, head_type="cdf"), 38_562),
             (ModelConfig(D=43, head_type="cdf"), 39_746),
             (ModelConfig(D=4, head_type="affine", E=16, heads=4), 9_938),
-            (ModelConfig(D=5, head_type="shared_cdf", E=16, heads=4, cdf_hidden=32), 10_546),
-            (ModelConfig(D=7, head_type="spline", E=16, heads=4, spline_bins=8,
-                         spline_blocks=2), 10_776),
-            (ModelConfig(D=1, head_type="spline", E=8, heads=2, spline_blocks=3), 4_877),
+            (ModelConfig(D=5, head_type="shared_cdf", E=16, heads=4, H=32), 10_546),
+            (ModelConfig(D=7, head_type="spline", E=16, heads=4, K=8, blocks=2), 10_776),
+            (ModelConfig(D=1, head_type="spline", E=8, heads=2, blocks=3), 4_877),
         ]
         for cfg, count in grid:
             assert build_model(cfg, seed=0).params.total_count() == count, cfg

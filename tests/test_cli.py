@@ -1,21 +1,20 @@
 """Config parsing, checkpoint format, and the CLI command surface."""
 
 import json
+import re
 import struct
-from dataclasses import fields
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from tnaf.checkpoint import (
-    _MODEL_KEYS,
     CheckpointError,
     ConfigError,
     DataConfig,
     RunConfig,
     load_checkpoint,
     parse_run_config,
-    run_config_to_dict,
     save_checkpoint,
 )
 from tnaf import checks
@@ -51,7 +50,7 @@ class TestRunConfig:
         assert rc.model.layers == 3
         assert rc.model.mlp_hidden == 64
         assert rc.model.head_type == "cdf"
-        assert rc.model.cdf_hidden == 128
+        assert rc.model.H == 128
         assert rc.train.learning_rate == 1e-3
         assert rc.train.batch_size == 256
         assert rc.data.fractions == (0.8, 0.1, 0.1)
@@ -82,32 +81,29 @@ class TestRunConfig:
 
     def test_roundtrip_through_dict(self):
         rc = parse_run_config(tiny_model_doc())
-        echo = run_config_to_dict(rc)
+        echo = asdict(rc)
         rc2 = parse_run_config(echo)
-        assert run_config_to_dict(rc2) == echo
+        assert asdict(rc2) == echo
 
-    def test_every_model_field_has_a_key(self):
-        # a field without a key would drop out of the checkpoint's echo, and
-        # load_checkpoint would rebuild the model with that field's default
-        assert set(_MODEL_KEYS.values()) == {f.name for f in fields(ModelConfig)}
-
-    def test_echo_of_a_full_config(self):
+    def test_echo_of_a_full_config(self, tmp_path):
         rc = RunConfig(
             model=ModelConfig(D=3, head_type="spline", E=12, heads=3, layers=2,
-                              mlp_hidden=20, cdf_hidden=5, spline_bins=6,
-                              spline_bound=2.5, spline_blocks=3),
+                              mlp_hidden=20, H=5, K=6, B=2.5, blocks=3),
             train=TrainConfig(learning_rate=0.01, batch_size=32, max_steps=70,
                               clip_norm=2.0, patience=4, eval_every=9, seed=6),
             data=DataConfig(path="x.csv", format="csv", n=80,
                             fractions=(0.5, 0.25, 0.25), seed=2),
         )
-        assert run_config_to_dict(rc) == {
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), build_model(rc.model),
+                        StandardizationStats(np.zeros(3), np.ones(3)), rc)
+        assert read_header(path)["run_config"] == {
             "model": {"D": 3, "E": 12, "heads": 3, "layers": 2, "mlp_hidden": 20,
                       "head_type": "spline", "H": 5, "K": 6, "B": 2.5, "blocks": 3},
             "train": {"learning_rate": 0.01, "batch_size": 32, "max_steps": 70,
                       "clip_norm": 2.0, "patience": 4, "eval_every": 9, "seed": 6},
             "data": {"path": "x.csv", "format": "csv", "toy": None, "n": 80,
-                     "fractions": (0.5, 0.25, 0.25), "seed": 2},
+                     "fractions": [0.5, 0.25, 0.25], "seed": 2},
         }
 
 
@@ -130,7 +126,7 @@ class TestCheckpointFormat:
             np.testing.assert_array_equal(loaded.params[name].value, f32)
         np.testing.assert_array_equal(lstats.mean, stats.mean)
         np.testing.assert_array_equal(lstats.std, stats.std)
-        assert run_config_to_dict(lrc) == run_config_to_dict(rc)
+        assert lrc == rc
 
     def test_save_load_save_byte_identical(self, tmp_path):
         rc, model, stats, path = self.make(tmp_path)
@@ -167,6 +163,17 @@ def _drop_offset(h):
     del h["manifest"][0]["offset"]
 
 
+def _float_offset(h):
+    h["manifest"][1]["offset"] = float(h["manifest"][1]["offset"])
+
+
+def _bool_shape_entry(h):
+    # input_proj.w is [1, E]; True == 1 in Python, but not in the manifest
+    shape = h["manifest"][0]["shape"]
+    assert shape[0] == 1
+    shape[0] = True
+
+
 # each edit changes the header in place or returns a replacement; the blob
 # and its crc stay intact
 MALFORMED_HEADERS = {
@@ -176,14 +183,25 @@ MALFORMED_HEADERS = {
     "non_numeric_mean": lambda h: h["standardization"].update(mean=["a", "b"]),
     "list_header": lambda h: [h],
     "zero_std": lambda h: h["standardization"].update(std=[0.0, 1.0]),
+    # appended, so the earlier cases keep their ids
+    "float_offset": _float_offset,
+    "bool_shape_entry": _bool_shape_entry,
+    "entry_with_extra_key": lambda h: h["manifest"][0].update(dtype="<f4"),
+    "manifest_without_its_last_entry": lambda h: h.update(manifest=h["manifest"][:-1]),
 }
+
+
+def read_header(path):
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12:12 + n])
 
 
 def rewrite_header(path, edit):
     """Apply edit to a checkpoint's header, keeping its blob and crc."""
     raw = path.read_bytes()
     (n,) = struct.unpack_from("<I", raw, 8)
-    header = json.loads(raw[12:12 + n])
+    header = read_header(path)
     header = edit(header) or header
     encoded = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + raw[12 + n:])
@@ -218,7 +236,7 @@ def _per_block_projections(header):
         old.append(entry)
     for entry in old:
         entry["offset"] = offset
-        offset += int(np.prod(entry["shape"]))
+        offset += 4 * int(np.prod(entry["shape"]))
     header["manifest"] = old
 
 
@@ -229,10 +247,16 @@ def _conditioning_weight_as_out_by_e(header):
             entry["shape"] = entry["shape"][::-1]
 
 
+# the message names the first parameter whose entry differs and shows both entries
 @pytest.mark.parametrize("head_type, edit, message", [
-    ("spline", _per_block_projections, "manifest does not match the architecture"),
+    ("spline", _per_block_projections,
+     r'manifest does not match the architecture: parameter head\.w is stored as '
+     r'\{"name":"head0\.w","offset":(\d+),"shape":\[8,11\]\}, '
+     r'expected \{"name":"head\.w","offset":\1,"shape":\[8,22\]\}'),
     ("shared_cdf", _conditioning_weight_as_out_by_e,
-     "parameter phi.w1_cond has shape (4, 8), expected (8, 4)"),
+     r'parameter phi\.w1_cond is stored as '
+     r'\{"name":"phi\.w1_cond","offset":(\d+),"shape":\[4,8\]\}, '
+     r'expected \{"name":"phi\.w1_cond","offset":\1,"shape":\[8,4\]\}'),
 ])
 def test_old_projection_layout_exits_4(tmp_path, capsys, head_type, edit, message):
     rc = parse_run_config(tiny_model_doc(head_type=head_type))
@@ -241,7 +265,7 @@ def test_old_projection_layout_exits_4(tmp_path, capsys, head_type, edit, messag
                     StandardizationStats(mean=np.zeros(2), std=np.ones(2)), rc)
     rewrite_header(path, edit)
     assert main(["inspect", "-m", str(path)]) == 4
-    assert message in capsys.readouterr().err
+    assert re.search(message, capsys.readouterr().err)
 
 
 class TestCliTrainEval:
@@ -402,6 +426,35 @@ class TestUnreadableInput:
         data.write_bytes(b"1.0,2.0\n\xff,3.0\n")
         assert main(["eval", "-m", ckpt, "-d", str(data)]) == 3
         self.one_line(capsys, "data error:")
+
+
+class TestUnwritableOutput:
+    """train and ablate learn that -o cannot be written before they train,
+    and a run that fails leaves the file at -o as it was."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("output", ["missing/x.out", "."])
+    def test_unwritable_output_exits_3_before_training(self, tmp_path, capsys,
+                                                       command, output):
+        doc = tiny_model_doc()
+        if command == "ablate":
+            doc = {"base": doc, "grid": {"layers": [1]}}
+        argv = [command, "-c", write_config(tmp_path, doc), "-o", str(tmp_path / output)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("file error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("existing", [None, b"earlier bytes"])
+    def test_failed_run_leaves_output_as_it_was(self, tmp_path, existing):
+        doc = tiny_model_doc()
+        doc["model"]["D"] = 3  # the ring toy has two columns
+        out = tmp_path / "x.ckpt"
+        if existing is not None:
+            out.write_bytes(existing)
+        assert main(["train", "-c", write_config(tmp_path, doc), "-o", str(out)]) == 3
+        assert (out.read_bytes() if out.exists() else None) == existing
 
 
 class TestCliSampleInvert:
@@ -686,6 +739,22 @@ class TestCliInspectAblate:
             float(ll)
             float(err)
             int(count)
+
+    @pytest.mark.parametrize("base_omits, grid, rows", [
+        ((), {"layers": [1, 2]}, [["spline", "1"], ["spline", "2"]]),
+        ((), {"head_type": ["affine"]}, [["affine", "1"]]),
+        (("head_type", "layers"), {}, [["cdf", "3"]]),  # ModelConfig's defaults
+    ])
+    def test_ablate_omitted_grid_key_keeps_the_base_value(self, tmp_path, capsys,
+                                                          base_omits, grid, rows):
+        base = tiny_model_doc(head_type="spline", layers=1)
+        for key in base_omits:
+            del base["model"][key]
+        base["train"].update(max_steps=4, eval_every=2)
+        cfg = write_config(tmp_path, {"base": base, "grid": grid})
+        assert main(["ablate", "-c", cfg]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [line.split("\t")[:2] for line in lines] == rows
 
     def test_ablate_rejects_unknown_grid_key(self, tmp_path):
         cfg = tmp_path / "grid.json"

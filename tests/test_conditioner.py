@@ -233,13 +233,13 @@ class TestProjectHead:
         # shared_cdf consumes the embeddings unprojected: no head.* parameters
         # and one pseudo-parameter per embedding coordinate
         model = build_model(ModelConfig(D=3, head_type="shared_cdf", E=8, heads=2,
-                                        layers=1, mlp_hidden=16, cdf_hidden=4), seed=41)
+                                        layers=1, mlp_hidden=16, H=4), seed=41)
         assert not [n for n in model.params.names() if n.startswith("head")]
         assert model.head.psi_count() == 3 * 8
 
     def test_cdf_head_psi_dim(self):
         # one hidden layer of width 128 -> 3*128 + 2 pseudo-parameters per token
-        cfg = ModelConfig(D=6, head_type="cdf", cdf_hidden=128)
+        cfg = ModelConfig(D=6, head_type="cdf", H=128)
         assert HEADS["cdf"](cfg).psi_count() == 6 * 386
 
 
@@ -341,7 +341,7 @@ class TestKVCache:
     @pytest.mark.parametrize("head", sorted(HEADS))
     def test_invert_rows_encodes_one_token_per_layer_step(self, head, monkeypatch):
         model = build_model(ModelConfig(D=5, head_type=head, E=8, heads=2, layers=2,
-                                        mlp_hidden=16, cdf_hidden=4, spline_bins=4), seed=7)
+                                        mlp_hidden=16, H=4, K=4), seed=7)
         y, _ = forward_values(model, np.random.default_rng(0).standard_normal((3, 5)))
         calls = []
         layer = conditioner.encoder_layer

@@ -487,7 +487,7 @@ class TestBackward:
 
     def test_interior_grads_released(self):
         model = build_model(ModelConfig(D=3, head_type="cdf", E=8, heads=2, layers=2,
-                                        mlp_hidden=8, cdf_hidden=4), seed=0)
+                                        mlp_hidden=8, H=4), seed=0)
         loss = nll_loss(model, np.random.default_rng(1).standard_normal((4, 3)))
         backward(loss)
         seen, stack, interior = set(), [loss], 0

@@ -22,8 +22,7 @@ ALL_HEADS = ("affine", "cdf", "shared_cdf", "spline")
 
 
 def tiny_model(d, head, seed=0, **overrides):
-    kwargs = dict(E=8, heads=2, layers=1, mlp_hidden=16, cdf_hidden=4,
-                  spline_bins=4, spline_blocks=2)
+    kwargs = dict(E=8, heads=2, layers=1, mlp_hidden=16, H=4, K=4, blocks=2)
     kwargs.update(overrides)
     return build_model(ModelConfig(D=d, head_type=head, **kwargs), seed=seed)
 

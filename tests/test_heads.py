@@ -73,6 +73,19 @@ def test_psi_count_behind_count_with_psi(head, tmp_path, capsys):
     assert int(printed) == PARAM_COUNT[head] + model.head.psi_count()
 
 
+# the hyperparameter line `tnaf inspect` prints for the tiny model, from each
+# head's `keys` (affine reads none and prints no line)
+HYPER_LINE = {"affine": [], "cdf": ["H=4"], "shared_cdf": ["H=4"],
+              "spline": ["K=4 B=3.0 blocks=2"]}
+
+
+def test_inspect_prints_the_head_hyperparameters(head, tmp_path, capsys):
+    _, _, path = untrained(head, tmp_path)
+    assert main(["inspect", "-m", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:-2] == HYPER_LINE[head]
+
+
 def test_base_kind(head, tmp_path):
     # every head pairs with the standard-normal base: it scores y by the
     # normal log-density and samples by inverting normal draws
@@ -128,7 +141,7 @@ def counting_project_head(monkeypatch):
 def test_spline_projects_once_per_loss(tmp_path, monkeypatch):
     # one projection emits every block's psi; one per block would be J calls
     model, _, _ = untrained("spline", tmp_path)
-    assert model.config.spline_blocks == 2
+    assert model.config.blocks == 2
     calls = counting_project_head(monkeypatch)
     nll_loss(model, np.random.default_rng(0).standard_normal((4, 3)))
     assert len(calls) == 1
@@ -153,8 +166,8 @@ def test_spline_projection_keeps_the_per_block_draws(tmp_path):
     model, _, _ = untrained("spline", tmp_path)
     cfg = model.config
     rng = replay_head_draws(cfg)
-    blocks = [uniform_init(rng, cfg.E, (cfg.E, 3 * cfg.spline_bins - 1))
-              for _ in range(cfg.spline_blocks)]
+    blocks = [uniform_init(rng, cfg.E, (cfg.E, 3 * cfg.K - 1))
+              for _ in range(cfg.blocks)]
     joined = np.concatenate(blocks, axis=1)
     assert model.params["head.w"].value.tobytes() == joined.tobytes()
 
@@ -163,7 +176,7 @@ def test_shared_cdf_conditioning_weights_are_the_old_draws_transposed(tmp_path):
     model, _, _ = untrained("shared_cdf", tmp_path)
     cfg = model.config
     rng = replay_head_draws(cfg)
-    w1 = uniform_init(rng, cfg.E, (cfg.cdf_hidden, cfg.E))
+    w1 = uniform_init(rng, cfg.E, (cfg.H, cfg.E))
     w2 = uniform_init(rng, cfg.E, (1, cfg.E))
     for name, old in (("phi.w1_cond", w1), ("phi.w2_cond", w2)):
         value = model.params[name].value

@@ -133,7 +133,7 @@ class TestTrain:
         before = model.params.snapshot()
         report = train(model, splits, TrainConfig(max_steps=0))
         assert report.history == []
-        assert report.best_val_nll is None
+        assert report.best_step is None and report.best_val_nll is None
         for name, value in before.items():
             np.testing.assert_array_equal(model.params[name].value, value)
 

@@ -206,8 +206,7 @@ def mix_only_flow(free, d, bound=BOUND):
     """One-block spline flow whose spline is the identity (to float rounding;
     exactly in its tails |x| >= bound), isolating the mix and its inverse."""
     model = build_model(ModelConfig(D=d, head_type="spline", E=8, heads=2, layers=1,
-                                    mlp_hidden=16, spline_bins=4, spline_bound=bound,
-                                    spline_blocks=1))
+                                    mlp_hidden=16, K=4, B=bound, blocks=1))
     model.params["head.w"].value[:] = 0.0
     model.params["head.b"].value = identity_spline_psi(k=4)
     if d > 1:
@@ -321,7 +320,7 @@ class TestCdf:
         # bracket holds an infinite one
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             model = build_model(ModelConfig(D=1, head_type=head, E=8, heads=2, layers=1,
-                                            mlp_hidden=16, cdf_hidden=4, spline_bins=4))
+                                            mlp_hidden=16, H=4, K=4))
             for bad in (np.nan, np.inf, -np.inf):
                 with pytest.raises(DimensionError):
                     invert_rows(model, np.array([[bad]]))
@@ -854,7 +853,7 @@ class TestSplineNode:
     def test_three_nodes_per_call(self, monkeypatch):
         # the spline is three nodes per block in a training loss, not an op chain
         model = build_model(ModelConfig(D=4, head_type="spline", E=8, heads=2, layers=1,
-                                        mlp_hidden=16, spline_bins=6, spline_blocks=2), seed=0)
+                                        mlp_hidden=16, K=6, blocks=2), seed=0)
         make_node, forward = dc.make_node, tf.spline_forward_node
         calls, depth = [], []
 

@@ -35,6 +35,7 @@ import tempfile
 import numpy as np
 
 from tnaf import diffcore as dc
+from tnaf.checkpoint import parse_run_config
 from tnaf.cli import main as cli_main
 from tnaf.data import DatasetMatrix, make_splits
 from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss, sample
@@ -46,7 +47,7 @@ MODELS = (
     ("shared_cdf", 4), ("shared_cdf", 32),
     ("spline", 16), ("spline", 63),
 )
-SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32}
+SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32, "H": 8, "K": 4}
 ROWS = 16
 
 
@@ -69,7 +70,10 @@ def guarded(fn, *args):
 
 
 def model_config(head: str, d: int) -> ModelConfig:
-    return ModelConfig(D=d, head_type=head, cdf_hidden=8, spline_bins=4, **SMALL)
+    # built from the config keys, which every checkout reads the same way;
+    # the data section is required but unused
+    doc = {"model": {"D": d, "head_type": head, **SMALL}, "data": {"toy": "ring", "n": 1}}
+    return parse_run_config(doc).model
 
 
 def model_hashes(head: str, d: int) -> None:
@@ -106,7 +110,7 @@ def model_hashes(head: str, d: int) -> None:
 
 def cli_hashes(head: str, workdir: str) -> None:
     doc = {
-        "model": {"D": 2, "head_type": head, "H": 8, "K": 4, **SMALL},
+        "model": {"D": 2, "head_type": head, **SMALL},
         "train": {"batch_size": 32, "max_steps": 37, "eval_every": 10, "seed": 4},
         "data": {"toy": "ring", "n": 400, "seed": 3},
     }
