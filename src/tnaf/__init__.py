@@ -6,7 +6,7 @@ log-likelihoods through the triangular Jacobian and sampling by sequential
 inversion.
 """
 
-from . import checks, checkpoint, cli, conditioner, data, diffcore, flow, trainer, transforms
+from . import checks, checkpoint, conditioner, data, diffcore, flow, trainer, transforms
 from .checkpoint import RunConfig, load_checkpoint, save_checkpoint
 from .data import DatasetMatrix, Splits, StandardizationStats, load_matrix, make_splits, standardize, toy_generate
 from .flow import FlowModel, ModelConfig, build_model, log_prob, nll_loss, sample
@@ -24,7 +24,6 @@ __all__ = [
     "build_model",
     "checks",
     "checkpoint",
-    "cli",
     "conditioner",
     "data",
     "diffcore",

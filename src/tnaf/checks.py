@@ -127,13 +127,7 @@ def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
     worst = 0.0
     for name, i in coords:
         flat = model.params[name].value.reshape(-1)
-        orig = flat[i]
-        flat[i] = orig + FD_STEP
-        fp = loss_value()
-        flat[i] = orig - FD_STEP
-        fm = loss_value()
-        flat[i] = orig
-        fd = (fp - fm) / (2.0 * FD_STEP)
+        fd = dc.fd_coordinate(loss_value, flat, i, FD_STEP)
         err = abs(analytic[name].reshape(-1)[i] - fd) / scale
         worst = max(worst, float(err))
         if err >= GRADIENT_RTOL:

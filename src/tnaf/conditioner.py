@@ -52,31 +52,31 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+# The parameters of one encoder layer, in the order they are drawn and in the
+# order _block reads them.  There is no key bias: q.(k + bk) shifts a whole
+# score row by q.bk, and the softmax ignores that shift.
+LAYER_PARAMS = ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
+                "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
 def init_conditioner_params(cfg: ModelConfig, rng: np.random.Generator) -> ParamSet:
-    """Fresh parameters: weights ~ U(+-1/sqrt(fan_in)), biases 0, position
-    and start-token embeddings ~ N(0, 0.02)."""
+    """Fresh parameters: weights ~ U(+-1/sqrt(fan_in)), biases 0, layer-norm
+    gains 1, position and start-token embeddings ~ N(0, 0.02)."""
     e, m = cfg.E, cfg.mlp_hidden
     params = ParamSet()
     params.add("input_proj.w", uniform_init(rng, 1, (1, e)))
     params.add("input_proj.b", np.zeros(e))
     params.add("bos", rng.normal(0.0, 0.02, size=e))
     params.add("positional", rng.normal(0.0, 0.02, size=(cfg.D, e)))
+    shapes = {"mlp.w1": (e, m), "mlp.b1": (m,), "mlp.w2": (m, e)}
     for layer in range(cfg.layers):
-        p = f"layer{layer}."
-        params.add(p + "ln1.g", np.ones(e))
-        params.add(p + "ln1.b", np.zeros(e))
-        # no key bias: q.(k + bk) shifts a whole score row by q.bk, and the
-        # softmax ignores that shift
-        for name in ("wq", "wk", "wv", "wo"):
-            params.add(p + name, uniform_init(rng, e, (e, e)))
-            if name != "wk":
-                params.add(p + name.replace("w", "b"), np.zeros(e))
-        params.add(p + "ln2.g", np.ones(e))
-        params.add(p + "ln2.b", np.zeros(e))
-        params.add(p + "mlp.w1", uniform_init(rng, e, (e, m)))
-        params.add(p + "mlp.b1", np.zeros(m))
-        params.add(p + "mlp.w2", uniform_init(rng, m, (m, e)))
-        params.add(p + "mlp.b2", np.zeros(e))
+        for name in LAYER_PARAMS:
+            shape = shapes.get(name, (e, e) if name in ("wq", "wk", "wv", "wo") else (e,))
+            if len(shape) == 2:
+                value = uniform_init(rng, shape[0], shape)
+            else:
+                value = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+            params.add(f"layer{layer}.{name}", value)
     return params
 
 
@@ -114,9 +114,9 @@ class KVCache:
     """Attention keys and values of the tokens encoded so far, per layer.
 
     Holds arrays [N, heads, D, head_dim] and the number of tokens `length`
-    filled so far.  The cached prefix enters later steps as constants, so a
-    cached pass is value-only (run it under `no_grad`).  One cache serves one
-    sequence of `condition` steps; it is never stored on a model.
+    filled so far.  A cached step is value-only: the cached prefix carries no
+    graph, so run it under `no_grad`.  One cache serves one sequence of
+    `condition` steps; it is never stored on a model.
     """
 
     def __init__(self, cfg: ModelConfig, n: int):
@@ -125,50 +125,94 @@ class KVCache:
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
         self.length = 0
 
-    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[Node, Node]:
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store one layer's new keys and values [N, heads, m, head_dim] after
         the cached ones; return that layer's keys and values through them."""
         end = self.length + k.shape[2]
         self.keys[layer][:, :, self.length:end] = k
         self.values[layer][:, :, self.length:end] = v
-        return (dc.constant(self.keys[layer][:, :, :end]),
-                dc.constant(self.values[layer][:, :, :end]))
+        return self.keys[layer][:, :, :end], self.values[layer][:, :, :end]
+
+
+def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: int = 0):
+    """One pre-norm encoder layer in numpy, u = x + MHA(ln(x)), then
+    u + MLP(ln(u)) with a tanh MLP, over the arrays `w` named by LAYER_PARAMS.
+    Returns the output and vjp(g), the gradients of x and then of each of `w`.
+
+    Without a cache the attention is causal: token i attends to tokens <= i.
+    With a cache, `x` holds the new tokens only: their keys and values are
+    appended to the cache's `layer` and their queries attend over the whole
+    prefix; such a step is value-only.
+    """
+    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, bm1, w2, bm2 = w
+    n, d, e = x.shape
+    dk = e // heads
+    # the softmax applies the 1/sqrt(d_k) itself, tile by tile; a Python
+    # float, as a numpy float64 scale would promote float32 scores
+    scale = 1.0 / math.sqrt(dk)
+
+    def split_heads(t):  # [N*d, E] -> [N, heads, d, head_dim]
+        return t.reshape(n, d, heads, dk).transpose(0, 2, 1, 3)
+
+    def merge_heads(t):  # [N, heads, d, head_dim] -> [N*d, E]
+        return t.transpose(0, 2, 1, 3).reshape(n * d, e)
+
+    # dc.layer_norm and dc.masked_softmax are looked up at each call, so a
+    # profiler that wraps the module's names sees them
+    normed, xhat1, inv1 = dc.layer_norm(x, g1, b1, LAYER_NORM_EPS)
+    flat1 = normed.reshape(-1, e)
+    q = split_heads(flat1 @ wq + bq)
+    k = split_heads(flat1 @ wk)
+    v = split_heads(flat1 @ wv + bv)
+    if cache is not None:
+        k, v = cache.extend(layer, k, v)
+    kt = k.transpose(0, 1, 3, 2)
+    attn = dc.masked_softmax(q @ kt, cache is None, scale)
+    ctx = merge_heads(attn @ v)
+    u = x + (ctx @ wo + bo).reshape(n, d, e)
+
+    normed2, xhat2, inv2 = dc.layer_norm(u, g2, b2, LAYER_NORM_EPS)
+    flat2 = normed2.reshape(-1, e)
+    hidden = np.tanh(flat2 @ w1 + bm1)
+    out = u + (hidden @ w2 + bm2).reshape(n, d, e)
+
+    def vjp(g):
+        gf = g.reshape(-1, e)
+        ga = (gf @ w2.T) * (1.0 - hidden * hidden)
+        gu_ln, gg2, gb2 = dc.layer_norm_vjp((ga @ w1.T).reshape(n, d, e), xhat2, inv2, g2)
+        gu = g + gu_ln
+        guf = gu.reshape(-1, e)
+        g_ctx = split_heads(guf @ wo.T)
+        g_scores = dc.masked_softmax_vjp(g_ctx @ v.swapaxes(-1, -2), attn, cache is None, scale)
+        gq = merge_heads(g_scores @ kt.swapaxes(-1, -2))
+        gk = merge_heads((q.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2))
+        gv = merge_heads(attn.swapaxes(-1, -2) @ g_ctx)
+        g_normed = (gq @ wq.T + gk @ wk.T) + gv @ wv.T
+        gx_ln, gg1, gb1 = dc.layer_norm_vjp(g_normed.reshape(n, d, e), xhat1, inv1, g1)
+        return (gu + gx_ln, gg1, gb1, flat1.T @ gq, gq.sum(axis=0), flat1.T @ gk,
+                flat1.T @ gv, gv.sum(axis=0), ctx.T @ guf, guf.sum(axis=0), gg2, gb2,
+                flat2.T @ ga, ga.sum(axis=0), hidden.T @ gf, gf.sum(axis=0))
+
+    return out, vjp
 
 
 def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
                   cache: KVCache | None = None) -> Node:
-    """Pre-norm encoder block: x + MHA(ln(x)), then u + MLP(ln(u)).
+    """Pre-norm encoder block: `_block` as one graph node over `seq` and the
+    layer's LAYER_PARAMS.  With a cache, `seq` holds the new tokens only and
+    the result is a value with no parents (see `_block`)."""
+    nodes = [seq] + [params[f"layer{layer}.{name}"] for name in LAYER_PARAMS]
+    out, vjp = _block(seq.value, [node.value for node in nodes[1:]], cfg.heads, cache, layer)
+    parts = {}
 
-    Without a cache the attention is causal: token i attends to tokens <= i.
-    With a cache, `seq` holds the new tokens only: their keys and values are
-    appended to the cache and their queries attend over the whole prefix.
-    """
-    n, d, e = seq.value.shape
-    h, dk = cfg.heads, cfg.E // cfg.heads
-    p = f"layer{layer}."
+    def part(i):  # the first parent asked in a backward pass runs the joint vjp
+        def take(g):
+            if i not in parts:
+                parts.update(enumerate(vjp(g)))
+            return parts.pop(i)
+        return take
 
-    normed = dc.layer_norm(seq, params[p + "ln1.g"], params[p + "ln1.b"], LAYER_NORM_EPS)
-
-    def split_heads(t):
-        return dc.transpose(dc.reshape(t, (n, d, h, dk)), (0, 2, 1, 3))
-
-    q = split_heads(dc.linear(normed, params[p + "wq"], params[p + "bq"]))
-    k = split_heads(dc.linear(normed, params[p + "wk"]))
-    v = split_heads(dc.linear(normed, params[p + "wv"], params[p + "bv"]))
-    if cache is not None:
-        k, v = cache.extend(layer, k.value, v.value)
-
-    # the softmax applies the 1/sqrt(d_k) scale itself, tile by tile, so the
-    # scaled [N, heads, D, D] scores are never a node of their own
-    scores = dc.matmul(q, dc.transpose(k, (0, 1, 3, 2)))
-    # a Python float: a numpy float64 scale would promote float32 scores
-    attn = dc.masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
-    ctx = dc.reshape(dc.transpose(dc.matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
-    u = dc.add(seq, dc.linear(ctx, params[p + "wo"], params[p + "bo"]))
-
-    normed2 = dc.layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"], LAYER_NORM_EPS)
-    hidden = dc.tanh(dc.linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-    return dc.add(u, dc.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
+    return dc.make_node(out, [] if cache else [(node, part(i)) for i, node in enumerate(nodes)])
 
 
 def condition(x, params: ParamSet, cfg: ModelConfig,

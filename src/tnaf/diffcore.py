@@ -10,10 +10,11 @@ dtype, and every buffer an op allocates takes its input's, so one graph
 computes in one precision throughout; there is no mode to switch.  Binary ops
 follow numpy's broadcasting rules, and their gradients are summed back to each
 operand's shape.  The ops are the ones the model needs: add, mul, neg, exp,
-tanh, sum_, mean, the shape ops, strict_lower_embed, matmul, and three fused
-ops with hand-written VJPs: masked_softmax, layer_norm and linear, the affine
-map over the last axis behind every projection.  The transform heads build
-their own nodes with make_node.  masked_softmax takes the attention's
+sum_, mean, the shape ops, strict_lower_embed, and linear, the affine map
+over the last axis behind every projection, as one node with a hand-written
+VJP.  The transform heads and the encoder layer build their own nodes with
+make_node.  Two numpy helpers, each with its VJP beside it, serve the
+encoder layer: layer_norm, and masked_softmax, which takes the attention's
 1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
 mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those
 rows can see, skipping the scores the mask hides.
@@ -281,12 +282,6 @@ def exp(a) -> Node:
     return make_node(out, [(a, lambda g: g * out)])
 
 
-def tanh(a) -> Node:
-    a = _wrap(a)
-    out = np.tanh(a.value)
-    return make_node(out, [(a, lambda g: g * (1.0 - out * out))])
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -396,25 +391,6 @@ def strict_lower_embed(free, d: int) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a, b) -> Node:
-    """Matrix product. Rank-2 operands contract normally; higher ranks are
-    batched with leading axes required to match exactly."""
-    a, b = _wrap(a), _wrap(b)
-    av, bv = a.value, b.value
-    if av.ndim < 2 or bv.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {av.shape} x {bv.shape}")
-    if av.shape[-1] != bv.shape[-2] or av.shape[:-2] != bv.shape[:-2]:
-        raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
-    out = av @ bv
-    return make_node(
-        out,
-        [
-            (a, lambda g: g @ bv.swapaxes(-1, -2)),
-            (b, lambda g: av.swapaxes(-1, -2) @ g),
-        ],
-    )
-
-
 def linear(x, w, b=None) -> Node:
     """Affine map over the last axis as one node: x [..., in] @ w [in, out]
     (+ b [out]) gives [..., out].
@@ -448,93 +424,73 @@ def linear(x, w, b=None) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# composite ops
+# numpy helpers of the encoder layer, each with its VJP beside it
 # ---------------------------------------------------------------------------
 
 
-def masked_softmax(scores, causal: bool, scale: float = 1.0) -> Node:
-    """Softmax of scale * scores over the last axis, as one fused op; with
-    `causal`, query row r sees key columns 0..r only.
+def _softmax_tiles(n: int, causal: bool) -> list[tuple]:
+    if not causal:
+        return [(...,)]
+    return [(..., slice(r, r + SOFTMAX_ROW_BLOCK), slice(0, min(r + SOFTMAX_ROW_BLOCK, n)))
+            for r in range(0, n, SOFTMAX_ROW_BLOCK)]
 
-    Causal scores must be square in their last two axes.  A causal call runs
-    over tiles of SOFTMAX_ROW_BLOCK query rows by the columns those rows can
-    see, and adds NEG_MASK to the hidden positions inside each tile, where the
-    shifted exponent underflows to 0.  A non-causal call is one tile of all
-    rows and columns.  Per tile, t = scale * scores (+ mask), ex = exp(t - max)
-    and y = ex / sum(ex), written into a zero-filled result, so every hidden
-    position is exactly 0, and lanes outside every tile exactly +0.
 
-    The VJP keeps only y: scale * y * (g - sum(g * y)), tile by tile over the
-    same columns, into a zero-filled gradient.
-    """
-    scores = _wrap(scores)
-    a = scores.value
-    if a.ndim == 0 or a.shape[-1] == 0:
-        raise DimensionError(f"softmax over empty axis of shape {a.shape}")
-    n = a.shape[-1]
-    if causal:
-        if a.ndim < 2 or a.shape[-2] != n:
-            raise DimensionError(f"causal softmax needs square scores, got {a.shape}")
-        mask = np.triu(np.full((n, n), NEG_MASK, a.dtype), 1)
-        tiles = [(..., slice(r, r + SOFTMAX_ROW_BLOCK), slice(0, min(r + SOFTMAX_ROW_BLOCK, n)))
-                 for r in range(0, n, SOFTMAX_ROW_BLOCK)]
-    else:
-        tiles = [(...,)]
-    y = np.zeros(a.shape, a.dtype)
-    for tile in tiles:
-        t = a[tile] * scale
+def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0) -> np.ndarray:
+    """Softmax of scale * scores over the last axis; with `causal`, square
+    scores and query row r sees key columns 0..r only.
+
+    A causal call runs over tiles of SOFTMAX_ROW_BLOCK query rows by the
+    columns those rows can see, adding NEG_MASK to the hidden positions in
+    each tile: t = scale * scores + mask, y = exp(t - max) / sum, written
+    into a zero-filled result, so every hidden position is exactly 0, and
+    lanes outside every tile exactly +0."""
+    n = scores.shape[-1]
+    mask = np.triu(np.full((n, n), NEG_MASK, scores.dtype), 1) if causal else None
+    y = np.zeros(scores.shape, scores.dtype)
+    for tile in _softmax_tiles(n, causal):
+        t = scores[tile] * scale
         if causal:
             t += mask[tile[1:]]
         t -= t.max(axis=-1, keepdims=True)
         np.exp(t, out=t)
         np.divide(t, t.sum(axis=-1, keepdims=True), out=y[tile])
-
-    def vjp(g):
-        gs = np.zeros(a.shape, a.dtype)
-        for tile in tiles:
-            yt, gt = y[tile], g[tile]
-            # einsum forms the row sums of g * y without a temporary
-            gt = gt - np.einsum("...j,...j->...", gt, yt)[..., None]
-            gt *= yt
-            np.multiply(gt, scale, out=gs[tile])
-        return gs
-
-    return make_node(y, [(scores, vjp)])
+    return y
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Node:
-    """Standardize the last axis (biased variance + eps), then affine."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
-    xv = x.value
-    e = xv.shape[-1]
-    if gain.value.shape != (e,) or bias.value.shape != (e,):
-        raise DimensionError(
-            f"layer_norm gain/bias must have shape ({e},), got "
-            f"{gain.value.shape}/{bias.value.shape}"
-        )
-    if eps <= 0:
-        raise DimensionError("layer_norm eps must be positive")
+def masked_softmax_vjp(g, y, causal: bool, scale: float = 1.0) -> np.ndarray:
+    """The scores' gradient from the output y alone: scale * y * (g - sum(g * y)),
+    tile by tile over masked_softmax's columns, into a zero-filled array."""
+    gs = np.zeros(y.shape, y.dtype)
+    for tile in _softmax_tiles(y.shape[-1], causal):
+        yt, gt = y[tile], g[tile]
+        # einsum forms the row sums of g * y without a temporary
+        gt = gt - np.einsum("...j,...j->...", gt, yt)[..., None]
+        gt *= yt
+        np.multiply(gt, scale, out=gs[tile])
+    return gs
+
+
+def layer_norm(x, gain, bias, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize the last axis (biased variance + eps), then affine; returns
+    the output and the xhat and 1/std that layer_norm_vjp reads."""
+    e = x.shape[-1]
     # np.add.reduce(...) / e is ndarray.mean's arithmetic without its wrapper
-    mu = np.add.reduce(xv, axis=-1, keepdims=True) / e
-    xc = xv - mu
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / e
+    xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / e
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = gain.value * xhat + bias.value
+    return gain * xhat + bias, xhat, inv
 
-    def vjp_x(g):
-        dxhat = g * gain.value
-        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / e
-        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / e
-        return inv * (dxhat - m1 - xhat * m2)
 
-    def vjp_gain(g):
-        return _unbroadcast(g * xhat, (e,))
-
-    def vjp_bias(g):
-        return _unbroadcast(g, (e,))
-
-    return make_node(out, [(x, vjp_x), (gain, vjp_gain), (bias, vjp_bias)])
+def layer_norm_vjp(g, xhat, inv, gain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of layer_norm's x, gain and bias for output gradient g."""
+    e = g.shape[-1]
+    dxhat = g * gain
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / e
+    m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / e
+    return (inv * (dxhat - m1 - xhat * m2), _unbroadcast(g * xhat, gain.shape),
+            _unbroadcast(g, gain.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +547,18 @@ def fd_gradient(f: Callable[[ParamSet], float], params: ParamSet, step: float = 
     grads: dict[str, np.ndarray] = {}
     for name, node in params.items():
         flat = node.value.reshape(-1)
-        g = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            fp = float(f(params))
-            flat[i] = orig - step
-            fm = float(f(params))
-            flat[i] = orig
-            g[i] = (fp - fm) / (2.0 * step)
-        grads[name] = g.reshape(node.value.shape)
+        g = [fd_coordinate(lambda: f(params), flat, i, step) for i in range(flat.size)]
+        grads[name] = np.array(g, flat.dtype).reshape(node.value.shape)
     return grads
+
+
+def fd_coordinate(f: Callable[[], float], flat: np.ndarray, i: int, step: float) -> float:
+    """Central difference (f(+step) - f(-step)) / 2 step of f() in entry i of
+    the array `flat`, perturbed in place and then restored."""
+    orig = flat[i]
+    flat[i] = orig + step
+    fp = float(f())
+    flat[i] = orig - step
+    fm = float(f())
+    flat[i] = orig
+    return (fp - fm) / (2.0 * step)

@@ -365,4 +365,4 @@ def mix_forward_node(z: Node, free: Node, d: int) -> Node:
     if d == 1:
         return z
     lmat = dc.strict_lower_embed(free, d)
-    return dc.matmul(z, dc.transpose(lmat, (1, 0)))
+    return dc.linear(z, dc.transpose(lmat, (1, 0)))

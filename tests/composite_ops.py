@@ -1,15 +1,20 @@
 """Graph ops that only the tests' reference op chains use.
 
 The library's heads are hand-written nodes (transforms.cdf_forward_node and
-spline_forward_node), so these ops have no caller in ``tnaf``.  The op chains
-that those nodes replaced stay in the tests as references, built from these
-ops with the library's arithmetic; their unit and finite-difference tests are
-in tests/test_diffcore.py.
+spline_forward_node), and each encoder layer is one node over the numpy
+function conditioner._block, so these ops have no caller in ``tnaf``.  The
+op chains that those nodes replaced stay in the tests as references, built
+from these ops with the library's arithmetic (``encoder_layer`` below is the
+layer's); their unit and finite-difference tests are in
+tests/test_diffcore.py.
 """
+
+import math
 
 import numpy as np
 
 from tnaf import diffcore as dc
+from tnaf.conditioner import LAYER_NORM_EPS
 from tnaf.diffcore import DimensionError
 
 
@@ -90,3 +95,69 @@ def clip(a, lo, hi):
     av = a.value
     inside = (av > lo) & (av < hi)
     return dc.make_node(np.clip(av, lo, hi), [(a, lambda g: g * inside)])
+
+
+def tanh(a):
+    a = dc._wrap(a)
+    out = np.tanh(a.value)
+    return dc.make_node(out, [(a, lambda g: g * (1.0 - out * out))])
+
+
+def matmul(a, b):
+    """Matrix product. Rank-2 operands contract normally; higher ranks are
+    batched with leading axes required to match exactly."""
+    a, b = dc._wrap(a), dc._wrap(b)
+    av, bv = a.value, b.value
+    if av.ndim < 2 or bv.ndim < 2:
+        raise DimensionError(f"matmul needs rank >= 2 operands, got {av.shape} x {bv.shape}")
+    if av.shape[-1] != bv.shape[-2] or av.shape[:-2] != bv.shape[:-2]:
+        raise DimensionError(f"matmul shape mismatch: {av.shape} x {bv.shape}")
+    return dc.make_node(av @ bv, [(a, lambda g: g @ bv.swapaxes(-1, -2)),
+                                  (b, lambda g: av.swapaxes(-1, -2) @ g)])
+
+
+def masked_softmax(scores, causal, scale=1.0):
+    """dc.masked_softmax as a node, its VJP dc.masked_softmax_vjp."""
+    scores = dc._wrap(scores)
+    y = dc.masked_softmax(scores.value, causal, scale)
+    return dc.make_node(y, [(scores, lambda g: dc.masked_softmax_vjp(g, y, causal, scale))])
+
+
+def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
+    """dc.layer_norm as a node over x, gain and bias, its VJPs dc.layer_norm_vjp."""
+    x, gain, bias = dc._wrap(x), dc._wrap(gain), dc._wrap(bias)
+    out, xhat, inv = dc.layer_norm(x.value, gain.value, bias.value, eps)
+
+    def part(i):
+        return lambda g: dc.layer_norm_vjp(g, xhat, inv, gain.value)[i]
+
+    return dc.make_node(out, [(x, part(0)), (gain, part(1)), (bias, part(2))])
+
+
+def encoder_layer(seq, params, layer, cfg, cache=None):
+    """The 23-node op chain that conditioner.encoder_layer's one node
+    replaced: x + MHA(ln(x)), then u + MLP(ln(u)).  With a cache the cached
+    keys and values enter as constants, as they did."""
+    n, d, e = seq.value.shape
+    h, dk = cfg.heads, cfg.E // cfg.heads
+    p = f"layer{layer}."
+
+    normed = layer_norm(seq, params[p + "ln1.g"], params[p + "ln1.b"])
+
+    def split_heads(t):
+        return dc.transpose(dc.reshape(t, (n, d, h, dk)), (0, 2, 1, 3))
+
+    q = split_heads(dc.linear(normed, params[p + "wq"], params[p + "bq"]))
+    k = split_heads(dc.linear(normed, params[p + "wk"]))
+    v = split_heads(dc.linear(normed, params[p + "wv"], params[p + "bv"]))
+    if cache is not None:
+        k, v = map(dc.constant, cache.extend(layer, k.value, v.value))
+
+    scores = matmul(q, dc.transpose(k, (0, 1, 3, 2)))
+    attn = masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
+    ctx = dc.reshape(dc.transpose(matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
+    u = dc.add(seq, dc.linear(ctx, params[p + "wo"], params[p + "bo"]))
+
+    normed2 = layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"])
+    hidden = tanh(dc.linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+    return dc.add(u, dc.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))

@@ -1,9 +1,13 @@
 """Config parsing, checkpoint format, and the CLI command surface."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -825,3 +829,17 @@ class TestCliDeterminism:
         assert main(["train", "-c", cfg, "-o", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_module_entry_point_warns_nothing():
+    # `import tnaf` must not import tnaf.cli, or runpy warns that the module
+    # it is about to run as __main__ is already in sys.modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tnaf.cli", "--help"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "usage" in proc.stdout

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composite_ops as cops
 from tnaf import conditioner
 from tnaf import diffcore as dc
 from tnaf.conditioner import (
@@ -12,7 +13,7 @@ from tnaf.conditioner import (
     encoder_layer,
     init_conditioner_params,
 )
-from tnaf.diffcore import DimensionError
+from tnaf.diffcore import DimensionError, ParamSet, fd_gradient
 from tnaf.flow import (
     HEADS,
     ModelConfig,
@@ -58,11 +59,11 @@ class TestCausalMask:
 
     @staticmethod
     def hidden(d):
-        return dc.masked_softmax(dc.constant(np.zeros((1, d, d))), True).value[0] == 0.0
+        return dc.masked_softmax(np.zeros((1, d, d)), True)[0] == 0.0
 
     def test_single(self):
         np.testing.assert_array_equal(
-            dc.masked_softmax(dc.constant(np.zeros((1, 1))), True).value, [[1.0]])
+            dc.masked_softmax(np.zeros((1, 1)), True), [[1.0]])
 
     def test_three(self):
         np.testing.assert_array_equal(self.hidden(3), np.triu(np.ones((3, 3), bool), 1))
@@ -138,6 +139,101 @@ class TestEncoderLayer:
         assert out.value.shape == (1, 1, cfg.E)
 
 
+def layer_values(d, dtype, seed=0, **overrides):
+    """A config, its layer-0 parameter values as `dtype` (every entry random,
+    so no bias is zero and no gain one) and a sequence [3, d, E]."""
+    cfg, params = fresh(d, seed=seed, **overrides)
+    rng = np.random.default_rng(seed)
+    values = {name: (0.5 * rng.standard_normal(node.value.shape)).astype(dtype)
+              for name, node in params.items() if name.startswith("layer0.")}
+    return cfg, values, rng.standard_normal((3, d, cfg.E)).astype(dtype)
+
+
+def layer_gradients(layer_fn, cfg, values, seq_value, seq_fn=dc.parameter, passes=1):
+    """The layer's output, then the gradients of seq (None when it is a
+    constant) and of each layer parameter for a fixed upstream gradient
+    after `passes` backward() calls of one loss."""
+    params = ParamSet()
+    for name, value in values.items():
+        params.add(name, value.copy())
+    seq = seq_fn(seq_value.copy())
+    out = layer_fn(seq, params, 0, cfg)
+    weights = np.random.default_rng(99).standard_normal(out.value.shape).astype(seq_value.dtype)
+    loss = dc.sum_(dc.mul(out, dc.constant(weights)))
+    for _ in range(passes):
+        dc.backward(loss)
+    seq_grad = seq.grad if seq.requires_grad else None
+    return [out.value, seq_grad] + [node.grad for _, node in params.items()]
+
+
+class TestBlockNode:
+    """The one-node layer against the op chain it replaced
+    (composite_ops.encoder_layer) and against finite differences."""
+
+    # 5, 17 and 63 tokens end the causal softmax's row tiles in blocks of
+    # 5, 1 and 7 rows
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d", [5, 17, 63])
+    def test_bit_identical_to_reference(self, d, dtype):
+        cfg, values, seq = layer_values(d, dtype, seed=d)
+        block = layer_gradients(encoder_layer, cfg, values, seq)
+        reference = layer_gradients(cops.encoder_layer, cfg, values, seq)
+        assert len(block) == len(reference) == 2 + len(conditioner.LAYER_PARAMS)
+        for got, want in zip(block, reference):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("d", [1, 8, 17])
+    def test_condition_and_cached_steps_match_reference(self, d, monkeypatch):
+        cfg, params = fresh(d, seed=d, layers=2)
+        x = np.random.default_rng(d).standard_normal((4, d))
+
+        def passes():
+            full = condition(x, params, cfg).value
+            return full, TestKVCache.cached_rows(x, params, cfg)
+
+        block = passes()
+        monkeypatch.setattr(conditioner, "encoder_layer", cops.encoder_layer)
+        reference = passes()
+        for got, want in zip(block, reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_vs_fd(self):
+        cfg, values, seq = layer_values(3, np.float64, seed=5, E=4, mlp_hidden=4)
+        params = ParamSet()
+        for name, value in values.items():
+            params.add(name, value)
+        seq_node = params.add("seq", seq)
+        weights = dc.constant(np.random.default_rng(6).standard_normal(seq.shape))
+
+        def loss():
+            return dc.sum_(dc.mul(encoder_layer(seq_node, params, 0, cfg), weights))
+
+        dc.backward(loss())
+        fd = fd_gradient(lambda _: float(loss().value), params, 1e-5)
+        for name, node in params.items():
+            scale = max(np.abs(fd[name]).max(), 1e-8)
+            assert np.abs(node.grad - fd[name]).max() / scale < 1e-4, name
+
+    def test_second_backward_adds_one_more_pass(self):
+        cfg, values, seq = layer_values(5, np.float64)
+        once = layer_gradients(encoder_layer, cfg, values, seq)
+        twice = layer_gradients(encoder_layer, cfg, values, seq, passes=2)
+        np.testing.assert_array_equal(twice[0], once[0])
+        for got, want in zip(twice[1:], once[1:]):
+            np.testing.assert_array_equal(got, 2.0 * want)
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_constant_seq_still_gives_parameter_gradients(self, passes):
+        cfg, values, seq = layer_values(5, np.float64)
+        with_seq = layer_gradients(encoder_layer, cfg, values, seq, passes=passes)
+        without = layer_gradients(encoder_layer, cfg, values, seq, dc.constant, passes)
+        assert without[1] is None
+        for got, want in zip(without[2:], with_seq[2:]):
+            assert np.abs(got).max() > 0
+            np.testing.assert_array_equal(got, want)
+
+
 class TestGraphSize:
     """Each affine map over the last axis is one dc.linear node."""
 
@@ -150,12 +246,18 @@ class TestGraphSize:
         return len(made)
 
     def test_encoder_layer(self, monkeypatch):
-        # layer norm, 3 x (linear, reshape, transpose), key transpose, two
-        # matmuls around the softmax, transpose, reshape, output linear, add;
-        # layer norm, linear, tanh, linear, add
+        # the whole pre-norm layer is one node over conditioner._block
         cfg, params = fresh(5)
         seq = embed_sequence(np.random.default_rng(0).standard_normal((3, 5)), params, cfg)
-        assert self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg)) == 23
+        assert self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg)) == 1
+
+    def test_cached_encoder_layer_step(self, monkeypatch):
+        cfg, params = fresh(5)
+        cache = KVCache(cfg, 3)
+        seq = embed_sequence(np.zeros((3, 0)), params, cfg)
+        with dc.no_grad():
+            made = self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg, cache))
+        assert made == 1
 
     def test_embed_sequence(self, monkeypatch):
         # start token: narrow, reshape, add, broadcast_to; inputs: linear,

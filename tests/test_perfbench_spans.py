@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from tnaf import diffcore as dc
-from tnaf.flow import ModelConfig, build_model, nll_loss
+from tnaf.flow import ModelConfig, build_model, invert_rows, nll_loss
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -32,9 +32,16 @@ def test_tracer_installs_and_restores_every_traced_name():
             assert getattr(owner, attr) is not original, attr
         tracer.phase = "train"
         dc.backward(nll_loss(model, batch))
+        tracer.phase = "invert"
+        invert_rows(model, batch)
     for owner, attr, original in originals:
         assert getattr(owner, attr) is original, attr
     names = {rec[spans.NAME] for rec in tracer.spans}
     assert {"diffcore.backward", "diffcore.masked_softmax",
             "conditioner.encoder_layer"} <= names
+    # the encoder layer looks its helpers up in diffcore at each call, so
+    # the per-layer metrics see them in training and in every cached step
+    phased = {(rec[spans.PHASE], rec[spans.NAME]) for rec in tracer.spans}
+    assert {("train", "diffcore.layer_norm"), ("train", "diffcore.masked_softmax"),
+            ("invert", "diffcore.layer_norm"), ("invert", "diffcore.masked_softmax")} <= phased
     assert tracer.counts[("train", "grad_copy_bytes")] > 0

@@ -56,7 +56,7 @@ def _composite_cdf(x, w1, b1, w2, b2, c):
     """The diffcore op chain that transforms.cdf_forward_node replaces: the
     net on exp'd weights, then log(e^c + e^L) from logsumexp and softplus."""
     a = dc.add(dc.mul(dc.exp(w1), dc.reshape(x, x.value.shape + (1,))), b1)
-    u = dc.add(dc.sum_(dc.mul(dc.tanh(a), dc.exp(w2)), axis=-1), b2)
+    u = dc.add(dc.sum_(dc.mul(cops.tanh(a), dc.exp(w2)), axis=-1), b2)
     y = dc.add(u, dc.mul(dc.exp(c), x))
     log1mt2 = dc.mul(2.0, cops.sub(cops.sub(dc.constant(tf.LOG2), a),
                                    cops.softplus(dc.mul(-2.0, a))))
@@ -591,8 +591,8 @@ class TestSharedCdf:
             # the shared head before shared_cdf_psi: biases shifted by the
             # embedding, global weights broadcast by the ops themselves
             flat = dc.reshape(h_embed, (6, 6))
-            cond1 = dc.matmul(flat, phi["phi.w1_cond"])
-            cond2 = dc.matmul(flat, phi["phi.w2_cond"])
+            cond1 = cops.matmul(flat, phi["phi.w1_cond"])
+            cond2 = cops.matmul(flat, phi["phi.w2_cond"])
             b1 = dc.add(dc.reshape(cond1, (3, 2, 4)), phi["phi.b1"])
             b2 = dc.add(dc.reshape(cond2, (3, 2)), dc.reshape(phi["phi.b2"], ()))
             return _composite_cdf(x, phi["phi.w1"], b1, phi["phi.w2"], b2,

@@ -8,6 +8,13 @@ Run this script against each of two checkouts' ``src/`` and diff the results:
 The D=17 model ends its attention rows in a block of one row (masked_softmax
 tiles its rows eight at a time), and D=63 in a block of seven.
 
+The ``bench.*`` lines run the benchmark's own shapes on the default
+ModelConfig (BENCH): ``log_prob`` and the float32 loss and gradients on the
+benchmark's batch, and ``invert_rows`` on INVERT_ROWS rows.  Products of
+that size reach the BLAS library's threaded GEMM, whose rounding can depend
+on its thread count, so compare only runs made under the same BLAS thread
+count (for example the same OPENBLAS_NUM_THREADS).
+
 Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
 the CLI quantities as the exact bytes of the files and stdout they produce.
 For each (head, D) model the script hashes the loss and every parameter
@@ -49,6 +56,9 @@ MODELS = (
 )
 SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32, "H": 8, "K": 4}
 ROWS = 16
+# (head, D, rows) of the benchmark's d63-spline and d8-cdf workloads
+BENCH = (("spline", 63, 64), ("cdf", 8, 256))
+INVERT_ROWS = 4
 
 
 def digest(data) -> str:
@@ -69,10 +79,10 @@ def guarded(fn, *args):
         return f"{type(err).__name__}: {err}".encode()
 
 
-def model_config(head: str, d: int) -> ModelConfig:
+def model_config(head: str, d: int, shape: dict = SMALL) -> ModelConfig:
     # built from the config keys, which every checkout reads the same way;
     # the data section is required but unused
-    doc = {"model": {"D": d, "head_type": head, **SMALL}, "data": {"toy": "ring", "n": 1}}
+    doc = {"model": {"D": d, "head_type": head, **shape}, "data": {"toy": "ring", "n": 1}}
     return parse_run_config(doc).model
 
 
@@ -106,6 +116,20 @@ def model_hashes(head: str, d: int) -> None:
     for name, p in model.params.items():
         emit(f"{tag}.trained.{name}", p.value)
     emit(f"{tag}.trained.sample", guarded(sample, model, ROWS, 5))
+
+
+def bench_hashes(head: str, d: int, rows: int) -> None:
+    tag = f"bench.{head}.D{d}"
+    model = build_model(model_config(head, d, {}), seed=1)
+    batch = np.random.default_rng(d).standard_normal((rows, d))
+    res = log_prob(model, batch)
+    emit(f"{tag}.log_prob.y", res.y)
+    emit(f"{tag}.log_prob.logdet", res.logdet)
+    emit(f"{tag}.log_prob.logp", res.logp)
+    emit(f"{tag}.loss32", guarded(float32_gradients, model, batch))
+    for name, p in model.params.items():
+        emit(f"{tag}.grad32.{name}", p.grad)
+    emit(f"{tag}.invert_rows", guarded(invert_rows, model, res.y[:INVERT_ROWS]))
 
 
 def cli_hashes(head: str, workdir: str) -> None:
@@ -142,6 +166,8 @@ def cli_hashes(head: str, workdir: str) -> None:
 def main() -> int:
     for head, d in MODELS:
         model_hashes(head, d)
+    for head, d, rows in BENCH:
+        bench_hashes(head, d, rows)
     with tempfile.TemporaryDirectory() as workdir:
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             cli_hashes(head, workdir)
