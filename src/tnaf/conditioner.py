@@ -30,6 +30,13 @@ if TYPE_CHECKING:
 
 LAYER_NORM_EPS = 1e-5
 
+# Bytes of attention scores per chunk of batch rows in _block (4 rows of
+# float64 at D=63); a call of several chunks keeps no softmax, and its vjp
+# recomputes each chunk's.  A float64 d63 layer on 64 rows took a median 20.8
+# ms at 1 MiB, 21.3 at 512 KiB, 20.9 at 2 MiB, 25.1 at 256 KiB and 28.4 in one
+# chunk; float32 with its recomputing vjp 36.9, 35.0, 36.7, 42.2, 36.5 (2-core Xeon).
+ATTN_CHUNK_BYTES = 1 << 20
+
 
 def require_ints(minimum: int, **values) -> None:
     """Reject any value that is not an integer >= minimum (bools included)."""
@@ -167,8 +174,21 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     if cache is not None:
         k, v = cache.extend(layer, k, v)
     kt = k.transpose(0, 1, 3, 2)
-    attn = dc.masked_softmax(q @ kt, cache is None, scale)
-    ctx = merge_heads(attn @ v)
+    causal = cache is None
+    rows = max(1, ATTN_CHUNK_BYTES // (heads * d * kt.shape[-1] * x.itemsize))
+    chunks = [slice(r, r + rows) for r in range(0, max(n, 1), rows)]
+
+    def probs(c):  # one chunk's attention weights
+        return dc.masked_softmax(q[c] @ kt[c], causal, scale)
+
+    if len(chunks) == 1:
+        attn = probs(chunks[0])
+        ctx4 = attn @ v
+    else:
+        attn, ctx4 = None, np.empty(q.shape, q.dtype)
+        for c in chunks:
+            ctx4[c] = probs(c) @ v[c]
+    ctx = merge_heads(ctx4)
     u = x + (ctx @ wo + bo).reshape(n, d, e)
 
     normed2, xhat2, inv2 = dc.layer_norm(u, g2, b2, LAYER_NORM_EPS)
@@ -183,10 +203,20 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         gu = g + gu_ln
         guf = gu.reshape(-1, e)
         g_ctx = split_heads(guf @ wo.T)
-        g_scores = dc.masked_softmax_vjp(g_ctx @ v.swapaxes(-1, -2), attn, cache is None, scale)
-        gq = merge_heads(g_scores @ kt.swapaxes(-1, -2))
-        gk = merge_heads((q.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2))
-        gv = merge_heads(attn.swapaxes(-1, -2) @ g_ctx)
+
+        def chunk_grads(c, y):  # one chunk's gradients of q, k and v
+            g_scores = dc.masked_softmax_vjp(g_ctx[c] @ v[c].swapaxes(-1, -2), y, causal, scale)
+            return (g_scores @ kt[c].swapaxes(-1, -2),
+                    (q[c].swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2),
+                    y.swapaxes(-1, -2) @ g_ctx[c])
+
+        if attn is not None:
+            parts = chunk_grads(chunks[0], attn)
+        else:
+            parts = [np.empty(a.shape, q.dtype) for a in (q, k, v)]
+            for c in chunks:
+                parts[0][c], parts[1][c], parts[2][c] = chunk_grads(c, probs(c))
+        gq, gk, gv = (merge_heads(p) for p in parts)
         g_normed = (gq @ wq.T + gk @ wk.T) + gv @ wv.T
         gx_ln, gg1, gb1 = dc.layer_norm_vjp(g_normed.reshape(n, d, e), xhat1, inv1, g1)
         return (gu + gx_ln, gg1, gb1, flat1.T @ gq, gq.sum(axis=0), flat1.T @ gk,

@@ -44,10 +44,10 @@ import numpy as np
 # in float32 as well as float64.
 NEG_MASK = -1e30
 
-# Query rows per tile of masked_softmax.  On causal [64, 8, 63, 63] scores a
-# value-only call took a median 15.5 ms at 8 rows, 17.3 ms at 16, 19.9 ms at
-# 32 and 28 ms as one tile, and its VJP 8.5, 8.7, 9.7 and 8.8 ms (2-core
-# Xeon, numpy 2.4, AVX-512).
+# Query rows per tile of masked_softmax.  On whole causal [64, 8, 63, 63]
+# scores a value-only call took 15.5 ms at 8 rows, 17.3 at 16, 19.9 at 32 and
+# 28 as one tile, its VJP 8.5, 8.7, 9.7 and 8.8 ms (2-core Xeon, AVX-512);
+# the tiles run inside each row chunk (conditioner.ATTN_CHUNK_BYTES).
 SOFTMAX_ROW_BLOCK = 8
 
 

@@ -1,5 +1,7 @@
 """Conditioner tests: embedding, masking, and the autoregressive contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from tnaf.flow import (
     build_model,
     forward_values,
     invert_rows,
+    log_prob,
     project_head,
 )
 
@@ -139,14 +142,21 @@ class TestEncoderLayer:
         assert out.value.shape == (1, 1, cfg.E)
 
 
-def layer_values(d, dtype, seed=0, **overrides):
+def layer_values(d, dtype, seed=0, rows=3, **overrides):
     """A config, its layer-0 parameter values as `dtype` (every entry random,
-    so no bias is zero and no gain one) and a sequence [3, d, E]."""
+    so no bias is zero and no gain one) and a sequence [rows, d, E]."""
     cfg, params = fresh(d, seed=seed, **overrides)
     rng = np.random.default_rng(seed)
     values = {name: (0.5 * rng.standard_normal(node.value.shape)).astype(dtype)
               for name, node in params.items() if name.startswith("layer0.")}
-    return cfg, values, rng.standard_normal((3, d, cfg.E)).astype(dtype)
+    return cfg, values, rng.standard_normal((rows, d, cfg.E)).astype(dtype)
+
+
+def softmax_rows(monkeypatch) -> list:
+    """The batch rows of every later dc.masked_softmax call, in call order."""
+    rows, real = [], dc.masked_softmax
+    monkeypatch.setattr(dc, "masked_softmax", lambda s, *a: rows.append(len(s)) or real(s, *a))
+    return rows
 
 
 def layer_gradients(layer_fn, cfg, values, seq_value, seq_fn=dc.parameter, passes=1):
@@ -183,6 +193,34 @@ class TestBlockNode:
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
+    # 10 rows in chunks of 3 end in a chunk of one row; the default shape
+    # at D=63 takes 4 rows per chunk in float64 and 8 in float32
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d, shape", [(17, {}), (63, {}),
+                                          (63, dict(E=32, heads=8, mlp_hidden=64))])
+    def test_row_chunks_bit_identical_to_reference(self, d, shape, dtype, monkeypatch):
+        cfg, values, seq = layer_values(d, dtype, seed=d, rows=10, **shape)
+        reference = layer_gradients(cops.encoder_layer, cfg, values, seq)
+        if not shape:
+            row_bytes = cfg.heads * d * d * np.dtype(dtype).itemsize
+            monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 3 * row_bytes)
+        calls = softmax_rows(monkeypatch)
+        block = layer_gradients(encoder_layer, cfg, values, seq)
+        per_chunk = 3 if not shape else 8 if dtype == np.float32 else 4
+        chunks = [per_chunk] * (10 // per_chunk) + [10 % per_chunk]
+        # the forward keeps no softmax: the vjp recomputes every chunk's
+        assert calls == chunks + chunks
+        assert len(block) == 2 + len(conditioner.LAYER_PARAMS)
+        for got, want in zip(block, reference):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_chunk_keeps_its_softmax(self, monkeypatch):
+        cfg, values, seq = layer_values(5, np.float64)
+        calls = softmax_rows(monkeypatch)
+        layer_gradients(encoder_layer, cfg, values, seq)
+        assert calls == [3]
+
     @pytest.mark.parametrize("d", [1, 8, 17])
     def test_condition_and_cached_steps_match_reference(self, d, monkeypatch):
         cfg, params = fresh(d, seed=d, layers=2)
@@ -197,6 +235,11 @@ class TestBlockNode:
         reference = passes()
         for got, want in zip(block, reference):
             np.testing.assert_array_equal(got, want)
+
+    def test_cached_steps_in_row_chunks_match_reference(self, monkeypatch):
+        # one row per chunk: every cached step of the 4 rows runs 4 chunks
+        monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 1)
+        self.test_condition_and_cached_steps_match_reference(8, monkeypatch)
 
     def test_gradient_vs_fd(self):
         cfg, values, seq = layer_values(3, np.float64, seed=5, E=4, mlp_hidden=4)
@@ -232,6 +275,51 @@ class TestBlockNode:
         for got, want in zip(without[2:], with_seq[2:]):
             assert np.abs(got).max() > 0
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_row_chunks_add_passes_and_take_a_constant_seq(self, passes, monkeypatch):
+        monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 1)  # one row per chunk
+        cfg, values, seq = layer_values(5, np.float64)
+        once = layer_gradients(encoder_layer, cfg, values, seq)
+        with_seq = layer_gradients(encoder_layer, cfg, values, seq, passes=passes)
+        without = layer_gradients(encoder_layer, cfg, values, seq, dc.constant, passes)
+        np.testing.assert_array_equal(with_seq[0], once[0])
+        for got, want in zip(with_seq[1:], once[1:]):
+            np.testing.assert_array_equal(got, passes * want)
+        assert without[1] is None
+        for got, want in zip(without[2:], with_seq[2:]):
+            assert np.abs(got).max() > 0
+            np.testing.assert_array_equal(got, want)
+
+
+class TestAttentionMemory:
+    """A forward pass over several row chunks holds one chunk's attention
+    scores at a time and keeps none of them."""
+
+    def test_log_prob_runs_the_softmax_by_row_chunk(self, monkeypatch):
+        cfg = ModelConfig(D=63, head_type="spline")
+        model = build_model(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((256, 63))
+        calls = softmax_rows(monkeypatch)
+        log_prob(model, x)
+        per_chunk = conditioner.ATTN_CHUNK_BYTES // (cfg.heads * 63 * 63 * 8)
+        assert per_chunk == 4
+        assert calls == [per_chunk] * (256 // per_chunk) * cfg.layers
+
+    def test_log_prob_peak_memory(self):
+        cfg = ModelConfig(D=63, head_type="spline")
+        model = build_model(cfg, seed=0)
+        x = np.random.default_rng(0).standard_normal((256, 63))
+        scores = 256 * cfg.heads * 63 * 63 * 8  # float64 [256, 8, 63, 63], 62 MiB
+        tracemalloc.start()
+        try:
+            log_prob(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the layer's other intermediates take about one score array; keeping
+        # every chunk's softmax, or one whole-batch softmax, adds another
+        assert peak < 1.5 * scores, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestGraphSize:

@@ -38,8 +38,9 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
         for param in build_model(tool.model_config(head, d), seed=1).params.names():
             for kind in ("grad", "grad32", "trained"):
                 assert f"{tag}.{kind}.{param}" in names
-    for head, d, _ in tool.BENCH:
-        tag = f"bench.{head}.D{d}"
+    bench = [(head, d, f"bench.{head}.D{d}") for head, d, _ in tool.BENCH]
+    bench += [(head, d, f"bench.{head}.D{d}.N{rows}") for head, d, rows in tool.RAGGED]
+    for head, d, tag in bench:
         for output in ("log_prob.y", "log_prob.logdet", "log_prob.logp", "loss32",
                        "invert_rows"):
             assert f"{tag}.{output}" in names

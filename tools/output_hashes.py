@@ -10,7 +10,9 @@ tiles its rows eight at a time), and D=63 in a block of seven.
 
 The ``bench.*`` lines run the benchmark's own shapes on the default
 ModelConfig (BENCH): ``log_prob`` and the float32 loss and gradients on the
-benchmark's batch, and ``invert_rows`` on INVERT_ROWS rows.  Products of
+benchmark's batch, and ``invert_rows`` on INVERT_ROWS rows.  The
+``bench.*.N<rows>`` lines (RAGGED) do the same on a batch that ends the
+attention's row chunks in a short one.  Products of
 that size reach the BLAS library's threaded GEMM, whose rounding can depend
 on its thread count, so compare only runs made under the same BLAS thread
 count (for example the same OPENBLAS_NUM_THREADS).
@@ -58,6 +60,10 @@ SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32, "H": 8, "K": 4}
 ROWS = 16
 # (head, D, rows) of the benchmark's d63-spline and d8-cdf workloads
 BENCH = (("spline", 63, 64), ("cdf", 8, 256))
+# the default d63 spline on a row count whose attention ends in a ragged row
+# chunk (conditioner.ATTN_CHUNK_BYTES): 61 rows are 15 chunks of 4 and one of
+# 1 in float64, and 7 chunks of 8 and one of 5 in float32
+RAGGED = (("spline", 63, 61),)
 INVERT_ROWS = 4
 
 
@@ -118,8 +124,7 @@ def model_hashes(head: str, d: int) -> None:
     emit(f"{tag}.trained.sample", guarded(sample, model, ROWS, 5))
 
 
-def bench_hashes(head: str, d: int, rows: int) -> None:
-    tag = f"bench.{head}.D{d}"
+def bench_hashes(head: str, d: int, rows: int, tag: str) -> None:
     model = build_model(model_config(head, d, {}), seed=1)
     batch = np.random.default_rng(d).standard_normal((rows, d))
     res = log_prob(model, batch)
@@ -167,7 +172,9 @@ def main() -> int:
     for head, d in MODELS:
         model_hashes(head, d)
     for head, d, rows in BENCH:
-        bench_hashes(head, d, rows)
+        bench_hashes(head, d, rows, f"bench.{head}.D{d}")
+    for head, d, rows in RAGGED:
+        bench_hashes(head, d, rows, f"bench.{head}.D{d}.N{rows}")
     with tempfile.TemporaryDirectory() as workdir:
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             cli_hashes(head, workdir)
