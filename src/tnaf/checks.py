@@ -20,6 +20,10 @@ TRIANGULAR_TOL = 1e-8
 LOGDET_RTOL = 1e-6
 GRADIENT_RTOL = 1e-4
 JACOBIAN_TRIALS = 3
+INVERSION_TOL = 1e-9   # check_inversion's flow-level round trip, for every head
+GRADIENT_ROWS = 4      # batch rows of check_gradient
+GRADIENT_COORDS = 128  # coordinates check_gradient samples, spread over parameters
+INVERSION_ROWS = 64    # rows of check_inversion's round trip
 
 
 @dataclass
@@ -95,15 +99,14 @@ def check_logdet(model: FlowModel,
                                          f"{worst_dim:.2e} per dimension")
 
 
-def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
-                   max_coords: int = 128) -> OracleResult:
+def check_gradient(model: FlowModel, seed: int = 0) -> OracleResult:
     """backward() vs central differences on a sampled coordinate subset.
 
     Sampling keeps the oracle tractable for big models; the acceptance suite
     covers every coordinate on a tiny model.
     """
     rng = np.random.default_rng(seed)
-    batch = rng.standard_normal((batch_rows, model.D))
+    batch = rng.standard_normal((GRADIENT_ROWS, model.D))
 
     def loss_value() -> float:
         with dc.no_grad():
@@ -119,7 +122,7 @@ def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
     coords = []
     for name in names:
         size = model.params[name].value.size
-        take = max(1, min(size, max_coords // len(names)))
+        take = max(1, min(size, GRADIENT_COORDS // len(names)))
         idxs = rng.choice(size, size=take, replace=False)
         coords.extend((name, int(i)) for i in idxs)
 
@@ -139,24 +142,23 @@ def check_gradient(model: FlowModel, seed: int = 0, batch_rows: int = 4,
     return OracleResult("gradient", True, f"max scaled error {worst:.2e} over {len(coords)} coords")
 
 
-def check_inversion(model: FlowModel, seed: int = 0, rows: int = 64) -> OracleResult:
+def check_inversion(model: FlowModel, seed: int = 0) -> OracleResult:
     """x -> y -> x round trip through the model's own inverse path.
 
-    The tolerance is the head's, 1e-9 for every head: the CDF heads' Newton
+    The tolerance is INVERSION_TOL for every head: the CDF heads' Newton
     inverse lands within about 1e-12 of each per-dimension root, so the error
     that compounds across dimensions via the conditioner stays far below it.
     The detail also reports the residual max|f(x_hat) - y|, which measures
     the inverter apart from the conditioning of the model; it has no bound.
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((rows, model.D))
+    x = rng.standard_normal((INVERSION_ROWS, model.D))
     y, _ = forward_values(model, x)
     recovered = invert_rows(model, y)
     err = float(np.abs(x - recovered).max())
     residual = float(np.abs(forward_values(model, recovered)[0] - y).max())
-    tol = model.head.inversion_tol
-    bound = "" if err < tol else f" >= {tol:.0e}"
-    return OracleResult("inversion", err < tol,
+    bound = "" if err < INVERSION_TOL else f" >= {INVERSION_TOL:.0e}"
+    return OracleResult("inversion", err < INVERSION_TOL,
                         f"round-trip error {err:.2e}{bound}, residual {residual:.2e}")
 
 

@@ -181,6 +181,8 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     def probs(c):  # one chunk's attention weights
         return dc.masked_softmax(q[c] @ kt[c], causal, scale)
 
+    # one chunk keeps its softmax for the VJP: recomputing it, as the loop
+    # does, slowed a d8-cdf float32 step on 256 rows from a median 65 ms to 74
     if len(chunks) == 1:
         attn = probs(chunks[0])
         ctx4 = attn @ v

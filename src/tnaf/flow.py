@@ -28,6 +28,9 @@ from .conditioner import (
 from .diffcore import DimensionError, Node, ParamSet, linear
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# rows per KVCache in invert_rows and per log_prob call in trainer.evaluate:
+# bounds their peak memory (a D=63 cache holds about 95 KiB per row)
+ROW_BLOCK = 256
 
 
 @dataclass
@@ -65,11 +68,6 @@ def project_head(hidden: Node, params: ParamSet) -> Node:
     return linear(hidden, params["head.w"], params["head.b"])
 
 
-def _psi_values(hidden_i: np.ndarray, params: ParamSet) -> np.ndarray:
-    """project_head on one position's hidden rows [N, E] (inversion path)."""
-    return project_head(dc.constant(hidden_i), params).value
-
-
 # ---------------------------------------------------------------------------
 # heads: one object per transform family, registered in HEADS
 # ---------------------------------------------------------------------------
@@ -78,25 +76,20 @@ def _psi_values(hidden_i: np.ndarray, params: ParamSet) -> np.ndarray:
 @dataclass
 class Head:
     """One per-dimension invertible transform, parameterized per position by
-    the conditioner's hidden embeddings [N, D, E].
+    `width` pseudo-parameters psi, which `psi` reads off the conditioner's
+    hidden embeddings.  A head states ``width`` and its two transforms:
 
-    Besides the defaults below, a head implements:
-
-    * ``init(params, rng)``: add its parameters after the conditioner's,
-      drawing from the build RNG;
-    * ``psi_count()``: pseudo-parameters emitted per input vector;
-    * ``forward(x, hidden, params)``: the graph map x [N, D] ->
-      (y [N, D], per-dimension logdet [N, D]), each dimension strictly
-      increasing from the real line onto itself;
-    * ``inverse(params, hidden_i, target, i, state)``: column i of x from
-      column i of y, given the hidden rows [N, E] at position i.
+    * ``forward(x, psi, params)``: the graph map x [N, D] ->
+      (y [N, D], per-dimension logdet [N, D]) given psi [N, D, width], each
+      dimension strictly increasing from the real line onto itself;
+    * ``inverse(params, psi, target, i, state)``: column i of x from
+      column i of y, given position i's psi values [N, width].
 
     Transforms and ``project_head`` are looked up as module attributes at
     call time, so code that patches them (a tracer, say) sees every call.
     """
 
     cfg: ModelConfig
-    inversion_tol = 1e-9  # flow-level round-trip tolerance of check_inversion
     # the ModelConfig fields the head reads, shown by `tnaf inspect`; a plain
     # class attribute, since an annotated one would become a dataclass field
     keys = ()
@@ -108,37 +101,36 @@ class Head:
         """Hyperparameter line for `tnaf inspect`, if the head has any."""
         return " ".join(f"{key}={getattr(self.cfg, key)}" for key in self.keys) or None
 
+    def init(self, params: ParamSet, rng: np.random.Generator) -> None:
+        """Add the head's parameters after the conditioner's, from the build RNG."""
+        params.add("head.w", uniform_init(rng, self.cfg.E, (self.cfg.E, self.width)))
+        params.add("head.b", np.zeros(self.width))
+
+    def psi(self, hidden: Node, params: ParamSet) -> Node:
+        """Hidden embeddings [..., E] -> psi [..., width]."""
+        return project_head(hidden, params)
+
+    def psi_count(self) -> int:  # per input vector
+        return self.cfg.D * self.width
+
     def inverse_state(self, params: ParamSet, n: int):
         """Scratch carried across the dimensions of one inversion."""
         return None
 
 
-class _ProjectedHead(Head):
-    """Head whose per-position pseudo-parameters are one linear projection
-    `head.{w,b}` of the hidden embedding, `width` values per position."""
-
-    def init(self, params, rng):
-        e = self.cfg.E
-        params.add("head.w", uniform_init(rng, e, (e, self.width)))
-        params.add("head.b", np.zeros(self.width))
-
-    def psi_count(self):
-        return self.cfg.D * self.width
-
-
-class AffineHead(_ProjectedHead):
+class AffineHead(Head):
     """y = mu + exp(log_sigma) * x, psi = [mu | log_sigma]."""
 
     width = 2
 
-    def forward(self, x, hidden, params):
-        return tf.affine_forward_node(x, project_head(hidden, params))
+    def forward(self, x, psi, params):
+        return tf.affine_forward_node(x, psi)
 
-    def inverse(self, params, hidden_i, target, i, state):
-        return tf.affine_inverse_np(target, _psi_values(hidden_i, params))
+    def inverse(self, params, psi, target, i, state):
+        return tf.affine_inverse_np(target, psi)
 
 
-class CdfHead(_ProjectedHead):
+class CdfHead(Head):
     """Per-position monotone net
     b2 + exp(c) x + sum exp(w2) tanh(exp(w1) x + b1), psi = [w1 | b1 | w2 | b2 | c];
     the linear term makes it map the real line onto itself."""
@@ -160,20 +152,24 @@ class CdfHead(_ProjectedHead):
         h = self.cfg.H
         params["head.b"].value[2 * h:3 * h] = -np.log(h)
 
-    def forward(self, x, hidden, params):
-        return tf.cdf_forward_node(x, project_head(hidden, params), self.cfg.H)
+    def forward(self, x, psi, params):
+        return tf.cdf_forward_node(x, psi, self.cfg.H)
 
-    def inverse(self, params, hidden_i, target, i, state):
-        return tf.cdf_inv_batch(target, _psi_values(hidden_i, params), self.cfg.H)
+    def inverse(self, params, psi, target, i, state):
+        return tf.cdf_inv_batch(target, psi, self.cfg.H)
 
 
 class SharedCdfHead(Head):
     """One global monotone net `phi.*` (the per-token net's map, one global
     phi.c) whose biases b1 and b2 are shifted by the embedding's linear maps
-    `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; no projection layer."""
+    `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; its psi is the embedding."""
 
     keys = CdfHead.keys
     validate = CdfHead.validate
+
+    @property
+    def width(self):
+        return self.cfg.E
 
     def init(self, params, rng):
         h, e = self.cfg.H, self.cfg.E
@@ -187,18 +183,18 @@ class SharedCdfHead(Head):
         params.add("phi.w1_cond", np.ascontiguousarray(uniform_init(rng, e, (h, e)).T))
         params.add("phi.w2_cond", np.ascontiguousarray(uniform_init(rng, e, (1, e)).T))
 
-    def psi_count(self):
-        return self.cfg.D * self.cfg.E
+    def psi(self, hidden, params):
+        return hidden
 
-    def forward(self, x, hidden, params):
-        return tf.shared_cdf_forward_node(x, hidden, params)
+    def forward(self, x, psi, params):
+        return tf.shared_cdf_forward_node(x, psi, params)
 
-    def inverse(self, params, hidden_i, target, i, state):
-        psi = tf.shared_cdf_psi(dc.constant(hidden_i), params).value
-        return tf.cdf_inv_batch(target, psi, self.cfg.H)
+    def inverse(self, params, psi, target, i, state):
+        net = tf.shared_cdf_psi(dc.constant(psi), params).value
+        return tf.cdf_inv_batch(target, net, self.cfg.H)
 
 
-class SplineHead(_ProjectedHead):
+class SplineHead(Head):
     """Stack of J blocks: rational-quadratic spline, then unit-lower-triangular
     mix `mix{j}` (log-det exactly 0).  One projection `head.{w,b}` emits all
     J blocks' psi, block j in columns [j (3K - 1), (j + 1)(3K - 1)).
@@ -228,13 +224,11 @@ class SplineHead(_ProjectedHead):
             for j in range(cfg.blocks):
                 params.add(f"mix{j}", np.zeros(cfg.D * (cfg.D - 1) // 2))
 
-    def forward(self, x, hidden, params):
+    def forward(self, x, psi, params):
         cfg, bw = self.cfg, 3 * self.cfg.K - 1
-        psi_all = project_head(hidden, params)
         z, ld_total = x, None
         for j in range(cfg.blocks):
-            psi = dc.narrow(psi_all, -1, j * bw, bw)
-            z, ld = tf.spline_forward_node(z, psi, cfg.K, cfg.B)
+            z, ld = tf.spline_forward_node(z, dc.narrow(psi, -1, j * bw, bw), cfg.K, cfg.B)
             ld_total = ld if ld_total is None else dc.add(ld_total, ld)
             free = params[f"mix{j}"] if cfg.D > 1 else None
             z = tf.mix_forward_node(z, free, cfg.D)
@@ -249,11 +243,11 @@ class SplineHead(_ProjectedHead):
             for j in range(cfg.blocks)
         ]
 
-    def inverse(self, params, hidden_i, target, i, state):
+    def inverse(self, params, psi, target, i, state):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top."""
         cfg = self.cfg
-        psis = np.split(_psi_values(hidden_i, params), cfg.blocks, axis=1)
+        psis = np.split(psi, cfg.blocks, axis=1)
         v = target.copy()
         for j in reversed(range(cfg.blocks)):
             lmat, premix = state[j]
@@ -306,8 +300,8 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
 
 def transform_forward(model: FlowModel, x: np.ndarray) -> tuple[Node, Node]:
     """x [N, D] -> (y [N, D], per-dimension logdet [N, D]) as graph nodes."""
-    hidden = condition(x, model.params, model.config)
-    return model.head.forward(dc.constant(x), hidden, model.params)
+    psi = model.head.psi(condition(x, model.params, model.config), model.params)
+    return model.head.forward(dc.constant(x), psi, model.params)
 
 
 def _as_rows(x) -> tuple[np.ndarray, bool]:
@@ -374,7 +368,7 @@ def sample(model: FlowModel, n: int, seed: int) -> np.ndarray:
 
 def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
     """Map base-space rows back through the flow, one dimension at a time,
-    in float64 whatever the targets' dtype.
+    in float64 whatever the targets' dtype, ROW_BLOCK rows at a time.
 
     Step i runs one cached conditioner step -- it encodes only the token of
     x_{i-1}, recovered at step i-1, and attends over the keys and values cached
@@ -390,6 +384,12 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(noise).all():
         raise DimensionError("targets must be finite")
+    return np.concatenate([_invert_block(model, noise[start:start + ROW_BLOCK], start)
+                           for start in range(0, max(len(noise), 1), ROW_BLOCK)])
+
+
+def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray:
+    """invert_rows on its targets' rows from `start`, with a KVCache of their own."""
     n, d = noise.shape
     x = np.zeros((n, d))
     cache = KVCache(model.config, n)
@@ -400,16 +400,17 @@ def invert_rows(model: FlowModel, targets: np.ndarray) -> np.ndarray:
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
             hidden = condition(x[:, max(i - 1, 0):i], model.params, model.config, cache).value
+            psi = model.head.psi(dc.constant(hidden[:, 0]), model.params).value
             try:
-                x[:, i] = model.head.inverse(model.params, hidden[:, 0], noise[:, i], i, state)
+                x[:, i] = model.head.inverse(model.params, psi, noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])
                 if bad.any():
                     raise tf.InversionError("recovered a non-finite value",
                                             index=int(np.argmax(bad)))
             except tf.InversionError as err:
+                row = start + err.index
                 raise tf.InversionError(
-                    f"inversion failed at sample {err.index}, dimension {i}: {err}",
-                    index=err.index,
+                    f"inversion failed at sample {row}, dimension {i}: {err}", index=row,
                 ) from err
     return x
 

@@ -14,6 +14,7 @@ ends, whether by step budget, patience, or a training fault.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -24,13 +25,11 @@ from . import diffcore as dc
 from .conditioner import require_ints, require_positive_reals
 from .data import DatasetMatrix, Splits, batches
 from .diffcore import ContractViolation, ParamSet
-from .flow import FlowModel, log_prob, nll_loss
+from .flow import ROW_BLOCK, FlowModel, log_prob, nll_loss
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# rows per log_prob call in evaluate, bounding its peak memory
-EVAL_CHUNK = 4096
 
 
 class TrainingFault(RuntimeError):
@@ -129,14 +128,13 @@ def float32_gradients(model: FlowModel, batch: np.ndarray, step: int = 0) -> flo
 
 
 def evaluate(model: FlowModel, matrix: DatasetMatrix) -> tuple[float, float]:
-    """Mean per-row log-likelihood and its standard error (no-grad)."""
+    """Mean per-row log-likelihood and its standard error (no-grad), ROW_BLOCK
+    rows per log_prob call."""
     rows = matrix.data
     if rows.shape[0] < 1:
         raise ValueError("cannot evaluate on an empty matrix")
-    logps = []
-    for start in range(0, rows.shape[0], EVAL_CHUNK):
-        logps.append(log_prob(model, rows[start:start + EVAL_CHUNK]).logp)
-    lp = np.concatenate(logps)
+    lp = np.concatenate([log_prob(model, rows[start:start + ROW_BLOCK]).logp
+                         for start in range(0, rows.shape[0], ROW_BLOCK)])
     mean_ll = float(lp.mean())
     std_err = float(lp.std(ddof=1) / np.sqrt(lp.size)) if lp.size > 1 else 0.0
     return mean_ll, std_err
@@ -145,24 +143,19 @@ def evaluate(model: FlowModel, matrix: DatasetMatrix) -> tuple[float, float]:
 def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
           log_fn: Optional[Callable[[str], None]] = None) -> TrainReport:
     """Run the training loop; the model ends up holding the best-val weights."""
+    if splits.train.n_rows < 1:
+        raise ValueError("cannot train on an empty matrix")
     t0 = time.perf_counter()
     report = TrainReport()
     opt = Adam(model.params)
     best_snap = model.params.snapshot()
     best_val = np.inf
     stale = 0
-    step = 0
-    epoch = 0
-    batch_iter = batches(splits.train, cfg.batch_size, cfg.seed, epoch)
+    # every epoch's reshuffle in turn, `batches` looked up per epoch (a tracer patches it)
+    stream = itertools.chain.from_iterable(
+        batches(splits.train, cfg.batch_size, cfg.seed, epoch) for epoch in itertools.count())
 
-    while step < cfg.max_steps:
-        step += 1
-        try:
-            batch = next(batch_iter)
-        except StopIteration:
-            epoch += 1
-            batch_iter = batches(splits.train, cfg.batch_size, cfg.seed, epoch)
-            batch = next(batch_iter)
+    for step, batch in zip(range(1, cfg.max_steps + 1), stream):
         try:
             loss_val = float32_gradients(model, batch, step)
             clip_gradients(model.params, cfg.clip_norm, step)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tnaf import diffcore as dc
+from tnaf import flow
 from tnaf.checks import check_inversion
 from tnaf.diffcore import DimensionError, fd_gradient
 from tnaf.flow import (
+    ROW_BLOCK,
     ModelConfig,
     build_model,
     forward_values,
@@ -184,7 +186,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("head,tol", [
         # the cdf rows are loose upper bounds; test_heads holds every head's
-        # round trip to its inversion_tol, 1e-9
+        # round trip to checks.INVERSION_TOL, 1e-9
         ("affine", 1e-9), ("spline", 1e-9), ("cdf", 1e-5), ("shared_cdf", 1e-5),
     ])
     def test_forward_then_invert_roundtrip(self, head, tol):
@@ -207,6 +209,24 @@ class TestSampling:
                                         mlp_hidden=32), seed=1)
         with pytest.raises(InversionError, match="sample 5, dimension 8: .*non-finite"):
             sample(model, 16, seed=5)
+
+    def test_rows_invert_in_blocks_with_a_cache_each(self, monkeypatch):
+        model = tiny_model(2, "cdf", seed=3)
+        y = np.random.default_rng(8).standard_normal((2 * ROW_BLOCK + 3, 2))
+        caches = []
+        real = flow.KVCache
+        monkeypatch.setattr(flow, "KVCache", lambda cfg, n: caches.append(n) or real(cfg, n))
+        x = invert_rows(model, y)
+        assert caches == [ROW_BLOCK, ROW_BLOCK, 3]
+        assert x.tobytes() == np.concatenate([invert_rows(model, y[s:s + ROW_BLOCK])
+                                              for s in range(0, len(y), ROW_BLOCK)]).tobytes()
+        # a target no bracket reaches fails in the last block, named by its
+        # row in the whole input
+        y[2 * ROW_BLOCK + 1, 1] = 1e300
+        with pytest.raises(InversionError, match=f"sample {2 * ROW_BLOCK + 1}, dimension 1:"
+                           ) as err:
+            invert_rows(model, y)
+        assert err.value.index == 2 * ROW_BLOCK + 1
 
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):

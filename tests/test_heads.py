@@ -9,14 +9,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from tnaf import diffcore as dc
 from tnaf import flow
 from tnaf.checkpoint import load_checkpoint, parse_run_config, save_checkpoint
+from tnaf.checks import INVERSION_TOL, run_all_checks
 from tnaf.cli import main
 from tnaf.conditioner import init_conditioner_params, uniform_init
-from tnaf.data import StandardizationStats
+from tnaf.data import DatasetMatrix, Splits, StandardizationStats
 from tnaf.flow import (
     HEADS, build_model, forward_values, invert_rows, log_prob, nll_loss, sample,
 )
+from tnaf.trainer import TrainConfig, train
 
 # sha256 of the untrained checkpoint of tiny_doc(head) at seed 0, re-pinned
 # when the all-zero attention key biases layer*.bk left the manifest, and
@@ -95,7 +98,7 @@ def test_base_kind(head, tmp_path):
     np.testing.assert_allclose(res.logp, normal + res.logdet, rtol=1e-12)
     y, _ = forward_values(model, sample(model, 16, seed=4))
     noise = np.random.default_rng(4).standard_normal((16, 3))
-    assert np.abs(y - noise).max() < model.head.inversion_tol
+    assert np.abs(y - noise).max() < INVERSION_TOL
 
 
 def test_log_prob_finite(head, tmp_path):
@@ -108,7 +111,7 @@ def test_invert_rows_round_trip(head, tmp_path):
     model, _, _ = untrained(head, tmp_path)
     x = np.random.default_rng(3).standard_normal((16, 3))
     y, _ = forward_values(model, x)
-    assert np.abs(invert_rows(model, y) - x).max() < model.head.inversion_tol
+    assert np.abs(invert_rows(model, y) - x).max() < INVERSION_TOL
 
 
 def test_save_load_save_byte_identical(head, tmp_path):
@@ -182,3 +185,34 @@ def test_shared_cdf_conditioning_weights_are_the_old_draws_transposed(tmp_path):
         value = model.params[name].value
         assert value.shape == (cfg.E, old.shape[0]) and value.flags.c_contiguous
         assert value.tobytes() == np.ascontiguousarray(old.T).tobytes()
+
+
+class ShiftHead(flow.Head):
+    """y = x + psi with log-det 0: a head that states only its psi width and
+    its two transforms, and takes everything else from the base."""
+
+    width = 1
+
+    def forward(self, x, psi, params):
+        return dc.add(x, dc.reshape(psi, x.value.shape)), dc.constant(np.zeros_like(x.value))
+
+    def inverse(self, params, psi, target, i, state):
+        return target - psi[:, 0]
+
+
+def test_a_head_of_width_forward_and_inverse_is_complete(tmp_path, monkeypatch):
+    monkeypatch.setitem(HEADS, "shift", ShiftHead)
+    model, _, path = untrained("shift", tmp_path)
+    assert model.params.names()[-2:] == ["head.w", "head.b"]
+    assert model.head.psi_count() == 3
+    rows = np.random.default_rng(5).standard_normal((24, 3))
+    splits = Splits(*(DatasetMatrix(rows[k::3]) for k in range(3)))
+    train(model, splits, TrainConfig(batch_size=8, max_steps=1, eval_every=1))
+    assert np.isfinite(log_prob(model, rows).logp).all()
+    y, _ = forward_values(model, rows)
+    assert np.abs(invert_rows(model, y) - rows).max() < INVERSION_TOL
+    assert all(result.passed for result in run_all_checks(model)), run_all_checks(model)
+    loaded, stats, rc = load_checkpoint(str(path))
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(str(again), loaded, stats, rc)
+    assert again.read_bytes() == path.read_bytes()

@@ -7,7 +7,7 @@ import io
 import re
 from pathlib import Path
 
-from tnaf.flow import HEADS, build_model
+from tnaf.flow import HEADS, ROW_BLOCK, build_model
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
 
@@ -46,6 +46,10 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
             assert f"{tag}.{output}" in names
         for param in build_model(tool.model_config(head, d, {}), seed=1).params.names():
             assert f"{tag}.grad32.{param}" in names
+    assert tool.BLOCK_ROWS == 2 * ROW_BLOCK + 3
+    head, d = tool.BLOCKS
+    for output in ("evaluate", "invert_rows"):
+        assert f"blocks.{head}.D{d}.N{tool.BLOCK_ROWS}.{output}" in names
     for head in HEADS:
         for output in ("train.stdout", "train.checkpoint", "sample", "inspect"):
             assert f"cli.{head}.{output}" in names

@@ -1,10 +1,13 @@
 """Optimizer, clipping, and the training loop contract."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tnaf import diffcore as dc
-from tnaf.data import DatasetMatrix, make_splits, standardize
+from tnaf import trainer
+from tnaf.data import DatasetMatrix, Splits, batches, make_splits, standardize
 from tnaf.diffcore import ParamSet
 from tnaf.flow import HEADS, ModelConfig, build_model, log_prob, nll_loss
 from tnaf.trainer import (
@@ -155,6 +158,35 @@ class TestTrain:
         for name in finals[0]:
             np.testing.assert_array_equal(finals[0][name], finals[1][name])
 
+    def test_batches_run_epoch_after_epoch(self, monkeypatch):
+        # 40 training rows in batches of 16: 16, 16, 8 per epoch, each epoch
+        # reshuffled by its own `batches` call
+        splits = normal_splits(n=50)
+        seen, epochs = [], []
+
+        def recorded(matrix, batch_size, seed, epoch):
+            epochs.append(epoch)
+            return batches(matrix, batch_size, seed, epoch)
+
+        monkeypatch.setattr(trainer, "batches", recorded)
+        monkeypatch.setattr(trainer, "float32_gradients",
+                            lambda model, batch, step: seen.append(batch) or 0.0)
+        model = build_model(ModelConfig(D=1, head_type="affine", E=8, heads=2,
+                                        layers=1, mlp_hidden=16), seed=3)
+        train(model, splits, TrainConfig(batch_size=16, max_steps=7, eval_every=7, seed=4))
+        assert epochs == [0, 1, 2]
+        expected = [b for e in range(3) for b in batches(splits.train, 16, 4, e)][:7]
+        assert [b.tobytes() for b in seen] == [b.tobytes() for b in expected]
+
+    def test_empty_train_split_refused(self):
+        # the batch stream would never yield a batch
+        splits = normal_splits(n=50)
+        empty = Splits(DatasetMatrix(np.zeros((0, 1))), splits.val, splits.test)
+        model = build_model(ModelConfig(D=1, head_type="affine", E=8, heads=2,
+                                        layers=1, mlp_hidden=16), seed=3)
+        with pytest.raises(ValueError, match="empty"):
+            train(model, empty, TrainConfig(max_steps=1))
+
     def test_best_snapshot_restored(self):
         splits = normal_splits(n=800)
         model = build_model(ModelConfig(D=1, head_type="affine", E=8, heads=2,
@@ -269,6 +301,21 @@ class TestEvaluate:
         a, _ = evaluate(model, DatasetMatrix(rows))
         b, _ = evaluate(model, DatasetMatrix(np.vstack([rows, rows])))
         assert abs(a - b) < 1e-12
+
+    def test_peak_memory_is_one_row_block(self):
+        # evaluate's log_prob calls take ROW_BLOCK rows each, so 1024 rows
+        # peak about as high as one 256-row call, not four times as high
+        model = build_model(ModelConfig(D=63, head_type="spline"), seed=0)
+        x = np.random.default_rng(0).standard_normal((1024, 63))
+        peaks = []
+        for call in (lambda: log_prob(model, x[:256]), lambda: evaluate(model, DatasetMatrix(x))):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], [peak / 2**20 for peak in peaks]
 
 
 class TestCheckedModeParams:

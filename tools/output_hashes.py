@@ -27,8 +27,11 @@ every gradient widened to float64), ``log_prob`` (y, logdet, logp),
 history and ``sample`` after 12 ``train`` steps.  For each head it also
 hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy, the csv of
 ``tnaf sample`` from that checkpoint, and the stdout of ``tnaf inspect
---count-with-psi`` on it (its parameter and psi counts).  An output that raises is hashed as
-the exception's type and message, so failures must match too.
+--count-with-psi`` on it (its parameter and psi counts).  The ``blocks.*``
+lines hash ``evaluate`` and ``invert_rows`` of a small model on BLOCK_ROWS
+rows, which both split into blocks of ``flow.ROW_BLOCK`` rows, the last one
+short.  An output that raises is hashed as the exception's type and message,
+so failures must match too.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from tnaf.checkpoint import parse_run_config
 from tnaf.cli import main as cli_main
 from tnaf.data import DatasetMatrix, make_splits
 from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss, sample
-from tnaf.trainer import TrainConfig, float32_gradients, train
+from tnaf.trainer import TrainConfig, evaluate, float32_gradients, train
 
 MODELS = (
     ("affine", 2), ("affine", 17), ("affine", 63),
@@ -65,6 +68,10 @@ BENCH = (("spline", 63, 64), ("cdf", 8, 256))
 # 1 in float64, and 7 chunks of 8 and one of 5 in float32
 RAGGED = (("spline", 63, 61),)
 INVERT_ROWS = 4
+# (head, D) of the blocks.* lines, on 2 * flow.ROW_BLOCK + 3 rows: written
+# out, so that the script also runs on a checkout from before ROW_BLOCK
+BLOCKS = ("cdf", 8)
+BLOCK_ROWS = 515
 
 
 def digest(data) -> str:
@@ -137,6 +144,14 @@ def bench_hashes(head: str, d: int, rows: int, tag: str) -> None:
     emit(f"{tag}.invert_rows", guarded(invert_rows, model, res.y[:INVERT_ROWS]))
 
 
+def block_hashes(head: str, d: int) -> None:
+    tag = f"blocks.{head}.D{d}.N{BLOCK_ROWS}"
+    model = build_model(model_config(head, d), seed=1)
+    rows = np.random.default_rng(d).standard_normal((BLOCK_ROWS, d))
+    emit(f"{tag}.evaluate", guarded(evaluate, model, DatasetMatrix(rows)))
+    emit(f"{tag}.invert_rows", guarded(invert_rows, model, rows))
+
+
 def cli_hashes(head: str, workdir: str) -> None:
     doc = {
         "model": {"D": 2, "head_type": head, **SMALL},
@@ -175,6 +190,7 @@ def main() -> int:
         bench_hashes(head, d, rows, f"bench.{head}.D{d}")
     for head, d, rows in RAGGED:
         bench_hashes(head, d, rows, f"bench.{head}.D{d}.N{rows}")
+    block_hashes(*BLOCKS)
     with tempfile.TemporaryDirectory() as workdir:
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             cli_hashes(head, workdir)
