@@ -192,18 +192,10 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
             ctx4[c] = probs(c) @ v[c]
     ctx = merge_heads(ctx4)
     u = x + (ctx @ wo + bo).reshape(n, d, e)
-    # with no vjp to read them, the [N, d, E] intermediates go as soon as they
-    # are spent: a no-grad 256-row d63 log_prob peaked at 59.4 MiB keeping them
-    # and at 39.6 MiB without
-    value_only = not dc.grad_enabled()
-    if value_only:
-        del normed, flat1, xhat1, q, k, v, kt, ctx4, ctx, attn
 
     normed2, xhat2, inv2 = dc.layer_norm(u, g2, b2, LAYER_NORM_EPS)
     flat2 = normed2.reshape(-1, e)
     hidden = np.tanh(flat2 @ w1 + bm1)
-    if value_only:
-        del normed2, flat2, xhat2
     out = u + (hidden @ w2 + bm2).reshape(n, d, e)
 
     def vjp(g):

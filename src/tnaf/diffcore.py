@@ -66,8 +66,7 @@ class ContractViolation(RuntimeError):
 _state = threading.local()
 
 
-def grad_enabled() -> bool:
-    """False inside no_grad() on the calling thread."""
+def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
@@ -75,7 +74,7 @@ class no_grad:
     """Context manager: ops inside record no parents and need no backward."""
 
     def __enter__(self):
-        self._prev = grad_enabled()
+        self._prev = _grad_enabled()
         _state.grad_enabled = False
         return self
 
@@ -175,7 +174,7 @@ def _wrap(x) -> Node:
 
 def make_node(value: np.ndarray, parents: Iterable[tuple[Node, Callable]]) -> Node:
     """Build an op result, recording vjps only for grad-requiring parents."""
-    if grad_enabled():
+    if _grad_enabled():
         recorded = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
         if recorded:
             return Node(value, requires_grad=True, parents=recorded)

@@ -11,9 +11,7 @@ ones and reads its hidden row off that step.
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-import glob
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -44,9 +42,16 @@ ROW_BLOCK = 256
 SPLIT_SCORES = 1 << 20
 
 
+# two halves gain only with BLAS at one thread: with its threads too, the four
+# contend (a d63 64-row call read 107 ms whole and 111 ms in halves)
+@functools.cache
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy runs another BLAS."""
+    None where numpy runs another BLAS.  Looked up at the first call large
+    enough to split, so a process whose calls never split never loads them."""
+    import ctypes
+    import glob
+
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
@@ -60,9 +65,6 @@ def _openblas_threads():
     return None
 
 
-# two halves gain only with BLAS at one thread: with its threads too, the four
-# contend (a d63 64-row call read 107 ms whole and 111 ms in halves)
-_BLAS_THREADS = _openblas_threads()
 # held by a split call from setting BLAS to one thread until it restores the
 # count, so concurrent callers leave the count as they found it
 _BLAS_LOCK = threading.Lock()
@@ -384,7 +386,8 @@ def _likelihood_values(model: FlowModel, rows: np.ndarray):
             return [node.value for node in _log_likelihood(model, part)]
 
     cfg = model.config
-    if _BLAS_THREADS is None or len(rows) * cfg.heads * cfg.D ** 2 < SPLIT_SCORES:
+    blas = len(rows) * cfg.heads * cfg.D ** 2 >= SPLIT_SCORES and _openblas_threads()
+    if not blas:
         return values(rows)
     half = len(rows) // 2
     second = {}
@@ -395,11 +398,13 @@ def _likelihood_values(model: FlowModel, rows: np.ndarray):
         except BaseException as err:  # re-raised in the caller
             second["error"] = err
 
-    get_threads, set_threads = _BLAS_THREADS
+    get_threads, set_threads = blas
     with _BLAS_LOCK:
         threads = get_threads()
         set_threads(1)
         try:
+            import contextvars
+
             # the copied context carries the caller's numpy error state
             worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
             worker.start()

@@ -819,7 +819,7 @@ class TestConcurrentEvaluation:
         for got in results:
             np.testing.assert_array_equal(got, expected)
 
-    @pytest.mark.skipif(flow._BLAS_THREADS is None,
+    @pytest.mark.skipif(flow._openblas_threads() is None,
                         reason="numpy does not run its bundled OpenBLAS")
     def test_concurrent_split_calls_restore_blas_threads(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
@@ -828,7 +828,7 @@ class TestConcurrentEvaluation:
         rows = np.random.default_rng(5).standard_normal((64, 2))
         expected = flow.log_prob(model, rows).logp
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
-        get, set_ = flow._BLAS_THREADS
+        get, set_ = flow._openblas_threads()
         old, interval = get(), sys.getswitchinterval()
         set_(2)
         sys.setswitchinterval(1e-5)

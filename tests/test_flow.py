@@ -91,14 +91,14 @@ class TestLogProb:
             assert abs(single.logp - batched.logp[i]) < 1e-12
 
 
-needs_openblas = pytest.mark.skipif(flow._BLAS_THREADS is None,
+needs_openblas = pytest.mark.skipif(flow._openblas_threads() is None,
                                     reason="numpy does not run its bundled OpenBLAS")
 
 
 @pytest.fixture
 def two_blas_threads():
     """OpenBLAS at two threads for the test, then at its old count."""
-    get, set_ = flow._BLAS_THREADS
+    get, set_ = flow._openblas_threads()
     old = get()
     set_(2)
     yield get
@@ -109,7 +109,8 @@ def likelihood_calls(monkeypatch, fail_off_main=False) -> list:
     """(thread, rows, OpenBLAS threads) of every later flow._log_likelihood
     call; with fail_off_main, a call off the main thread raises."""
     calls, real, main = [], flow._log_likelihood, threading.get_ident()
-    blas = flow._BLAS_THREADS[0] if flow._BLAS_THREADS else lambda: None
+    handles = flow._openblas_threads()
+    blas = handles[0] if handles else lambda: None
 
     def traced(model, x):
         calls.append((threading.get_ident(), len(x), blas()))
@@ -181,7 +182,7 @@ class TestLogProbSplit:
         rows = np.random.default_rng(3).standard_normal((7, 4))
         expected = log_prob(model, rows)
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
-        monkeypatch.setattr(flow, "_BLAS_THREADS", None)
+        monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
         calls = likelihood_calls(monkeypatch)
         got = log_prob(model, rows)
         assert [c[:2] for c in calls] == [(threading.get_ident(), 7)]
@@ -195,6 +196,9 @@ class TestLogProbSplit:
         monkeypatch.setattr(threading.Thread, "start",
                             lambda t: pytest.fail("log_prob started a thread"))
         calls = likelihood_calls(monkeypatch)
+        # nor looks up the OpenBLAS handles
+        monkeypatch.setattr(flow, "_openblas_threads",
+                            lambda: pytest.fail("log_prob looked up OpenBLAS"))
         log_prob(model, np.zeros((33, 63)))
         assert [c[:2] for c in calls] == [(threading.get_ident(), 33)]
 
