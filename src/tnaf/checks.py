@@ -52,7 +52,7 @@ def check_triangularity(trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleRe
     """The numerical Jacobian must be lower triangular with positive diagonal."""
     worst = 0.0
     for _, jac in trials:
-        upper = np.abs(np.triu(jac, 1)).max() if len(jac) > 1 else 0.0
+        upper = np.abs(np.triu(jac, 1)).max()
         worst = max(worst, float(upper))
         if upper >= TRIANGULAR_TOL or np.any(np.diag(jac) <= 0.0):
             return OracleResult(

@@ -88,7 +88,7 @@ def _train_run(rc: RunConfig, log_fn) -> tuple[FlowModel, StandardizationStats, 
 def _printed_count(model: FlowModel, with_psi: bool) -> int:
     count = model.params.total_count()
     if with_psi:
-        count += model.head.psi_count()
+        count += model.D * model.head.width
     return count
 
 
@@ -169,9 +169,8 @@ def cmd_inspect(args) -> int:
     print(f"head_type={cfg.head_type}")
     print(f"D={cfg.D} E={cfg.E} heads={cfg.heads} layers={cfg.layers} "
           f"mlp_hidden={cfg.mlp_hidden}")
-    hyper = model.head.describe()
-    if hyper:
-        print(hyper)
+    if model.head.keys:
+        print(" ".join(f"{key}={getattr(cfg, key)}" for key in model.head.keys))
     print(f"param_count={_printed_count(model, args.count_with_psi)}")
     print(f"standardized_columns={len(stats.mean)}")
     return EXIT_OK

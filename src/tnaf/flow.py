@@ -48,7 +48,10 @@ SPLIT_SCORES = 1 << 20
 def _openblas_threads():
     """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
     None where numpy runs another BLAS.  Looked up at the first call large
-    enough to split, so a process whose calls never split never loads them."""
+    enough to split, so a process whose calls never split never loads them.
+    Looked up at import instead, `glob`, a `ctypes.CDLL` and its function
+    pointers sat on every process's heap, and d8-cdf benchmark processes, whose
+    calls never split, moved between two glibc heap states (3 of 8 at seed 1)."""
     import ctypes
     import glob
 
@@ -72,7 +75,8 @@ _BLAS_LOCK = threading.Lock()
 
 @dataclass
 class ModelConfig:
-    """Architecture of one flow: conditioner shape plus head hyperparameters."""
+    """Architecture of one flow: conditioner shape plus head hyperparameters.
+    Every field is checked, whichever head reads it."""
 
     D: int
     head_type: str = "cdf"
@@ -94,10 +98,8 @@ class ModelConfig:
                      mlp_hidden=self.mlp_hidden)
         if self.E % self.heads != 0:
             raise DimensionError(f"E={self.E} not divisible by heads={self.heads}")
-        self.head().validate()
-
-    def head(self) -> Head:
-        return HEADS[self.head_type](self)
+        require_ints(1, H=self.H, K=self.K, blocks=self.blocks)
+        require_positive_reals(B=self.B)
 
 
 def project_head(hidden: Node, params: ParamSet) -> Node:
@@ -114,7 +116,8 @@ def project_head(hidden: Node, params: ParamSet) -> Node:
 class Head:
     """One per-dimension invertible transform, parameterized per position by
     `width` pseudo-parameters psi, which `psi` reads off the conditioner's
-    hidden embeddings.  A head states ``width`` and its two transforms:
+    hidden embeddings.  A head states ``width``, the ``keys`` it reads and its
+    two transforms:
 
     * ``forward(x, psi, params)``: the graph map x [N, D] ->
       (y [N, D], per-dimension logdet [N, D]) given psi [N, D, width], each
@@ -127,16 +130,9 @@ class Head:
     """
 
     cfg: ModelConfig
-    # the ModelConfig fields the head reads, shown by `tnaf inspect`; a plain
+    # the ModelConfig fields the head reads, printed by `tnaf inspect`; a plain
     # class attribute, since an annotated one would become a dataclass field
     keys = ()
-
-    def validate(self) -> None:
-        """Reject out-of-range hyperparameters (raises DimensionError)."""
-
-    def describe(self) -> str | None:
-        """Hyperparameter line for `tnaf inspect`, if the head has any."""
-        return " ".join(f"{key}={getattr(self.cfg, key)}" for key in self.keys) or None
 
     def init(self, params: ParamSet, rng: np.random.Generator) -> None:
         """Add the head's parameters after the conditioner's, from the build RNG."""
@@ -146,9 +142,6 @@ class Head:
     def psi(self, hidden: Node, params: ParamSet) -> Node:
         """Hidden embeddings [..., E] -> psi [..., width]."""
         return project_head(hidden, params)
-
-    def psi_count(self) -> int:  # per input vector
-        return self.cfg.D * self.width
 
     def inverse_state(self, params: ParamSet, n: int):
         """Scratch carried across the dimensions of one inversion."""
@@ -178,9 +171,6 @@ class CdfHead(Head):
 
     keys = ("H",)
 
-    def validate(self):
-        require_ints(1, H=self.cfg.H)
-
     def init(self, params, rng):
         super().init(params, rng)
         # keep sum exp(w2) near 1 at init: without this bias the tanh layer
@@ -190,10 +180,10 @@ class CdfHead(Head):
         params["head.b"].value[2 * h:3 * h] = -np.log(h)
 
     def forward(self, x, psi, params):
-        return tf.cdf_forward_node(x, psi, self.cfg.H)
+        return tf.cdf_forward_node(x, psi)
 
     def inverse(self, params, psi, target, i, state):
-        return tf.cdf_inv_batch(target, psi, self.cfg.H)
+        return tf.cdf_inv_batch(target, psi)
 
 
 class SharedCdfHead(Head):
@@ -202,7 +192,6 @@ class SharedCdfHead(Head):
     `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; its psi is the embedding."""
 
     keys = CdfHead.keys
-    validate = CdfHead.validate
 
     @property
     def width(self):
@@ -228,7 +217,7 @@ class SharedCdfHead(Head):
 
     def inverse(self, params, psi, target, i, state):
         net = tf.shared_cdf_psi(dc.constant(psi), params).value
-        return tf.cdf_inv_batch(target, net, self.cfg.H)
+        return tf.cdf_inv_batch(target, net)
 
 
 class SplineHead(Head):
@@ -246,11 +235,6 @@ class SplineHead(Head):
 
     keys = ("K", "B", "blocks")
 
-    def validate(self):
-        cfg = self.cfg
-        require_ints(1, K=cfg.K, blocks=cfg.blocks)
-        require_positive_reals(B=cfg.B)
-
     def init(self, params, rng):
         cfg, e, bw = self.cfg, self.cfg.E, 3 * self.cfg.K - 1
         # one [E, 3K - 1] draw per block: block j's initial weights do not depend on J
@@ -265,10 +249,10 @@ class SplineHead(Head):
         cfg, bw = self.cfg, 3 * self.cfg.K - 1
         z, ld_total = x, None
         for j in range(cfg.blocks):
-            z, ld = tf.spline_forward_node(z, dc.narrow(psi, -1, j * bw, bw), cfg.K, cfg.B)
+            z, ld = tf.spline_forward_node(z, dc.narrow(psi, -1, j * bw, bw), cfg.B)
             ld_total = ld if ld_total is None else dc.add(ld_total, ld)
             free = params[f"mix{j}"] if cfg.D > 1 else None
-            z = tf.mix_forward_node(z, free, cfg.D)
+            z = tf.mix_forward_node(z, free)
         return z, ld_total
 
     def inverse_state(self, params, n):
@@ -291,7 +275,7 @@ class SplineHead(Head):
             if i > 0:
                 v = v - premix[:, :i] @ lmat[i, :i]
             premix[:, i] = v
-            v = tf.spline_inverse_np(v, psis[j], cfg.K, cfg.B)
+            v = tf.spline_inverse_np(v, psis[j], cfg.B)
         return v
 
 
@@ -325,7 +309,7 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
     """Fresh model: conditioner parameters, then the head's."""
     rng = np.random.default_rng(seed)
     params = init_conditioner_params(cfg, rng)
-    head = cfg.head()
+    head = HEADS[cfg.head_type](cfg)
     head.init(params, rng)
     return FlowModel(cfg, params, head)
 
@@ -403,6 +387,9 @@ def _likelihood_values(model: FlowModel, rows: np.ndarray):
         threads = get_threads()
         set_threads(1)
         try:
+            # imported here, not at the module top: there, layout alone moved
+            # d8-cdf benchmark processes between two glibc heap states (3 of 8
+            # at seed 1), though d8-cdf never splits
             import contextvars
 
             # the copied context carries the caller's numpy error state

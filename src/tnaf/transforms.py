@@ -10,7 +10,9 @@ spline are hand-written graph nodes over plain-numpy helpers (``_cdf_net``;
 through those same helpers, so sampling inverts the same float function
 whose log-derivative was trained.  The affine and spline inverses are closed
 forms; the CDF net is inverted by bracketed, safeguarded Newton iteration
-(``monotone_bisect``) on its value and slope.
+(``monotone_bisect``) on its value and slope.  No transform takes a size:
+the CDF net reads H and the spline K off psi's last axis, 3H + 2 and 3K - 1
+wide, and the mix reads D off its input.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -128,8 +130,9 @@ def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     return x
 
 
-def _cdf_params(psi: np.ndarray, h: int):
+def _cdf_params(psi: np.ndarray):
     """Views of psi [..., 3H + 2] as (w1, b1, w2 [..., H], b2, c [...])."""
+    h = (psi.shape[-1] - 2) // 3
     return (psi[..., :h], psi[..., h:2 * h], psi[..., 2 * h:3 * h], psi[..., 3 * h],
             psi[..., 3 * h + 1])
 
@@ -143,13 +146,13 @@ def _cdf_net(x, ew1, b1, ew2, b2, ec):
     return a, t, (t * ew2).sum(axis=-1) + b2 + ec * x
 
 
-def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, h: int, tol: float = 1e-6) -> np.ndarray:
+def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Lane-wise inverse of the monotone net, psi [..., 3H + 2] packed as in
     cdf_forward_node (both CDF heads invert through this).  The weights are
     exponentiated once; each Newton evaluation takes its value from the
     forward's own _cdf_net and its slope ec + sum ew1 ew2 (1 - t^2) from the
     same tanh t, as s12 - sum t^2 ew1 ew2 with s12 = ec + sum ew1 ew2."""
-    w1, b1, w2, b2, c = _cdf_params(psi, h)
+    w1, b1, w2, b2, c = _cdf_params(psi)
     ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
     ew12 = ew1 * ew2
     s12 = ec + ew12.sum(axis=-1)
@@ -161,14 +164,14 @@ def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, h: int, tol: float = 1e-6) -> 
     return monotone_bisect(value_and_slope, y, tol)
 
 
-def cdf_forward_node(x: Node, psi: Node, h: int) -> tuple[Node, Node]:
+def cdf_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:
     """The monotone net y and its log-derivative ld = c + softplus(L - c),
     L = logsumexp_j(w1_j + w2_j + log(1 - tanh(a_j)^2)), as two graph nodes
     whose only parent is psi [..., 3H + 2], packed [w1 | b1 | w2 | b2 | c].
     x enters by value: both heads pass the data columns as constants, so no
     gradient flows to x."""
     xv = x.value
-    w1, b1, w2, b2, c = _cdf_params(psi.value, h)
+    w1, b1, w2, b2, c = _cdf_params(psi.value)
     ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
     a, t, y = _cdf_net(xv, ew1, b1, ew2, b2, ec)
     # log(1 - tanh(a)^2) = 2 (log 2 - |a| - log1p(e^{-2|a|})), stable on both tails
@@ -219,7 +222,7 @@ def shared_cdf_psi(h_embed: Node, phi) -> Node:
 
 def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
     """Batched graph form; h_embed is [N, D, E]."""
-    return cdf_forward_node(x, shared_cdf_psi(h_embed, phi), phi["phi.w1"].value.shape[0])
+    return cdf_forward_node(x, shared_cdf_psi(h_embed, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +230,12 @@ def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
 # ---------------------------------------------------------------------------
 
 
-def _spline_parts(psi, k, bound):
+def _spline_parts(psi, bound):
     """The knot table [..., 3, K + 1] of psi [..., 3K - 1] packed [widths |
     heights | derivs]: the x and y knots (-B, cumulative floored bins, B) from
     one softmax and one cumsum over a [..., 2, K] view, then the knot
     derivatives (1 at both ends).  Also the softmax p [..., 2, K] for the VJP."""
-    lead = psi.shape[:-1]
+    lead, k = psi.shape[:-1], (psi.shape[-1] + 1) // 3
     raw = psi[..., :2 * k].reshape(lead + (2, k))
     p = np.exp(raw - raw.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
@@ -255,12 +258,13 @@ def _spline_bins(points, table, row):
     return at, table.take(at)
 
 
-def spline_inverse_np(y, psi, k, bound):
+def spline_inverse_np(y, psi, bound):
     """Vectorized inverse on psi [..., 3K - 1] packed as in
     spline_forward_node: solve the bin-local quadratic, stable root form."""
     y = np.asarray(y, dtype=np.float64)
     yc = np.clip(y, -bound, bound)
-    (x0, x1), (y0, y1), (d0, d1) = _spline_bins(yc, _spline_parts(psi, k, bound)[0], 1)[1]
+    table = _spline_parts(psi, bound)[0]
+    (x0, x1), (y0, y1), (d0, d1) = _spline_bins(yc, table, 1)[1]
     w, hgt = x1 - x0, y1 - y0
     s = hgt / w
     r = yc - y0
@@ -275,10 +279,10 @@ def spline_inverse_np(y, psi, k, bound):
     if np.any((xi < -1e-9) | (xi > 1.0 + 1e-9)):
         raise ContractViolation("spline inverse: root escaped [0, 1]")
     xi = np.clip(xi, 0.0, 1.0)
-    return np.where((np.abs(y) < bound) & (k > 1), x0 + xi * w, y)
+    return np.where((np.abs(y) < bound) & (table.shape[-1] > 2), x0 + xi * w, y)  # K > 1
 
 
-def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node, Node]:
+def spline_forward_node(x: Node, psi: Node, bound: float) -> tuple[Node, Node]:
     """The spline y and its log-derivative ld on lanes x [...], psi [..., 3K -
     1] packed [widths | heights | derivs], as three graph nodes: a bin node
     over psi holding each lane's six bin values [3, 2, ...], and y and ld over
@@ -290,7 +294,8 @@ def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node,
     both outputs.  Inside, dy/dx = exp(ld), and d(ld)/dx carries the second
     derivative; outside, dy/dx = 1 and d(ld)/dx = 0."""
     xv, pv = x.value, psi.value
-    table, p = _spline_parts(pv, k, bound)
+    table, p = _spline_parts(pv, bound)
+    k = p.shape[-1]
     at, bins = _spline_bins(xv, table, 0)
     (x0, x1), (y0, y1), (d0, d1) = bins
     inside = (np.abs(xv) < bound) & (k > 1)
@@ -359,9 +364,10 @@ def spline_forward_node(x: Node, psi: Node, k: int, bound: float) -> tuple[Node,
 # ---------------------------------------------------------------------------
 
 
-def mix_forward_node(z: Node, free: Node, d: int) -> Node:
-    """Batched graph form: rows of z are mixed by I + strict-lower(free).
+def mix_forward_node(z: Node, free: Node) -> Node:
+    """Batched graph form: rows of z [N, D] are mixed by I + strict-lower(free).
     The determinant is 1, so the mix adds nothing to the log-det."""
+    d = z.value.shape[-1]
     if d == 1:
         return z
     lmat = dc.strict_lower_embed(free, d)

@@ -163,8 +163,8 @@ def test_criterion_4_inversion_roundtrip():
         x = rng.uniform(-3.5, 3.5, size=n)
         psi = np.concatenate([raw_w, raw_h, raw_d], axis=1)
         with dc.no_grad():
-            y, _ = spline_forward_node(dc.constant(x), dc.constant(psi), k, 3.0)
-        xr = spline_inverse_np(y.value, psi, k, 3.0)
+            y, _ = spline_forward_node(dc.constant(x), dc.constant(psi), 3.0)
+        xr = spline_inverse_np(y.value, psi, 3.0)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
         # cdf: safeguarded Newton at tol 1e-6 over 1000 (x, psi) pairs
@@ -178,7 +178,7 @@ def test_criterion_4_inversion_roundtrip():
         a = np.exp(w1) * x[:, None] + b1
         y = b2 + np.exp(c) * x + (np.tanh(a) * np.exp(w2)).sum(-1)
         psi = np.concatenate([w1, b1, w2, b2[:, None], c[:, None]], axis=1)
-        xr = cdf_inv_batch(y, psi, h, tol=1e-6)
+        xr = cdf_inv_batch(y, psi, tol=1e-6)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
 

@@ -589,6 +589,11 @@ class TestCliCheck:
         ("cdf", "H", True),
         ("spline", "B", True),
         ("spline", "B", "x"),
+        # every key is checked, also one the head does not read
+        ("cdf", "K", 0),
+        ("affine", "blocks", 0),
+        ("shared_cdf", "B", 0.0),
+        ("spline", "H", 0),
     ])
     def test_bad_head_hyperparameter_exits_2(self, tmp_path, capsys, head, key, value):
         doc = tiny_model_doc(head_type=head)

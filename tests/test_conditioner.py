@@ -425,12 +425,12 @@ class TestProjectHead:
         model = build_model(ModelConfig(D=3, head_type="shared_cdf", E=8, heads=2,
                                         layers=1, mlp_hidden=16, H=4), seed=41)
         assert not [n for n in model.params.names() if n.startswith("head")]
-        assert model.head.psi_count() == 3 * 8
+        assert model.D * model.head.width == 3 * 8
 
     def test_cdf_head_psi_dim(self):
         # one hidden layer of width 128 -> 3*128 + 2 pseudo-parameters per token
         cfg = ModelConfig(D=6, head_type="cdf", H=128)
-        assert HEADS["cdf"](cfg).psi_count() == 6 * 386
+        assert cfg.D * HEADS["cdf"](cfg).width == 6 * 386
 
 
 def conditioner_count(cfg):

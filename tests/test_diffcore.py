@@ -342,9 +342,9 @@ def _composite_spline_bins(psi, points, k, bound):
     return dc.reshape(dc.concat(ends, axis=0), (3, 2) + points.shape)
 
 
-def _spline_bins_node(psi, points, k, bound):
+def _spline_bins_node(psi, points, bound):
     """The bin node of transforms.spline_forward_node: y's parent over psi."""
-    y, _ = tf.spline_forward_node(dc.constant(points), psi, k, bound)
+    y, _ = tf.spline_forward_node(dc.constant(points), psi, bound)
     return y.parents[0][0]
 
 
@@ -405,7 +405,7 @@ class TestFusedSoftmaxBitIdentity:
         # of the psi gradient are bit-identical to the composite's
         shape, k, bound = (5, 16, 23), 8, 3.0
         points = np.random.default_rng(1).uniform(-bound, bound, shape[:-1])
-        fused = self.run(shape, lambda a: _spline_bins_node(a, points, k, bound))
+        fused = self.run(shape, lambda a: _spline_bins_node(a, points, bound))
         composite = self.run(shape, lambda a: _composite_spline_bins(a, points, k, bound))
         self.agree(fused, composite, value_tol=2e-14)
         np.testing.assert_array_equal(fused[0][2], composite[0][2])
@@ -521,7 +521,7 @@ class TestBackward:
 
 def _spline_sum(x, psi):
     """sum(y) + sum(2 ld) of a K=3 spline with bound 2."""
-    y, ld = tf.spline_forward_node(dc._wrap(x), dc._wrap(psi), 3, 2.0)
+    y, ld = tf.spline_forward_node(dc._wrap(x), dc._wrap(psi), 2.0)
     return dc.add(dc.sum_(y), dc.sum_(dc.mul(ld, 2.0)))
 
 

@@ -4,6 +4,7 @@ A new head is covered by registering it (and pinning its golden checkpoint
 hash and its parameter count below).
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -17,7 +18,7 @@ from tnaf.cli import main
 from tnaf.conditioner import init_conditioner_params, uniform_init
 from tnaf.data import DatasetMatrix, Splits, StandardizationStats
 from tnaf.flow import (
-    HEADS, build_model, forward_values, invert_rows, log_prob, nll_loss, sample,
+    HEADS, ModelConfig, build_model, forward_values, invert_rows, log_prob, nll_loss, sample,
 )
 from tnaf.trainer import TrainConfig, train
 
@@ -70,16 +71,22 @@ def test_psi_count_behind_count_with_psi(head, tmp_path, capsys):
     # projected heads emit the width of their one head.b bias per position;
     # unprojected ones read the E-wide embedding itself
     width = model.params["head.b"].value.size if "head.b" in model.params.names() else 0
-    assert model.head.psi_count() == model.D * (width or model.config.E)
+    assert model.D * model.head.width == model.D * (width or model.config.E)
     assert main(["inspect", "-m", str(path), "--count-with-psi"]) == 0
     printed = capsys.readouterr().out.split("param_count=")[1].split()[0]
-    assert int(printed) == PARAM_COUNT[head] + model.head.psi_count()
+    assert int(printed) == PARAM_COUNT[head] + model.D * model.head.width
 
 
 # the hyperparameter line `tnaf inspect` prints for the tiny model, from each
 # head's `keys` (affine reads none and prints no line)
 HYPER_LINE = {"affine": [], "cdf": ["H=4"], "shared_cdf": ["H=4"],
               "spline": ["K=4 B=3.0 blocks=2"]}
+
+
+def test_keys_are_model_config_fields(head):
+    # `tnaf inspect` reads each key off the ModelConfig with getattr
+    fields = {field.name for field in dataclasses.fields(ModelConfig)}
+    assert set(HEADS[head].keys) <= fields
 
 
 def test_inspect_prints_the_head_hyperparameters(head, tmp_path, capsys):
@@ -99,6 +106,16 @@ def test_base_kind(head, tmp_path):
     y, _ = forward_values(model, sample(model, 16, seed=4))
     noise = np.random.default_rng(4).standard_normal((16, 3))
     assert np.abs(y - noise).max() < INVERSION_TOL
+
+
+def test_oracles_pass_at_d1(head):
+    # a 1x1 Jacobian has no upper triangle: triangularity reads 0 through
+    # the same np.triu as every other width
+    model = build_model(ModelConfig(D=1, head_type=head, E=8, heads=2, layers=1,
+                                    mlp_hidden=16, H=4, K=4))
+    results = run_all_checks(model)
+    assert all(result.passed for result in results), results
+    assert results[0].detail == "max upper magnitude 0.00e+00"
 
 
 def test_log_prob_finite(head, tmp_path):
@@ -204,7 +221,7 @@ def test_a_head_of_width_forward_and_inverse_is_complete(tmp_path, monkeypatch):
     monkeypatch.setitem(HEADS, "shift", ShiftHead)
     model, _, path = untrained("shift", tmp_path)
     assert model.params.names()[-2:] == ["head.w", "head.b"]
-    assert model.head.psi_count() == 3
+    assert model.D * model.head.width == 3
     rows = np.random.default_rng(5).standard_normal((24, 3))
     splits = Splits(*(DatasetMatrix(rows[k::3]) for k in range(3)))
     train(model, splits, TrainConfig(batch_size=8, max_steps=1, eval_every=1))

@@ -64,9 +64,9 @@ def _composite_cdf(x, w1, b1, w2, b2, c):
     return y, dc.add(c, cops.softplus(cops.sub(slope, c)))
 
 
-def _composite_cdf_psi(x, psi, h):
+def _composite_cdf_psi(x, psi):
     """_composite_cdf on psi narrowed into [w1 | b1 | w2 | b2 | c]."""
-    lead = psi.value.shape[:-1]
+    lead, h = psi.value.shape[:-1], (psi.value.shape[-1] - 2) // 3
     parts = [dc.narrow(psi, -1, k * h, h) for k in range(3)]
     b2, c = (dc.reshape(dc.narrow(psi, -1, 3 * h + k, 1), lead) for k in range(2))
     return _composite_cdf(x, parts[0], parts[1], parts[2], b2, c)
@@ -105,10 +105,11 @@ def _knot_derivs_node(raw_d):
         dknots, [(raw_d, lambda g: g[..., 1:-1] * 0.5 * (1.0 + np.tanh(0.5 * rv)))])
 
 
-def _composite_spline(x, psi, k, bound):
+def _composite_spline(x, psi, bound):
     """The op chain that transforms.spline_forward_node replaces: knot nodes
     over narrows of psi, six gathers, a clip, two wheres and about 30
     arithmetic nodes."""
+    k = (psi.value.shape[-1] + 1) // 3
     xk = _knots_node(dc.narrow(psi, -1, 0, k), bound)
     yk = _knots_node(dc.narrow(psi, -1, k, k), bound)
     dknots = _knot_derivs_node(dc.narrow(psi, -1, 2 * k, k - 1))
@@ -155,11 +156,11 @@ def cdf_psi(w1, b1, w2, b2, c):
 
 
 def cdf_fwd(x, psi):
-    return _graph_scalar(tf.cdf_forward_node, x, psi, (psi.size - 2) // 3)
+    return _graph_scalar(tf.cdf_forward_node, x, psi)
 
 
 def cdf_inv(y, psi, tol=1e-6):
-    out = tf.cdf_inv_batch(np.array([y]), psi[None, :], (psi.size - 2) // 3, tol=tol)
+    out = tf.cdf_inv_batch(np.array([y]), psi[None, :], tol=tol)
     return float(out[0])
 
 
@@ -175,16 +176,15 @@ def random_cdf_psi(rng, h=4, scale=0.5):
 
 def spline_table(psi, bound=BOUND):
     """_spline_parts' table of one psi: x knots, y knots, knot derivatives."""
-    return tf._spline_parts(psi, (psi.shape[-1] + 1) // 3, bound)[0]
+    return tf._spline_parts(psi, bound)[0]
 
 
 def spline_fwd(x, psi, bound=BOUND):
-    return _graph_scalar(tf.spline_forward_node, x, psi, (psi.size + 1) // 3, bound)
+    return _graph_scalar(tf.spline_forward_node, x, psi, bound)
 
 
 def spline_inv(y, psi, bound=BOUND):
-    k = (psi.size + 1) // 3
-    return float(tf.spline_inverse_np(np.array([y]), psi[None, :], k, bound)[0])
+    return float(tf.spline_inverse_np(np.array([y]), psi[None, :], bound)[0])
 
 
 def x_knots(psi, bound=BOUND):
@@ -223,7 +223,7 @@ def lower(free, d):
 def mix_fwd(z, free, d):
     """Graph mix on a batch of rows z [N, d]."""
     with dc.no_grad():
-        return tf.mix_forward_node(dc.constant(z), dc.constant(free) if d > 1 else None, d).value
+        return tf.mix_forward_node(dc.constant(z), dc.constant(free) if d > 1 else None).value
 
 
 class TestAffine:
@@ -419,7 +419,7 @@ class TestCdf:
         x = 2.0 * rng.standard_normal(n)
         psi = np.concatenate([w1, b1, w2, b2[:, None], c[:, None]], axis=1)
         with dc.no_grad():
-            y = tf.cdf_forward_node(dc.constant(x), dc.constant(psi), h)[0].value
+            y = tf.cdf_forward_node(dc.constant(x), dc.constant(psi))[0].value
 
         solve, calls = tf.monotone_bisect, []
 
@@ -430,7 +430,7 @@ class TestCdf:
             return solve(g, target, tol)
 
         monkeypatch.setattr(tf, "monotone_bisect", counted)
-        xr = tf.cdf_inv_batch(y, psi, h, tol=1e-6)
+        xr = tf.cdf_inv_batch(y, psi, tol=1e-6)
         assert len(calls) <= 16, len(calls)
         assert np.abs(xr - x).max() < 1e-9
 
@@ -446,7 +446,7 @@ class TestCdf:
         h = 4
         psi_rows = rng.standard_normal((2, 3, 3 * h + 2)) * 0.5
         x = rng.standard_normal((2, 3))
-        y_node, ld_node = tf.cdf_forward_node(dc.constant(x), dc.constant(psi_rows), h)
+        y_node, ld_node = tf.cdf_forward_node(dc.constant(x), dc.constant(psi_rows))
         y, ld = _cdf_reference(x, psi_rows[..., :h], psi_rows[..., h:2 * h],
                                psi_rows[..., 2 * h:3 * h], psi_rows[..., 3 * h],
                                psi_rows[..., 3 * h + 1])
@@ -454,11 +454,11 @@ class TestCdf:
         assert np.abs(ld - ld_node.value).max() < 1e-12
 
 
-def _weighted_grad(forward, x, psi_value, h, g, which):
-    """Value of output `which` (0: y, 1: ld) of forward(x, psi, h) and the
+def _weighted_grad(forward, x, psi_value, g, which):
+    """Value of output `which` (0: y, 1: ld) of forward(x, psi) and the
     psi gradient of sum(g * output)."""
     psi = dc.parameter(psi_value.copy())
-    out = forward(dc.constant(x), psi, h)[which]
+    out = forward(dc.constant(x), psi)[which]
     dc.backward(dc.sum_(dc.mul(out, dc.constant(g))))
     return out.value, psi.grad
 
@@ -481,8 +481,8 @@ class TestCdfNode:
                 a = np.exp(psi[..., :self.H]) * x[..., None] + psi[..., self.H:2 * self.H]
                 saturated += int((np.abs(a) > 20).sum())
                 for which in (0, 1):
-                    v, gp = _weighted_grad(tf.cdf_forward_node, x, psi, self.H, g, which)
-                    vc, gc = _weighted_grad(_composite_cdf_psi, x, psi, self.H, g, which)
+                    v, gp = _weighted_grad(tf.cdf_forward_node, x, psi, g, which)
+                    vc, gc = _weighted_grad(_composite_cdf_psi, x, psi, g, which)
                     if which == 0:
                         np.testing.assert_array_equal(v, vc)
                     else:
@@ -494,13 +494,13 @@ class TestCdfNode:
     def test_psi_gradient_matches_central_difference(self):
         psi, x, g = self.case(0.5, 7)
         for which in (0, 1):
-            _, grad = _weighted_grad(tf.cdf_forward_node, x, psi, self.H, g, which)
+            _, grad = _weighted_grad(tf.cdf_forward_node, x, psi, g, which)
 
             def f(value, i):
                 bumped = psi.copy()
                 bumped.flat[i] = value
                 with dc.no_grad():
-                    out = tf.cdf_forward_node(dc.constant(x), dc.constant(bumped), self.H)
+                    out = tf.cdf_forward_node(dc.constant(x), dc.constant(bumped))
                 return float((g * out[which].value).sum())
 
             fd = np.array([fd_slope(lambda v: f(v, i), psi.flat[i]) for i in range(psi.size)])
@@ -749,16 +749,16 @@ class TestSplineInverse:
         k = 5
         psi_rows = dc.constant(rng.standard_normal((3, 2, 3 * k - 1)))
         x = dc.constant(rng.uniform(-4, 4, size=(3, 2)))
-        for got, want in zip(tf.spline_forward_node(x, psi_rows, k, 3.0),
-                             _composite_spline(x, psi_rows, k, 3.0)):
+        for got, want in zip(tf.spline_forward_node(x, psi_rows, 3.0),
+                             _composite_spline(x, psi_rows, 3.0)):
             np.testing.assert_array_equal(got.value, want.value)
 
 
-def _spline_grads(forward, x, psi, k, g, which):
-    """Value of output `which` (0: y, 1: ld) of forward(x, psi, k, BOUND) and
+def _spline_grads(forward, x, psi, g, which):
+    """Value of output `which` (0: y, 1: ld) of forward(x, psi, BOUND) and
     the psi and x gradients of sum(g * output)."""
     xp, pp = dc.parameter(x.copy()), dc.parameter(psi.copy())
-    out = forward(xp, pp, k, BOUND)[which]
+    out = forward(xp, pp, BOUND)[which]
     dc.backward(dc.sum_(dc.mul(out, dc.constant(g))))
     return out.value, pp.grad, xp.grad
 
@@ -785,8 +785,8 @@ class TestSplineNode:
             for scale in (0.5, 2.0, 5.0):
                 psi, x, g = self.case(rng, k, scale, dtype)
                 for which in (0, 1):
-                    got = _spline_grads(tf.spline_forward_node, x, psi, k, g, which)
-                    want = _spline_grads(_composite_spline, x, psi, k, g, which)
+                    got = _spline_grads(tf.spline_forward_node, x, psi, g, which)
+                    want = _spline_grads(_composite_spline, x, psi, g, which)
                     assert got[0].dtype == dtype
                     assert got[0].tobytes() == want[0].tobytes(), (k, scale, which)
                     for grad, ref in zip(got[1:], want[1:]):
@@ -801,7 +801,7 @@ class TestSplineNode:
         x = np.array([[-BOUND, BOUND, -BOUND], [BOUND, BOUND, -BOUND]])
         g = rng.standard_normal((2, 3))
         for which, gx in ((0, g), (1, 0.0)):
-            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, 6, g, which)
+            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, g, which)
             np.testing.assert_array_equal(value, x if which == 0 else 0.0)
             np.testing.assert_array_equal(grad_x, gx)
             np.testing.assert_array_equal(grad_psi, 0.0)
@@ -813,12 +813,12 @@ class TestSplineNode:
         # inside (-B, B), both tails, and the bound itself for the psi gradient
         x = np.array([[-3.6, -1.3, 0.45, 2.2], [4.1, -0.8, BOUND, 1.6]])
         g = rng.standard_normal((2, 4))
-        table = tf._spline_parts(psi, k, BOUND)[0]
+        table = tf._spline_parts(psi, BOUND)[0]
         assert np.abs(table[..., 0, 1:-1] - x[..., None]).min() > 1e-2
 
         def value(which, x_in, psi_in):
             with dc.no_grad():
-                out = tf.spline_forward_node(dc.constant(x_in), dc.constant(psi_in), k, BOUND)
+                out = tf.spline_forward_node(dc.constant(x_in), dc.constant(psi_in), BOUND)
             return float((g * out[which].value).sum())
 
         def bumped(a, i, v):
@@ -827,7 +827,7 @@ class TestSplineNode:
             return a
 
         for which in (0, 1):
-            _, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, k, g, which)
+            _, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, g, which)
             fd_psi = np.array([fd_slope(lambda v: value(which, x, bumped(psi, i, v)), psi.flat[i])
                                for i in range(psi.size)])
             assert np.abs(fd_psi - grad_psi.ravel()).max() <= 1e-6 * max(1.0, np.abs(fd_psi).max())
@@ -844,11 +844,11 @@ class TestSplineNode:
         rng = np.random.default_rng(33)
         psi, x, g = self.case(rng, 1, 3.0, np.float64, lead=(5, 4))
         for which in (0, 1):
-            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, 1, g, which)
+            value, grad_psi, grad_x = _spline_grads(tf.spline_forward_node, x, psi, g, which)
             np.testing.assert_array_equal(value, x if which == 0 else 0.0)
             np.testing.assert_array_equal(grad_psi, 0.0)
             np.testing.assert_array_equal(grad_x, g if which == 0 else 0.0)
-        np.testing.assert_array_equal(tf.spline_inverse_np(x, psi, 1, BOUND), x)
+        np.testing.assert_array_equal(tf.spline_inverse_np(x, psi, BOUND), x)
 
     def test_three_nodes_per_call(self, monkeypatch):
         # the spline is three nodes per block in a training loss, not an op chain
@@ -920,7 +920,7 @@ class TestMix:
         d = 4
         free = rng.standard_normal(d * (d - 1) // 2)
         z = rng.standard_normal((3, d))
-        out = tf.mix_forward_node(dc.constant(z), dc.constant(free), d)
+        out = tf.mix_forward_node(dc.constant(z), dc.constant(free))
         for row in range(3):
             np.testing.assert_allclose(out.value[row], lower(free, d) @ z[row],
                                        rtol=1e-12)
@@ -936,13 +936,13 @@ class TestGraphLogdetOracles:
         psi = dc.constant(0.5 * rng.standard_normal((4, 2, 3 * h + 2)))
         x = rng.standard_normal((4, 2))
 
-        _, ld = tf.cdf_forward_node(dc.constant(x), psi, h)
+        _, ld = tf.cdf_forward_node(dc.constant(x), psi)
         for n in range(4):
             for d in range(2):
                 def fwd(v):
                     bumped = x.copy()
                     bumped[n, d] = v
-                    return tf.cdf_forward_node(dc.constant(bumped), psi, h)[0].value[n, d]
+                    return tf.cdf_forward_node(dc.constant(bumped), psi)[0].value[n, d]
 
                 slope = fd_slope(fwd, x[n, d])
                 assert abs(np.exp(ld.value[n, d]) - slope) / slope < 1e-6
@@ -954,14 +954,14 @@ class TestGraphLogdetOracles:
         psi = dc.constant(rng.standard_normal((4, 2, 3 * k - 1)))
         x = rng.uniform(-2.8, 2.8, size=(4, 2))
 
-        _, ld = tf.spline_forward_node(dc.constant(x), psi, k, 3.0)
+        _, ld = tf.spline_forward_node(dc.constant(x), psi, 3.0)
         for n in range(4):
             for d in range(2):
                 def fwd(v):
                     bumped = x.copy()
                     bumped[n, d] = v
                     return tf.spline_forward_node(
-                        dc.constant(bumped), psi, k, 3.0
+                        dc.constant(bumped), psi, 3.0
                     )[0].value[n, d]
 
                 slope = fd_slope(fwd, x[n, d], step=1e-5)
