@@ -31,10 +31,13 @@ if TYPE_CHECKING:
 LAYER_NORM_EPS = 1e-5
 
 # Bytes of attention scores per chunk of batch rows in _block (4 rows of
-# float64 at D=63); a call of several chunks keeps no softmax, and its vjp
-# recomputes each chunk's.  A float64 d63 layer on 64 rows took a median 20.8
-# ms at 1 MiB, 21.3 at 512 KiB, 20.9 at 2 MiB, 25.1 at 256 KiB and 28.4 in one
-# chunk; float32 with its recomputing vjp 36.9, 35.0, 36.7, 42.2, 36.5 (2-core Xeon).
+# float64 at D=63).  A call of several chunks keeps no softmax: under grad it
+# keeps each softmax tile's row max and sum, its vjp rebuilds each chunk's
+# softmax from them, and the forward and the vjp each fill one buffer for all
+# chunks.  A float64 d63 layer on 64 rows took a median 20.8 ms at 1 MiB, 21.3
+# at 512 KiB, 20.9 at 2 MiB, 25.1 at 256 KiB and 28.4 in one chunk; float32
+# with its recomputing vjp 36.9, 35.0, 36.7, 42.2, 36.5 before the statistics
+# were kept (2-core Xeon).
 ATTN_CHUNK_BYTES = 1 << 20
 
 
@@ -147,6 +150,9 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     Returns the output and vjp(g), the gradients of x and then of each of `w`.
 
     Without a cache the attention is causal: token i attends to tokens <= i.
+    Its scores run in chunks of ATTN_CHUNK_BYTES; over several chunks under
+    grad the forward keeps only each softmax tile's row max and sum, and the
+    vjp rebuilds each chunk's softmax from them, bit for bit.
     With a cache, `x` holds the new tokens only: their keys and values are
     appended to the cache's `layer` and their queries attend over the whole
     prefix; such a step is value-only.
@@ -178,18 +184,27 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     rows = max(1, ATTN_CHUNK_BYTES // (heads * d * kt.shape[-1] * x.itemsize))
     chunks = [slice(r, r + rows) for r in range(0, max(n, 1), rows)]
 
-    def probs(c):  # one chunk's attention weights
-        return dc.masked_softmax(q[c] @ kt[c], causal, scale)
+    def probs(c, stats=None, buf=None):  # one chunk's attention weights
+        scores = q[c] @ kt[c]
+        return dc.masked_softmax(scores, causal, scale, stats,
+                                 None if buf is None else buf[:len(scores)])
 
+    chunk_shape = (rows,) + q.shape[1:3] + kt.shape[-1:]
     # one chunk keeps its softmax for the VJP: recomputing it, as the loop
     # does, slowed a d8-cdf float32 step on 256 rows from a median 65 ms to 74
     if len(chunks) == 1:
         attn = probs(chunks[0])
         ctx4 = attn @ v
     else:
+        # under grad the chunks share one softmax buffer, freed after the
+        # loop: the vjp keeps only each chunk's row statistics
         attn, ctx4 = None, np.empty(q.shape, q.dtype)
-        for c in chunks:
-            ctx4[c] = probs(c) @ v[c]
+        keep = causal and dc.grad_enabled()
+        stats = [[] if keep else None for _ in chunks]
+        buf = np.zeros(chunk_shape, q.dtype) if keep else None
+        for c, s in zip(chunks, stats):
+            ctx4[c] = probs(c, s, buf) @ v[c]
+        del buf
     ctx = merge_heads(ctx4)
     u = x + (ctx @ wo + bo).reshape(n, d, e)
 
@@ -206,8 +221,9 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         guf = gu.reshape(-1, e)
         g_ctx = split_heads(guf @ wo.T)
 
-        def chunk_grads(c, y):  # one chunk's gradients of q, k and v
-            g_scores = dc.masked_softmax_vjp(g_ctx[c] @ v[c].swapaxes(-1, -2), y, causal, scale)
+        def chunk_grads(c, y, out=None):  # one chunk's gradients of q, k and v
+            g_y = g_ctx[c] @ v[c].swapaxes(-1, -2)
+            g_scores = dc.masked_softmax_vjp(g_y, y, causal, scale, out)
             return (g_scores @ kt[c].swapaxes(-1, -2),
                     (q[c].swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2),
                     y.swapaxes(-1, -2) @ g_ctx[c])
@@ -216,8 +232,10 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
             parts = chunk_grads(chunks[0], attn)
         else:
             parts = [np.empty(a.shape, q.dtype) for a in (q, k, v)]
-            for c in chunks:
-                parts[0][c], parts[1][c], parts[2][c] = chunk_grads(c, probs(c))
+            y_buf, g_buf = np.zeros(chunk_shape, q.dtype), np.zeros(chunk_shape, q.dtype)
+            for c, s in zip(chunks, stats):
+                y = probs(c, s, y_buf)
+                parts[0][c], parts[1][c], parts[2][c] = chunk_grads(c, y, g_buf[:len(y)])
         gq, gk, gv = (merge_heads(p) for p in parts)
         g_normed = (gq @ wq.T + gk @ wk.T) + gv @ wv.T
         gx_ln, gg1, gb1 = dc.layer_norm_vjp(g_normed.reshape(n, d, e), xhat1, inv1, g1)

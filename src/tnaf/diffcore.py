@@ -15,9 +15,12 @@ over the last axis behind every projection, as one node with a hand-written
 VJP.  The transform heads and the encoder layer build their own nodes with
 make_node.  Two numpy helpers, each with its VJP beside it, serve the
 encoder layer: layer_norm, and masked_softmax, which takes the attention's
-1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
-mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those
-rows can see, skipping the scores the mask hides.
+1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call reads a cached
+read-only mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the
+columns those rows can see, skipping the scores the mask hides.  It can keep
+each tile's row max and row sum in a list and rebuild its output from them
+without reducing again, and it and its VJP can write into a caller's buffer,
+so the encoder layer's row chunks reuse one buffer each.
 
 Gradient buffers: an interior node borrows its first gradient contribution
 (often another node's buffer) and allocates a buffer of its own only when a
@@ -34,6 +37,7 @@ parameters is safe from concurrent threads (the flag is thread-local).
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Iterable
 
@@ -66,7 +70,8 @@ class ContractViolation(RuntimeError):
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
+    """False inside no_grad(), on this thread."""
     return getattr(_state, "grad_enabled", True)
 
 
@@ -74,7 +79,7 @@ class no_grad:
     """Context manager: ops inside record no parents and need no backward."""
 
     def __enter__(self):
-        self._prev = _grad_enabled()
+        self._prev = grad_enabled()
         _state.grad_enabled = False
         return self
 
@@ -174,7 +179,7 @@ def _wrap(x) -> Node:
 
 def make_node(value: np.ndarray, parents: Iterable[tuple[Node, Callable]]) -> Node:
     """Build an op result, recording vjps only for grad-requiring parents."""
-    if _grad_enabled():
+    if grad_enabled():
         recorded = tuple((p, vjp) for p, vjp in parents if p.requires_grad)
         if recorded:
             return Node(value, requires_grad=True, parents=recorded)
@@ -435,7 +440,17 @@ def _softmax_tiles(n: int, causal: bool) -> list[tuple]:
             for r in range(0, n, SOFTMAX_ROW_BLOCK)]
 
 
-def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
+    """NEG_MASK above the diagonal of [n, n], 0 elsewhere; built once per
+    (n, dtype) and read-only, so concurrent calls share it."""
+    mask = np.triu(np.full((n, n), NEG_MASK, dtype), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
+                   stats: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of scale * scores over the last axis; with `causal`, square
     scores and query row r sees key columns 0..r only.
 
@@ -443,24 +458,40 @@ def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0) -> np.n
     columns those rows can see, adding NEG_MASK to the hidden positions in
     each tile: t = scale * scores + mask, y = exp(t - max) / sum, written
     into a zero-filled result, so every hidden position is exactly 0, and
-    lanes outside every tile exactly +0."""
+    lanes outside every tile exactly +0.
+
+    `stats`, a list, carries each tile's row max and row sum: an empty list
+    is filled with them, and a filled one is read in place of both
+    reductions, so a call on the same scores rebuilds y bit for bit.  `out`
+    (the scores' shape and dtype) takes y in place of a fresh zero-filled
+    array; its lanes outside every tile must hold +0, as every call leaves
+    them."""
     n = scores.shape[-1]
-    mask = np.triu(np.full((n, n), NEG_MASK, scores.dtype), 1) if causal else None
-    y = np.zeros(scores.shape, scores.dtype)
-    for tile in _softmax_tiles(n, causal):
+    mask = _causal_mask(n, scores.dtype) if causal else None
+    y = np.zeros(scores.shape, scores.dtype) if out is None else out
+    filled = bool(stats)
+    for i, tile in enumerate(_softmax_tiles(n, causal)):
         t = scores[tile] * scale
         if causal:
             t += mask[tile[1:]]
-        t -= t.max(axis=-1, keepdims=True)
+        top, total = stats[i] if filled else (t.max(axis=-1, keepdims=True), None)
+        t -= top
         np.exp(t, out=t)
-        np.divide(t, t.sum(axis=-1, keepdims=True), out=y[tile])
+        if not filled:
+            total = t.sum(axis=-1, keepdims=True)
+            if stats is not None:
+                stats.append((top, total))
+        np.divide(t, total, out=y[tile])
     return y
 
 
-def masked_softmax_vjp(g, y, causal: bool, scale: float = 1.0) -> np.ndarray:
+def masked_softmax_vjp(g, y, causal: bool, scale: float = 1.0,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """The scores' gradient from the output y alone: scale * y * (g - sum(g * y)),
-    tile by tile over masked_softmax's columns, into a zero-filled array."""
-    gs = np.zeros(y.shape, y.dtype)
+    tile by tile over masked_softmax's columns, into a zero-filled array, or
+    into `out` (y's shape and dtype, +0 outside every tile as masked_softmax's
+    `out`)."""
+    gs = np.zeros(y.shape, y.dtype) if out is None else out
     for tile in _softmax_tiles(y.shape[-1], causal):
         yt, gt = y[tile], g[tile]
         # einsum forms the row sums of g * y without a temporary

@@ -208,12 +208,32 @@ class TestBlockNode:
         block = layer_gradients(encoder_layer, cfg, values, seq)
         per_chunk = 3 if not shape else 8 if dtype == np.float32 else 4
         chunks = [per_chunk] * (10 // per_chunk) + [10 % per_chunk]
-        # the forward keeps no softmax: the vjp recomputes every chunk's
+        # the forward keeps no softmax: the vjp recomputes every chunk's from
+        # its kept row statistics
         assert calls == chunks + chunks
         assert len(block) == 2 + len(conditioner.LAYER_PARAMS)
         for got, want in zip(block, reference):
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
+
+    def test_row_chunks_keep_statistics_under_grad_only(self, monkeypatch):
+        monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 1)  # one row per chunk
+        cfg, values, seq = layer_values(5, np.float64)
+        stats, real = [], dc.masked_softmax
+
+        def record(scores, causal, scale, kept=None, out=None):
+            stats.append(kept)
+            return real(scores, causal, scale, kept, out)
+
+        monkeypatch.setattr(dc, "masked_softmax", record)
+        layer_gradients(encoder_layer, cfg, values, seq)
+        # the forward fills one list per chunk, and the vjp reads the same lists
+        assert [len(st) for st in stats] == [1] * 6
+        assert all(a is b for a, b in zip(stats[:3], stats[3:]))
+        stats.clear()
+        with dc.no_grad():
+            layer_gradients(encoder_layer, cfg, values, seq)
+        assert stats == [None] * 3
 
     def test_one_chunk_keeps_its_softmax(self, monkeypatch):
         cfg, values, seq = layer_values(5, np.float64)
@@ -320,6 +340,36 @@ class TestAttentionMemory:
         # the layer's other intermediates take about one score array; keeping
         # every chunk's softmax, or one whole-batch softmax, adds another
         assert peak < 1.5 * scores, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_grad_layer_keeps_no_softmax_until_backward(self, monkeypatch):
+        # float32 at the default shape: 64 rows run in 8 chunks of 8 rows
+        cfg, values, seq = layer_values(63, np.float32, rows=64, E=32, heads=8, mlp_hidden=64)
+        scores = 64 * cfg.heads * 63 * 63 * 4  # float32 [64, 8, 63, 63], 7.8 MiB
+        calls = softmax_rows(monkeypatch)
+
+        def kept():  # bytes the layer's node holds from its forward to its backward
+            params = ParamSet()
+            for name, value in values.items():
+                params.add(name, value)
+            seq_node = dc.parameter(seq)
+            tracemalloc.start()
+            try:
+                out = encoder_layer(seq_node, params, 0, cfg)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            dc.backward(dc.sum_(out))
+            return held
+
+        chunked = kept()
+        assert calls == [8] * 16
+        calls.clear()
+        monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", scores)
+        whole = kept()
+        assert calls == [64]
+        # the one chunk keeps its softmax; the chunks keep their row
+        # statistics and no softmax buffer
+        assert chunked < whole - scores / 2, f"{chunked / 2**20:.1f} vs {whole / 2**20:.1f} MiB"
 
 
 class TestGraphSize:

@@ -297,6 +297,73 @@ class TestMaskedSoftmax:
         assert rel_err(scores.grad, fd["s"]) < 1e-4
 
 
+def same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSoftmaxStatsAndBuffers:
+    """masked_softmax's kept row statistics and `out` buffers, and
+    masked_softmax_vjp's `out`, give the bits of fresh calls."""
+
+    @staticmethod
+    def scores(rows, n, dtype, seed=0):
+        return (3.0 * np.random.default_rng(seed).standard_normal((rows, 2, n, n))).astype(dtype)
+
+    cases = pytest.mark.parametrize("n", [1, 8, 9, 17, 63])
+    dtypes = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    causals = pytest.mark.parametrize("causal", [True, False])
+
+    @cases
+    @dtypes
+    @causals
+    def test_filled_stats_rebuild_y(self, n, dtype, causal):
+        scores, scale = self.scores(3, n, dtype), 5.0 ** -0.5
+        stats = []
+        first = dc.masked_softmax(scores, causal, scale, stats)
+        tiles = -(-n // dc.SOFTMAX_ROW_BLOCK) if causal else 1
+        assert len(stats) == tiles
+        same_bits(first, dc.masked_softmax(scores, causal, scale))
+        same_bits(dc.masked_softmax(scores, causal, scale, stats), first)
+        assert len(stats) == tiles
+        # a filled list is read, not recomputed
+        doubled = [(top, 2 * total) for top, total in stats]
+        np.testing.assert_allclose(dc.masked_softmax(scores, causal, scale, doubled),
+                                   first / 2, rtol=1e-6)
+
+    @cases
+    @dtypes
+    @causals
+    def test_out_reused_over_fewer_rows(self, n, dtype, causal):
+        buf = np.zeros((5, 2, n, n), dtype)
+        for rows, seed in ((5, 1), (3, 2), (5, 3), (1, 4)):
+            scores = self.scores(rows, n, dtype, seed)
+            got = dc.masked_softmax(scores, causal, 0.5, None, buf[:rows])
+            assert np.shares_memory(got, buf)
+            same_bits(got, dc.masked_softmax(scores, causal, 0.5))
+            if causal:
+                rows_hidden, cols_hidden = np.triu_indices(n, 1)
+                hidden = buf[..., rows_hidden, cols_hidden]
+                assert (hidden == 0.0).all() and not np.signbit(hidden).any()
+
+    @cases
+    @dtypes
+    @causals
+    def test_vjp_out_equals_fresh(self, n, dtype, causal):
+        buf = np.zeros((5, 2, n, n), dtype)
+        for rows, seed in ((5, 1), (3, 2), (5, 3)):
+            y = dc.masked_softmax(self.scores(rows, n, dtype, seed), causal, 0.5)
+            g = self.scores(rows, n, dtype, seed + 10)
+            got = dc.masked_softmax_vjp(g, y, causal, 0.5, buf[:rows])
+            assert np.shares_memory(got, buf)
+            same_bits(got, dc.masked_softmax_vjp(g, y, causal, 0.5))
+
+    @dtypes
+    def test_causal_mask_is_built_once_and_read_only(self, dtype):
+        mask = dc._causal_mask(9, np.dtype(dtype))
+        assert mask is dc._causal_mask(9, np.dtype(dtype)) and not mask.flags.writeable
+        same_bits(mask, np.triu(np.full((9, 9), dc.NEG_MASK, dtype), 1))
+
+
 def _composite_softmax(a):
     """The logsumexp/sub/exp graph that masked_softmax fuses."""
     return dc.exp(cops.sub(a, cops.logsumexp(a, -1, keepdims=True)))

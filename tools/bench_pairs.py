@@ -13,6 +13,11 @@ also holds each side's ``env`` block, without its per-run workload and seed.
 Each side must hold the results of one machine, the same on both sides, and
 each side's runs must come from one source tree (``src_sha256``), so stale
 results in a checkout are refused, not mixed.
+
+``src_sha256`` names the code a run measured: the hash of the ``src/tnaf``
+files it imported.  ``env.git_commit`` is only HEAD of the checkout when the
+run was made, so a change measured before it is committed shows its parent's
+hash there.
 """
 
 from __future__ import annotations
