@@ -196,12 +196,14 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         attn = probs(chunks[0])
         ctx4 = attn @ v
     else:
-        # under grad the chunks share one softmax buffer, freed after the
-        # loop: the vjp keeps only each chunk's row statistics
+        # the chunks share one softmax buffer, freed after the loop.  Under
+        # grad each chunk's list starts empty, masked_softmax fills it with
+        # the chunk's row statistics, and the vjp passes the filled list back
+        # for the same chunk's scores, so it rebuilds the forward's softmax
         attn, ctx4 = None, np.empty(q.shape, q.dtype)
         keep = causal and dc.grad_enabled()
         stats = [[] if keep else None for _ in chunks]
-        buf = np.zeros(chunk_shape, q.dtype) if keep else None
+        buf = np.zeros(chunk_shape, q.dtype)
         for c, s in zip(chunks, stats):
             ctx4[c] = probs(c, s, buf) @ v[c]
         del buf

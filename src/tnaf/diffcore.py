@@ -15,12 +15,12 @@ over the last axis behind every projection, as one node with a hand-written
 VJP.  The transform heads and the encoder layer build their own nodes with
 make_node.  Two numpy helpers, each with its VJP beside it, serve the
 encoder layer: layer_norm, and masked_softmax, which takes the attention's
-1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call reads a cached
-read-only mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the
-columns those rows can see, skipping the scores the mask hides.  It can keep
-each tile's row max and row sum in a list and rebuild its output from them
-without reducing again, and it and its VJP can write into a caller's buffer,
-so the encoder layer's row chunks reuse one buffer each.
+1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
+mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those
+rows can see, skipping the scores the mask hides.  It can keep each tile's row
+max and row sum in a list and rebuild its output from them without reducing
+again, and it and its VJP can write into a caller's buffer, so the encoder
+layer's row chunks reuse one buffer each.
 
 Gradient buffers: an interior node borrows its first gradient contribution
 (often another node's buffer) and allocates a buffer of its own only when a
@@ -37,7 +37,6 @@ parameters is safe from concurrent threads (the flag is thread-local).
 
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Callable, Iterable
 
@@ -440,15 +439,6 @@ def _softmax_tiles(n: int, causal: bool) -> list[tuple]:
             for r in range(0, n, SOFTMAX_ROW_BLOCK)]
 
 
-@functools.lru_cache(maxsize=64)
-def _causal_mask(n: int, dtype: np.dtype) -> np.ndarray:
-    """NEG_MASK above the diagonal of [n, n], 0 elsewhere; built once per
-    (n, dtype) and read-only, so concurrent calls share it."""
-    mask = np.triu(np.full((n, n), NEG_MASK, dtype), 1)
-    mask.flags.writeable = False
-    return mask
-
-
 def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
                    stats: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax of scale * scores over the last axis; with `causal`, square
@@ -462,15 +452,18 @@ def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
 
     `stats`, a list, carries each tile's row max and row sum: an empty list
     is filled with them, and a filled one is read in place of both
-    reductions, so a call on the same scores rebuilds y bit for bit.  `out`
-    (the scores' shape and dtype) takes y in place of a fresh zero-filled
-    array; its lanes outside every tile must hold +0, as every call leaves
-    them."""
+    reductions, so a call on the same scores rebuilds y bit for bit; a
+    filled list of another tile count is refused.  `out` (the scores' shape
+    and dtype) takes y in place of a fresh zero-filled array; its lanes
+    outside every tile must hold +0, as every call leaves them."""
     n = scores.shape[-1]
-    mask = _causal_mask(n, scores.dtype) if causal else None
+    mask = np.triu(np.full((n, n), NEG_MASK, scores.dtype), 1) if causal else None
     y = np.zeros(scores.shape, scores.dtype) if out is None else out
+    tiles = _softmax_tiles(n, causal)
     filled = bool(stats)
-    for i, tile in enumerate(_softmax_tiles(n, causal)):
+    if filled and len(stats) != len(tiles):
+        raise ValueError(f"masked_softmax: {len(stats)} kept statistics for {len(tiles)} tiles")
+    for i, tile in enumerate(tiles):
         t = scores[tile] * scale
         if causal:
             t += mask[tile[1:]]

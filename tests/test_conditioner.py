@@ -219,10 +219,11 @@ class TestBlockNode:
     def test_row_chunks_keep_statistics_under_grad_only(self, monkeypatch):
         monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 1)  # one row per chunk
         cfg, values, seq = layer_values(5, np.float64)
-        stats, real = [], dc.masked_softmax
+        stats, outs, real = [], [], dc.masked_softmax
 
         def record(scores, causal, scale, kept=None, out=None):
             stats.append(kept)
+            outs.append(out)
             return real(scores, causal, scale, kept, out)
 
         monkeypatch.setattr(dc, "masked_softmax", record)
@@ -230,10 +231,16 @@ class TestBlockNode:
         # the forward fills one list per chunk, and the vjp reads the same lists
         assert [len(st) for st in stats] == [1] * 6
         assert all(a is b for a, b in zip(stats[:3], stats[3:]))
+        # the forward's chunks share one buffer, and the vjp's another
+        for loop in (outs[:3], outs[3:]):
+            assert all(np.shares_memory(o, loop[0]) for o in loop)
+        assert not np.shares_memory(outs[0], outs[3])
         stats.clear()
+        outs.clear()
         with dc.no_grad():
             layer_gradients(encoder_layer, cfg, values, seq)
         assert stats == [None] * 3
+        assert all(np.shares_memory(o, outs[0]) for o in outs)
 
     def test_one_chunk_keeps_its_softmax(self, monkeypatch):
         cfg, values, seq = layer_values(5, np.float64)

@@ -357,11 +357,15 @@ class TestSoftmaxStatsAndBuffers:
             assert np.shares_memory(got, buf)
             same_bits(got, dc.masked_softmax_vjp(g, y, causal, 0.5))
 
-    @dtypes
-    def test_causal_mask_is_built_once_and_read_only(self, dtype):
-        mask = dc._causal_mask(9, np.dtype(dtype))
-        assert mask is dc._causal_mask(9, np.dtype(dtype)) and not mask.flags.writeable
-        same_bits(mask, np.triu(np.full((9, 9), dc.NEG_MASK, dtype), 1))
+    @causals
+    def test_filled_stats_of_another_tile_count_refused(self, causal):
+        stats = []
+        dc.masked_softmax(self.scores(2, 17, np.float64), causal, 1.0, stats)
+        with pytest.raises(ValueError, match="kept statistics"):
+            dc.masked_softmax(self.scores(2, 17, np.float64), causal, 1.0, stats + stats)
+        if causal:  # 17 columns run in several tiles, 8 in one
+            with pytest.raises(ValueError, match="kept statistics"):
+                dc.masked_softmax(self.scores(2, 8, np.float64), causal, 1.0, stats)
 
 
 def _composite_softmax(a):
