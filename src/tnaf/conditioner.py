@@ -174,9 +174,9 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     # profiler that wraps the module's names sees them
     normed, xhat1, inv1 = dc.layer_norm(x, g1, b1, LAYER_NORM_EPS)
     flat1 = normed.reshape(-1, e)
-    q = split_heads(flat1 @ wq + bq)
-    k = split_heads(flat1 @ wk)
-    v = split_heads(flat1 @ wv + bv)
+    q = split_heads(dc.rows_matmul(flat1, wq) + bq)
+    k = split_heads(dc.rows_matmul(flat1, wk))
+    v = split_heads(dc.rows_matmul(flat1, wv) + bv)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
     kt = k.transpose(0, 1, 3, 2)
@@ -208,12 +208,12 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
             ctx4[c] = probs(c, s, buf) @ v[c]
         del buf
     ctx = merge_heads(ctx4)
-    u = x + (ctx @ wo + bo).reshape(n, d, e)
+    u = x + (dc.rows_matmul(ctx, wo) + bo).reshape(n, d, e)
 
     normed2, xhat2, inv2 = dc.layer_norm(u, g2, b2, LAYER_NORM_EPS)
     flat2 = normed2.reshape(-1, e)
-    hidden = np.tanh(flat2 @ w1 + bm1)
-    out = u + (hidden @ w2 + bm2).reshape(n, d, e)
+    hidden = np.tanh(dc.rows_matmul(flat2, w1) + bm1)
+    out = u + (dc.rows_matmul(hidden, w2) + bm2).reshape(n, d, e)
 
     def vjp(g):
         gf = g.reshape(-1, e)

@@ -12,7 +12,9 @@ follow numpy's broadcasting rules, and their gradients are summed back to each
 operand's shape.  The ops are the ones the model needs: add, mul, neg, exp,
 sum_, mean, the shape ops, strict_lower_embed, and linear, the affine map
 over the last axis behind every projection, as one node with a hand-written
-VJP.  The transform heads and the encoder layer build their own nodes with
+VJP.  linear's value and the encoder layer's products over rows go through
+rows_matmul, which multiplies in fixed tiles of rows, so a row's value does
+not depend on how many rows share the call.  The transform heads and the encoder layer build their own nodes with
 make_node.  Two numpy helpers, each with its VJP beside it, serve the
 encoder layer: layer_norm, and masked_softmax, which takes the attention's
 1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
@@ -52,6 +54,13 @@ NEG_MASK = -1e30
 # 28 as one tile, its VJP 8.5, 8.7, 9.7 and 8.8 ms (2-core Xeon, AVX-512);
 # the tiles run inside each row chunk (conditioner.ATTN_CHUNK_BYTES).
 SOFTMAX_ROW_BLOCK = 8
+
+# Rows per tile of rows_matmul.  OpenBLAS rounds a row of [M, K] @ [K, N]
+# differently by M (numpy's gemv at M = 1, the rows after the last multiple
+# of 4, and its threaded GEMM from M*N*K of about 10^6); 64 rows keep every
+# tile of the model's products in its single-threaded small-matrix kernel
+# (the largest, a d8 cdf head's, is 64 * 32 * 386 = 790k).
+ROW_TILE = 64
 
 
 class DimensionError(ValueError):
@@ -395,13 +404,33 @@ def strict_lower_embed(free, d: int) -> Node:
 # ---------------------------------------------------------------------------
 
 
+def rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a [M, K] @ w [K, N], each row's value independent of M.
+
+    Above ROW_TILE rows the rows multiply in ROW_TILE-row tiles, as one
+    stacked product with the last tile zero-padded; at or below it, in one
+    tile padded to a multiple of 4 rows.  So a row reads the same bits alone,
+    in any batch and on any thread.
+    """
+    m, k = a.shape
+    if m == 0:
+        return a @ w
+    tile = ROW_TILE if m > ROW_TILE else -(-m // 4) * 4
+    if m % tile:
+        padded = np.zeros((m + tile - m % tile, k), a.dtype)
+        padded[:m] = a
+        a = padded
+    return (a.reshape(-1, tile, k) @ w).reshape(len(a), -1)[:m]
+
+
 def linear(x, w, b=None) -> Node:
     """Affine map over the last axis as one node: x [..., in] @ w [in, out]
     (+ b [out]) gives [..., out].
 
     The value and VJPs do the float arithmetic of reshape -> matmul -> add ->
-    reshape exactly: y = flat @ w + b over flat = x.reshape(-1, in),
-    gx = g @ wᵀ, gw = flatᵀ @ g and gb = Σ₀ g over g.reshape(-1, out).
+    reshape exactly: y = rows_matmul(flat, w) + b over flat =
+    x.reshape(-1, in), gx = g @ wᵀ, gw = flatᵀ @ g and gb = Σ₀ g over
+    g.reshape(-1, out).
     """
     x, w = _wrap(x), _wrap(w)
     xv, wv = x.value, w.value
@@ -414,7 +443,7 @@ def linear(x, w, b=None) -> Node:
         (w, lambda g: flat.T @ g.reshape(-1, out_dim)),
     ]
     if b is None:
-        out = flat @ wv
+        out = rows_matmul(flat, wv)
     else:
         b = _wrap(b)
         if b.value.shape != (out_dim,):
@@ -422,7 +451,7 @@ def linear(x, w, b=None) -> Node:
         # `+` rather than `+=`: the composite's allocations.  In place, a
         # 256-row d8-cdf log_prob in a fresh process took 4584 page faults
         # instead of 2546 (glibc's adaptive mmap threshold)
-        out = flat @ wv + b.value
+        out = rows_matmul(flat, wv) + b.value
         parents.append((b, lambda g: g.reshape(-1, out_dim).sum(axis=0)))
     return make_node(out.reshape(xv.shape[:-1] + (out_dim,)), parents)
 

@@ -11,8 +11,6 @@ ones and reads its hidden row off that step.
 
 from __future__ import annotations
 
-import functools
-import os
 import threading
 from dataclasses import dataclass
 
@@ -36,41 +34,11 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ROW_BLOCK = 256
 # attention scores (rows * heads * D^2) from which log_prob scores its rows in
 # two halves on two threads: 34+ rows at D=63, 128+ at D=32, 2048+ at D=8.
-# One call against two halves at one BLAS thread (2-core Xeon): d63 spline 8,
-# 16, 32 rows 0.99x, 0.94x, 0.98x, and 64, 128, 256 rows 1.5x, 1.31x, 1.42x;
-# d32 spline 16, 64, 256 rows 0.84x, 0.87x, 1.17x; d8 cdf 64 rows 0.89x.
+# One call against two halves, the medians of two processes (2-core Xeon):
+# d63 spline 8, 16, 32 rows 0.81-1.08x, 0.81-0.89x, 0.94-0.95x, and 64, 128,
+# 256 rows 0.96-1.56x, 1.49-1.55x, 1.67-1.77x; d32 spline 16, 64, 256 rows
+# 1.02-1.12x, 1.58-1.59x, 1.81-1.85x; d8 cdf 64 rows 1.12-1.19x.
 SPLIT_SCORES = 1 << 20
-
-
-# two halves gain only with BLAS at one thread: with its threads too, the four
-# contend (a d63 64-row call read 107 ms whole and 111 ms in halves)
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS bundled with numpy, or
-    None where numpy runs another BLAS.  Looked up at the first call large
-    enough to split, so a process whose calls never split never loads them.
-    Looked up at import instead, `glob`, a `ctypes.CDLL` and its function
-    pointers sat on every process's heap, and d8-cdf benchmark processes, whose
-    calls never split, moved between two glibc heap states (3 of 8 at seed 1)."""
-    import ctypes
-    import glob
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-# held by a split call from setting BLAS to one thread until it restores the
-# count, so concurrent callers leave the count as they found it
-_BLAS_LOCK = threading.Lock()
 
 
 @dataclass
@@ -363,15 +331,14 @@ def log_prob(model: FlowModel, x) -> LogProbResult:
 
 def _likelihood_values(model: FlowModel, rows: np.ndarray):
     """(y, logdet, logp) of `rows` in numpy.  A call of SPLIT_SCORES attention
-    scores or more scores its second half on one extra thread, with OpenBLAS at
-    one thread until both halves are done; each row's values are the same."""
+    scores or more scores its second half on one extra thread; each row's
+    values are the same."""
     def values(part):  # no_grad is per thread
         with dc.no_grad():
             return [node.value for node in _log_likelihood(model, part)]
 
     cfg = model.config
-    blas = len(rows) * cfg.heads * cfg.D ** 2 >= SPLIT_SCORES and _openblas_threads()
-    if not blas:
+    if len(rows) * cfg.heads * cfg.D ** 2 < SPLIT_SCORES:
         return values(rows)
     half = len(rows) // 2
     second = {}
@@ -382,25 +349,18 @@ def _likelihood_values(model: FlowModel, rows: np.ndarray):
         except BaseException as err:  # re-raised in the caller
             second["error"] = err
 
-    get_threads, set_threads = blas
-    with _BLAS_LOCK:
-        threads = get_threads()
-        set_threads(1)
-        try:
-            # imported here, not at the module top: there, layout alone moved
-            # d8-cdf benchmark processes between two glibc heap states (3 of 8
-            # at seed 1), though d8-cdf never splits
-            import contextvars
+    # imported here, not at the module top: there, layout alone moved d8-cdf
+    # benchmark processes between two glibc heap states (3 of 8 at seed 1),
+    # though d8-cdf never splits
+    import contextvars
 
-            # the copied context carries the caller's numpy error state
-            worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
-            worker.start()
-            try:
-                first = values(rows[:half])
-            finally:
-                worker.join()
-        finally:
-            set_threads(threads)
+    # the copied context carries the caller's numpy error state
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
+    worker.start()
+    try:
+        first = values(rows[:half])
+    finally:
+        worker.join()
     if "error" in second:
         raise second["error"]
     return [np.concatenate(pair) for pair in zip(first, second["values"])]

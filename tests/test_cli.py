@@ -21,7 +21,7 @@ from tnaf.checkpoint import (
     parse_run_config,
     save_checkpoint,
 )
-from tnaf import checks, flow
+from tnaf import checks
 from tnaf.cli import _pipeline, _train_run, main
 from tnaf.data import StandardizationStats, load_matrix, save_csv
 from tnaf.flow import ModelConfig, build_model, forward_values
@@ -821,30 +821,6 @@ class TestConcurrentEvaluation:
         expected = log_prob(model, rows).logp
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(lambda _: log_prob(model, rows).logp, range(8)))
-        for got in results:
-            np.testing.assert_array_equal(got, expected)
-
-    @pytest.mark.skipif(flow._openblas_threads() is None,
-                        reason="numpy does not run its bundled OpenBLAS")
-    def test_concurrent_split_calls_restore_blas_threads(self, monkeypatch):
-        from concurrent.futures import ThreadPoolExecutor
-
-        model = build_model(parse_run_config(tiny_model_doc()).model, seed=21)
-        rows = np.random.default_rng(5).standard_normal((64, 2))
-        expected = flow.log_prob(model, rows).logp
-        monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
-        get, set_ = flow._openblas_threads()
-        old, interval = get(), sys.getswitchinterval()
-        set_(2)
-        sys.setswitchinterval(1e-5)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(flow.log_prob, model, rows) for _ in range(8)]
-                results = [f.result(timeout=60).logp for f in futures]
-            assert get() == 2
-        finally:
-            sys.setswitchinterval(interval)
-            set_(old)
         for got in results:
             np.testing.assert_array_equal(got, expected)
 

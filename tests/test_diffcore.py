@@ -129,6 +129,27 @@ class TestLinear:
             dc.linear(np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(shape))
 
 
+class TestRowsMatmul:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [0, 1, 3, 4, 5, 63, 64, 65, 129])
+    def test_matches_matmul_and_each_row_its_tile_value(self, m, dtype):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((m, 32)).astype(dtype)
+        w = rng.standard_normal((32, 386)).astype(dtype)
+        got = dc.rows_matmul(a, w)
+        expected = a @ w
+        assert got.shape == expected.shape and got.dtype == dtype
+        # float32 products differ from a @ w's by their rounding, about 1e-7
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        if m:
+            assert rel_err(got.astype(np.float64), expected.astype(np.float64)) < tol
+        # each row's bits in a call of dc.ROW_TILE rows
+        for i in range(m):
+            tile = np.zeros((dc.ROW_TILE, 32), dtype)
+            tile[i % dc.ROW_TILE] = a[i]
+            np.testing.assert_array_equal(got[i], (tile @ w)[i % dc.ROW_TILE])
+
+
 class TestElementwise:
     def test_tanh_zero_gradient_one(self):
         x = dc.parameter(0.0)

@@ -88,32 +88,16 @@ class TestLogProb:
         batched = log_prob(model, rows)
         for i, row in enumerate(rows):
             single = log_prob(model, row)
-            assert abs(single.logp - batched.logp[i]) < 1e-12
-
-
-needs_openblas = pytest.mark.skipif(flow._openblas_threads() is None,
-                                    reason="numpy does not run its bundled OpenBLAS")
-
-
-@pytest.fixture
-def two_blas_threads():
-    """OpenBLAS at two threads for the test, then at its old count."""
-    get, set_ = flow._openblas_threads()
-    old = get()
-    set_(2)
-    yield get
-    set_(old)
+            assert single.logp == batched.logp[i]
 
 
 def likelihood_calls(monkeypatch, fail_off_main=False) -> list:
-    """(thread, rows, OpenBLAS threads) of every later flow._log_likelihood
-    call; with fail_off_main, a call off the main thread raises."""
+    """(thread, rows) of every later flow._log_likelihood call; with
+    fail_off_main, a call off the main thread raises."""
     calls, real, main = [], flow._log_likelihood, threading.get_ident()
-    handles = flow._openblas_threads()
-    blas = handles[0] if handles else lambda: None
 
     def traced(model, x):
-        calls.append((threading.get_ident(), len(x), blas()))
+        calls.append((threading.get_ident(), len(x)))
         if fail_off_main and threading.get_ident() != main:
             raise ValueError("second half failed")
         return real(model, x)
@@ -124,49 +108,41 @@ def likelihood_calls(monkeypatch, fail_off_main=False) -> list:
 
 class TestLogProbSplit:
     """log_prob scores a call of SPLIT_SCORES attention scores or more in two
-    row halves, the second on one extra thread, with OpenBLAS at one thread."""
+    row halves, the second on one extra thread."""
 
-    @needs_openblas
-    def test_forced_split_equals_unsplit_halves(self, monkeypatch, two_blas_threads):
+    def test_forced_split_equals_unsplit_halves(self, monkeypatch):
         model = tiny_model(5, "cdf", seed=3)
         rows = np.random.default_rng(2).standard_normal((9, 5))
         halves = [log_prob(model, part) for part in (rows[:4], rows[4:])]
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
         calls = likelihood_calls(monkeypatch)
         got = log_prob(model, rows)
-        # the caller scores the first half, one extra thread the second, both
-        # at one BLAS thread; then the count is restored
+        # the caller scores the first half, one extra thread the second
         main = threading.get_ident()
-        assert [c for c in calls if c[0] == main] == [(main, 4, 1)]
-        assert [c[1:] for c in calls if c[0] != main] == [(5, 1)]
-        assert two_blas_threads() == 2
+        assert [c for c in calls if c[0] == main] == [(main, 4)]
+        assert [c[1:] for c in calls if c[0] != main] == [(5,)]
         for name in ("y", "logdet", "logp"):
             np.testing.assert_array_equal(
                 getattr(got, name), np.concatenate([getattr(h, name) for h in halves]))
 
-    @needs_openblas
     def test_d63_split_equals_one_call(self, monkeypatch):
         model = build_model(ModelConfig(D=63, head_type="spline"), seed=0)
         x = np.random.default_rng(4).standard_normal((64, 63))
         calls = likelihood_calls(monkeypatch)
         split = log_prob(model, x)
-        assert sorted(n for _, n, _ in calls) == [32, 32]
+        assert sorted(n for _, n in calls) == [32, 32]
         monkeypatch.setattr(flow, "SPLIT_SCORES", float("inf"))
         whole = log_prob(model, x)
         for name in ("y", "logdet", "logp"):
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
 
-    @needs_openblas
-    def test_error_in_second_half_is_raised_and_threads_restored(self, monkeypatch,
-                                                                 two_blas_threads):
+    def test_error_in_second_half_is_raised(self, monkeypatch):
         model = tiny_model(3, "affine", seed=1)
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
         likelihood_calls(monkeypatch, fail_off_main=True)
         with pytest.raises(ValueError, match="second half failed"):
             log_prob(model, np.zeros((6, 3)))
-        assert two_blas_threads() == 2
 
-    @needs_openblas
     def test_second_half_keeps_the_callers_error_state(self, monkeypatch):
         model = tiny_model(3, "affine", seed=1)
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
@@ -177,18 +153,6 @@ class TestLogProbSplit:
             log_prob(model, np.zeros((6, 3)))
         assert seen == ["raise", "raise"]
 
-    def test_without_openblas_runs_unsplit(self, monkeypatch):
-        model = tiny_model(4, "spline", seed=2)
-        rows = np.random.default_rng(3).standard_normal((7, 4))
-        expected = log_prob(model, rows)
-        monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
-        monkeypatch.setattr(flow, "_openblas_threads", lambda: None)
-        calls = likelihood_calls(monkeypatch)
-        got = log_prob(model, rows)
-        assert [c[:2] for c in calls] == [(threading.get_ident(), 7)]
-        for name in ("y", "logdet", "logp"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(expected, name))
-
     def test_call_below_threshold_starts_no_thread(self, monkeypatch):
         cfg = ModelConfig(D=63, head_type="spline")
         assert 33 * cfg.heads * 63 ** 2 < flow.SPLIT_SCORES <= 34 * cfg.heads * 63 ** 2
@@ -196,11 +160,43 @@ class TestLogProbSplit:
         monkeypatch.setattr(threading.Thread, "start",
                             lambda t: pytest.fail("log_prob started a thread"))
         calls = likelihood_calls(monkeypatch)
-        # nor looks up the OpenBLAS handles
-        monkeypatch.setattr(flow, "_openblas_threads",
-                            lambda: pytest.fail("log_prob looked up OpenBLAS"))
         log_prob(model, np.zeros((33, 63)))
         assert [c[:2] for c in calls] == [(threading.get_ident(), 33)]
+
+
+class TestRowIdentity:
+    """A row's outputs are the same bits whatever rows share its call:
+    every forward product over rows runs in dc.rows_matmul's fixed tiles."""
+
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_log_prob_row_alone_equals_row_in_any_call(self, head, monkeypatch):
+        model = build_model(ModelConfig(D=8, head_type=head), seed=5)
+        x = np.random.default_rng(6).standard_normal((130, 8))
+        whole = log_prob(model, x)
+        calls = {size: [log_prob(model, x[s:s + size]) for s in range(0, len(x), size)]
+                 for size in (1, 3, 5, 64, 100)}
+        monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
+        calls["split"] = [log_prob(model, x)]
+        for size, parts in calls.items():
+            for name in ("y", "logdet", "logp"):
+                got = np.concatenate([getattr(p, name) for p in parts])
+                np.testing.assert_array_equal(got, getattr(whole, name),
+                                              err_msg=f"{size}-row calls, {name}")
+
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_invert_rows_row_alone_equals_row_in_any_call(self, head):
+        model = build_model(ModelConfig(D=8, head_type=head), seed=5)
+        targets = np.random.default_rng(7).standard_normal((10, 8))
+        whole = invert_rows(model, targets)
+        for size in (1, 3, 5):
+            got = np.concatenate([invert_rows(model, targets[s:s + size])
+                                  for s in range(0, len(targets), size)])
+            np.testing.assert_array_equal(got, whole, err_msg=f"{size}-row calls")
+
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_first_sample_independent_of_count(self, head):
+        model = build_model(ModelConfig(D=8, head_type=head), seed=5)
+        np.testing.assert_array_equal(sample(model, 1, 9)[0], sample(model, 5, 9)[0])
 
 
 class TestDeterminantOracle:

@@ -302,6 +302,21 @@ class TestEvaluate:
         b, _ = evaluate(model, DatasetMatrix(np.vstack([rows, rows])))
         assert abs(a - b) < 1e-12
 
+    def test_blocks_equal_one_call(self, monkeypatch):
+        # 515 rows score in blocks of 256, 256 and 3; each row's logp is the
+        # same bits in a block as in one call of all of them
+        model = build_model(ModelConfig(D=8, head_type="cdf"), seed=0)
+        x = np.random.default_rng(2).standard_normal((515, 8))
+        whole = log_prob(model, x).logp
+        blocks = []
+        monkeypatch.setattr(trainer, "log_prob",
+                            lambda m, rows: blocks.append(log_prob(m, rows)) or blocks[-1])
+        mean_ll, std_err = evaluate(model, DatasetMatrix(x))
+        assert [len(b.logp) for b in blocks] == [256, 256, 3]
+        np.testing.assert_array_equal(np.concatenate([b.logp for b in blocks]), whole)
+        assert mean_ll == float(whole.mean())
+        assert std_err == float(whole.std(ddof=1) / np.sqrt(whole.size))
+
     def test_peak_memory_is_one_row_block(self):
         # evaluate's log_prob calls take ROW_BLOCK rows each, so 1024 rows
         # peak about as high as one 256-row call, not four times as high

@@ -12,10 +12,12 @@ The ``bench.*`` lines run the benchmark's own shapes on the default
 ModelConfig (BENCH): ``log_prob`` and the float32 loss and gradients on the
 benchmark's batch, and ``invert_rows`` on INVERT_ROWS rows.  The
 ``bench.*.N<rows>`` lines (RAGGED) do the same on a batch that ends the
-attention's row chunks in a short one.  Products of
-that size reach the BLAS library's threaded GEMM, whose rounding can depend
-on its thread count, so compare only runs made under the same BLAS thread
-count (for example the same OPENBLAS_NUM_THREADS).
+attention's row chunks in a short one.  The forward products run in fixed
+row tiles (``diffcore.rows_matmul``), but the float32 weight gradients' sums
+over rows (``bench.*.grad32.*``) reach the BLAS library's threaded GEMM,
+whose rounding can depend on its thread count; compare those lines only
+between runs under the same BLAS thread count (for example the same
+OPENBLAS_NUM_THREADS).
 
 Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
 the CLI quantities as the exact bytes of the files and stdout they produce.
