@@ -14,15 +14,16 @@ sum_, mean, the shape ops, strict_lower_embed, and linear, the affine map
 over the last axis behind every projection, as one node with a hand-written
 VJP.  linear's value and the encoder layer's products over rows go through
 rows_matmul, which multiplies in fixed tiles of rows, so a row's value does
-not depend on how many rows share the call.  The transform heads and the encoder layer build their own nodes with
-make_node.  Two numpy helpers, each with its VJP beside it, serve the
-encoder layer: layer_norm, and masked_softmax, which takes the attention's
-1/sqrt(d_k) as its `scale` and a `causal` flag; a causal call builds its own
-mask and works in tiles of SOFTMAX_ROW_BLOCK query rows by the columns those
-rows can see, skipping the scores the mask hides.  It can keep each tile's row
-max and row sum in a list and rebuild its output from them without reducing
-again, and it and its VJP can write into a caller's buffer, so the encoder
-layer's row chunks reuse one buffer each.
+not depend on how many rows share the call.  The transform heads and the
+encoder layer build their own nodes with make_node.  Two numpy helpers, each
+with its VJP beside it, serve the encoder layer: layer_norm, and
+masked_softmax, which takes the attention's 1/sqrt(d_k) as its `scale` and a
+`causal` flag; a causal call builds its own mask and works in tiles of
+SOFTMAX_ROW_BLOCK query rows by the columns those rows can see, skipping the
+scores the mask hides.  It can keep each tile's row max and row sum in a list
+and rebuild its output from them without reducing again, and it and its VJP
+can write into a caller's buffer, so the encoder layer's row chunks reuse one
+buffer each.
 
 Gradient buffers: an interior node borrows its first gradient contribution
 (often another node's buffer) and allocates a buffer of its own only when a
@@ -56,10 +57,10 @@ NEG_MASK = -1e30
 SOFTMAX_ROW_BLOCK = 8
 
 # Rows per tile of rows_matmul.  OpenBLAS rounds a row of [M, K] @ [K, N]
-# differently by M (numpy's gemv at M = 1, the rows after the last multiple
-# of 4, and its threaded GEMM from M*N*K of about 10^6); 64 rows keep every
-# tile of the model's products in its single-threaded small-matrix kernel
-# (the largest, a d8 cdf head's, is 64 * 32 * 386 = 790k).
+# differently by M: numpy's gemv at M = 1, the rows after the last multiple
+# of 4, and its blocked, threaded GEMM above M*N*K of about 10^6.  64 rows
+# keep every tile of the model's products in its single-threaded
+# small-matrix kernel (the largest, a d8 cdf head's, is 64 * 32 * 386 = 790k).
 ROW_TILE = 64
 
 
@@ -415,7 +416,7 @@ def rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     m, k = a.shape
     if m == 0:
         return a @ w
-    tile = ROW_TILE if m > ROW_TILE else -(-m // 4) * 4
+    tile = min(ROW_TILE, -(-m // 4) * 4)
     if m % tile:
         padded = np.zeros((m + tile - m % tile, k), a.dtype)
         padded[:m] = a
@@ -427,9 +428,9 @@ def linear(x, w, b=None) -> Node:
     """Affine map over the last axis as one node: x [..., in] @ w [in, out]
     (+ b [out]) gives [..., out].
 
-    The value and VJPs do the float arithmetic of reshape -> matmul -> add ->
-    reshape exactly: y = rows_matmul(flat, w) + b over flat =
-    x.reshape(-1, in), gx = g @ wᵀ, gw = flatᵀ @ g and gb = Σ₀ g over
+    The value is y = rows_matmul(flat, w) + b over flat = x.reshape(-1, in).
+    The VJPs do the float arithmetic of the reshape -> matmul -> add ->
+    reshape chain exactly: gx = g @ wᵀ, gw = flatᵀ @ g and gb = Σ₀ g over
     g.reshape(-1, out).
     """
     x, w = _wrap(x), _wrap(w)
