@@ -123,8 +123,9 @@ def embed_sequence(x, params: ParamSet, cfg: ModelConfig, start: int = 0) -> Nod
 class KVCache:
     """Attention keys and values of the tokens encoded so far, per layer.
 
-    Holds arrays [N, heads, D, head_dim] and the number of tokens `length`
-    filled so far.  A cached step is value-only: the cached prefix carries no
+    Holds arrays [N, heads, D, head_dim], the number of tokens `length`
+    filled so far, and `weights`, each layer's arrays as its first step
+    gathers them.  A cached step is value-only: the cached prefix carries no
     graph, so run it under `no_grad`.  One cache serves one sequence of
     `condition` steps; it is never stored on a model.
     """
@@ -134,6 +135,7 @@ class KVCache:
         self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
         self.length = 0
+        self.weights = [None] * cfg.layers
 
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store one layer's new keys and values [N, heads, m, head_dim] after
@@ -153,11 +155,12 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     Its scores run in chunks of ATTN_CHUNK_BYTES; over several chunks under
     grad the forward keeps only each softmax tile's row max and sum, and the
     vjp rebuilds each chunk's softmax from them, bit for bit.
-    With a cache, `x` holds the new tokens only: their keys and values are
-    appended to the cache's `layer` and their queries attend over the whole
-    prefix; such a step is value-only.
+    With a cache, `x` holds the new tokens only and `w` is the cache's
+    `weights`: one fused product (each row with the three products' bits)
+    gives their q, k and v, the cache's `layer` takes k and v, and q attends
+    over the whole prefix; such a step is value-only and returns no vjp.
     """
-    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, bm1, w2, bm2 = w
+    g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, bm1, w2, bm2 = w[:15]
     n, d, e = x.shape
     dk = e // heads
     # the softmax applies the 1/sqrt(d_k) itself, tile by tile; a Python
@@ -174,39 +177,41 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     # profiler that wraps the module's names sees them
     normed, xhat1, inv1 = dc.layer_norm(x, g1, b1, LAYER_NORM_EPS)
     flat1 = normed.reshape(-1, e)
-    q = split_heads(dc.rows_matmul(flat1, wq) + bq)
-    k = split_heads(dc.rows_matmul(flat1, wk))
-    v = split_heads(dc.rows_matmul(flat1, wv) + bv)
     if cache is not None:
-        k, v = cache.extend(layer, k, v)
-    kt = k.transpose(0, 1, 3, 2)
-    causal = cache is None
-    rows = max(1, ATTN_CHUNK_BYTES // (heads * d * kt.shape[-1] * x.itemsize))
-    chunks = [slice(r, r + rows) for r in range(0, max(n, 1), rows)]
-
-    def probs(c, stats=None, buf=None):  # one chunk's attention weights
-        scores = q[c] @ kt[c]
-        return dc.masked_softmax(scores, causal, scale, stats,
-                                 None if buf is None else buf[:len(scores)])
-
-    chunk_shape = (rows,) + q.shape[1:3] + kt.shape[-1:]
-    # one chunk keeps its softmax for the VJP: recomputing it, as the loop
-    # does, slowed a d8-cdf float32 step on 256 rows from a median 65 ms to 74
-    if len(chunks) == 1:
-        attn = probs(chunks[0])
-        ctx4 = attn @ v
+        qkv = dc.rows_matmul(flat1, w[15])
+        k, v = cache.extend(layer, split_heads(qkv[:, e:2 * e]), split_heads(qkv[:, 2 * e:] + bv))
+        q = split_heads(qkv[:, :e] + bq)
+        ctx4 = dc.masked_softmax(q @ k.transpose(0, 1, 3, 2), False, scale) @ v
     else:
-        # the chunks share one softmax buffer, freed after the loop.  Under
-        # grad each chunk's list starts empty, masked_softmax fills it with
-        # the chunk's row statistics, and the vjp passes the filled list back
-        # for the same chunk's scores, so it rebuilds the forward's softmax
-        attn, ctx4 = None, np.empty(q.shape, q.dtype)
-        keep = causal and dc.grad_enabled()
-        stats = [[] if keep else None for _ in chunks]
-        buf = np.zeros(chunk_shape, q.dtype)
-        for c, s in zip(chunks, stats):
-            ctx4[c] = probs(c, s, buf) @ v[c]
-        del buf
+        q = split_heads(dc.rows_matmul(flat1, wq) + bq)
+        k = split_heads(dc.rows_matmul(flat1, wk))
+        v = split_heads(dc.rows_matmul(flat1, wv) + bv)
+        kt = k.transpose(0, 1, 3, 2)
+        rows = max(1, ATTN_CHUNK_BYTES // (heads * d * d * x.itemsize))
+        chunks = [slice(r, r + rows) for r in range(0, max(n, 1), rows)]
+
+        def probs(c, stats=None, buf=None):  # one chunk's attention weights
+            scores = q[c] @ kt[c]
+            return dc.masked_softmax(scores, True, scale, stats,
+                                     None if buf is None else buf[:len(scores)])
+
+        chunk_shape = (rows,) + q.shape[1:3] + kt.shape[-1:]
+        # one chunk keeps its softmax for the VJP: recomputing it, as the loop
+        # does, slowed a d8-cdf float32 step on 256 rows from a median 65 ms to 74
+        if len(chunks) == 1:
+            attn = probs(chunks[0])
+            ctx4 = attn @ v
+        else:
+            # the chunks share one softmax buffer, freed after the loop.  Under
+            # grad each chunk's list starts empty, masked_softmax fills it with
+            # the chunk's row statistics, and the vjp passes the filled list back
+            # for the same chunk's scores, so it rebuilds the forward's softmax
+            attn, ctx4 = None, np.empty(q.shape, q.dtype)
+            stats = [[] if dc.grad_enabled() else None for _ in chunks]
+            buf = np.zeros(chunk_shape, q.dtype)
+            for c, s in zip(chunks, stats):
+                ctx4[c] = probs(c, s, buf) @ v[c]
+            del buf
     ctx = merge_heads(ctx4)
     u = x + (dc.rows_matmul(ctx, wo) + bo).reshape(n, d, e)
 
@@ -214,6 +219,8 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     flat2 = normed2.reshape(-1, e)
     hidden = np.tanh(dc.rows_matmul(flat2, w1) + bm1)
     out = u + (dc.rows_matmul(hidden, w2) + bm2).reshape(n, d, e)
+    if cache is not None:
+        return out, None
 
     def vjp(g):
         gf = g.reshape(-1, e)
@@ -225,7 +232,7 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
 
         def chunk_grads(c, y, out=None):  # one chunk's gradients of q, k and v
             g_y = g_ctx[c] @ v[c].swapaxes(-1, -2)
-            g_scores = dc.masked_softmax_vjp(g_y, y, causal, scale, out)
+            g_scores = dc.masked_softmax_vjp(g_y, y, True, scale, out)
             return (g_scores @ kt[c].swapaxes(-1, -2),
                     (q[c].swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2),
                     y.swapaxes(-1, -2) @ g_ctx[c])
@@ -251,10 +258,17 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
 def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
                   cache: KVCache | None = None) -> Node:
     """Pre-norm encoder block: `_block` as one graph node over `seq` and the
-    layer's LAYER_PARAMS.  With a cache, `seq` holds the new tokens only and
-    the result is a value with no parents (see `_block`)."""
+    layer's LAYER_PARAMS.  With a cache, `seq` holds the new tokens only, the
+    cache holds the layer's arrays and their fused [wq | wk | wv] from its
+    first step on, and the result has no parents (see `_block`)."""
+    if cache is not None:
+        if cache.weights[layer] is None:
+            w = [params[f"layer{layer}.{name}"].value for name in LAYER_PARAMS]
+            cache.weights[layer] = w + [np.hstack((w[2], w[4], w[5]))]
+        out = _block(seq.value, cache.weights[layer], cfg.heads, cache, layer)[0]
+        return dc.make_node(out, [])
     nodes = [seq] + [params[f"layer{layer}.{name}"] for name in LAYER_PARAMS]
-    out, vjp = _block(seq.value, [node.value for node in nodes[1:]], cfg.heads, cache, layer)
+    out, vjp = _block(seq.value, [node.value for node in nodes[1:]], cfg.heads)
     parts = {}
 
     def part(i):  # the first parent asked in a backward pass runs the joint vjp
@@ -264,7 +278,7 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
             return parts.pop(i)
         return take
 
-    return dc.make_node(out, [] if cache else [(node, part(i)) for i, node in enumerate(nodes)])
+    return dc.make_node(out, [(node, part(i)) for i, node in enumerate(nodes)])
 
 
 def condition(x, params: ParamSet, cfg: ModelConfig,

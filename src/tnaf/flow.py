@@ -234,16 +234,16 @@ class SplineHead(Head):
 
     def inverse(self, params, psi, target, i, state):
         """Undo mix row i by forward substitution, then the spline, block by
-        block from the top."""
+        block from the top, every block reading one knot table [N, J, 3, K + 1]."""
         cfg = self.cfg
-        psis = np.split(psi, cfg.blocks, axis=1)
-        v = target.copy()
+        table = tf._spline_parts(psi.reshape(len(psi), cfg.blocks, -1), cfg.B)[0]
+        v = target
         for j in reversed(range(cfg.blocks)):
             lmat, premix = state[j]
             if i > 0:
                 v = v - premix[:, :i] @ lmat[i, :i]
             premix[:, i] = v
-            v = tf.spline_inverse_np(v, psis[j], cfg.B)
+            v = tf.spline_inverse_np(v, table[:, j], cfg.B)
         return v
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ContractViolation, DimensionError, Node
+from .diffcore import DimensionError, Node
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
@@ -248,22 +248,22 @@ def _spline_parts(psi, bound):
 
 
 def _spline_bins(points, table, row):
-    """Each point's bin on knot row `row` (0: x, 1: y), clipped so the tails
-    read an outer bin: the flat table indices [3, 2, ...] of its ends idx and
-    idx + 1 in each row, and the table there, (x0, x1), (y0, y1), (d0, d1)."""
+    """Each point's bin on knot row `row` (0: x, 1: y), counted over interior
+    knots so the tails read an outer bin: the flat table indices [3, 2, ...]
+    of its ends idx and idx + 1 in each row, and the table there."""
     k = table.shape[-1] - 1
-    idx = np.clip((points[..., None] >= table[..., row, :]).sum(axis=-1) - 1, 0, k - 1)
+    idx = (points[..., None] >= table[..., row, 1:k]).sum(axis=-1)
     lane = np.arange(0, table.size, 3 * (k + 1)).reshape(idx.shape) + idx
     at = np.add.outer(np.arange(0, 3 * (k + 1), k + 1)[:, None] + (0, 1), lane)
     return at, table.take(at)
 
 
-def spline_inverse_np(y, psi, bound):
-    """Vectorized inverse on psi [..., 3K - 1] packed as in
-    spline_forward_node: solve the bin-local quadratic, stable root form."""
+def spline_inverse_np(y, table, bound):
+    """Vectorized inverse on a knot table [..., 3, K + 1] of _spline_parts:
+    solve the bin-local quadratic, stable root form; InversionError names the
+    first lane whose root is not in its bin."""
     y = np.asarray(y, dtype=np.float64)
-    yc = np.clip(y, -bound, bound)
-    table = _spline_parts(psi, bound)[0]
+    yc = np.minimum(np.maximum(y, -bound), bound)
     (x0, x1), (y0, y1), (d0, d1) = _spline_bins(yc, table, 1)[1]
     w, hgt = x1 - x0, y1 - y0
     s = hgt / w
@@ -273,12 +273,12 @@ def spline_inverse_np(y, psi, bound):
     qb = hgt * d0 - r * dsum
     qc = -s * r
     disc = qb * qb - 4.0 * qa * qc
-    if np.any(disc < 0.0):
-        raise ContractViolation("spline inverse: negative discriminant")
+    if (bad := disc < 0.0).any():
+        raise InversionError("spline inverse: negative discriminant", index=int(np.argmax(bad)))
     xi = 2.0 * qc / (-qb - np.sqrt(disc))
-    if np.any((xi < -1e-9) | (xi > 1.0 + 1e-9)):
-        raise ContractViolation("spline inverse: root escaped [0, 1]")
-    xi = np.clip(xi, 0.0, 1.0)
+    if (bad := (xi < -1e-9) | (xi > 1.0 + 1e-9)).any():
+        raise InversionError("spline inverse: root escaped [0, 1]", index=int(np.argmax(bad)))
+    xi = np.minimum(np.maximum(xi, 0.0), 1.0)
     return np.where((np.abs(y) < bound) & (table.shape[-1] > 2), x0 + xi * w, y)  # K > 1
 
 

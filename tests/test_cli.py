@@ -27,6 +27,8 @@ from tnaf.data import StandardizationStats, load_matrix, save_csv
 from tnaf.flow import ModelConfig, build_model, forward_values
 from tnaf.trainer import TrainConfig, evaluate
 
+from test_flow import pathological_spline_model
+
 
 def tiny_model_doc(head_type="affine", layers=1, with_train=True, **data):
     doc = {
@@ -527,6 +529,20 @@ class TestCliSampleInvert:
             argv = ["invert", "-m", str(ckpt), "-d", str(noise)]
         assert main(argv + ["-o", str(out)]) == 5
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spline_inversion_failure_exits_5(self, tmp_path, capsys):
+        # the spline's root check fails on row 1: exit 5 naming the row, no
+        # traceback and no output
+        model, y = pathological_spline_model()
+        rc = parse_run_config({"model": {"D": 1, "head_type": "spline", "blocks": 1},
+                               "data": {"toy": "ring", "n": 10}})
+        ckpt, targets, out = tmp_path / "spline.ckpt", tmp_path / "y.csv", tmp_path / "x.csv"
+        save_checkpoint(str(ckpt), model, StandardizationStats(np.zeros(1), np.ones(1)), rc)
+        save_csv(np.array([[4.0], [y]]), str(targets))
+        assert main(["invert", "-m", str(ckpt), "-d", str(targets), "-o", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("inversion error: ") and "sample 1, dimension 0" in err
         assert not out.exists()
 
     def test_invert_recovers_noise(self, trained, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from tnaf import diffcore as dc
 from tnaf import flow
+from tnaf import transforms as tf
 from tnaf.checks import check_inversion
 from tnaf.diffcore import DimensionError, fd_gradient
 from tnaf.flow import (
@@ -29,6 +30,25 @@ def tiny_model(d, head, seed=0, **overrides):
     kwargs = dict(E=8, heads=2, layers=1, mlp_hidden=16, H=4, K=4, blocks=2)
     kwargs.update(overrides)
     return build_model(ModelConfig(D=d, head_type=head, **kwargs), seed=seed)
+
+
+def pathological_spline_model():
+    """A D=1 one-block spline flow whose psi is fixed to one drawn at scale 1e6,
+    and a target its spline inverse fails on (the root escapes its bin in
+    float arithmetic), found by drawing lanes until one fails."""
+    rng = np.random.default_rng(0)
+    while True:
+        psi = rng.standard_normal((256, 23)) * 1e6
+        y = rng.uniform(-3, 3, 256)
+        try:
+            tf.spline_inverse_np(y, tf._spline_parts(psi, 3.0)[0], 3.0)
+        except InversionError as err:
+            lane = err.index
+            break
+    model = build_model(ModelConfig(D=1, head_type="spline", blocks=1), seed=0)
+    model.params["head.w"].value[:] = 0.0
+    model.params["head.b"].value[:] = psi[lane]
+    return model, y[lane]
 
 
 def normal_logpdf(y):
@@ -198,6 +218,49 @@ class TestRowIdentity:
         model = build_model(ModelConfig(D=8, head_type=head), seed=5)
         np.testing.assert_array_equal(sample(model, 1, 9)[0], sample(model, 5, 9)[0])
 
+    def test_d63_spline_inversion_row_alone_equals_row_in_any_call(self):
+        # the benchmark's width: the cached key count reaches 63, and a 1-row
+        # step runs its products in one padded row tile
+        model = build_model(ModelConfig(D=63, head_type="spline"), seed=5)
+        targets = np.random.default_rng(7).standard_normal((10, 63))
+        whole = invert_rows(model, targets)
+        for size in (1, 3, 4, 5):
+            got = np.concatenate([invert_rows(model, targets[s:s + size])
+                                  for s in range(0, len(targets), size)])
+            np.testing.assert_array_equal(got, whole, err_msg=f"{size}-row calls")
+        np.testing.assert_array_equal(sample(model, 1, 9)[0], sample(model, 5, 9)[0])
+
+
+class TestSplineInverseTable:
+    @pytest.mark.parametrize("blocks", (1, 2, 3))
+    @pytest.mark.parametrize("k", (1, 2, 8))
+    def test_one_knot_table_equals_per_block_tables(self, blocks, k):
+        # SplineHead.inverse reads every block's knots off one table; each
+        # block's own table over its columns of psi gives the same bits
+        d, n = 4, 9
+        model = tiny_model(d, "spline", seed=blocks, K=k, blocks=blocks)
+        rng = np.random.default_rng(10 * blocks + k)
+        for j in range(blocks):
+            model.params[f"mix{j}"].value[:] = rng.standard_normal(d * (d - 1) // 2)
+        bound, bw = model.config.B, 3 * k - 1
+        # targets inside and beyond +-B, and on it
+        targets = rng.uniform(-2 * bound, 2 * bound, (n, d))
+        targets[:2] = [[bound] * d, [-bound] * d]
+        state = model.head.inverse_state(model.params, n)
+        per_block = model.head.inverse_state(model.params, n)
+        for i in range(d):
+            psi = rng.standard_normal((n, blocks * bw))
+            got = model.head.inverse(model.params, psi, targets[:, i], i, state)
+            v = targets[:, i]
+            for j in reversed(range(blocks)):
+                lmat, premix = per_block[j]
+                if i > 0:
+                    v = v - premix[:, :i] @ lmat[i, :i]
+                premix[:, i] = v
+                table = tf._spline_parts(psi[:, j * bw:(j + 1) * bw], bound)[0]
+                v = tf.spline_inverse_np(v, table, bound)
+            assert got.tobytes() == v.tobytes(), f"dimension {i}"
+
 
 class TestDeterminantOracle:
     @pytest.mark.parametrize("head", ALL_HEADS)
@@ -337,6 +400,31 @@ class TestSampling:
                            ) as err:
             invert_rows(model, y)
         assert err.value.index == 2 * ROW_BLOCK + 1
+
+    def test_spline_inversion_failure_names_its_row(self):
+        # the spline's root check raises InversionError, which invert_rows
+        # names by row and dimension like any other inversion failure
+        model, y = pathological_spline_model()
+        targets = np.array([[4.0], [y], [y]])
+        with pytest.raises(InversionError, match="sample 1, dimension 0: spline inverse"
+                           ) as err:
+            invert_rows(model, targets)
+        assert err.value.index == 1
+
+    def test_layer_weights_looked_up_once_per_block(self, monkeypatch):
+        # each encoder layer's weights are gathered once per KVCache, not at
+        # every step: a 4-row D=63 inversion made 3150 lookups when they were
+        # not.  Only the embedding's and the head projection's stay per step.
+        model = build_model(ModelConfig(D=63, head_type="spline"), seed=2)
+        looked_up = []
+        real = dc.ParamSet.__getitem__
+        monkeypatch.setattr(dc.ParamSet, "__getitem__",
+                            lambda params, name: looked_up.append(name) or real(params, name))
+        invert_rows(model, np.random.default_rng(3).standard_normal((4, 63)))
+        per_step = {"input_proj.w", "input_proj.b", "positional", "head.w", "head.b"}
+        once = [name for name in looked_up if name not in per_step]
+        assert sorted(once) == sorted(set(model.params.names()) - per_step)
+        assert len(looked_up) - len(once) <= 5 * model.D
 
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):

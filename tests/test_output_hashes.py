@@ -42,7 +42,7 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
     bench += [(head, d, f"bench.{head}.D{d}.N{rows}") for head, d, rows in tool.RAGGED]
     for head, d, tag in bench:
         for output in ("log_prob.y", "log_prob.logdet", "log_prob.logp", "loss32",
-                       "invert_rows"):
+                       "invert_rows", "invert_rows.N1", "sample.N1"):
             assert f"{tag}.{output}" in names
         for param in build_model(tool.model_config(head, d, {}), seed=1).params.names():
             assert f"{tag}.grad32.{param}" in names

@@ -184,7 +184,8 @@ def spline_fwd(x, psi, bound=BOUND):
 
 
 def spline_inv(y, psi, bound=BOUND):
-    return float(tf.spline_inverse_np(np.array([y]), psi[None, :], bound)[0])
+    return float(tf.spline_inverse_np(np.array([y]), spline_table(psi[None, :], bound),
+                                      bound)[0])
 
 
 def x_knots(psi, bound=BOUND):
@@ -848,7 +849,7 @@ class TestSplineNode:
             np.testing.assert_array_equal(value, x if which == 0 else 0.0)
             np.testing.assert_array_equal(grad_psi, 0.0)
             np.testing.assert_array_equal(grad_x, g if which == 0 else 0.0)
-        np.testing.assert_array_equal(tf.spline_inverse_np(x, psi, BOUND), x)
+        np.testing.assert_array_equal(tf.spline_inverse_np(x, spline_table(psi), BOUND), x)
 
     def test_three_nodes_per_call(self, monkeypatch):
         # the spline is three nodes per block in a training loss, not an op chain

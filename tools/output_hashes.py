@@ -10,7 +10,9 @@ tiles its rows eight at a time), and D=63 in a block of seven.
 
 The ``bench.*`` lines run the benchmark's own shapes on the default
 ModelConfig (BENCH): ``log_prob`` and the float32 loss and gradients on the
-benchmark's batch, and ``invert_rows`` on INVERT_ROWS rows.  The
+benchmark's batch, ``invert_rows`` on INVERT_ROWS rows, and ``invert_rows``
+and ``sample`` on one row, the benchmark's warm-up size, whose products run
+in a single padded row tile.  The
 ``bench.*.N<rows>`` lines (RAGGED) do the same on a batch that ends the
 attention's row chunks in a short one.  The forward products run in fixed
 row tiles (``diffcore.rows_matmul``), but the float32 weight gradients' sums
@@ -144,6 +146,8 @@ def bench_hashes(head: str, d: int, rows: int, tag: str) -> None:
     for name, p in model.params.items():
         emit(f"{tag}.grad32.{name}", p.grad)
     emit(f"{tag}.invert_rows", guarded(invert_rows, model, res.y[:INVERT_ROWS]))
+    emit(f"{tag}.invert_rows.N1", guarded(invert_rows, model, res.y[:1]))
+    emit(f"{tag}.sample.N1", guarded(sample, model, 1, 5))
 
 
 def block_hashes(head: str, d: int) -> None:
