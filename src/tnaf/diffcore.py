@@ -414,9 +414,9 @@ def rows_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     in any batch and on any thread.
     """
     m, k = a.shape
-    if m == 0:
-        return a @ w
     tile = min(ROW_TILE, -(-m // 4) * 4)
+    if m == tile:  # no rows, or one whole tile: the same product as stacked
+        return a @ w
     if m % tile:
         padded = np.zeros((m + tile - m % tile, k), a.dtype)
         padded[:m] = a
