@@ -11,7 +11,6 @@ ones and reads its hidden row off that step.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +235,7 @@ class SplineHead(Head):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top, every block reading one knot table [N, J, 3, K + 1]."""
         cfg = self.cfg
-        table = tf._spline_parts(psi.reshape(len(psi), cfg.blocks, -1), cfg.B)[0]
+        table = tf._spline_parts(psi.reshape(len(psi), cfg.blocks, 3 * cfg.K - 1), cfg.B)[0]
         v = target
         for j in reversed(range(cfg.blocks)):
             lmat, premix = state[j]
@@ -287,12 +286,6 @@ def build_model(cfg: ModelConfig, seed: int = 0) -> FlowModel:
 # ---------------------------------------------------------------------------
 
 
-def transform_forward(model: FlowModel, x: np.ndarray) -> tuple[Node, Node]:
-    """x [N, D] -> (y [N, D], per-dimension logdet [N, D]) as graph nodes."""
-    psi = model.head.psi(condition(x, model.params, model.config), model.params)
-    return model.head.forward(dc.constant(x), psi, model.params)
-
-
 def _as_rows(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
@@ -303,18 +296,19 @@ def _as_rows(x) -> tuple[np.ndarray, bool]:
 
 
 def forward_values(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value-only forward: returns (y [N, D], per-dim logdet [N, D])."""
-    with dc.no_grad():
-        y, ld = transform_forward(model, x)
-    return y.value, ld.value
+    """Value-only forward of rows x [N, D] in float64: (y [N, D], per-dim
+    logdet [N, D]), by log_prob's own pass, split included."""
+    return tuple(_likelihood_values(model, np.asarray(x, dtype=np.float64))[:2])
 
 
-def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node]:
-    """x [N, D] -> (y [N, D], logdet [N], log p(x) [N]) as graph nodes."""
-    y, ld = transform_forward(model, x)
+def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node, Node]:
+    """x [N, D] -> (y [N, D], per-dimension logdet [N, D], logdet [N],
+    log p(x) [N]) as graph nodes: one conditioner pass, one head transform."""
+    psi = model.head.psi(condition(x, model.params, model.config), model.params)
+    y, ld = model.head.forward(dc.constant(x), psi, model.params)
     logdet = dc.sum_(ld, axis=1)
     base = dc.add(dc.mul(-0.5, dc.sum_(dc.mul(y, y), axis=1)), -0.5 * model.D * LOG_2PI)
-    return y, logdet, dc.add(base, logdet)
+    return y, ld, logdet, dc.add(base, logdet)
 
 
 def log_prob(model: FlowModel, x) -> LogProbResult:
@@ -323,16 +317,16 @@ def log_prob(model: FlowModel, x) -> LogProbResult:
     rows, single = _as_rows(x)
     if rows.shape[1] != model.D:
         raise DimensionError(f"input has {rows.shape[1]} columns, model expects {model.D}")
-    y, logdet, logp = _likelihood_values(model, rows)
+    y, _, logdet, logp = _likelihood_values(model, rows)
     if single:
         return LogProbResult(y=y[0], logdet=float(logdet[0]), logp=float(logp[0]))
     return LogProbResult(y=y, logdet=logdet, logp=logp)
 
 
-def _likelihood_values(model: FlowModel, rows: np.ndarray):
-    """(y, logdet, logp) of `rows` in numpy.  A call of SPLIT_SCORES attention
-    scores or more scores its second half on one extra thread; each row's
-    values are the same."""
+def _likelihood_values(model: FlowModel, rows: np.ndarray) -> list[np.ndarray]:
+    """_log_likelihood's four values for float64 `rows`, in numpy.  A call of
+    SPLIT_SCORES attention scores or more scores its first half on the caller
+    and its second on a one-worker pool; each row's values are the same."""
     def values(part):  # no_grad is per thread
         with dc.no_grad():
             return [node.value for node in _log_likelihood(model, part)]
@@ -341,29 +335,18 @@ def _likelihood_values(model: FlowModel, rows: np.ndarray):
     if len(rows) * cfg.heads * cfg.D ** 2 < SPLIT_SCORES:
         return values(rows)
     half = len(rows) // 2
-    second = {}
-
-    def run_second():
-        try:
-            second["values"] = values(rows[half:])
-        except BaseException as err:  # re-raised in the caller
-            second["error"] = err
-
     # imported here, not at the module top: there, layout alone moved d8-cdf
     # benchmark processes between two glibc heap states (3 of 8 at seed 1),
     # though d8-cdf never splits
     import contextvars
+    from concurrent.futures import ThreadPoolExecutor
 
-    # the copied context carries the caller's numpy error state
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run_second,))
-    worker.start()
-    try:
+    # the copied context carries the caller's numpy error state; leaving the
+    # pool waits for the second half, whichever half raised
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(contextvars.copy_context().run, values, rows[half:])
         first = values(rows[:half])
-    finally:
-        worker.join()
-    if "error" in second:
-        raise second["error"]
-    return [np.concatenate(pair) for pair in zip(first, second["values"])]
+    return [np.concatenate(pair) for pair in zip(first, second.result())]
 
 
 def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
@@ -373,7 +356,7 @@ def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
         raise DimensionError(
             f"batch must be a nonempty matrix [n, {model.D}], got shape {batch.shape}"
         )
-    _, _, logp = _log_likelihood(model, batch)
+    *_, logp = _log_likelihood(model, batch)
     return dc.neg(dc.mean(logp))
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import diffcore as dc
 from .conditioner import require_ints, require_positive_reals
 from .data import DatasetMatrix, Splits, batches
-from .diffcore import ContractViolation, ParamSet
+from .diffcore import ParamSet
 from .flow import ROW_BLOCK, FlowModel, log_prob, nll_loss
 
 ADAM_BETA1 = 0.9
@@ -160,11 +160,9 @@ def train(model: FlowModel, splits: Splits, cfg: TrainConfig,
             loss_val = float32_gradients(model, batch, step)
             clip_gradients(model.params, cfg.clip_norm, step)
             opt.step(cfg.learning_rate)
-        except (TrainingFault, ContractViolation) as err:
+        except TrainingFault:
             model.params.restore(best_snap)
-            if isinstance(err, TrainingFault):
-                raise
-            raise TrainingFault(str(err), step) from err
+            raise
 
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             val_nll = -evaluate(model, splits.val)[0]

@@ -1,6 +1,10 @@
 """Flow assembly: log-likelihood, triangularity, sampling, determinant oracle."""
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,15 +115,15 @@ class TestLogProb:
             assert single.logp == batched.logp[i]
 
 
-def likelihood_calls(monkeypatch, fail_off_main=False) -> list:
-    """(thread, rows) of every later flow._log_likelihood call; with
-    fail_off_main, a call off the main thread raises."""
+def likelihood_calls(monkeypatch, failing_half=None) -> list:
+    """(thread, rows) of every later flow._log_likelihood call; failing_half
+    "first" makes a call on the main thread raise, "second" one off it."""
     calls, real, main = [], flow._log_likelihood, threading.get_ident()
 
     def traced(model, x):
         calls.append((threading.get_ident(), len(x)))
-        if fail_off_main and threading.get_ident() != main:
-            raise ValueError("second half failed")
+        if failing_half == ("first" if threading.get_ident() == main else "second"):
+            raise ValueError(f"{failing_half} half failed")
         return real(model, x)
 
     monkeypatch.setattr(flow, "_log_likelihood", traced)
@@ -127,8 +131,8 @@ def likelihood_calls(monkeypatch, fail_off_main=False) -> list:
 
 
 class TestLogProbSplit:
-    """log_prob scores a call of SPLIT_SCORES attention scores or more in two
-    row halves, the second on one extra thread."""
+    """log_prob and forward_values score a call of SPLIT_SCORES attention
+    scores or more in two row halves, the second on a one-worker pool."""
 
     def test_forced_split_equals_unsplit_halves(self, monkeypatch):
         model = tiny_model(5, "cdf", seed=3)
@@ -159,9 +163,31 @@ class TestLogProbSplit:
     def test_error_in_second_half_is_raised(self, monkeypatch):
         model = tiny_model(3, "affine", seed=1)
         monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
-        likelihood_calls(monkeypatch, fail_off_main=True)
+        likelihood_calls(monkeypatch, failing_half="second")
         with pytest.raises(ValueError, match="second half failed"):
             log_prob(model, np.zeros((6, 3)))
+
+    def test_error_in_first_half_is_raised_once_second_is_done(self, monkeypatch):
+        model = tiny_model(3, "affine", seed=1)
+        monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
+        calls = likelihood_calls(monkeypatch, failing_half="first")
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="first half failed"):
+            log_prob(model, np.zeros((6, 3)))
+        assert sorted(n for _, n in calls) == [3, 3]
+        assert threading.active_count() == threads
+
+    def test_forward_values_split_like_log_prob(self, monkeypatch):
+        model = tiny_model(4, "spline", seed=2)
+        rows = np.random.default_rng(5).standard_normal((7, 4))
+        whole = forward_values(model, rows)
+        monkeypatch.setattr(flow, "SPLIT_SCORES", 0)
+        calls = likelihood_calls(monkeypatch)
+        split = forward_values(model, rows)
+        assert sorted(n for _, n in calls) == [3, 4]
+        for got, want in zip(split, whole):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(split[0], log_prob(model, rows).y)
 
     def test_second_half_keeps_the_callers_error_state(self, monkeypatch):
         model = tiny_model(3, "affine", seed=1)
@@ -172,6 +198,19 @@ class TestLogProbSplit:
         with np.errstate(over="raise"):
             log_prob(model, np.zeros((6, 3)))
         assert seen == ["raise", "raise"]
+
+    def test_import_loads_no_pool_modules(self):
+        # the split imports its pool itself: import layout alone has moved
+        # benchmark processes that never split between glibc heap states
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, tnaf; "
+             "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_call_below_threshold_starts_no_thread(self, monkeypatch):
         cfg = ModelConfig(D=63, head_type="spline")
@@ -425,6 +464,11 @@ class TestSampling:
         once = [name for name in looked_up if name not in per_step]
         assert sorted(once) == sorted(set(model.params.names()) - per_step)
         assert len(looked_up) - len(once) <= 5 * model.D
+
+    @pytest.mark.parametrize("d", (1, 2, 8))
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_no_targets_invert_to_no_rows(self, head, d):
+        assert invert_rows(tiny_model(d, head), np.zeros((0, d))).shape == (0, d)
 
     def test_sample_count_checked(self):
         with pytest.raises(DimensionError):
