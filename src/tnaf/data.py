@@ -74,21 +74,22 @@ def _reject_nonfinite(data: np.ndarray, source: str) -> None:
 def _load_csv(path: str) -> DatasetMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            # (file line number, text) of each non-blank line
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError as err:
         raise ParseError(f"{path}: not UTF-8 text: {err}") from None
     if not lines:
         raise ParseError(f"{path}: empty dataset")
-    start = 0
+    first, start = lines[0][1].split(","), 0
     try:
-        [float(tok) for tok in lines[0].split(",")]
+        [float(tok) for tok in first]
     except ValueError:
         start = 1  # a header line
     if start >= len(lines):
         raise ParseError(f"{path}: no data rows after header")
     rows = []
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in lines[start:]:
         tokens = line.split(",")
         if width is None:
             width = len(tokens)
@@ -100,9 +101,8 @@ def _load_csv(path: str) -> DatasetMatrix:
             rows.append([float(tok) for tok in tokens])
         except ValueError as err:
             raise ParseError(f"{path}: line {lineno}: {err}") from None
-    names = len(lines[0].split(","))
-    if start and names != width:
-        raise ParseError(f"{path}: header has {names} names but rows have {width} fields")
+    if start and len(first) != width:
+        raise ParseError(f"{path}: header has {len(first)} names but rows have {width} fields")
     data = np.asarray(rows, dtype=np.float64)
     _reject_nonfinite(data, path)
     return DatasetMatrix(data)

@@ -9,12 +9,12 @@ number or other constant operand of a binary op takes the other operand's
 dtype, and every buffer an op allocates takes its input's, so one graph
 computes in one precision throughout; there is no mode to switch.  Binary ops
 follow numpy's broadcasting rules, and their gradients are summed back to each
-operand's shape.  The ops are the ones the model needs: add, mul, neg, exp,
-sum_, mean, the shape ops, strict_lower_embed, and linear, the affine map
-over the last axis behind every projection, as one node with a hand-written
-VJP.  linear's value and the encoder layer's products over rows go through
-rows_matmul, which multiplies in fixed tiles of rows, so a row's value does
-not depend on how many rows share the call.  The transform heads and the
+operand's shape.  The ops are the ones the model needs: add, mul, exp, sum_,
+the shape ops, strict_lower_embed, and linear, the affine map over the last
+axis behind every projection, as one node with a hand-written VJP.  linear's
+value and the encoder layer's products over rows go through rows_matmul,
+which multiplies in fixed tiles of rows, so a row's value does not depend on
+how many rows share the call.  The transform heads and the
 encoder layer build their own nodes with make_node.  Two numpy helpers, each
 with its VJP beside it, serve the encoder layer: layer_norm, and
 masked_softmax, which takes the attention's 1/sqrt(d_k) as its `scale` and a
@@ -25,12 +25,12 @@ and rebuild its output from them without reducing again, and it and its VJP
 can write into a caller's buffer, so the encoder layer's row chunks reuse one
 buffer each.
 
-Gradient buffers: an interior node borrows its first gradient contribution
-(often another node's buffer) and allocates a buffer of its own only when a
-second contribution arrives; only owned buffers are added into in place.
-backward() drops each interior node's gradient once its VJPs have run.
-Leaves copy their first contribution, so a parameter's .grad shares memory
-with nothing else and survives backward().
+Gradient buffers follow one rule: no gradient is ever added into in place.
+An interior node borrows its first gradient contribution (often another
+node's buffer), a leaf copies it, and every later contribution allocates the
+sum.
+backward() drops each interior node's gradient once its VJPs have run; a
+leaf's copy shares memory with nothing else and survives backward().
 
 no_grad() is the only mode: inside it ops record no parents, so nothing is
 kept for a backward pass.  Graph construction and backward() are
@@ -123,17 +123,17 @@ class Node:
     `parents` holds (parent, vjp) pairs where vjp maps the output gradient to
     the parent's gradient contribution.  Only leaves (nodes without parents,
     such as parameters) keep a gradient after backward(); repeated backward()
-    calls accumulate into them until explicitly zeroed.
+    calls add to it until explicitly zeroed.  `grad` of a node that took no
+    contribution reads as zeros.
     """
 
-    __slots__ = ("value", "_grad", "_owns_grad", "requires_grad", "parents")
+    __slots__ = ("value", "_grad", "requires_grad", "parents")
 
     def __init__(self, value, requires_grad: bool = False, parents=()):
         self.value = as_tensor(value)
         self.requires_grad = requires_grad
         self.parents = parents
         self._grad = None
-        self._owns_grad = False
 
     @property
     def grad(self) -> np.ndarray:
@@ -144,28 +144,19 @@ class Node:
     @grad.setter
     def grad(self, g) -> None:
         self._grad = None if g is None else as_tensor(g)
-        self._owns_grad = True
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add one gradient contribution.
-
-        An interior node borrows its first contribution, which may be a
-        buffer of another node; a second one allocates the sum (copy on
-        write), and later ones add into that owned buffer.  A leaf copies its
-        first contribution, so its gradient shares memory with no other node.
-        """
+        """Add one gradient contribution, writing into no buffer: an interior
+        node borrows its first contribution (perhaps another node's buffer), a
+        leaf copies it, and every later contribution allocates the sum."""
         if g.shape != self.value.shape:
             raise DimensionError(
                 f"gradient shape {g.shape} does not match value shape {self.value.shape}"
             )
         if self._grad is None:
-            self._owns_grad = not self.parents
-            self._grad = g.copy(order="K") if self._owns_grad else g
-        elif self._owns_grad:
-            self._grad += g
+            self._grad = g if self.parents else g.copy(order="K")
         else:
             self._grad = self._grad + g
-            self._owns_grad = True
 
     def zero_grad(self) -> None:
         self._grad = None
@@ -273,7 +264,7 @@ def _binary(a, b, fn, vjp_a, vjp_b) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# arithmetic and pointwise ops
+# arithmetic, pointwise ops and the sum
 # ---------------------------------------------------------------------------
 
 
@@ -285,40 +276,21 @@ def mul(a, b) -> Node:
     return _binary(a, b, np.multiply, lambda g, av, bv: g * bv, lambda g, av, bv: g * av)
 
 
-def neg(a) -> Node:
-    a = _wrap(a)
-    return make_node(-a.value, [(a, lambda g: -g)])
-
-
 def exp(a) -> Node:
     a = _wrap(a)
     out = np.exp(a.value)
     return make_node(out, [(a, lambda g: g * out)])
 
 
-# ---------------------------------------------------------------------------
-# reductions
-# ---------------------------------------------------------------------------
-
-
-def sum_(a, axis: int | None = None, keepdims: bool = False) -> Node:
+def sum_(a, axis: int | None = None) -> Node:
     a = _wrap(a)
     av = a.value
-    out = av.sum(axis=axis, keepdims=keepdims)
+    out = av.sum(axis=axis)
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, av.shape).copy()
-        ge = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(ge, av.shape).copy()
+        return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), av.shape).copy()
 
     return make_node(out, [(a, vjp)])
-
-
-def mean(a, axis: int | None = None, keepdims: bool = False) -> Node:
-    a = _wrap(a)
-    n = a.value.size if axis is None else a.value.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +553,7 @@ def backward(loss: Node) -> None:
 
     loss.accumulate_grad(np.ones_like(loss.value))
     for node in reversed(topo):
-        if node._grad is None:
-            continue
+        # every node but the loss is a parent of one processed before it
         g = node._grad
         for parent, vjp in node.parents:
             parent.accumulate_grad(as_tensor(vjp(g)))

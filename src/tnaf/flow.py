@@ -89,8 +89,9 @@ class Head:
     * ``forward(x, psi, params)``: the graph map x [N, D] ->
       (y [N, D], per-dimension logdet [N, D]) given psi [N, D, width], each
       dimension strictly increasing from the real line onto itself;
-    * ``inverse(params, psi, target, i, state)``: column i of x from
-      column i of y, given position i's psi values [N, width].
+    * ``inverse(psi, target, i, state)``: column i of x from column i of
+      y, given position i's psi values [N, width] and the scratch of
+      ``inverse_state``.
 
     Transforms and ``project_head`` are looked up as module attributes at
     call time, so code that patches them (a tracer, say) sees every call.
@@ -111,7 +112,8 @@ class Head:
         return project_head(hidden, params)
 
     def inverse_state(self, params: ParamSet, n: int):
-        """Scratch carried across the dimensions of one inversion."""
+        """Scratch carried across the dimensions of one inversion, built once
+        per block of rows: whatever ``inverse`` reads of the parameters."""
         return None
 
 
@@ -123,7 +125,7 @@ class AffineHead(Head):
     def forward(self, x, psi, params):
         return tf.affine_forward_node(x, psi)
 
-    def inverse(self, params, psi, target, i, state):
+    def inverse(self, psi, target, i, state):
         return tf.affine_inverse_np(target, psi)
 
 
@@ -149,7 +151,7 @@ class CdfHead(Head):
     def forward(self, x, psi, params):
         return tf.cdf_forward_node(x, psi)
 
-    def inverse(self, params, psi, target, i, state):
+    def inverse(self, psi, target, i, state):
         return tf.cdf_inv_batch(target, psi)
 
 
@@ -182,9 +184,12 @@ class SharedCdfHead(Head):
     def forward(self, x, psi, params):
         return tf.shared_cdf_forward_node(x, psi, params)
 
-    def inverse(self, params, psi, target, i, state):
-        net = tf.shared_cdf_psi(dc.constant(psi), params).value
-        return tf.cdf_inv_batch(target, net)
+    def inverse_state(self, params, n):
+        """The shared net's seven `phi.*` nodes, looked up once."""
+        return {name: params[name] for name in params.names() if name.startswith("phi.")}
+
+    def inverse(self, psi, target, i, state):
+        return tf.cdf_inv_batch(target, tf.shared_cdf_psi(dc.constant(psi), state).value)
 
 
 class SplineHead(Head):
@@ -231,7 +236,7 @@ class SplineHead(Head):
             for j in range(cfg.blocks)
         ]
 
-    def inverse(self, params, psi, target, i, state):
+    def inverse(self, psi, target, i, state):
         """Undo mix row i by forward substitution, then the spline, block by
         block from the top, every block reading one knot table [N, J, 3, K + 1]."""
         cfg = self.cfg
@@ -357,7 +362,7 @@ def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
             f"batch must be a nonempty matrix [n, {model.D}], got shape {batch.shape}"
         )
     *_, logp = _log_likelihood(model, batch)
-    return dc.neg(dc.mean(logp))
+    return dc.mul(dc.sum_(logp), -1.0 / len(batch))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +415,7 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
             hidden = condition(x[:, max(i - 1, 0):i], model.params, model.config, cache).value
             psi = model.head.psi(dc.constant(hidden[:, 0]), model.params).value
             try:
-                x[:, i] = model.head.inverse(model.params, psi, noise[:, i], i, state)
+                x[:, i] = model.head.inverse(psi, noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])
                 if bad.any():
                     raise tf.InversionError("recovered a non-finite value",

@@ -45,6 +45,15 @@ class TestCsv:
         with pytest.raises(ParseError, match="line 2"):
             load_matrix(str(path), "csv")
 
+    @pytest.mark.parametrize("text, line", [("a,b\n1,2\n\n\n3\n", "line 5 has 1 fields"),
+                                            ("1,2\n\n3,x\n", "line 3:")],
+                             ids=["ragged", "non_numeric"])
+    def test_error_names_the_file_line_past_blank_lines(self, tmp_path, text, line):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=line):
+            load_matrix(str(path), "csv")
+
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3,zap\n")

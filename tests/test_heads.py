@@ -213,7 +213,7 @@ class ShiftHead(flow.Head):
     def forward(self, x, psi, params):
         return dc.add(x, dc.reshape(psi, x.value.shape)), dc.constant(np.zeros_like(x.value))
 
-    def inverse(self, params, psi, target, i, state):
+    def inverse(self, psi, target, i, state):
         return target - psi[:, 0]
 
 

@@ -30,12 +30,14 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
     names = [line.split()[0] for line in lines]
     assert len(set(names)) == len(names)
     names = set(names)
-    for head, d in tool.MODELS:
-        tag = f"{head}.D{d}"
+    models = [(f"{head}.D{d}", tool.model_config(head, d)) for head, d in tool.MODELS]
+    models += [(f"{head}.J{j}.D{d}", tool.model_config(head, d, {**tool.SMALL, "blocks": j}))
+               for head, d, j in tool.STACKED]
+    for tag, cfg in models:
         for output in ("loss", "loss32", "log_prob.y", "log_prob.logdet", "log_prob.logp",
                        "invert_rows", "train.history", "trained.sample"):
             assert f"{tag}.{output}" in names
-        for param in build_model(tool.model_config(head, d), seed=1).params.names():
+        for param in build_model(cfg, seed=1).params.names():
             for kind in ("grad", "grad32", "trained"):
                 assert f"{tag}.{kind}.{param}" in names
     bench = [(head, d, f"bench.{head}.D{d}") for head, d, _ in tool.BENCH]

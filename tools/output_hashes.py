@@ -23,10 +23,10 @@ OPENBLAS_NUM_THREADS).
 
 Each line is ``name sha256``.  Arrays are hashed as their float64 bytes, and
 the CLI quantities as the exact bytes of the files and stdout they produce.
-For each (head, D) model the script hashes the loss and every parameter
-gradient of one batch, once from the float64 graph and once from the
-float32 graph a training step runs (``float32_gradients``: its loss and
-every gradient widened to float64), ``log_prob`` (y, logdet, logp),
+For each (head, D) model, and each STACKED one, the script hashes the loss
+and every parameter gradient of one batch, once from the float64 graph and
+once from the float32 graph a training step runs (``float32_gradients``: its
+loss and every gradient widened to float64), ``log_prob`` (y, logdet, logp),
 ``invert_rows`` of the ``log_prob`` outputs, and the parameters, validation
 history and ``sample`` after 12 ``train`` steps.  For each head it also
 hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy, the csv of
@@ -64,6 +64,10 @@ MODELS = (
     ("spline", 16), ("spline", 63),
 )
 SMALL = {"E": 16, "heads": 2, "layers": 2, "mlp_hidden": 32, "H": 8, "K": 4}
+# (head, D, blocks) of SMALL models with more spline blocks than the default,
+# tagged <head>.J<blocks>.D<D>: three blocks give psi three gradient
+# contributions, one per block
+STACKED = (("spline", 8, 3),)
 ROWS = 16
 # (head, D, rows) of the benchmark's d63-spline and d8-cdf workloads
 BENCH = (("spline", 63, 64), ("cdf", 8, 256))
@@ -103,9 +107,9 @@ def model_config(head: str, d: int, shape: dict = SMALL) -> ModelConfig:
     return parse_run_config(doc).model
 
 
-def model_hashes(head: str, d: int) -> None:
-    tag = f"{head}.D{d}"
-    cfg = model_config(head, d)
+def model_hashes(head: str, d: int, shape: dict = SMALL, tag: str | None = None) -> None:
+    tag = tag or f"{head}.D{d}"
+    cfg = model_config(head, d, shape)
     rng = np.random.default_rng(d)
     batch = rng.standard_normal((ROWS, d))
 
@@ -192,6 +196,8 @@ def cli_hashes(head: str, workdir: str) -> None:
 def main() -> int:
     for head, d in MODELS:
         model_hashes(head, d)
+    for head, d, blocks in STACKED:
+        model_hashes(head, d, {**SMALL, "blocks": blocks}, f"{head}.J{blocks}.D{d}")
     for head, d, rows in BENCH:
         bench_hashes(head, d, rows, f"bench.{head}.D{d}")
     for head, d, rows in RAGGED:
