@@ -92,7 +92,8 @@ def init_conditioner_params(cfg: ModelConfig, rng: np.random.Generator) -> Param
 
 def embed_sequence(x, params: ParamSet, cfg: ModelConfig, start: int = 0) -> Node:
     """Token embeddings from position `start` on: the start token at
-    position 0, input p-1 projected (plus its position) at position p > 0.
+    position 0, input p-1 projected at position p > 0, each plus its
+    position's row of `positional`.
 
     From position 0, `x` is a batch [N, D] (returns [N, D, E]); the last
     input is dropped.  An empty batch [N, 0] gives the start token alone
@@ -103,39 +104,39 @@ def embed_sequence(x, params: ParamSet, cfg: ModelConfig, start: int = 0) -> Nod
     if xb.ndim != 2:
         raise DimensionError(f"expected a batch matrix [N, k], got shape {xb.shape}")
     n, k = xb.shape
-    rows = []
+    tokens = []
     if start == 0:
         if k not in (0, cfg.D):
             raise DimensionError(f"input has {k} columns, config expects D={cfg.D}")
-        pos0 = dc.narrow(params["positional"], 0, 0, 1)
-        bos_row = dc.add(dc.reshape(params["bos"], (1, cfg.E)), pos0)
-        rows.append(dc.broadcast_to(bos_row, (n, 1, cfg.E)))
-        xb, start = xb[:, :-1], 1
+        bos = dc.reshape(params["bos"], (1, 1, cfg.E))
+        tokens.append(dc.broadcast_to(bos, (n, 1, cfg.E)))
+        xb = xb[:, :-1]
     elif not 0 < k <= cfg.D - start:
         raise DimensionError(f"{k} inputs from position {start} do not fit D={cfg.D}")
-    k = xb.shape[1]
-    if k:
-        proj = dc.linear(xb[..., None], params["input_proj.w"], params["input_proj.b"])
-        rows.append(dc.add(proj, dc.narrow(params["positional"], 0, start, k)))
-    return dc.concat(rows, axis=1) if len(rows) > 1 else rows[0]
+    if xb.shape[1]:
+        tokens.append(dc.linear(xb[..., None], params["input_proj.w"], params["input_proj.b"]))
+    seq = dc.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
+    return dc.add(seq, dc.narrow(params["positional"], 0, start, seq.value.shape[1]))
 
 
 class KVCache:
     """Attention keys and values of the tokens encoded so far, per layer.
 
     Holds arrays [N, heads, D, head_dim], the number of tokens `length`
-    filled so far, and `weights`, each layer's arrays as its first step
-    gathers them.  A cached step is value-only: the cached prefix carries no
-    graph, so run it under `no_grad`.  One cache serves one sequence of
-    `condition` steps; it is never stored on a model.
+    filled so far, and `weights`, each layer's LAYER_PARAMS arrays and their
+    fused [wq | wk | wv], gathered from `params` when the cache is made.  A
+    cached step is value-only: the cached prefix carries no graph, so run it
+    under `no_grad`.  One cache serves one sequence of `condition` steps; it
+    is never stored on a model.
     """
 
-    def __init__(self, cfg: ModelConfig, n: int):
+    def __init__(self, params: ParamSet, cfg: ModelConfig, n: int):
         shape = (n, cfg.heads, cfg.D, cfg.E // cfg.heads)
         self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
         self.length = 0
-        self.weights = [None] * cfg.layers
+        w = [[params[f"layer{i}.{p}"].value for p in LAYER_PARAMS] for i in range(cfg.layers)]
+        self.weights = [ws + [np.hstack((ws[2], ws[4], ws[5]))] for ws in w]
 
     def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store one layer's new keys and values [N, heads, m, head_dim] after
@@ -152,9 +153,10 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     Returns the output and vjp(g), the gradients of x and then of each of `w`.
 
     Without a cache the attention is causal: token i attends to tokens <= i.
-    Its scores run in chunks of ATTN_CHUNK_BYTES; over several chunks under
-    grad the forward keeps only each softmax tile's row max and sum, and the
-    vjp rebuilds each chunk's softmax from them, bit for bit.
+    Its scores run in one loop over chunks of ATTN_CHUNK_BYTES, in the
+    forward and in the vjp.  One chunk keeps its softmax; several under grad
+    keep only each softmax tile's row max and sum, and the vjp rebuilds each
+    chunk's softmax from them, bit for bit.
     With a cache, `x` holds the new tokens only and `w` is the cache's
     `weights`: one fused product (each row with the three products' bits)
     gives their q, k and v, the cache's `layer` takes k and v, and q attends
@@ -189,29 +191,23 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         kt = k.transpose(0, 1, 3, 2)
         rows = max(1, ATTN_CHUNK_BYTES // (heads * d * d * x.itemsize))
         chunks = [slice(r, r + rows) for r in range(0, max(n, 1), rows)]
+        several = len(chunks) > 1
+        chunk_shape = (min(rows, n),) + q.shape[1:3] + kt.shape[-1:]
 
-        def probs(c, stats=None, buf=None):  # one chunk's attention weights
+        def probs(c, stats, buf):  # one chunk's attention weights, into buf
             scores = q[c] @ kt[c]
-            return dc.masked_softmax(scores, True, scale, stats,
-                                     None if buf is None else buf[:len(scores)])
+            return dc.masked_softmax(scores, True, scale, stats, buf[:len(scores)])
 
-        chunk_shape = (rows,) + q.shape[1:3] + kt.shape[-1:]
-        # one chunk keeps its softmax for the VJP: recomputing it, as the loop
-        # does, slowed a d8-cdf float32 step on 256 rows from a median 65 ms to 74
-        if len(chunks) == 1:
-            attn = probs(chunks[0])
-            ctx4 = attn @ v
-        else:
-            # the chunks share one softmax buffer, freed after the loop.  Under
-            # grad each chunk's list starts empty, masked_softmax fills it with
-            # the chunk's row statistics, and the vjp passes the filled list back
-            # for the same chunk's scores, so it rebuilds the forward's softmax
-            attn, ctx4 = None, np.empty(q.shape, q.dtype)
-            stats = [[] if dc.grad_enabled() else None for _ in chunks]
-            buf = np.zeros(chunk_shape, q.dtype)
-            for c, s in zip(chunks, stats):
-                ctx4[c] = probs(c, s, buf) @ v[c]
-            del buf
+        # the chunks share one softmax buffer.  One chunk keeps it for the vjp
+        # (recomputing it slowed a d8-cdf float32 step on 256 rows from a median
+        # 65 ms to 74); several free it, and under grad masked_softmax fills each
+        # chunk's empty list with its row statistics, which the vjp passes back
+        # for the same chunk's scores to rebuild the forward's softmax
+        stats = [[] if several and dc.grad_enabled() else None for _ in chunks]
+        attn, ctx4 = np.zeros(chunk_shape, q.dtype), np.empty(q.shape, q.dtype)
+        for c, s in zip(chunks, stats):
+            ctx4[c] = probs(c, s, attn) @ v[c]
+        attn = None if several else attn
     ctx = merge_heads(ctx4)
     u = x + (dc.rows_matmul(ctx, wo) + bo).reshape(n, d, e)
 
@@ -230,21 +226,19 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         guf = gu.reshape(-1, e)
         g_ctx = split_heads(guf @ wo.T)
 
-        def chunk_grads(c, y, out=None):  # one chunk's gradients of q, k and v
+        def chunk_grads(c, y, out):  # one chunk's gradients of q, k and v
             g_y = g_ctx[c] @ v[c].swapaxes(-1, -2)
             g_scores = dc.masked_softmax_vjp(g_y, y, True, scale, out)
             return (g_scores @ kt[c].swapaxes(-1, -2),
                     (q[c].swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2),
                     y.swapaxes(-1, -2) @ g_ctx[c])
 
-        if attn is not None:
-            parts = chunk_grads(chunks[0], attn)
-        else:
-            parts = [np.empty(a.shape, q.dtype) for a in (q, k, v)]
-            y_buf, g_buf = np.zeros(chunk_shape, q.dtype), np.zeros(chunk_shape, q.dtype)
-            for c, s in zip(chunks, stats):
-                y = probs(c, s, y_buf)
-                parts[0][c], parts[1][c], parts[2][c] = chunk_grads(c, y, g_buf[:len(y)])
+        y_buf = np.zeros(chunk_shape, q.dtype) if several else None
+        g_buf = np.zeros(chunk_shape, q.dtype)
+        parts = [np.empty(a.shape, q.dtype) for a in (q, k, v)]
+        for c, s in zip(chunks, stats):
+            y = probs(c, s, y_buf) if several else attn
+            parts[0][c], parts[1][c], parts[2][c] = chunk_grads(c, y, g_buf[:len(y)])
         gq, gk, gv = (merge_heads(p) for p in parts)
         g_normed = (gq @ wq.T + gk @ wk.T) + gv @ wv.T
         gx_ln, gg1, gb1 = dc.layer_norm_vjp(g_normed.reshape(n, d, e), xhat1, inv1, g1)
@@ -259,12 +253,9 @@ def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
                   cache: KVCache | None = None) -> Node:
     """Pre-norm encoder block: `_block` as one graph node over `seq` and the
     layer's LAYER_PARAMS.  With a cache, `seq` holds the new tokens only, the
-    cache holds the layer's arrays and their fused [wq | wk | wv] from its
-    first step on, and the result has no parents (see `_block`)."""
+    layer's arrays come from the cache's `weights`, not from `params`, and
+    the result has no parents (see `_block`)."""
     if cache is not None:
-        if cache.weights[layer] is None:
-            w = [params[f"layer{layer}.{name}"].value for name in LAYER_PARAMS]
-            cache.weights[layer] = w + [np.hstack((w[2], w[4], w[5]))]
         out = _block(seq.value, cache.weights[layer], cfg.heads, cache, layer)[0]
         return dc.make_node(out, [])
     nodes = [seq] + [params[f"layer{layer}.{name}"] for name in LAYER_PARAMS]

@@ -318,10 +318,12 @@ def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node, 
 
 def log_prob(model: FlowModel, x) -> LogProbResult:
     """Exact log-density of a vector or a batch of rows (no-grad), in float64
-    whatever the input's dtype."""
+    whatever the input's dtype.  Rows must be finite (DimensionError)."""
     rows, single = _as_rows(x)
     if rows.shape[1] != model.D:
         raise DimensionError(f"input has {rows.shape[1]} columns, model expects {model.D}")
+    if not np.isfinite(rows).all():
+        raise DimensionError("rows must be finite")
     y, _, logdet, logp = _likelihood_values(model, rows)
     if single:
         return LogProbResult(y=y[0], logdet=float(logdet[0]), logp=float(logp[0]))
@@ -405,7 +407,7 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
     """invert_rows on its targets' rows from `start`, with a KVCache of their own."""
     n, d = noise.shape
     x = np.zeros((n, d))
-    cache = KVCache(model.config, n)
+    cache = KVCache(model.params, model.config, n)
     # a column that overflows is caught by the finiteness check below, so
     # numpy's floating-point warnings on the way there would say nothing more
     with dc.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -50,14 +50,33 @@ def test_pairs_medians_quartiles_and_wins(checkouts, tmp_path):
     assert report["machine_id"] == "m1"
     assert report["env"]["parent"] == {"machine_id": "m1", "src_sha256": "old"}
     assert report["env"]["change"]["src_sha256"] == "new"
+    # seeds 4 and 5 have no partner, so neither side's summary reads them
     logprob = report["workloads"]["w"]["logprob_rows_per_s"]
-    assert logprob["parent"]["per_seed"] == {"1": 101.0, "2": 102.0, "3": 103.0, "4": 104.0}
-    assert logprob["parent"]["median"] == 102.5
-    assert (logprob["parent"]["p25"], logprob["parent"]["p75"]) == (101.75, 103.25)
-    assert logprob["change"]["per_seed"] == {"1": 111.0, "2": 112.0, "3": 93.0, "5": 115.0}
+    assert logprob["parent"]["per_seed"] == {"1": 101.0, "2": 102.0, "3": 103.0}
+    assert logprob["parent"]["median"] == 102.0
+    assert (logprob["parent"]["p25"], logprob["parent"]["p75"]) == (101.5, 102.5)
+    assert logprob["change"]["per_seed"] == {"1": 111.0, "2": 112.0, "3": 93.0}
     assert (logprob["wins"], logprob["pairs"]) == (2, 3)
     rss = report["workloads"]["w"]["peak_rss_mb"]
     assert rss["better"] == "lower" and (rss["wins"], rss["pairs"]) == (3, 3)
+
+
+def test_unpaired_runs_leave_every_summary_unchanged(checkouts, tmp_path):
+    benchmark, parent, change = checkouts
+
+    def workloads():
+        out = tmp_path / "BENCH_1.json"
+        assert load_tool().main([str(parent), str(change), "-o", str(out),
+                                 "--benchmark", str(benchmark)]) == 0
+        return json.loads(out.read_text())["workloads"]
+
+    before = workloads()
+    # one more parent run, far from the others, with no change run; and a
+    # workload that only one seed of each side ran
+    write_runs(parent, "old", {("w", 6): {"logprob_rows_per_s": 1e6, "peak_rss_mb": 1e6},
+                               ("v", 1): {"logprob_rows_per_s": 1.0, "peak_rss_mb": 1.0}})
+    write_runs(change, "new", {("v", 2): {"logprob_rows_per_s": 2.0, "peak_rss_mb": 2.0}})
+    assert workloads() == before
 
 
 def test_mixed_source_trees_are_refused(checkouts, tmp_path):

@@ -398,18 +398,30 @@ class TestGraphSize:
 
     def test_cached_encoder_layer_step(self, monkeypatch):
         cfg, params = fresh(5)
-        cache = KVCache(cfg, 3)
+        cache = KVCache(params, cfg, 3)
         seq = embed_sequence(np.zeros((3, 0)), params, cfg)
         with dc.no_grad():
             made = self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg, cache))
         assert made == 1
 
     def test_embed_sequence(self, monkeypatch):
-        # start token: narrow, reshape, add, broadcast_to; inputs: linear,
-        # narrow, add; one concat
+        # start token: reshape, broadcast_to; inputs: linear; one concat,
+        # then one narrow of positional and one add
         cfg, params = fresh(5)
         x = np.random.default_rng(0).standard_normal((3, 5))
-        assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 8
+        assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 6
+
+    def test_cached_step_embedding(self, monkeypatch):
+        # position 0: reshape, broadcast_to, narrow, add; later positions:
+        # linear, narrow, add
+        cfg, params = fresh(5)
+        x = np.random.default_rng(0).standard_normal((3, 5))
+        with dc.no_grad():
+            made = [self.nodes_made(monkeypatch, lambda: embed_sequence(x[:, :0], params, cfg))]
+            made += [self.nodes_made(monkeypatch, lambda: embed_sequence(x[:, p - 1:p], params,
+                                                                         cfg, p))
+                     for p in range(1, 5)]
+        assert made == [4, 3, 3, 3, 3]
 
 
 class TestCondition:
@@ -549,7 +561,7 @@ class TestKVCache:
     @staticmethod
     def cached_rows(x, params, cfg):
         """Hidden rows from D one-token steps, as invert_rows runs them."""
-        cache = KVCache(cfg, x.shape[0])
+        cache = KVCache(params, cfg, x.shape[0])
         with dc.no_grad():
             rows = [condition(x[:, max(i - 1, 0):i], params, cfg, cache).value
                     for i in range(cfg.D)]
@@ -565,7 +577,7 @@ class TestKVCache:
 
     def test_step_takes_one_token(self):
         cfg, params = fresh(4, seed=3)
-        cache = KVCache(cfg, 2)
+        cache = KVCache(params, cfg, 2)
         with pytest.raises(DimensionError):
             condition(np.zeros((2, 4)), params, cfg, cache)
         condition(np.zeros((2, 0)), params, cfg, cache)

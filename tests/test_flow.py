@@ -105,6 +105,17 @@ class TestLogProb:
         with pytest.raises(DimensionError):
             log_prob(tiny_model(3, "affine"), np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_non_finite_rows_refused(self, head, bad):
+        # as invert_rows refuses non-finite targets; the CLI maps it to exit 3
+        model = build_model(ModelConfig(D=2, head_type=head), seed=0)
+        for row in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(DimensionError, match="rows must be finite"):
+                log_prob(model, np.array([[0.5, -0.5], row]))
+            with pytest.raises(DimensionError, match="rows must be finite"):
+                log_prob(model, np.array(row))
+
     @pytest.mark.parametrize("head", ALL_HEADS)
     def test_batch_matches_per_row(self, head):
         model = tiny_model(3, head, seed=7)
@@ -357,6 +368,19 @@ class TestNllGradient:
         )
         assert worst / scale < 1e-4
 
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_positional_takes_one_contribution(self, head, monkeypatch):
+        # embed_sequence adds every position's row through one narrow
+        model = tiny_model(3, head, seed=11)
+        positional, taken = model.params["positional"], []
+        real = dc.Node.accumulate_grad
+        monkeypatch.setattr(dc.Node, "accumulate_grad",
+                            lambda node, g: taken.append(node is positional) or real(node, g))
+        loss = nll_loss(model, np.random.default_rng(2).standard_normal((4, 3)))
+        for passes in (1, 2):
+            dc.backward(loss)
+            assert sum(taken) == passes
+
     def test_single_row_batch(self):
         model = tiny_model(2, "affine", seed=13)
         row = np.random.default_rng(3).standard_normal((1, 2))
@@ -427,7 +451,8 @@ class TestSampling:
         y = np.random.default_rng(8).standard_normal((2 * ROW_BLOCK + 3, 2))
         caches = []
         real = flow.KVCache
-        monkeypatch.setattr(flow, "KVCache", lambda cfg, n: caches.append(n) or real(cfg, n))
+        monkeypatch.setattr(flow, "KVCache",
+                            lambda params, cfg, n: caches.append(n) or real(params, cfg, n))
         x = invert_rows(model, y)
         assert caches == [ROW_BLOCK, ROW_BLOCK, 3]
         assert x.tobytes() == np.concatenate([invert_rows(model, y[s:s + ROW_BLOCK])

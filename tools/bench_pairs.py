@@ -4,10 +4,11 @@
 
 PARENT and CHANGE are checkouts in which ``perfbench/run.py --trace 0`` has
 run, each leaving ``.perfbench/results/<machine_id>/<workload>-seed<s>-trace0.json``.
-Runs of the same workload and seed on the two sides form a pair.  For every
-workload and every end-to-end metric of BENCHMARK.json the output holds each
-side's per-seed values, median and quartiles, and the number of pairs in
-which the change is better, in the metric's direction (a tie is no win).  It
+Runs of the same workload and seed on the two sides form a pair; a run
+without a partner is left out.  For every workload and every end-to-end
+metric of BENCHMARK.json the output holds each side's per-seed values,
+median and quartiles over the pairs, and the number of pairs in which the
+change is better, in the metric's direction (a tie is no win).  It
 also holds each side's ``env`` block, without its per-run workload and seed.
 
 Each side must hold the results of one machine, the same on both sides, and
@@ -66,18 +67,21 @@ def summary(values: dict) -> dict:
 
 
 def compare(parent: dict, change: dict, metrics: list) -> dict:
-    """Per workload and metric: both sides' summaries and the change's wins."""
+    """Per workload and metric: both sides' summaries over the paired seeds,
+    and the change's wins.  A workload without a pair is left out."""
     out = {}
     for workload in sorted(set(parent) & set(change)):
         old, new = parent[workload], change[workload]
         seeds = sorted(set(old) & set(new))
+        if not seeds:
+            continue
         rows = {}
         for metric in metrics:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
             rows[name] = {
                 "better": metric["better"],
-                "parent": summary({s: old[s][name] for s in old}),
-                "change": summary({s: new[s][name] for s in new}),
+                "parent": summary({s: old[s][name] for s in seeds}),
+                "change": summary({s: new[s][name] for s in seeds}),
                 "wins": sum(sign * (new[s][name] - old[s][name]) > 0 for s in seeds),
                 "pairs": len(seeds),
             }
