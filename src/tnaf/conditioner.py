@@ -5,10 +5,12 @@ autoregressive constraint: embedding i may depend on inputs 1..i-1 only.
 The sequence fed to the encoder is [start-token, e(x_1), ..., e(x_{D-1})] --
 the last input never conditions anything, so it is never embedded.
 
+Each stage, the embedding `_embed` and each encoder layer `_block`, is a
+numpy function with a joint vjp, one graph node in the full pass `condition`.
 Because hidden row i depends on tokens <= i only, the rows can also be
-produced one at a time: `condition` with a `KVCache` encodes one new token
-per call and attends over the keys and values cached from earlier calls
-(incremental decoding; Shazeer 2019, arXiv:1911.02150).
+produced one at a time: `KVCache.step` calls the two functions directly,
+encoding one new token per call against the keys and values cached from
+earlier calls (incremental decoding; Shazeer 2019, arXiv:1911.02150).
 
 Every function reads its shape (D, E, heads, layers, mlp_hidden) from the
 flow's `ModelConfig`.
@@ -62,9 +64,11 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-# The parameters of one encoder layer, in the order they are drawn and in the
-# order _block reads them.  There is no key bias: q.(k + bk) shifts a whole
-# score row by q.bk, and the softmax ignores that shift.
+# The parameters of the embedding and of one encoder layer, in the order they
+# are drawn and in the order _embed and _block read them.  There is no key
+# bias: q.(k + bk) shifts a whole score row by q.bk, and the softmax ignores
+# that shift.
+EMBED_PARAMS = ("input_proj.w", "input_proj.b", "bos", "positional")
 LAYER_PARAMS = ("ln1.g", "ln1.b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
                 "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
@@ -90,61 +94,78 @@ def init_conditioner_params(cfg: ModelConfig, rng: np.random.Generator) -> Param
     return params
 
 
-def embed_sequence(x, params: ParamSet, cfg: ModelConfig, start: int = 0) -> Node:
-    """Token embeddings from position `start` on: the start token at
-    position 0, input p-1 projected at position p > 0, each plus its
-    position's row of `positional`.
+def _embed(x: np.ndarray, w, start: int):
+    """Token embeddings from position `start` on, in numpy over the arrays
+    `w` named by EMBED_PARAMS: the start token at position 0 and input p-1,
+    projected, at p > 0, each plus its position's row of `positional`.  `x`
+    [N, k] holds the inputs to project, so position 0 gives [N, k + 1, E] and
+    a later one [N, k, E].  Returns them and, from position 0, vjp(g), the
+    gradients of each of `w`; from a later one, None."""
+    wi, bi, bos, pos = w
+    (n, k), e = x.shape, len(bos)
+    flat = x.reshape(-1, 1)
+    seq = (dc.rows_matmul(flat, wi) + bi).reshape(n, k, e)
+    if start:
+        return seq + pos[start:start + k], None
+    out = np.concatenate((np.broadcast_to(bos, (n, 1, e)), seq), axis=1) + pos[:k + 1]
 
-    From position 0, `x` is a batch [N, D] (returns [N, D, E]); the last
-    input is dropped.  An empty batch [N, 0] gives the start token alone
-    ([N, 1, E]).  From position p > 0, `x` holds inputs p-1, p, ... as
-    [N, k] and the result is [N, k, E].
-    """
+    def vjp(g):
+        gx = g[:, 1:].reshape(-1, e)
+        return flat.T @ gx, gx.sum(axis=0), g[:, 0].sum(axis=0), g.sum(axis=0)
+
+    return out, vjp
+
+
+def _node(out: np.ndarray, vjp, parents: list[Node]) -> Node:
+    """A stage's value as one graph node over `parents`; the first parent
+    asked in a backward pass runs vjp(g), which returns all their gradients."""
+    parts = {}
+
+    def part(i):
+        def take(g):
+            if i not in parts:
+                parts.update(enumerate(vjp(g)))
+            return parts.pop(i)
+        return take
+
+    return dc.make_node(out, [(node, part(i)) for i, node in enumerate(parents)])
+
+
+def embed_sequence(x, params: ParamSet, cfg: ModelConfig) -> Node:
+    """Token embeddings [N, D, E] of a batch x [N, D], whose last input is
+    never embedded, as one graph node over the EMBED_PARAMS."""
     xb = dc.as_tensor(x)
-    if xb.ndim != 2:
-        raise DimensionError(f"expected a batch matrix [N, k], got shape {xb.shape}")
-    n, k = xb.shape
-    tokens = []
-    if start == 0:
-        if k not in (0, cfg.D):
-            raise DimensionError(f"input has {k} columns, config expects D={cfg.D}")
-        bos = dc.reshape(params["bos"], (1, 1, cfg.E))
-        tokens.append(dc.broadcast_to(bos, (n, 1, cfg.E)))
-        xb = xb[:, :-1]
-    elif not 0 < k <= cfg.D - start:
-        raise DimensionError(f"{k} inputs from position {start} do not fit D={cfg.D}")
-    if xb.shape[1]:
-        tokens.append(dc.linear(xb[..., None], params["input_proj.w"], params["input_proj.b"]))
-    seq = dc.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
-    return dc.add(seq, dc.narrow(params["positional"], 0, start, seq.value.shape[1]))
+    if xb.ndim != 2 or xb.shape[1] != cfg.D:
+        raise DimensionError(f"input of shape {xb.shape} is not a batch [N, D={cfg.D}]")
+    nodes = [params[name] for name in EMBED_PARAMS]
+    return _node(*_embed(xb[:, :-1], [node.value for node in nodes], 0), nodes)
 
 
 class KVCache:
-    """Attention keys and values of the tokens encoded so far, per layer.
-
-    Holds arrays [N, heads, D, head_dim], the number of tokens `length`
-    filled so far, and `weights`, each layer's LAYER_PARAMS arrays and their
-    fused [wq | wk | wv], gathered from `params` when the cache is made.  A
-    cached step is value-only: the cached prefix carries no graph, so run it
-    under `no_grad`.  One cache serves one sequence of `condition` steps; it
-    is never stored on a model.
-    """
+    """One sequence of cached steps, never stored on a model: each layer's
+    attention keys and values [N, heads, D, head_dim] of the `length` tokens
+    encoded so far, and every stage's arrays, gathered from `params` when the
+    cache is made: `embed`, the EMBED_PARAMS, and `weights`, each layer's
+    LAYER_PARAMS and their fused [wq | wk | wv]."""
 
     def __init__(self, params: ParamSet, cfg: ModelConfig, n: int):
         shape = (n, cfg.heads, cfg.D, cfg.E // cfg.heads)
         self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
-        self.length = 0
+        self.length, self.heads = 0, cfg.heads
+        self.embed = [params[name].value for name in EMBED_PARAMS]
         w = [[params[f"layer{i}.{p}"].value for p in LAYER_PARAMS] for i in range(cfg.layers)]
         self.weights = [ws + [np.hstack((ws[2], ws[4], ws[5]))] for ws in w]
 
-    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store one layer's new keys and values [N, heads, m, head_dim] after
-        the cached ones; return that layer's keys and values through them."""
-        end = self.length + k.shape[2]
-        self.keys[layer][:, :, self.length:end] = k
-        self.values[layer][:, :, self.length:end] = v
-        return self.keys[layer][:, :, :end], self.values[layer][:, :, :end]
+    def step(self, x: np.ndarray) -> np.ndarray:
+        """The next position's hidden rows [N, E] from `x`, the input just
+        recovered [N, 1] ([N, 0] at the first step), encoded against the cached
+        prefix in numpy, with no graph node.  D steps give the full pass's rows."""
+        seq = _embed(x, self.embed, self.length)[0]
+        for layer, w in enumerate(self.weights):
+            seq = _block(seq, w, self.heads, self, layer)[0]
+        self.length += 1
+        return seq[:, 0]
 
 
 def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: int = 0):
@@ -157,10 +178,11 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     forward and in the vjp.  One chunk keeps its softmax; several under grad
     keep only each softmax tile's row max and sum, and the vjp rebuilds each
     chunk's softmax from them, bit for bit.
-    With a cache, `x` holds the new tokens only and `w` is the cache's
-    `weights`: one fused product (each row with the three products' bits)
-    gives their q, k and v, the cache's `layer` takes k and v, and q attends
-    over the whole prefix; such a step is value-only and returns no vjp.
+    With a cache (`KVCache.step`), `x` holds the new tokens only and `w` is
+    one of the cache's `weights`: one fused product (each row with the three
+    products' bits) gives their q, k and v, k and v go into the cache's
+    `layer` after its `length` tokens, and q attends over the whole prefix;
+    such a step returns no vjp.
     """
     g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, bm1, w2, bm2 = w[:15]
     n, d, e = x.shape
@@ -181,7 +203,10 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     flat1 = normed.reshape(-1, e)
     if cache is not None:
         qkv = dc.rows_matmul(flat1, w[15])
-        k, v = cache.extend(layer, split_heads(qkv[:, e:2 * e]), split_heads(qkv[:, 2 * e:] + bv))
+        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + d
+        keys[:, :, cache.length:end] = split_heads(qkv[:, e:2 * e])
+        values[:, :, cache.length:end] = split_heads(qkv[:, 2 * e:] + bv)
+        k, v = keys[:, :, :end], values[:, :, :end]
         q = split_heads(qkv[:, :e] + bq)
         ctx4 = dc.masked_softmax(q @ k.transpose(0, 1, 3, 2), False, scale) @ v
     else:
@@ -249,43 +274,17 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     return out, vjp
 
 
-def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig,
-                  cache: KVCache | None = None) -> Node:
+def encoder_layer(seq: Node, params: ParamSet, layer: int, cfg: ModelConfig) -> Node:
     """Pre-norm encoder block: `_block` as one graph node over `seq` and the
-    layer's LAYER_PARAMS.  With a cache, `seq` holds the new tokens only, the
-    layer's arrays come from the cache's `weights`, not from `params`, and
-    the result has no parents (see `_block`)."""
-    if cache is not None:
-        out = _block(seq.value, cache.weights[layer], cfg.heads, cache, layer)[0]
-        return dc.make_node(out, [])
+    layer's LAYER_PARAMS."""
     nodes = [seq] + [params[f"layer{layer}.{name}"] for name in LAYER_PARAMS]
-    out, vjp = _block(seq.value, [node.value for node in nodes[1:]], cfg.heads)
-    parts = {}
-
-    def part(i):  # the first parent asked in a backward pass runs the joint vjp
-        def take(g):
-            if i not in parts:
-                parts.update(enumerate(vjp(g)))
-            return parts.pop(i)
-        return take
-
-    return dc.make_node(out, [(node, part(i)) for i, node in enumerate(nodes)])
+    return _node(*_block(seq.value, [node.value for node in nodes[1:]], cfg.heads), nodes)
 
 
-def condition(x, params: ParamSet, cfg: ModelConfig,
-              cache: KVCache | None = None) -> Node:
-    """Full conditioner pass: hidden embedding i depends on inputs < i only.
-
-    With a cache, one incremental step instead: `x` holds only the newly
-    known input ([N, 1]; [N, 0] for the first step), the token it makes is
-    encoded against the cached prefix, and the result is that position's
-    hidden rows [N, 1, E].  D steps give the D rows of the full pass.
-    """
-    seq = embed_sequence(x, params, cfg, 0 if cache is None else cache.length)
-    if cache is not None and seq.value.shape[-2] != 1:
-        raise DimensionError(f"a cached step encodes one token, got {seq.value.shape[-2]}")
+def condition(x, params: ParamSet, cfg: ModelConfig) -> Node:
+    """Full conditioner pass over a batch x [N, D]: hidden embeddings
+    [N, D, E], embedding i depending on inputs < i only."""
+    seq = embed_sequence(x, params, cfg)
     for layer in range(cfg.layers):
-        seq = encoder_layer(seq, params, layer, cfg, cache)
-    if cache is not None:
-        cache.length += 1
+        seq = encoder_layer(seq, params, layer, cfg)
     return seq

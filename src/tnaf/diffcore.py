@@ -14,8 +14,9 @@ the shape ops, strict_lower_embed, and linear, the affine map over the last
 axis behind every projection, as one node with a hand-written VJP.  linear's
 value and the encoder layer's products over rows go through rows_matmul,
 which multiplies in fixed tiles of rows, so a row's value does not depend on
-how many rows share the call.  The transform heads and the
-encoder layer build their own nodes with make_node.  Two numpy helpers, each
+how many rows share the call.  The transform heads build their own nodes
+with make_node, and so do the conditioner's embedding and encoder layers,
+one node each over a numpy function with a joint VJP.  Two numpy helpers, each
 with its VJP beside it, serve the encoder layer: layer_norm, and
 masked_softmax, which takes the attention's 1/sqrt(d_k) as its `scale` and a
 `causal` flag; a causal call builds its own mask and works in tiles of

@@ -320,10 +320,6 @@ def log_prob(model: FlowModel, x) -> LogProbResult:
     """Exact log-density of a vector or a batch of rows (no-grad), in float64
     whatever the input's dtype.  Rows must be finite (DimensionError)."""
     rows, single = _as_rows(x)
-    if rows.shape[1] != model.D:
-        raise DimensionError(f"input has {rows.shape[1]} columns, model expects {model.D}")
-    if not np.isfinite(rows).all():
-        raise DimensionError("rows must be finite")
     y, _, logdet, logp = _likelihood_values(model, rows)
     if single:
         return LogProbResult(y=y[0], logdet=float(logdet[0]), logp=float(logp[0]))
@@ -331,9 +327,12 @@ def log_prob(model: FlowModel, x) -> LogProbResult:
 
 
 def _likelihood_values(model: FlowModel, rows: np.ndarray) -> list[np.ndarray]:
-    """_log_likelihood's four values for float64 `rows`, in numpy.  A call of
-    SPLIT_SCORES attention scores or more scores its first half on the caller
-    and its second on a one-worker pool; each row's values are the same."""
+    """_log_likelihood's four values for finite float64 `rows` (DimensionError
+    otherwise).  From SPLIT_SCORES attention scores up, the first half runs on
+    the caller and the second on a one-worker pool; each row reads the same."""
+    if not np.isfinite(rows).all():
+        raise DimensionError("rows must be finite")
+
     def values(part):  # no_grad is per thread
         with dc.no_grad():
             return [node.value for node in _log_likelihood(model, part)]
@@ -414,8 +413,7 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
         state = model.head.inverse_state(model.params, n)
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
-            hidden = condition(x[:, max(i - 1, 0):i], model.params, model.config, cache).value
-            psi = model.head.psi(dc.constant(hidden[:, 0]), model.params).value
+            psi = model.head.psi(dc.constant(cache.step(x[:, i - 1:i])), model.params).value
             try:
                 x[:, i] = model.head.inverse(psi, noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])

@@ -1,12 +1,12 @@
 """Graph ops that only the tests' reference op chains use.
 
 The library's heads are hand-written nodes (transforms.cdf_forward_node and
-spline_forward_node), and each encoder layer is one node over the numpy
-function conditioner._block, so these ops have no caller in ``tnaf``.  The
-op chains that those nodes replaced stay in the tests as references, built
-from these ops with the library's arithmetic (``encoder_layer`` below is the
-layer's); their unit and finite-difference tests are in
-tests/test_diffcore.py.
+spline_forward_node), and the embedding and each encoder layer are one node
+over a numpy function (conditioner._embed and _block), so these ops have no
+caller in ``tnaf``.  The op chains that those nodes replaced stay in the
+tests as references, built from these ops with the library's arithmetic (``embed_sequence`` and
+``encoder_layer`` below are the conditioner's stages); their unit and
+finite-difference tests are in tests/test_diffcore.py.
 """
 
 import math
@@ -134,6 +134,25 @@ def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):
     return dc.make_node(out, [(x, part(0)), (gain, part(1)), (bias, part(2))])
 
 
+def embed_sequence(x, params, cfg, start=0):
+    """The 6-node op chain that conditioner.embed_sequence's one node
+    replaced, from position `start` on: the start token (reshape,
+    broadcast_to) at position 0 and the inputs (linear) after it, one concat,
+    then one narrow of positional and one add.  From position 0, x [N, D]
+    loses its last input, and [N, 0] gives the start token alone; from p > 0,
+    x holds inputs p-1, p, ..."""
+    xb = dc.as_tensor(x)
+    tokens = []
+    if start == 0:
+        bos = dc.reshape(params["bos"], (1, 1, cfg.E))
+        tokens.append(dc.broadcast_to(bos, (len(xb), 1, cfg.E)))
+        xb = xb[:, :-1]
+    if xb.shape[1]:
+        tokens.append(dc.linear(xb[..., None], params["input_proj.w"], params["input_proj.b"]))
+    seq = dc.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
+    return dc.add(seq, dc.narrow(params["positional"], 0, start, seq.value.shape[1]))
+
+
 def encoder_layer(seq, params, layer, cfg, cache=None):
     """The 23-node op chain that conditioner.encoder_layer's one node
     replaced: x + MHA(ln(x)), then u + MLP(ln(u)).  With a cache the cached
@@ -150,8 +169,11 @@ def encoder_layer(seq, params, layer, cfg, cache=None):
     q = split_heads(dc.linear(normed, params[p + "wq"], params[p + "bq"]))
     k = split_heads(dc.linear(normed, params[p + "wk"]))
     v = split_heads(dc.linear(normed, params[p + "wv"], params[p + "bv"]))
-    if cache is not None:
-        k, v = map(dc.constant, cache.extend(layer, k.value, v.value))
+    if cache is not None:  # the new keys and values go after the cached ones
+        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + d
+        keys[:, :, cache.length:end] = k.value
+        values[:, :, cache.length:end] = v.value
+        k, v = dc.constant(keys[:, :, :end]), dc.constant(values[:, :, :end])
 
     scores = matmul(q, dc.transpose(k, (0, 1, 3, 2)))
     attn = masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
@@ -161,3 +183,15 @@ def encoder_layer(seq, params, layer, cfg, cache=None):
     normed2 = layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"])
     hidden = tanh(dc.linear(normed2, params[p + "mlp.w1"], params[p + "mlp.b1"]))
     return dc.add(u, dc.linear(hidden, params[p + "mlp.w2"], params[p + "mlp.b2"]))
+
+
+def condition(x, params, cfg, cache=None):
+    """The conditioner over these op chains: the full pass or, with a cache,
+    one step that encodes the token of x [N, 1] ([N, 0] at the first step)
+    against the cached prefix and returns its hidden rows [N, 1, E]."""
+    seq = embed_sequence(x, params, cfg, 0 if cache is None else cache.length)
+    for layer in range(cfg.layers):
+        seq = encoder_layer(seq, params, layer, cfg, cache)
+    if cache is not None:
+        cache.length += 1
+    return seq

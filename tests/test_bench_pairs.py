@@ -18,14 +18,18 @@ def load_tool():
     return module
 
 
-def write_runs(checkout, src, runs, machine="m1"):
-    """One trace-0 result per (workload, seed): {(workload, seed): metrics}."""
+def write_runs(checkout, src, runs, machine="m1", failed=None):
+    """One trace-0 result per (workload, seed): {(workload, seed): metrics}.
+    Each run attempts 10 train and 5 invert ops; `failed` maps a (workload,
+    seed) to its failed invert ops (none by default)."""
     results = checkout / ".perfbench" / "results" / machine
     results.mkdir(parents=True, exist_ok=True)
     for (workload, seed), metrics in runs.items():
         env = {"machine_id": machine, "src_sha256": src, "workload": workload, "seed": seed}
+        phases = {"train": {"attempted": 10, "failed": 0},
+                  "invert": {"attempted": 5, "failed": (failed or {}).get((workload, seed), 0)}}
         (results / f"{workload}-seed{seed}-trace0.json").write_text(
-            json.dumps({"env": env, "metrics": metrics}))
+            json.dumps({"env": env, "metrics": metrics, "phases": phases}))
 
 
 @pytest.fixture
@@ -77,6 +81,23 @@ def test_unpaired_runs_leave_every_summary_unchanged(checkouts, tmp_path):
                                ("v", 1): {"logprob_rows_per_s": 1.0, "peak_rss_mb": 1.0}})
     write_runs(change, "new", {("v", 2): {"logprob_rows_per_s": 2.0, "peak_rss_mb": 2.0}})
     assert workloads() == before
+
+
+def test_failed_ops_summed_over_the_pairs(tmp_path):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": METRICS}))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    metrics = {"logprob_rows_per_s": 100.0, "peak_rss_mb": 50.0}
+    write_runs(parent, "old", {("w", s): metrics for s in (1, 2, 3)})
+    # seed 4 has no parent run, so its failures are not counted
+    write_runs(change, "new", {("w", s): metrics for s in (1, 2, 3, 4)},
+               failed={("w", 2): 3, ("w", 3): 1, ("w", 4): 5})
+    out = tmp_path / "BENCH_1.json"
+    assert load_tool().main([str(parent), str(change), "-o", str(out),
+                             "--benchmark", str(benchmark)]) == 0
+    ops = json.loads(out.read_text())["workloads"]["w"]["ops"]
+    assert ops == {"parent": {"attempted": 45, "failed": 0},
+                   "change": {"attempted": 45, "failed": 4}}
 
 
 def test_mixed_source_trees_are_refused(checkouts, tmp_path):

@@ -23,6 +23,7 @@ from tnaf.flow import (
     forward_values,
     invert_rows,
     log_prob,
+    nll_loss,
     project_head,
 )
 
@@ -115,6 +116,28 @@ class TestEmbedSequence:
         for i, row in enumerate(rows):
             single = embed_sequence(row[None], params, cfg).value[0]
             np.testing.assert_array_equal(batched[i], single)
+
+    # a 1-row batch reads the start token's gradient off one row, unsummed
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_bit_identical_to_reference(self, d, dtype, rows):
+        cfg, params = fresh(d, seed=d)
+        rng = np.random.default_rng(d)
+        x = rng.standard_normal((rows, d)).astype(dtype)
+        weights = dc.constant(rng.standard_normal((rows, d, cfg.E)).astype(dtype))
+
+        def outputs(embed):  # the embeddings, then each EMBED_PARAMS gradient
+            shadow = ParamSet()
+            for name, node in params.items():
+                shadow.add(name, node.value.astype(dtype))
+            out = embed(x, shadow, cfg)
+            dc.backward(dc.sum_(dc.mul(out, weights)))
+            return [out.value] + [shadow[name].grad for name in conditioner.EMBED_PARAMS]
+
+        for got, want in zip(outputs(embed_sequence), outputs(cops.embed_sequence)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEncoderLayer:
@@ -249,24 +272,24 @@ class TestBlockNode:
         assert calls == [3]
 
     @pytest.mark.parametrize("d", [1, 8, 17])
-    def test_condition_and_cached_steps_match_reference(self, d, monkeypatch):
+    def test_condition_and_cached_steps_match_reference(self, d):
+        # the reference runs the op chains of both stages, its cached steps
+        # through the same KVCache arrays
         cfg, params = fresh(d, seed=d, layers=2)
         x = np.random.default_rng(d).standard_normal((4, d))
-
-        def passes():
-            full = condition(x, params, cfg).value
-            return full, TestKVCache.cached_rows(x, params, cfg)
-
-        block = passes()
-        monkeypatch.setattr(conditioner, "encoder_layer", cops.encoder_layer)
-        reference = passes()
+        block = condition(x, params, cfg).value, TestKVCache.cached_rows(x, params, cfg)
+        cache = KVCache(params, cfg, len(x))
+        with dc.no_grad():
+            steps = [cops.condition(x[:, max(i - 1, 0):i], params, cfg, cache).value
+                     for i in range(d)]
+        reference = cops.condition(x, params, cfg).value, np.concatenate(steps, axis=1)
         for got, want in zip(block, reference):
             np.testing.assert_array_equal(got, want)
 
     def test_cached_steps_in_row_chunks_match_reference(self, monkeypatch):
         # one row per chunk: every cached step of the 4 rows runs 4 chunks
         monkeypatch.setattr(conditioner, "ATTN_CHUNK_BYTES", 1)
-        self.test_condition_and_cached_steps_match_reference(8, monkeypatch)
+        self.test_condition_and_cached_steps_match_reference(8)
 
     def test_gradient_vs_fd(self):
         cfg, values, seq = layer_values(3, np.float64, seed=5, E=4, mlp_hidden=4)
@@ -380,7 +403,8 @@ class TestAttentionMemory:
 
 
 class TestGraphSize:
-    """Each affine map over the last axis is one dc.linear node."""
+    """Each affine map over the last axis is one dc.linear node, each
+    conditioner stage one node, and a cached step none."""
 
     @staticmethod
     def nodes_made(monkeypatch, fn) -> int:
@@ -396,32 +420,28 @@ class TestGraphSize:
         seq = embed_sequence(np.random.default_rng(0).standard_normal((3, 5)), params, cfg)
         assert self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg)) == 1
 
-    def test_cached_encoder_layer_step(self, monkeypatch):
-        cfg, params = fresh(5)
+    def test_cached_step_makes_no_node(self, monkeypatch):
+        # the embedding and every layer run in numpy, under grad too
+        cfg, params = fresh(5, layers=2)
+        x = np.random.default_rng(0).standard_normal((3, 5))
         cache = KVCache(params, cfg, 3)
-        seq = embed_sequence(np.zeros((3, 0)), params, cfg)
-        with dc.no_grad():
-            made = self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg, cache))
-        assert made == 1
+        made = [self.nodes_made(monkeypatch, lambda: cache.step(x[:, i - 1:i])) for i in range(5)]
+        assert made == [0] * 5
 
     def test_embed_sequence(self, monkeypatch):
-        # start token: reshape, broadcast_to; inputs: linear; one concat,
-        # then one narrow of positional and one add
+        # the start token, the inputs' projection and the positions: one node
         cfg, params = fresh(5)
         x = np.random.default_rng(0).standard_normal((3, 5))
-        assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 6
+        assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 1
 
-    def test_cached_step_embedding(self, monkeypatch):
-        # position 0: reshape, broadcast_to, narrow, add; later positions:
-        # linear, narrow, add
-        cfg, params = fresh(5)
-        x = np.random.default_rng(0).standard_normal((3, 5))
-        with dc.no_grad():
-            made = [self.nodes_made(monkeypatch, lambda: embed_sequence(x[:, :0], params, cfg))]
-            made += [self.nodes_made(monkeypatch, lambda: embed_sequence(x[:, p - 1:p], params,
-                                                                         cfg, p))
-                     for p in range(1, 5)]
-        assert made == [4, 3, 3, 3, 3]
+    # the default config's 3 encoder layers and the embedding take 4 nodes;
+    # the rest are the head's and the loss's
+    @pytest.mark.parametrize("head, d, nodes", [("affine", 2, 20), ("cdf", 8, 15),
+                                                ("shared_cdf", 8, 20), ("spline", 63, 28)])
+    def test_nll_loss(self, monkeypatch, head, d, nodes):
+        model = build_model(ModelConfig(D=d, head_type=head), seed=0)
+        x = np.random.default_rng(0).standard_normal((4, d))
+        assert self.nodes_made(monkeypatch, lambda: nll_loss(model, x)) == nodes
 
 
 class TestCondition:
@@ -562,11 +582,9 @@ class TestKVCache:
     def cached_rows(x, params, cfg):
         """Hidden rows from D one-token steps, as invert_rows runs them."""
         cache = KVCache(params, cfg, x.shape[0])
-        with dc.no_grad():
-            rows = [condition(x[:, max(i - 1, 0):i], params, cfg, cache).value
-                    for i in range(cfg.D)]
+        rows = [cache.step(x[:, i - 1:i]) for i in range(cfg.D)]
         assert cache.length == cfg.D
-        return np.concatenate(rows, axis=1)
+        return np.stack(rows, axis=1)
 
     @pytest.mark.parametrize("d", [1, 2, 8, 63])
     def test_steps_match_full_pass(self, d):
@@ -575,27 +593,15 @@ class TestKVCache:
         full = condition(x, params, cfg).value
         assert np.abs(self.cached_rows(x, params, cfg) - full).max() <= 1e-12
 
-    def test_step_takes_one_token(self):
-        cfg, params = fresh(4, seed=3)
-        cache = KVCache(params, cfg, 2)
-        with pytest.raises(DimensionError):
-            condition(np.zeros((2, 4)), params, cfg, cache)
-        condition(np.zeros((2, 0)), params, cfg, cache)
-        with pytest.raises(DimensionError):
-            condition(np.zeros((2, 2)), params, cfg, cache)
-        with pytest.raises(DimensionError):
-            condition(np.zeros((2, 0)), params, cfg, cache)
-
     def test_embed_from_position_matches_full(self):
         cfg, params = fresh(4, seed=5)
         x = np.random.default_rng(5).standard_normal((3, 4))
+        w = [params[name].value for name in conditioner.EMBED_PARAMS]
         full = embed_sequence(x, params, cfg).value
-        np.testing.assert_array_equal(embed_sequence(x[:, :0], params, cfg).value,
-                                      full[:, :1])
-        np.testing.assert_array_equal(embed_sequence(x[:, 1:3], params, cfg, 2).value,
-                                      full[:, 2:4])
-        with pytest.raises(DimensionError):
-            embed_sequence(x[:, 1:4], params, cfg, 2)
+        np.testing.assert_array_equal(conditioner._embed(x[:, :0], w, 0)[0], full[:, :1])
+        later, vjp = conditioner._embed(x[:, 1:3], w, 2)
+        np.testing.assert_array_equal(later, full[:, 2:4])
+        assert vjp is None
 
     @pytest.mark.parametrize("head", sorted(HEADS))
     def test_invert_rows_encodes_one_token_per_layer_step(self, head, monkeypatch):
@@ -603,12 +609,12 @@ class TestKVCache:
                                         mlp_hidden=16, H=4, K=4), seed=7)
         y, _ = forward_values(model, np.random.default_rng(0).standard_normal((3, 5)))
         calls = []
-        layer = conditioner.encoder_layer
+        block = conditioner._block
 
-        def counted(seq, *args, **kwargs):
-            calls.append(seq.value.shape)
-            return layer(seq, *args, **kwargs)
+        def counted(x, *args):
+            calls.append(x.shape)
+            return block(x, *args)
 
-        monkeypatch.setattr(conditioner, "encoder_layer", counted)
+        monkeypatch.setattr(conditioner, "_block", counted)
         invert_rows(model, y)
         assert calls == [(3, 1, model.config.E)] * (model.config.layers * model.D)

@@ -116,6 +116,15 @@ class TestLogProb:
             with pytest.raises(DimensionError, match="rows must be finite"):
                 log_prob(model, np.array(row))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_forward_values_refuses_non_finite_rows(self, head, bad):
+        # the oracles' entry point checks what log_prob checks: a NaN score
+        # under the attention mask would poison the rows before it
+        model = tiny_model(3, head, seed=3)
+        with pytest.raises(DimensionError, match="rows must be finite"):
+            forward_values(model, np.array([[0.0, bad, 0.0]]))
+
     @pytest.mark.parametrize("head", ALL_HEADS)
     def test_batch_matches_per_row(self, head):
         model = tiny_model(3, head, seed=7)

@@ -8,8 +8,12 @@ Runs of the same workload and seed on the two sides form a pair; a run
 without a partner is left out.  For every workload and every end-to-end
 metric of BENCHMARK.json the output holds each side's per-seed values,
 median and quartiles over the pairs, and the number of pairs in which the
-change is better, in the metric's direction (a tie is no win).  It
-also holds each side's ``env`` block, without its per-run workload and seed.
+change is better, in the metric's direction (a tie is no win).  Under
+``ops`` it holds each side's ``attempted`` and ``failed`` ops, summed over
+the phases of every paired run (the ``phases`` block of each result), since
+a larger share of failed ops counts against a change like a slower metric.
+It also holds each side's ``env`` block, without its per-run workload and
+seed.
 
 Each side must hold the results of one machine, the same on both sides, and
 each side's runs must come from one source tree (``src_sha256``), so stale
@@ -33,10 +37,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+OPS = ("attempted", "failed")
 
 
 def load_side(checkout: Path) -> tuple[str, dict, dict]:
-    """(machine id, env, {workload: {seed: metrics}}) of one checkout's runs."""
+    """(machine id, env, {workload: {seed: metrics}}) of one checkout's runs;
+    each run's metrics also hold its ``attempted`` and ``failed`` op counts."""
     results = checkout / ".perfbench" / "results"
     machines = sorted(p.name for p in results.glob("*") if p.is_dir())
     if len(machines) != 1:
@@ -51,7 +57,8 @@ def load_side(checkout: Path) -> tuple[str, dict, dict]:
         report = json.loads(path.read_text())
         env = {k: v for k, v in report["env"].items() if k not in ("workload", "seed")}
         envs.setdefault(env["src_sha256"], env)
-        runs.setdefault(match["workload"], {})[int(match["seed"])] = report["metrics"]
+        ops = {key: sum(phase[key] for phase in report["phases"].values()) for key in OPS}
+        runs.setdefault(match["workload"], {})[int(match["seed"])] = {**report["metrics"], **ops}
     if not runs:
         raise SystemExit(f"bench_pairs: no trace-0 results under {results / machine}")
     if len(envs) != 1:
@@ -68,7 +75,8 @@ def summary(values: dict) -> dict:
 
 def compare(parent: dict, change: dict, metrics: list) -> dict:
     """Per workload and metric: both sides' summaries over the paired seeds,
-    and the change's wins.  A workload without a pair is left out."""
+    and the change's wins; under ``ops``, both sides' op counts summed over
+    the paired seeds.  A workload without a pair is left out."""
     out = {}
     for workload in sorted(set(parent) & set(change)):
         old, new = parent[workload], change[workload]
@@ -85,6 +93,8 @@ def compare(parent: dict, change: dict, metrics: list) -> dict:
                 "wins": sum(sign * (new[s][name] - old[s][name]) > 0 for s in seeds),
                 "pairs": len(seeds),
             }
+        rows["ops"] = {side: {key: sum(runs[s][key] for s in seeds) for key in OPS}
+                       for side, runs in (("parent", old), ("change", new))}
         out[workload] = rows
     return out
 
