@@ -420,7 +420,7 @@ class TestGraphSize:
         seq = embed_sequence(np.random.default_rng(0).standard_normal((3, 5)), params, cfg)
         assert self.nodes_made(monkeypatch, lambda: encoder_layer(seq, params, 0, cfg)) == 1
 
-    def test_cached_step_makes_no_node(self, monkeypatch):
+    def test_cached_encoder_layer_step(self, monkeypatch):
         # the embedding and every layer run in numpy, under grad too
         cfg, params = fresh(5, layers=2)
         x = np.random.default_rng(0).standard_normal((3, 5))
@@ -433,6 +433,20 @@ class TestGraphSize:
         cfg, params = fresh(5)
         x = np.random.default_rng(0).standard_normal((3, 5))
         assert self.nodes_made(monkeypatch, lambda: embed_sequence(x, params, cfg)) == 1
+
+    def test_cached_step_embedding(self, monkeypatch):
+        # a step's embedding is numpy: no node, and each position's rows are
+        # those of the full pass's one node
+        cfg, params = fresh(5)
+        x = np.random.default_rng(0).standard_normal((3, 5))
+        full = embed_sequence(x, params, cfg).value
+        cache = KVCache(params, cfg, 3)
+        made, rows = [], []
+        for p in range(5):
+            made.append(self.nodes_made(monkeypatch, lambda: rows.append(
+                conditioner._embed(x[:, max(p - 1, 0):p], cache.embed, p)[0])))
+        assert made == [0] * 5
+        np.testing.assert_array_equal(np.concatenate(rows, axis=1), full)
 
     # the default config's 3 encoder layers and the embedding take 4 nodes;
     # the rest are the head's and the loss's
