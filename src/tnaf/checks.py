@@ -1,19 +1,24 @@
-"""Self-contained correctness oracles for a flow model.
+"""The numerical oracles of a flow model, with every tolerance they use.
 
-Each oracle compares the model against an independent numerical route:
-finite differences for gradients and Jacobians, brute-force determinants
-for the log-det, and explicit round trips for inversion.  They back the
-`check` CLI command and the acceptance suite.
+Each compares the model against an independent numerical route.
+`numerical_jacobian`, `fd_gradient` and `fd_coordinate` take central
+differences at FD_STEP, independently of backward().  `check_triangularity`
+and `check_logdet` test the numerical Jacobian's shape and its brute-force
+log-determinant against the claimed log-derivatives, `check_gradient` tests
+backward() against finite differences, and `check_inversion` runs the
+x -> y -> x round trip.  `run_all_checks` runs these four checks, which back
+the `check` CLI command and the acceptance suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import diffcore as dc
-from .flow import FlowModel, forward_values, invert_rows, nll_loss, numerical_jacobian
+from .flow import FlowModel, forward_values, invert_rows, nll_loss
 
 FD_STEP = 1e-5
 TRIANGULAR_TOL = 1e-8
@@ -33,6 +38,38 @@ class OracleResult:
     detail: str
 
 
+def numerical_jacobian(model: FlowModel, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian [D, D] of the map x -> y at a point x [D]."""
+    x = np.asarray(x, dtype=np.float64)
+    offsets = FD_STEP * np.eye(model.D)
+    y, _ = forward_values(model, np.concatenate([x + offsets, x - offsets]))
+    yp, ym = np.split(y, 2)
+    return (yp - ym).T / (2.0 * FD_STEP)
+
+
+def fd_gradient(f: Callable[[dc.ParamSet], float], params: dc.ParamSet):
+    """Central-difference gradient of a scalar function of the parameters,
+    one array per parameter, through fd_coordinate."""
+    grads: dict[str, np.ndarray] = {}
+    for name, node in params.items():
+        flat = node.value.reshape(-1)
+        g = [fd_coordinate(lambda: f(params), flat, i) for i in range(flat.size)]
+        grads[name] = np.array(g, flat.dtype).reshape(node.value.shape)
+    return grads
+
+
+def fd_coordinate(f: Callable[[], float], flat: np.ndarray, i: int) -> float:
+    """Central difference (f(+h) - f(-h)) / 2h, h = FD_STEP, of f() in entry i
+    of the array `flat`, perturbed in place and then restored."""
+    orig = flat[i]
+    flat[i] = orig + FD_STEP
+    fp = float(f())
+    flat[i] = orig - FD_STEP
+    fm = float(f())
+    flat[i] = orig
+    return (fp - fm) / (2.0 * FD_STEP)
+
+
 def _scaled_err(claimed, reference):
     """|claimed - reference| / max(|reference|, 1): relative where
     |reference| >= 1, absolute below, so it is defined at a log-det of 0."""
@@ -45,7 +82,7 @@ def jacobian_trials(model: FlowModel, seed: int = 0) -> list[tuple[np.ndarray, n
     and log-det oracles."""
     rng = np.random.default_rng(seed)
     points = [rng.standard_normal(model.D) for _ in range(JACOBIAN_TRIALS)]
-    return [(x, numerical_jacobian(model, x, FD_STEP)) for x in points]
+    return [(x, numerical_jacobian(model, x)) for x in points]
 
 
 def check_triangularity(trials: list[tuple[np.ndarray, np.ndarray]]) -> OracleResult:
@@ -130,7 +167,7 @@ def check_gradient(model: FlowModel, seed: int = 0) -> OracleResult:
     worst = 0.0
     for name, i in coords:
         flat = model.params[name].value.reshape(-1)
-        fd = dc.fd_coordinate(loss_value, flat, i, FD_STEP)
+        fd = fd_coordinate(loss_value, flat, i)
         err = abs(analytic[name].reshape(-1)[i] - fd) / scale
         worst = max(worst, float(err))
         if err >= GRADIENT_RTOL:

@@ -521,7 +521,7 @@ def layer_norm_vjp(g, xhat, inv, gain) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# backward pass and the finite-difference oracle
+# backward pass
 # ---------------------------------------------------------------------------
 
 
@@ -560,31 +560,3 @@ def backward(loss: Node) -> None:
             parent.accumulate_grad(as_tensor(vjp(g)))
         if node.parents:
             node._grad = None
-
-
-def fd_gradient(f: Callable[[ParamSet], float], params: ParamSet, step: float = 1e-5):
-    """Central-difference gradient of a scalar function of the parameters.
-
-    Test oracle: deliberately independent of backward(). Perturbs each
-    coordinate in place and restores it.
-    """
-    if step <= 0:
-        raise DimensionError("fd step must be positive")
-    grads: dict[str, np.ndarray] = {}
-    for name, node in params.items():
-        flat = node.value.reshape(-1)
-        g = [fd_coordinate(lambda: f(params), flat, i, step) for i in range(flat.size)]
-        grads[name] = np.array(g, flat.dtype).reshape(node.value.shape)
-    return grads
-
-
-def fd_coordinate(f: Callable[[], float], flat: np.ndarray, i: int, step: float) -> float:
-    """Central difference (f(+step) - f(-step)) / 2 step of f() in entry i of
-    the array `flat`, perturbed in place and then restored."""
-    orig = flat[i]
-    flat[i] = orig + step
-    fp = float(f())
-    flat[i] = orig - step
-    fm = float(f())
-    flat[i] = orig
-    return (fp - fm) / (2.0 * step)

@@ -426,19 +426,3 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
                     f"inversion failed at sample {row}, dimension {i}: {err}", index=row,
                 ) from err
     return x
-
-
-# ---------------------------------------------------------------------------
-# numerical oracle
-# ---------------------------------------------------------------------------
-
-
-def numerical_jacobian(model: FlowModel, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of the map x -> y (test oracle)."""
-    if step <= 0:
-        raise DimensionError("jacobian step must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    offsets = step * np.eye(model.D)
-    y, _ = forward_values(model, np.concatenate([x + offsets, x - offsets]))
-    yp, ym = np.split(y, 2)
-    return (yp - ym).T / (2.0 * step)

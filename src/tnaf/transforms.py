@@ -26,12 +26,14 @@ from typing import Callable
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import DimensionError, Node
+from .diffcore import Node
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
 # monotone_bisect doubles a bracket end at most this often (to +-2**64)
 MAX_DOUBLINGS = 64
+# monotone_bisect's Newton tolerance: a lane stops on a step or bracket below it
+NEWTON_TOL = 1e-6
 LOG2 = float(np.log(2.0))
 
 
@@ -68,7 +70,7 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                    y: np.ndarray, tol: float) -> np.ndarray:
+                    y: np.ndarray) -> np.ndarray:
     """Invert a lane-wise strictly increasing f by bracketing + safeguarded
     Newton; f(x) returns (value, slope).
 
@@ -79,13 +81,11 @@ def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     iterate that leaves the bracket, is not finite (a zero or underflowed
     slope) or is not under half the step before last (the guard of Numerical
     Recipes' rtsafe, which breaks Newton 2-cycles) is replaced by the bracket
-    midpoint.  A lane stops once its step is below tol, once its bracket is
-    narrower than tol, or once its ends are adjacent floats, whose spacing
-    exceeds tol for roots beyond about 4.5e9.  The perfbench tracer patches
-    this function by name.
+    midpoint.  A lane stops once its step is below NEWTON_TOL, once its
+    bracket is narrower than NEWTON_TOL, or once its ends are adjacent floats,
+    whose spacing exceeds NEWTON_TOL for roots beyond about 4.5e9.  The
+    perfbench tracer patches this function by name.
     """
-    if tol <= 0:
-        raise DimensionError("inversion tolerance must be positive")
     y = np.asarray(y, dtype=np.float64)
 
     def widen(end, outside, side):
@@ -125,7 +125,7 @@ def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
         nxt = np.where(ok, newton, mid)
         moved = np.abs(nxt - x)
         x = np.where(active, nxt, x)
-        active &= (moved >= tol) & (hi - lo >= tol) & (lo < mid) & (mid < hi)
+        active &= (moved >= NEWTON_TOL) & (hi - lo >= NEWTON_TOL) & (lo < mid) & (mid < hi)
         step, before = moved, step
     return x
 
@@ -146,7 +146,7 @@ def _cdf_net(x, ew1, b1, ew2, b2, ec):
     return a, t, (t * ew2).sum(axis=-1) + b2 + ec * x
 
 
-def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def cdf_inv_batch(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Lane-wise inverse of the monotone net, psi [..., 3H + 2] packed as in
     cdf_forward_node (both CDF heads invert through this).  The weights are
     exponentiated once; each Newton evaluation takes its value from the
@@ -161,7 +161,7 @@ def cdf_inv_batch(y: np.ndarray, psi: np.ndarray, tol: float = 1e-6) -> np.ndarr
         _, t, v = _cdf_net(x, ew1, b1, ew2, b2, ec)
         return v, s12 - np.einsum("...h,...h->...", t * t, ew12)
 
-    return monotone_bisect(value_and_slope, y, tol)
+    return monotone_bisect(value_and_slope, y)
 
 
 def cdf_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:

@@ -97,7 +97,29 @@ def test_failed_ops_summed_over_the_pairs(tmp_path):
                              "--benchmark", str(benchmark)]) == 0
     ops = json.loads(out.read_text())["workloads"]["w"]["ops"]
     assert ops == {"parent": {"attempted": 45, "failed": 0},
-                   "change": {"attempted": 45, "failed": 4}}
+                   "change": {"attempted": 45, "failed": 4},
+                   "failed_differs": {"2": {"parent": 0, "change": 3},
+                                      "3": {"parent": 0, "change": 1}}}
+
+
+def test_failed_differs_names_only_seeds_whose_counts_differ(tmp_path):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": METRICS}))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    metrics = {"logprob_rows_per_s": 100.0, "peak_rss_mb": 50.0}
+    seeds = {(w, s): metrics for w in ("v", "w") for s in (1, 2, 3)}
+    # w: seed 1 fails equally on both sides, seed 2 fails only at the parent,
+    # seed 3 more often in the change; v fails nowhere
+    write_runs(parent, "old", seeds, failed={("w", 1): 2, ("w", 2): 1, ("w", 3): 1})
+    write_runs(change, "new", seeds, failed={("w", 1): 2, ("w", 3): 2})
+    out = tmp_path / "BENCH_1.json"
+    assert load_tool().main([str(parent), str(change), "-o", str(out),
+                             "--benchmark", str(benchmark)]) == 0
+    workloads = json.loads(out.read_text())["workloads"]
+    assert workloads["w"]["ops"]["failed_differs"] == {"2": {"parent": 1, "change": 0},
+                                                       "3": {"parent": 1, "change": 2}}
+    assert workloads["w"]["ops"]["parent"]["failed"] == workloads["w"]["ops"]["change"]["failed"]
+    assert workloads["v"]["ops"]["failed_differs"] == {}
 
 
 def test_mixed_source_trees_are_refused(checkouts, tmp_path):

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -173,6 +174,10 @@ def _float_offset(h):
     h["manifest"][1]["offset"] = float(h["manifest"][1]["offset"])
 
 
+def _drop_model_d(h):
+    del h["run_config"]["model"]["D"]
+
+
 def _bool_shape_entry(h):
     # input_proj.w is [1, E]; True == 1 in Python, but not in the manifest
     shape = h["manifest"][0]["shape"]
@@ -194,6 +199,10 @@ MALFORMED_HEADERS = {
     "bool_shape_entry": _bool_shape_entry,
     "entry_with_extra_key": lambda h: h["manifest"][0].update(dtype="<f4"),
     "manifest_without_its_last_entry": lambda h: h.update(manifest=h["manifest"][:-1]),
+    "format_version_2": lambda h: h.update(format_version=2),
+    "run_config_without_D": _drop_model_d,
+    "standardization_not_an_object": lambda h: h.update(standardization=[0.0, 1.0]),
+    "stats_of_wrong_length": lambda h: h["standardization"].update(mean=[0.0], std=[1.0]),
 }
 
 
@@ -224,6 +233,44 @@ def test_malformed_checkpoint_header_exits_4(tmp_path, capsys, edit):
         load_checkpoint(str(path))
     assert main(["inspect", "-m", str(path)]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def _short_blob_matching_crc(path):
+    """Drop the blob's last 4 bytes and store the crc32 of what is left."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    header, blob = read_header(path), raw[12 + n:-4]
+    header["crc32"] = zlib.crc32(blob)
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(encoded)) + encoded + blob)
+
+
+def _unreadable_header(path):
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 8)
+    path.write_bytes(raw[:8] + struct.pack("<I", 9) + b"{not json" + raw[12 + n:])
+
+
+# each damages a saved D=2 checkpoint's file, not only its header; the
+# message names the refusal
+REFUSED_CHECKPOINTS = {
+    "missing_file": (lambda path: path.unlink(), "No such file"),
+    "unreadable_header": (_unreadable_header, "unreadable header"),
+    "blob_4_bytes_short": (_short_blob_matching_crc, "blob size does not match"),
+}
+
+
+@pytest.mark.parametrize("damage, message", REFUSED_CHECKPOINTS.values(),
+                         ids=REFUSED_CHECKPOINTS.keys())
+def test_refused_checkpoint_exits_4(tmp_path, capsys, damage, message):
+    rc = parse_run_config(tiny_model_doc())
+    stats = StandardizationStats(mean=np.zeros(2), std=np.ones(2))
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), build_model(rc.model, seed=1), stats, rc)
+    damage(path)
+    assert main(["inspect", "-m", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and message in err, err
 
 
 def _per_block_projections(header):
@@ -850,6 +897,52 @@ class TestCliDeterminism:
         assert main(["train", "-c", cfg, "-o", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRefusedRunInput:
+    @pytest.mark.parametrize("doc, message", [
+        ([tiny_model_doc()], "run config must be a JSON object"),
+        ({**tiny_model_doc(), "train": [1]}, "train section must be a JSON object"),
+        (tiny_model_doc(toy="ring", seed=3), "toy data needs a positive row count data.n"),
+        (tiny_model_doc(path="rows.csv"), "data.format must be csv or raw_f32"),
+    ], ids=["config_not_an_object", "section_not_an_object", "toy_without_n",
+            "path_without_format"])
+    def test_train_config_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, doc)
+        assert main(["train", "-c", cfg, "-o", str(tmp_path / "o.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
+        assert not (tmp_path / "o.ckpt").exists()
+
+    def test_ablate_extra_top_level_key_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"base": tiny_model_doc(), "grid": {}, "seeds": [1]})
+        assert main(["ablate", "-c", cfg]) == 2
+        assert "exactly the keys base and grid" in capsys.readouterr().err
+
+    def test_invert_wrong_column_count_exits_3(self, tmp_path, capsys):
+        rc = parse_run_config(tiny_model_doc())
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(str(ckpt), build_model(rc.model, seed=1),
+                        StandardizationStats(mean=np.zeros(2), std=np.ones(2)), rc)
+        data = tmp_path / "noise.csv"
+        save_csv(np.zeros((4, 3)), str(data))
+        out = tmp_path / "x.csv"
+        assert main(["invert", "-m", str(ckpt), "-d", str(data), "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "targets have 3 columns but model expects 2" in err, err
+        assert not out.exists()
+
+    # a learning rate of 1e6 overflows the float32 step: numpy warns before
+    # the loss turns non-finite, so this test allows RuntimeWarnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_training_exits_1(self, tmp_path, capsys):
+        doc = tiny_model_doc()
+        doc["train"]["learning_rate"] = 1e6
+        out = tmp_path / "o.ckpt"
+        assert main(["train", "-c", write_config(tmp_path, doc), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.strip() == "training fault: step 2: non-finite loss", err
+        assert not out.exists()
 
 
 def test_module_entry_point_warns_nothing():

@@ -15,7 +15,8 @@ from tnaf.conditioner import (
     encoder_layer,
     init_conditioner_params,
 )
-from tnaf.diffcore import DimensionError, ParamSet, fd_gradient
+from tnaf.checks import fd_gradient
+from tnaf.diffcore import DimensionError, ParamSet
 from tnaf.flow import (
     HEADS,
     ModelConfig,
@@ -303,7 +304,7 @@ class TestBlockNode:
             return dc.sum_(dc.mul(encoder_layer(seq_node, params, 0, cfg), weights))
 
         dc.backward(loss())
-        fd = fd_gradient(lambda _: float(loss().value), params, 1e-5)
+        fd = fd_gradient(lambda _: float(loss().value), params)
         for name, node in params.items():
             scale = max(np.abs(fd[name]).max(), 1e-8)
             assert np.abs(node.grad - fd[name]).max() / scale < 1e-4, name

@@ -7,6 +7,7 @@ from tnaf.data import (
     DataError,
     DatasetMatrix,
     ParseError,
+    Splits,
     batches,
     gauss_mixture_8_logpdf,
     gauss_mixture_8_nll_oracle,
@@ -281,3 +282,32 @@ class TestBatches:
     def test_bad_batch_size(self):
         with pytest.raises(DataError):
             list(batches(DatasetMatrix(np.ones((4, 1))), 0, seed=0, epoch=0))
+
+
+class TestRefusedInput:
+    def test_dataset_matrix_of_a_vector(self):
+        with pytest.raises(DataError, match=r"must be a matrix, got shape \(3,\)"):
+            DatasetMatrix(np.zeros(3))
+
+    def test_header_only_csv(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n\n")
+        with pytest.raises(ParseError, match="no data rows after header"):
+            load_matrix(str(path), "csv")
+
+    def test_csv_header_wider_than_its_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,c\n1,2\n3,4\n")
+        with pytest.raises(ParseError, match="header has 3 names but rows have 2 fields"):
+            load_matrix(str(path), "csv")
+
+    def test_raw_f32_under_16_bytes(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"\x00" * 15)
+        with pytest.raises(ParseError, match=r"truncated header \(15 bytes\)"):
+            load_matrix(str(path), "raw_f32")
+
+    def test_standardize_with_an_empty_train_split(self):
+        empty, rows = DatasetMatrix(np.zeros((0, 2))), DatasetMatrix(np.ones((2, 2)))
+        with pytest.raises(DataError, match="train split is empty"):
+            standardize(Splits(empty, rows, rows))

@@ -8,17 +8,15 @@ import pytest
 import composite_ops as cops
 from tnaf import diffcore as dc
 from tnaf import transforms as tf
+from tnaf.checks import fd_gradient
 from tnaf.diffcore import (
     ContractViolation,
     DimensionError,
     ParamSet,
     backward,
-    fd_gradient,
 )
 from tnaf.flow import ModelConfig, build_model, nll_loss
 from tnaf.trainer import clip_gradients
-
-FD_STEP = 1e-5
 
 
 def rel_err(a, b, floor=1e-8):
@@ -56,7 +54,7 @@ class TestMatmul:
             return float(dc.sum_(cops.matmul(a, dc.constant(bmat))).value)
 
         backward(dc.sum_(cops.matmul(a, dc.constant(bmat))))
-        fd = fd_gradient(f, params, FD_STEP)
+        fd = fd_gradient(f, params)
         assert rel_err(a.grad, fd["a"]) < 1e-4
 
     def test_shape_mismatch_names_shapes(self):
@@ -117,7 +115,7 @@ class TestLinear:
             return dc.sum_(dc.mul(cops.tanh(dc.linear(x, w, b)), weights))
 
         backward(loss())
-        fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
+        fd = fd_gradient(lambda _: float(loss().value), params)
         for name in ("x", "w", "b"):
             assert rel_err(params[name].grad, fd[name]) < 1e-4, name
 
@@ -193,7 +191,7 @@ class TestElementwise:
 
             params.zero_grad()
             backward(dc.sum_(op(x)))
-            fd = fd_gradient(f, params, FD_STEP)
+            fd = fd_gradient(f, params)
             assert rel_err(x.grad, fd["x"]) < 1e-4, op.__name__
 
 
@@ -229,7 +227,7 @@ class TestLogsumexp:
             return float(dc.sum_(cops.logsumexp(x, axis=-1)).value)
 
         backward(dc.sum_(cops.logsumexp(x, axis=-1)))
-        fd = fd_gradient(f, params, FD_STEP)
+        fd = fd_gradient(f, params)
         assert rel_err(x.grad, fd["x"]) < 1e-4
 
 
@@ -265,7 +263,7 @@ class TestLayerNorm:
 
         weights = rng.standard_normal((3, 6))
         backward(loss())
-        fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
+        fd = fd_gradient(lambda _: float(loss().value), params)
         for name in ("x", "g", "b"):
             assert rel_err(params[name].grad, fd[name]) < 1e-4, name
 
@@ -316,7 +314,7 @@ class TestMaskedSoftmax:
                                   dc.constant(weights)))
 
         backward(loss())
-        fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
+        fd = fd_gradient(lambda _: float(loss().value), params)
         assert rel_err(scores.grad, fd["s"]) < 1e-4
 
 
@@ -569,7 +567,7 @@ class TestBackward:
             with dc.no_grad():
                 return float(nll_loss(model, batch).value)
 
-        fd = fd_gradient(f, model.params, FD_STEP)
+        fd = fd_gradient(f, model.params)
         scale = max(np.abs(g).max() for g in fd.values())
         for name, p in model.params.items():
             assert np.abs(p.grad - fd[name]).max() / scale < 1e-4, name
@@ -635,7 +633,7 @@ class TestBackward:
             return dc.sum_(dc.mul(cops.softplus(out), out))
 
         backward(loss())
-        fd = fd_gradient(lambda _: float(loss().value), params, FD_STEP)
+        fd = fd_gradient(lambda _: float(loss().value), params)
         for name in ("w1", "w2", "b"):
             assert rel_err(params[name].grad, fd[name]) < 1e-4
 
@@ -700,7 +698,7 @@ def test_every_op_gradient_vs_fd(seed):
 
         params.zero_grad()
         backward(_op_zoo(x)[name])
-        fd = fd_gradient(loss, params, FD_STEP)
+        fd = fd_gradient(loss, params)
         assert rel_err(x.grad, fd["x"]) < 1e-4, (name, seed)
 
 
@@ -716,7 +714,7 @@ def test_strict_lower_embed_gradient_vs_fd(seed):
                                     dc.constant(weights))).value)
 
     backward(dc.sum_(dc.mul(dc.strict_lower_embed(free, 4), dc.constant(weights))))
-    fd = fd_gradient(loss, params, FD_STEP)
+    fd = fd_gradient(loss, params)
     assert rel_err(free.grad, fd["free"]) < 1e-4
 
 
@@ -728,18 +726,14 @@ class TestFdGradient:
         def f(ps):
             return float(ps["p"].value.sum())
 
-        fd = fd_gradient(f, params, FD_STEP)
+        fd = fd_gradient(f, params)
         np.testing.assert_allclose(fd["p"], 1.0, atol=1e-9)
 
     def test_constant_gives_zeros(self):
         params = ParamSet()
         params.add("p", np.ones(4))
-        fd = fd_gradient(lambda ps: 0.0, params, FD_STEP)
+        fd = fd_gradient(lambda ps: 0.0, params)
         np.testing.assert_array_equal(fd["p"], 0.0)
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(DimensionError):
-            fd_gradient(lambda ps: 0.0, ParamSet(), 0.0)
 
 
 class TestShapeOps:

@@ -1,6 +1,7 @@
 """Flow assembly: log-likelihood, triangularity, sampling, determinant oracle."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -12,8 +13,8 @@ import pytest
 from tnaf import diffcore as dc
 from tnaf import flow
 from tnaf import transforms as tf
-from tnaf.checks import check_inversion
-from tnaf.diffcore import DimensionError, fd_gradient
+from tnaf.checks import check_inversion, fd_gradient, numerical_jacobian
+from tnaf.diffcore import DimensionError
 from tnaf.flow import (
     ROW_BLOCK,
     ModelConfig,
@@ -22,7 +23,6 @@ from tnaf.flow import (
     invert_rows,
     log_prob,
     nll_loss,
-    numerical_jacobian,
     sample,
 )
 from tnaf.transforms import InversionError
@@ -370,7 +370,7 @@ class TestNllGradient:
             with dc.no_grad():
                 return float(nll_loss(model, batch).value)
 
-        fd = fd_gradient(f, model.params, 1e-5)
+        fd = fd_gradient(f, model.params)
         scale = max(np.abs(g).max() for g in fd.values())
         worst = max(
             np.abs(p.grad - fd[name]).max() for name, p in model.params.items()
@@ -561,3 +561,23 @@ class TestParamCounts:
         assert np.isfinite(res.logp)
         rows = sample(model, 5, seed=3)
         assert rows.shape == (5, 1)
+
+
+class TestRefusedInput:
+    """Each refusal of a malformed batch names the shape it got."""
+
+    def test_log_prob_of_a_3d_array(self):
+        with pytest.raises(DimensionError, match=r"vector or matrix, got shape \(1, 2, 2\)"):
+            log_prob(tiny_model(2, "affine"), np.zeros((1, 2, 2)))
+
+    @pytest.mark.parametrize("targets", [np.zeros(2), np.zeros((3, 3))],
+                             ids=["vector", "D_plus_1_columns"])
+    def test_invert_rows_of_a_non_matrix_or_wrong_width(self, targets):
+        message = f"targets must be [n, 2], got shape {targets.shape}"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            invert_rows(tiny_model(2, "affine"), targets)
+
+    def test_nll_loss_of_an_empty_batch(self):
+        message = "batch must be a nonempty matrix [n, 2], got shape (0, 2)"
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            nll_loss(tiny_model(2, "affine"), np.zeros((0, 2)))

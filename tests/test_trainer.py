@@ -343,3 +343,10 @@ class TestCheckedModeParams:
         train(model, splits, cfg)
         for _, p in model.params.items():
             assert np.isfinite(p.value).all()
+
+
+def test_evaluate_refuses_an_empty_matrix():
+    model = build_model(ModelConfig(D=2, head_type="affine", E=8, heads=2, layers=1,
+                                    mlp_hidden=16), seed=19)
+    with pytest.raises(ValueError, match="empty matrix"):
+        evaluate(model, DatasetMatrix(np.zeros((0, 2))))

@@ -159,8 +159,8 @@ def cdf_fwd(x, psi):
     return _graph_scalar(tf.cdf_forward_node, x, psi)
 
 
-def cdf_inv(y, psi, tol=1e-6):
-    out = tf.cdf_inv_batch(np.array([y]), psi[None, :], tol=tol)
+def cdf_inv(y, psi):
+    out = tf.cdf_inv_batch(np.array([y]), psi[None, :])
     return float(out[0])
 
 
@@ -292,13 +292,13 @@ class TestCdf:
 
     def test_inverse_symmetric_case(self):
         psi = cdf_psi(w1=np.zeros(1), b1=np.zeros(1), w2=np.zeros(1), b2=0.0, c=0.0)
-        assert abs(cdf_inv(0.0, psi, tol=1e-8)) < 1e-8
+        assert abs(cdf_inv(0.0, psi)) < 1e-8
 
     def test_inverse_hits_forward_target(self):
         rng = np.random.default_rng(4)
         psi = random_cdf_psi(rng)
         y, _ = cdf_fwd(1.0, psi)
-        assert abs(cdf_inv(float(y), psi, tol=1e-6) - 1.0) < 1e-6
+        assert abs(cdf_inv(float(y), psi) - 1.0) < 1e-6
 
     def test_inverse_monotone_consistency(self):
         rng = np.random.default_rng(5)
@@ -308,8 +308,8 @@ class TestCdf:
         assert lo < hi
 
     def test_inverse_of_root_beyond_float_spacing(self):
-        # past about 4.5e9 adjacent floats lie further apart than tol, so
-        # the bracket stops shrinking before it is narrower than tol
+        # past about 4.5e9 adjacent floats lie further apart than NEWTON_TOL,
+        # so the bracket stops shrinking before it is narrower than it
         psi = cdf_psi(w1=np.full(4, -25.0), b1=np.zeros(4), w2=np.zeros(4), b2=0.0,
                       c=-25.0)
         y, _ = cdf_fwd(3e10, psi)
@@ -336,7 +336,7 @@ class TestCdf:
             calls.append(x.copy())
             return x, np.ones_like(x)
 
-        x = tf.monotone_bisect(f, np.array([0.3, -0.7]), tol=1e-6)
+        x = tf.monotone_bisect(f, np.array([0.3, -0.7]))
         assert len(calls) == 2 + 2
         np.testing.assert_array_equal(calls[0], [-1.0, -1.0])
         np.testing.assert_array_equal(calls[1], [1.0, 1.0])
@@ -346,9 +346,9 @@ class TestCdf:
         # a steep, saturated net: e^c underflows to 0 and tanh(a) rounds to
         # +-1 away from the root near 0.6, so the slope there is exactly 0 and
         # the Newton iterate is not finite; those steps bisect, and no
-        # RuntimeWarning escapes.  The last Newton step, below tol, leaves an
-        # error of about (f''/2f') tol^2, up to 4.5e-11 on this steep net at
-        # tol 1e-6 and below 1e-12 at tol 1e-9
+        # RuntimeWarning escapes.  The last Newton step, below NEWTON_TOL,
+        # leaves an error of about (f''/2f') NEWTON_TOL^2, up to 4.5e-11 on
+        # this steep net
         psi = cdf_psi(w1=np.array([5.0]), b1=np.array([-0.6 * np.exp(5.0)]),
                       w2=np.zeros(1), b2=0.0, c=-800.0)
         roots = 0.6 + np.array([-0.015, -0.002, 0.0, 0.001, 0.012])
@@ -357,7 +357,6 @@ class TestCdf:
             for root in roots:
                 y, _ = cdf_fwd(root, psi)
                 assert abs(cdf_inv(y, psi) - root) < 1e-9
-                assert abs(cdf_inv(y, psi, tol=1e-9) - root) < 1e-12
 
     def test_root_on_bracket_end(self):
         # roots at +-2^k are bracket ends; on 0.2 x + tanh(x - r), Newton
@@ -380,7 +379,7 @@ class TestCdf:
             t = np.tanh(x - 1.6)
             return t, 1.0 - t * t
 
-        x = tf.monotone_bisect(f, np.zeros(1), tol=1e-6)
+        x = tf.monotone_bisect(f, np.zeros(1))
         assert calls[:5] == [-1.0, 1.0, 2.0, 0.5, 1.25]
         assert abs(x[0] - 1.6) < 1e-12
 
@@ -397,7 +396,7 @@ class TestCdf:
             t = np.tanh(x - 21.0)
             return 0.2 * x + t, 1.2 - t * t
 
-        x = tf.monotone_bisect(f, np.array([4.2]), tol=1e-6)
+        x = tf.monotone_bisect(f, np.array([4.2]))
         assert abs(x[0] - 21.0) < 1e-12
         assert len(calls) <= 7 + 5  # 7 bracket evaluations, 5 measured
 
@@ -424,14 +423,14 @@ class TestCdf:
 
         solve, calls = tf.monotone_bisect, []
 
-        def counted(f, target, tol):
+        def counted(f, target):
             def g(v):
                 calls.append(v)
                 return f(v)
-            return solve(g, target, tol)
+            return solve(g, target)
 
         monkeypatch.setattr(tf, "monotone_bisect", counted)
-        xr = tf.cdf_inv_batch(y, psi, tol=1e-6)
+        xr = tf.cdf_inv_batch(y, psi)
         assert len(calls) <= 16, len(calls)
         assert np.abs(xr - x).max() < 1e-9
 

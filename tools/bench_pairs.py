@@ -11,7 +11,9 @@ median and quartiles over the pairs, and the number of pairs in which the
 change is better, in the metric's direction (a tie is no win).  Under
 ``ops`` it holds each side's ``attempted`` and ``failed`` ops, summed over
 the phases of every paired run (the ``phases`` block of each result), since
-a larger share of failed ops counts against a change like a slower metric.
+a larger share of failed ops counts against a change like a slower metric,
+and under ``ops.failed_differs`` each paired seed whose ``failed`` counts
+differ between the sides, with both counts, so such a verdict names its seeds.
 It also holds each side's ``env`` block, without its per-run workload and
 seed.
 
@@ -76,7 +78,8 @@ def summary(values: dict) -> dict:
 def compare(parent: dict, change: dict, metrics: list) -> dict:
     """Per workload and metric: both sides' summaries over the paired seeds,
     and the change's wins; under ``ops``, both sides' op counts summed over
-    the paired seeds.  A workload without a pair is left out."""
+    the paired seeds, and the seeds whose failed counts differ.  A workload
+    without a pair is left out."""
     out = {}
     for workload in sorted(set(parent) & set(change)):
         old, new = parent[workload], change[workload]
@@ -95,6 +98,9 @@ def compare(parent: dict, change: dict, metrics: list) -> dict:
             }
         rows["ops"] = {side: {key: sum(runs[s][key] for s in seeds) for key in OPS}
                        for side, runs in (("parent", old), ("change", new))}
+        rows["ops"]["failed_differs"] = {
+            str(s): {"parent": old[s]["failed"], "change": new[s]["failed"]}
+            for s in seeds if old[s]["failed"] != new[s]["failed"]}
         out[workload] = rows
     return out
 
