@@ -9,10 +9,10 @@ spline are hand-written graph nodes over plain-numpy helpers (``_cdf_net``;
 ``_spline_parts`` and ``_spline_bins``); an inverse gets forward values only
 through those same helpers, so sampling inverts the same float function
 whose log-derivative was trained.  The affine and spline inverses are closed
-forms; the CDF net is inverted by bracketed, safeguarded Newton iteration
-(``monotone_bisect``) on its value and slope.  No transform takes a size:
-the CDF net reads H and the spline K off psi's last axis, 3H + 2 and 3K - 1
-wide, and the mix reads D off its input.
+forms; the CDF net is inverted by safeguarded Newton iteration on its value
+and slope in a closed-form bracket (``monotone_bisect``).  No transform takes
+a size: the CDF net reads H and the spline K off psi's last axis, 3H + 2 and
+3K - 1 wide, and the mix reads D off its input.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -30,10 +30,10 @@ from .diffcore import Node
 
 MIN_BIN = 1e-3
 MIN_DERIV = 1e-3
-# monotone_bisect doubles a bracket end at most this often (to +-2**64)
+# monotone_bisect moves a bracket end out by 1, 2, 4, ... at most this often: +-1 to +-2**64
 MAX_DOUBLINGS = 64
 # monotone_bisect's Newton tolerance: a lane stops on a step or bracket below it
-NEWTON_TOL = 1e-6
+NEWTON_TOL = 1e-7
 LOG2 = float(np.log(2.0))
 
 
@@ -70,43 +70,41 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                    y: np.ndarray) -> np.ndarray:
+                    y: np.ndarray, lo=-1.0, hi=1.0) -> np.ndarray:
     """Invert a lane-wise strictly increasing f by bracketing + safeguarded
     Newton; f(x) returns (value, slope).
 
-    Brackets start at [-1, 1] and double outward; a lane that cannot be
-    bracketed after the cap raises InversionError naming the lane.  Newton
-    then starts at the bracket midpoint, or at a bracket end that is already
-    a root, and every evaluation moves one bracket end to x.  A Newton
-    iterate that leaves the bracket, is not finite (a zero or underflowed
-    slope) or is not under half the step before last (the guard of Numerical
-    Recipes' rtsafe, which breaks Newton 2-cycles) is replaced by the bracket
-    midpoint.  A lane stops once its step is below NEWTON_TOL, once its
-    bracket is narrower than NEWTON_TOL, or once its ends are adjacent floats,
-    whose spacing exceeds NEWTON_TOL for roots beyond about 4.5e9.  The
-    perfbench tracer patches this function by name.
+    Each lane's bracket starts at its ends lo and hi, and an end on the wrong
+    side of y moves out by 1, 2, 4, ...: the default ends run -+1, -+2, -+4,
+    ... to -+2**64.  A lane not bracketed after MAX_DOUBLINGS moves raises
+    InversionError naming the lane.  Newton then starts at the bracket
+    midpoint, or at a bracket end that is already a root, and every evaluation
+    moves one bracket end to x.  A Newton iterate that leaves the bracket, is
+    not finite (a zero or underflowed slope) or is not under half the step
+    before last (the guard of Numerical Recipes' rtsafe, which breaks Newton
+    2-cycles) is replaced by the bracket midpoint.  A lane stops once its step
+    is below NEWTON_TOL, once its bracket is narrower than NEWTON_TOL, or once
+    its ends are adjacent floats, whose spacing exceeds NEWTON_TOL for roots
+    beyond about 4.5e8.  The perfbench tracer patches this function by name.
     """
     y = np.asarray(y, dtype=np.float64)
 
-    def widen(end, outside, side):
-        # double each lane whose f(end) is still on the wrong side of y; every
+    def widen(end, outside, side, move):
+        # move each lane whose f(end) is still on the wrong side of y; every
         # end is evaluated once, and the last evaluation decides
-        for _ in range(MAX_DOUBLINGS):
+        end = np.full(y.shape, end)
+        for moves in range(MAX_DOUBLINGS + 1):
             v = f(end)[0]
             out = outside(v)
             if not out.any():
                 return end, v
-            end = np.where(out, end * 2.0, end)
-        v = f(end)[0]
-        out = outside(v)
-        if out.any():
-            raise InversionError(f"{side} bracket not found (pathological transform)",
-                                 index=int(np.argmax(out)))
-        return end, v
+            end = np.where(out, end + move * 2.0 ** moves, end)
+        raise InversionError(f"{side} bracket not found (pathological transform)",
+                             index=int(np.argmax(out)))
 
-    lo, v_lo = widen(np.full(y.shape, -1.0), lambda v: v > y, "lower")
-    hi, v_hi = widen(np.full(y.shape, 1.0), lambda v: v < y, "upper")
-    # a lane whose root is a bracket end (x = +-1, +-2, +-4, ...) starts on it:
+    lo, v_lo = widen(lo, lambda v: v > y, "lower", -1.0)
+    hi, v_hi = widen(hi, lambda v: v < y, "upper", 1.0)
+    # a lane whose root is a bracket end (+-1, +-2, +-4, ... by default) starts on it:
     # Newton from inside can overshoot that root at every step, and the lane
     # would end at bisection accuracy
     x = np.where(v_lo == y, lo, np.where(v_hi == y, hi, 0.5 * (lo + hi)))
@@ -151,17 +149,26 @@ def cdf_inv_batch(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
     cdf_forward_node (both CDF heads invert through this).  The weights are
     exponentiated once; each Newton evaluation takes its value from the
     forward's own _cdf_net and its slope ec + sum ew1 ew2 (1 - t^2) from the
-    same tanh t, as s12 - sum t^2 ew1 ew2 with s12 = ec + sum ew1 ew2."""
+    same tanh t, as s12 - sum t^2 ew1 ew2 with s12 = ec + sum ew1 ew2.  As
+    |f(x) - b2 - ec x| <= S = sum ew2, the bracket starts at (y - b2 -+ S) / ec
+    padded by 2**-40 (|y| + |b2| + S) / ec against rounding, or at [-1, 1] in
+    a lane where those ends are not finite (ew2 = inf, ec = 0) or pass 2**64."""
     w1, b1, w2, b2, c = _cdf_params(psi)
     ew1, ew2, ec = np.exp(w1), np.exp(w2), np.exp(c)
     ew12 = ew1 * ew2
     s12 = ec + ew12.sum(axis=-1)
+    s = ew2.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mid, half = (y - b2) / ec, (s + 2.0 ** -40 * (np.abs(y) + np.abs(b2) + s)) / ec
+        lo, hi = mid - half, mid + half
+        known = np.maximum(np.abs(lo), np.abs(hi)) <= 2.0 ** MAX_DOUBLINGS  # False at NaN
 
     def value_and_slope(x):
         _, t, v = _cdf_net(x, ew1, b1, ew2, b2, ec)
         return v, s12 - np.einsum("...h,...h->...", t * t, ew12)
 
-    return monotone_bisect(value_and_slope, y)
+    return monotone_bisect(value_and_slope, y, np.where(known, lo, -1.0),
+                           np.where(known, hi, 1.0))
 
 
 def cdf_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:

@@ -167,7 +167,7 @@ def test_criterion_4_inversion_roundtrip():
         xr = spline_inverse_np(y.value, _spline_parts(psi, 3.0)[0], 3.0)
         assert np.abs(xr - x).max() < 1e-9, np.abs(xr - x).max()
 
-        # cdf: safeguarded Newton at tol 1e-6 over 1000 (x, psi) pairs
+        # cdf: safeguarded Newton to NEWTON_TOL over 1000 (x, psi) pairs
         h = 16
         w1 = 0.5 * rng.standard_normal((n, h))
         b1 = 0.5 * rng.standard_normal((n, h))

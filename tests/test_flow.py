@@ -446,6 +446,16 @@ class TestSampling:
         assert result.passed
         assert float(result.detail.split("residual ")[1]) < 1e-12
 
+    @pytest.mark.parametrize("seed", (0, 1))
+    @pytest.mark.parametrize("head", ("cdf", "shared_cdf"))
+    def test_fresh_wide_cdf_inversion_within_1e_12(self, head, seed):
+        # ROADMAP item 4's residual bound, met by the CDF heads on fresh models
+        # at D=63, BSDS300's width: round trip and residual both under 1e-12
+        model = build_model(ModelConfig(D=63, head_type=head), seed=seed)
+        detail = check_inversion(model, seed).detail
+        err = float(detail.split("round-trip error ")[1].split(",")[0])
+        assert err < 1e-12 and float(detail.split("residual ")[1]) < 1e-12, detail
+
     def test_non_finite_column_raises(self):
         # a fresh wide affine flow whose inverse overflows on the way: the
         # overflow raises no RuntimeWarning (the suite turns those into

@@ -308,7 +308,7 @@ class TestCdf:
         assert lo < hi
 
     def test_inverse_of_root_beyond_float_spacing(self):
-        # past about 4.5e9 adjacent floats lie further apart than NEWTON_TOL,
+        # past about 4.5e8 adjacent floats lie further apart than NEWTON_TOL,
         # so the bracket stops shrinking before it is narrower than it
         psi = cdf_psi(w1=np.full(4, -25.0), b1=np.zeros(4), w2=np.zeros(4), b2=0.0,
                       c=-25.0)
@@ -346,9 +346,11 @@ class TestCdf:
         # a steep, saturated net: e^c underflows to 0 and tanh(a) rounds to
         # +-1 away from the root near 0.6, so the slope there is exactly 0 and
         # the Newton iterate is not finite; those steps bisect, and no
-        # RuntimeWarning escapes.  The last Newton step, below NEWTON_TOL,
-        # leaves an error of about (f''/2f') NEWTON_TOL^2, up to 4.5e-11 on
-        # this steep net
+        # RuntimeWarning escapes.  e^c = 0 gives no closed-form bracket, so
+        # the search starts at [-1, 1].  The last Newton step, below
+        # NEWTON_TOL = 1e-7, leaves an error of about (f''/2f') NEWTON_TOL^2:
+        # f''/2f' reaches about 45 on this steep net (4.5e-11 at the old 1e-6),
+        # so up to about 4.5e-13
         psi = cdf_psi(w1=np.array([5.0]), b1=np.array([-0.6 * np.exp(5.0)]),
                       w2=np.zeros(1), b2=0.0, c=-800.0)
         roots = 0.6 + np.array([-0.015, -0.002, 0.0, 0.001, 0.012])
@@ -356,17 +358,18 @@ class TestCdf:
             warnings.simplefilter("error")
             for root in roots:
                 y, _ = cdf_fwd(root, psi)
-                assert abs(cdf_inv(y, psi) - root) < 1e-9
+                assert abs(cdf_inv(y, psi) - root) < 1e-12
 
     def test_root_on_bracket_end(self):
-        # roots at +-2^k are bracket ends; on 0.2 x + tanh(x - r), Newton
-        # from inside overshoots each of them, so only starting at the end
-        # lands on it
+        # roots at +-2^k are ends of the default bracket; on 0.2 x + tanh(x -
+        # r), Newton from inside overshoots each of them, so only starting at
+        # the end lands on it
         for r in (-16.0, -2.0, -1.0, 1.0, 2.0, 16.0):
-            psi = cdf_psi(w1=np.zeros(1), b1=np.array([-r]), w2=np.zeros(1), b2=0.0,
-                          c=np.log(0.2))
-            y, _ = cdf_fwd(r, psi)
-            assert abs(cdf_inv(y, psi) - r) < 1e-12
+            def f(x):
+                t = np.tanh(x - r)
+                return 0.2 * x + t, 1.2 - t * t
+
+            assert abs(tf.monotone_bisect(f, np.array([0.2 * r]))[0] - r) < 1e-12
 
     def test_newton_step_outside_bracket_bisects(self):
         # tanh(x - 1.6) = 0 is bracketed by [-1, 2]; from the midpoint 0.5,
@@ -403,7 +406,8 @@ class TestCdf:
     def test_criterion_4_pairs_evaluation_count(self, monkeypatch):
         # acceptance criterion 4's 1000 cdf pairs, replayed from its seed-40
         # stream after its affine and spline draws: bisection to 1e-6 took
-        # 32 calls of f, Newton measured 14
+        # 32 calls of f, Newton from [-1, 1] measured 14, and Newton to 1e-7
+        # from the closed-form bracket 9
         rng = np.random.default_rng(40)
         n, h = 1000, 16
         rng.standard_normal((n, 3))
@@ -423,16 +427,16 @@ class TestCdf:
 
         solve, calls = tf.monotone_bisect, []
 
-        def counted(f, target):
+        def counted(f, target, *ends):
             def g(v):
                 calls.append(v)
                 return f(v)
-            return solve(g, target)
+            return solve(g, target, *ends)
 
         monkeypatch.setattr(tf, "monotone_bisect", counted)
         xr = tf.cdf_inv_batch(y, psi)
-        assert len(calls) <= 16, len(calls)
-        assert np.abs(xr - x).max() < 1e-9
+        assert len(calls) <= 9, len(calls)
+        assert np.abs(xr - x).max() < 1e-12, np.abs(xr - x).max()
 
     def test_bracket_failure_raises(self):
         # the root of a finite target beyond the bracket cap, 2**64, is not
@@ -440,6 +444,76 @@ class TestCdf:
         psi = cdf_psi(w1=np.zeros(2), b1=np.zeros(2), w2=np.zeros(2), b2=0.0, c=0.0)
         with pytest.raises(InversionError):
             cdf_inv(1e300, psi)
+
+    def test_closed_form_start_brackets_every_lane(self, monkeypatch):
+        # the net lies within S = sum exp(w2) of b2 + e^c x, so each lane whose
+        # closed-form ends (y - b2 -+ S) / e^c are finite and inside +-2**64
+        # starts bracketed: f(lo) <= y <= f(hi) at the ends monotone_bisect
+        # gets, on random lanes and on extreme ones (c down to -30, w2 up to
+        # 10, |y| up to 1e6, |b2| up to 1e3)
+        rng = np.random.default_rng(11)
+        n, h = 10_000, 8
+        spread = np.linspace(-2.0, 2.0, h)
+        grid = np.array(np.meshgrid([-30.0, 0.0, 10.0], [-50.0, 0.0, 50.0], [-30.0, 0.0, 10.0],
+                                    [-1e3, 0.0, 1e3], [-30.0, -10.0, 0.0, 5.0],
+                                    [-1e6, -1.0, 0.0, 1.0, 1e6])).reshape(6, -1)
+        psi = np.concatenate([
+            np.concatenate([rng.normal(0.0, 2.0, (n, h)), rng.normal(0.0, 3.0, (n, h)),
+                            rng.uniform(-10.0, 10.0, (n, h)), rng.normal(0.0, 10.0, (n, 1)),
+                            rng.uniform(-30.0, 5.0, (n, 1))], axis=1),
+            np.concatenate([grid[0][:, None] + spread, grid[1][:, None] + spread,
+                            grid[2][:, None] + spread, grid[3][:, None], grid[4][:, None]],
+                           axis=1)])
+        y = np.concatenate([rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 6.0, n),
+                            grid[5]])
+        _, _, w2, b2, c = tf._cdf_params(psi)
+        s, ec = np.exp(w2).sum(axis=-1), np.exp(c)
+        ends = np.stack([(y - b2 - s) / ec, (y - b2 + s) / ec])
+        known = (np.abs(ends) <= 2.0 ** 64).all(axis=0)
+        assert known.mean() > 0.99
+        seen = {}
+
+        def spy(f, target, lo, hi):
+            seen.update(f=f, lo=lo, hi=hi)
+            return target
+
+        monkeypatch.setattr(tf, "monotone_bisect", spy)
+        tf.cdf_inv_batch(y, psi)
+        v_lo, v_hi = seen["f"](seen["lo"])[0], seen["f"](seen["hi"])[0]
+        assert (v_lo[known] <= y[known]).all() and (y[known] <= v_hi[known]).all()
+        assert (seen["lo"][known] != -1.0).all() and (seen["hi"][known] != 1.0).all()
+        np.testing.assert_array_equal(seen["lo"][~known], -1.0)
+        np.testing.assert_array_equal(seen["hi"][~known], 1.0)
+
+    def test_infinite_weight_lane_starts_at_default_ends(self, monkeypatch):
+        # exp(w2) = inf leaves no finite closed form (ROADMAP item 14's first
+        # repro): that lane's first two evaluations are at -1 and 1, while
+        # its finite neighbour starts at its closed-form ends
+        rng = np.random.default_rng(12)
+        psi = np.stack([random_cdf_psi(rng, h=2), [0, 0, -1, 1, 1000, 1000, 0, 0.]])
+        solve, calls = tf.monotone_bisect, []
+
+        def spy(f, target, lo, hi):
+            return solve(lambda x: calls.append(x.copy()) or f(x), target, lo, hi)
+
+        monkeypatch.setattr(tf, "monotone_bisect", spy)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tf.cdf_inv_batch(np.array([0.3, 0.7]), psi)
+        assert [end[1] for end in calls[:2]] == [-1.0, 1.0]
+        assert calls[0][0] != -1.0 and calls[1][0] != 1.0
+
+    def test_unbracketable_lane_still_raises(self):
+        # the shape of a benchmark failure: exp(w2) = inf times a negative
+        # tanh makes f = -inf for every x >= 1, so no upper bracket exists,
+        # and the error names the lane, as from the default start
+        rng = np.random.default_rng(13)
+        bad = cdf_psi(w1=np.array([-100.0, 0.0]), b1=np.array([-1.0, 0.0]),
+                      w2=np.array([1000.0, 0.0]), b2=0.0, c=0.0)
+        psi = np.stack([random_cdf_psi(rng, h=2), random_cdf_psi(rng, h=2), bad])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                InversionError, match=r"^upper bracket not found \(pathological transform\)$") as err:
+            tf.cdf_inv_batch(np.array([0.3, -0.2, 0.7]), psi)
+        assert err.value.index == 2
 
     def test_graph_matches_plain(self):
         rng = np.random.default_rng(7)
