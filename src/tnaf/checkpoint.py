@@ -24,7 +24,7 @@ import json
 import numbers
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -71,13 +71,21 @@ class DataConfig:
                 or any(isinstance(f, bool) or not isinstance(f, numbers.Real) for f in fr)):
             raise ConfigError("data.fractions must be a list of three numbers")
         self.fractions = tuple(float(f) for f in fr)
+        if self.toy is None and self.path is None:
+            raise ConfigError("data section needs either toy or path")
+        if self.toy is not None and self.path is not None:
+            raise ConfigError("data.toy and data.path are mutually exclusive")
+        if self.toy is not None and self.n is None:
+            raise ConfigError("toy data needs a positive row count data.n")
+        if self.path is not None and self.format not in ("csv", "raw_f32"):
+            raise ConfigError("data.format must be csv or raw_f32 when data.path is set")
 
 
 @dataclass
 class RunConfig:
     model: ModelConfig
-    train: TrainConfig = field(default_factory=TrainConfig)
-    data: DataConfig = field(default_factory=DataConfig)
+    train: TrainConfig
+    data: DataConfig
 
 
 _SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig}
@@ -90,8 +98,8 @@ def _reject_unknown(section: dict, allowed, where: str) -> None:
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    """Strict parse: unknown keys anywhere are rejected; absent keys take the
-    documented defaults."""
+    """Strict parse: unknown keys anywhere are rejected, absent keys take the
+    documented defaults, and each section checks its own fields."""
     if not isinstance(doc, dict):
         raise ConfigError("run config must be a JSON object")
     _reject_unknown(doc, _SECTIONS, "config")
@@ -107,16 +115,6 @@ def parse_run_config(doc: dict) -> RunConfig:
             built[name] = cls(**section)
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from None
-
-    data = built["data"]
-    if data.toy is None and data.path is None:
-        raise ConfigError("data section needs either toy or path")
-    if data.toy is not None and data.path is not None:
-        raise ConfigError("data.toy and data.path are mutually exclusive")
-    if data.toy is not None and data.n is None:
-        raise ConfigError("toy data needs a positive row count data.n")
-    if data.path is not None and data.format not in ("csv", "raw_f32"):
-        raise ConfigError("data.format must be csv or raw_f32 when data.path is set")
     return RunConfig(**built)
 
 

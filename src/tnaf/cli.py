@@ -9,10 +9,10 @@ unusable standardization stats), 5 inversion failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .data import (
     toy_generate,
 )
 from .diffcore import DimensionError
-from .flow import FlowModel, ModelConfig, build_model, invert_rows, sample
+from .flow import FlowModel, build_model, invert_rows, sample
 from .trainer import TrainingFault, evaluate, train
 from .transforms import InversionError
 
@@ -186,32 +186,28 @@ def cmd_ablate(args) -> int:
     grid, base_doc = doc.get("grid", {}), doc.get("base", {})
     if not isinstance(grid, dict) or not isinstance(base_doc, dict):
         raise ConfigError("ablation base and grid must be JSON objects")
-    if not isinstance(base_doc.get("model", {}), dict):
-        raise ConfigError("model section must be a JSON object")
     if set(grid) - _ABLATE_GRID_KEYS:
         raise ConfigError(f"grid keys must be within {sorted(_ABLATE_GRID_KEYS)}")
     if not all(isinstance(values, list) for values in grid.values()):
         raise ConfigError("grid values must be lists")
+    # every cell is parsed before the first trains; an axis the grid omits
+    # keeps the base's value
+    base = asdict(parse_run_config(base_doc))
+    head_types, layer_counts = (grid.get(key, [base["model"][key]])
+                                for key in ("head_type", "layers"))
+    cells = [parse_run_config({**base, "model": {**base["model"], "head_type": head_type,
+                                                 "layers": layers}})
+             for head_type in head_types for layers in layer_counts]
     if args.output:
         _require_writable(args.output)
-    # an axis the grid omits keeps the base's value, or ModelConfig's default
-    model_doc = base_doc.get("model", {})
-    head_types, layer_counts = (grid.get(key, [model_doc.get(key, getattr(ModelConfig, key))])
-                                for key in ("head_type", "layers"))
 
     lines = ["head_type\tlayers\ttest_ll\tstd_err\tparam_count"]
-    for head_type in head_types:
-        for layers in layer_counts:
-            base = copy.deepcopy(base_doc)
-            base.setdefault("model", {})
-            base["model"]["head_type"] = head_type
-            base["model"]["layers"] = layers
-            rc = parse_run_config(base)
-            model, _, test_ll, test_err = _train_run(rc, log_fn=None)
-            lines.append(
-                f"{head_type}\t{layers}\t{test_ll:.6f}\t{test_err:.6f}"
-                f"\t{model.params.total_count()}"
-            )
+    for rc in cells:
+        model, _, test_ll, test_err = _train_run(rc, log_fn=None)
+        lines.append(
+            f"{rc.model.head_type}\t{rc.model.layers}\t{test_ll:.6f}\t{test_err:.6f}"
+            f"\t{model.params.total_count()}"
+        )
     table = "\n".join(lines)
     print(table)
     if args.output:

@@ -253,7 +253,7 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
 
         def chunk_grads(c, y, out):  # one chunk's gradients of q, k and v
             g_y = g_ctx[c] @ v[c].swapaxes(-1, -2)
-            g_scores = dc.masked_softmax_vjp(g_y, y, True, scale, out)
+            g_scores = dc.masked_softmax_vjp(g_y, y, scale, out)
             return (g_scores @ kt[c].swapaxes(-1, -2),
                     (q[c].swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2),
                     y.swapaxes(-1, -2) @ g_ctx[c])

@@ -22,9 +22,9 @@ masked_softmax, which takes the attention's 1/sqrt(d_k) as its `scale` and a
 `causal` flag; a causal call builds its own mask and works in tiles of
 SOFTMAX_ROW_BLOCK query rows by the columns those rows can see, skipping the
 scores the mask hides.  It can keep each tile's row max and row sum in a list
-and rebuild its output from them without reducing again, and it and its VJP
-can write into a caller's buffer, so the encoder layer's row chunks reuse one
-buffer each.
+and rebuild its output from them without reducing again.  It can write
+into a caller's buffer, and its VJP, for the causal softmax only, always
+does, so the encoder layer's row chunks reuse one buffer each.
 
 Gradient buffers follow one rule: no gradient is ever added into in place.
 An interior node borrows its first gradient contribution (often another
@@ -481,20 +481,18 @@ def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
     return y
 
 
-def masked_softmax_vjp(g, y, causal: bool, scale: float = 1.0,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """The scores' gradient from the output y alone: scale * y * (g - sum(g * y)),
-    tile by tile over masked_softmax's columns, into a zero-filled array, or
-    into `out` (y's shape and dtype, +0 outside every tile as masked_softmax's
-    `out`)."""
-    gs = np.zeros(y.shape, y.dtype) if out is None else out
-    for tile in _softmax_tiles(y.shape[-1], causal):
+def masked_softmax_vjp(g, y, scale: float, out: np.ndarray) -> np.ndarray:
+    """The scores' gradient of a causal masked_softmax from its output y alone:
+    scale * y * (g - sum(g * y)), tile by tile over the causal tiles' columns,
+    written into `out` (y's shape and dtype, +0 outside every tile as
+    masked_softmax's `out`)."""
+    for tile in _softmax_tiles(y.shape[-1], True):
         yt, gt = y[tile], g[tile]
         # einsum forms the row sums of g * y without a temporary
         gt = gt - np.einsum("...j,...j->...", gt, yt)[..., None]
         gt *= yt
-        np.multiply(gt, scale, out=gs[tile])
-    return gs
+        np.multiply(gt, scale, out=out[tile])
+    return out
 
 
 def layer_norm(x, gain, bias, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -40,7 +40,7 @@ LOG2 = float(np.log(2.0))
 class InversionError(RuntimeError):
     """Root bracketing failed; the transform parameters are pathological."""
 
-    def __init__(self, message: str, index: int | None = None):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
         self.index = index
 
@@ -70,22 +70,23 @@ def affine_inverse_np(y: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                    y: np.ndarray, lo=-1.0, hi=1.0) -> np.ndarray:
+                    y: np.ndarray, lo, hi) -> np.ndarray:
     """Invert a lane-wise strictly increasing f by bracketing + safeguarded
     Newton; f(x) returns (value, slope).
 
-    Each lane's bracket starts at its ends lo and hi, and an end on the wrong
-    side of y moves out by 1, 2, 4, ...: the default ends run -+1, -+2, -+4,
-    ... to -+2**64.  A lane not bracketed after MAX_DOUBLINGS moves raises
-    InversionError naming the lane.  Newton then starts at the bracket
-    midpoint, or at a bracket end that is already a root, and every evaluation
-    moves one bracket end to x.  A Newton iterate that leaves the bracket, is
-    not finite (a zero or underflowed slope) or is not under half the step
-    before last (the guard of Numerical Recipes' rtsafe, which breaks Newton
-    2-cycles) is replaced by the bracket midpoint.  A lane stops once its step
-    is below NEWTON_TOL, once its bracket is narrower than NEWTON_TOL, or once
-    its ends are adjacent floats, whose spacing exceeds NEWTON_TOL for roots
-    beyond about 4.5e8.  The perfbench tracer patches this function by name.
+    Each lane's bracket starts at the caller's ends lo and hi (scalars or per
+    lane), and an end on the wrong side of y moves out by 1, 2, 4, ...: ends
+    -1 and 1 run -+1, -+2, -+4, ... to -+2**64.  A lane not bracketed after
+    MAX_DOUBLINGS moves raises InversionError naming the lane.  Newton then
+    starts at the bracket midpoint, or at a bracket end that is already a
+    root, and every evaluation moves one bracket end to x.  A Newton iterate
+    that leaves the bracket, is not finite (a zero or underflowed slope) or is
+    not under half the step before last (the guard of Numerical Recipes'
+    rtsafe, which breaks Newton 2-cycles) is replaced by the bracket midpoint.
+    A lane stops once its step is below NEWTON_TOL, once its bracket is
+    narrower than NEWTON_TOL, or once its ends are adjacent floats, whose
+    spacing exceeds NEWTON_TOL for roots beyond about 4.5e8.  The perfbench
+    tracer patches this function by name.
     """
     y = np.asarray(y, dtype=np.float64)
 
@@ -104,7 +105,7 @@ def monotone_bisect(f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 
     lo, v_lo = widen(lo, lambda v: v > y, "lower", -1.0)
     hi, v_hi = widen(hi, lambda v: v < y, "upper", 1.0)
-    # a lane whose root is a bracket end (+-1, +-2, +-4, ... by default) starts on it:
+    # a lane whose root is a bracket end (+-1, +-2, +-4, ... from [-1, 1]) starts on it:
     # Newton from inside can overshoot that root at every step, and the lane
     # would end at bisection accuracy
     x = np.where(v_lo == y, lo, np.where(v_hi == y, hi, 0.5 * (lo + hi)))

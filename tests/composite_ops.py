@@ -117,10 +117,17 @@ def matmul(a, b):
 
 
 def masked_softmax(scores, causal, scale=1.0):
-    """dc.masked_softmax as a node, its VJP dc.masked_softmax_vjp."""
+    """dc.masked_softmax as a node, its VJP dc.masked_softmax_vjp; that VJP is
+    the causal softmax's only, so a non-causal node (a cached step's) refuses it."""
     scores = dc._wrap(scores)
     y = dc.masked_softmax(scores.value, causal, scale)
-    return dc.make_node(y, [(scores, lambda g: dc.masked_softmax_vjp(g, y, causal, scale))])
+
+    def vjp(g):
+        if not causal:
+            raise dc.ContractViolation("masked_softmax has no non-causal VJP")
+        return dc.masked_softmax_vjp(g, y, scale, np.zeros_like(y))
+
+    return dc.make_node(y, [(scores, vjp)])
 
 
 def layer_norm(x, gain, bias, eps=LAYER_NORM_EPS):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-METRICS = [{"name": "logprob_rows_per_s", "better": "higher"},
-           {"name": "peak_rss_mb", "better": "lower"}]
+METRICS = [{"name": "logprob_rows_per_s", "better": "higher", "bound": 0.24},
+           {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
 
 
 def load_tool():
@@ -63,6 +63,37 @@ def test_pairs_medians_quartiles_and_wins(checkouts, tmp_path):
     assert (logprob["wins"], logprob["pairs"]) == (2, 3)
     rss = report["workloads"]["w"]["peak_rss_mb"]
     assert rss["better"] == "lower" and (rss["wins"], rss["pairs"]) == (3, 3)
+    assert logprob["unresolved"] is False and rss["unresolved"] is False
+
+
+@pytest.mark.parametrize("metric, parent_values, change_values, unresolved", [
+    # spread (p75 - p25) / |median|: 1.5 / 101.5 against the bound 0.24
+    ("logprob_rows_per_s", (100.0, 101.0, 102.0, 103.0), (90.0, 91.0, 92.0, 93.0), False),
+    # 60 / 120 = 0.5 > 0.24
+    ("logprob_rows_per_s", (60.0, 100.0, 140.0, 180.0), (70.0, 110.0, 150.0, 190.0), True),
+    # as wide, but every change run beats every parent run
+    ("logprob_rows_per_s", (60.0, 100.0, 140.0, 180.0), (181.0, 190.0, 200.0, 210.0), False),
+    # 30 / 70 > 0.1 on a lower-is-better metric, separated and not
+    ("peak_rss_mb", (40.0, 60.0, 80.0, 100.0), (10.0, 20.0, 30.0, 39.0), False),
+    ("peak_rss_mb", (40.0, 60.0, 80.0, 100.0), (10.0, 20.0, 30.0, 45.0), True),
+], ids=["narrow", "wide", "wide_but_separated", "wide_lower_separated", "wide_lower"])
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(
+        tmp_path, metric, parent_values, change_values, unresolved):
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps({"end_to_end": METRICS}))
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    steady = {"logprob_rows_per_s": 100.0, "peak_rss_mb": 50.0}
+    for checkout, src, values in ((parent, "old", parent_values), (change, "new", change_values)):
+        write_runs(checkout, src, {("w", s): {**steady, metric: v}
+                                   for s, v in enumerate(values, start=1)})
+    out = tmp_path / "BENCH_1.json"
+    assert load_tool().main([str(parent), str(change), "-o", str(out),
+                             "--benchmark", str(benchmark)]) == 0
+    rows = json.loads(out.read_text())["workloads"]["w"]
+    assert rows[metric]["unresolved"] is unresolved
+    # the other metric is the same on every run: no spread
+    other = next(m["name"] for m in METRICS if m["name"] != metric)
+    assert rows[other]["unresolved"] is False
 
 
 def test_unpaired_runs_leave_every_summary_unchanged(checkouts, tmp_path):

@@ -22,7 +22,7 @@ from tnaf.checkpoint import (
     parse_run_config,
     save_checkpoint,
 )
-from tnaf import checks
+from tnaf import checks, cli
 from tnaf.cli import _pipeline, _train_run, main
 from tnaf.data import StandardizationStats, load_matrix, save_csv
 from tnaf.flow import ModelConfig, build_model, forward_values
@@ -112,6 +112,32 @@ class TestRunConfig:
             "data": {"path": "x.csv", "format": "csv", "toy": None, "n": 80,
                      "fractions": [0.5, 0.25, 0.25], "seed": 2},
         }
+
+
+    @pytest.mark.parametrize("data, message", [
+        ({}, "needs either toy or path"),
+        ({"toy": "ring", "n": 5, "path": "x.csv", "format": "csv"}, "mutually exclusive"),
+        ({"toy": "ring"}, "positive row count data.n"),
+        ({"path": "x.csv"}, "data.format must be csv or raw_f32"),
+    ], ids=["neither_source", "both_sources", "toy_without_n", "path_without_format"])
+    def test_data_config_checks_its_own_fields(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            DataConfig(**data)
+
+    def test_run_config_has_no_section_defaults(self):
+        with pytest.raises(TypeError):
+            RunConfig(model=ModelConfig(D=2))
+
+    def test_python_built_config_survives_save_load_save(self, tmp_path):
+        rc = RunConfig(model=ModelConfig(D=2, head_type="affine", E=8, heads=2, layers=1),
+                       train=TrainConfig(seed=2), data=DataConfig(toy="ring", n=10))
+        stats = StandardizationStats(np.zeros(2), np.ones(2))
+        first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        save_checkpoint(str(first), build_model(rc.model, seed=1), stats, rc)
+        model, lstats, lrc = load_checkpoint(str(first))
+        assert lrc == rc
+        save_checkpoint(str(second), model, lstats, lrc)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestCheckpointFormat:
@@ -913,6 +939,29 @@ class TestRefusedRunInput:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err, err
         assert not (tmp_path / "o.ckpt").exists()
+
+    @pytest.mark.parametrize("base_model, grid", [
+        ({}, {"layers": [1, 0]}),
+        ({}, {"head_type": ["affine", "planar"]}),
+        ({"layers": 0}, {"layers": [1]}),
+        ({"head_type": "planar"}, {"head_type": ["affine"]}),
+    ], ids=["later_layers", "later_head_type", "base_layers", "base_head_type"])
+    def test_ablate_bad_cell_or_base_exits_2_before_any_training(
+            self, tmp_path, capsys, monkeypatch, base_model, grid):
+        # the base must itself parse, and every cell parses before the first trains
+        calls, real = [], cli._train_run
+        monkeypatch.setattr(cli, "_train_run",
+                            lambda rc, log_fn: calls.append(rc) or real(rc, log_fn))
+        base = tiny_model_doc()
+        base["model"].update(base_model)
+        base["train"].update(max_steps=2, eval_every=1)
+        out = tmp_path / "table.tsv"
+        assert main(["ablate", "-c", write_config(tmp_path, {"base": base, "grid": grid}),
+                     "-o", str(out)]) == 2
+        assert len(calls) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error:")
+        assert not out.exists()
 
     def test_ablate_extra_top_level_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"base": tiny_model_doc(), "grid": {}, "seeds": [1]})

@@ -368,15 +368,15 @@ class TestSoftmaxStatsAndBuffers:
 
     @cases
     @dtypes
-    @causals
+    @pytest.mark.parametrize("causal", [True])  # the VJP serves the causal softmax only
     def test_vjp_out_equals_fresh(self, n, dtype, causal):
         buf = np.zeros((5, 2, n, n), dtype)
         for rows, seed in ((5, 1), (3, 2), (5, 3)):
             y = dc.masked_softmax(self.scores(rows, n, dtype, seed), causal, 0.5)
             g = self.scores(rows, n, dtype, seed + 10)
-            got = dc.masked_softmax_vjp(g, y, causal, 0.5, buf[:rows])
+            got = dc.masked_softmax_vjp(g, y, 0.5, buf[:rows])
             assert np.shares_memory(got, buf)
-            same_bits(got, dc.masked_softmax_vjp(g, y, causal, 0.5))
+            same_bits(got, dc.masked_softmax_vjp(g, y, 0.5, np.zeros_like(y)))
 
     @causals
     def test_filled_stats_of_another_tile_count_refused(self, causal):
@@ -474,10 +474,19 @@ class TestFusedSoftmaxBitIdentity:
             dc.add(a, dc.constant(mask))))
         self.agree(fused, composite)
 
+    @staticmethod
+    def agree_without_vjp(shape, scale, composite):
+        """A non-causal softmax (a cached step's) agrees with the composite in
+        value within 2e-15 and refuses its VJP."""
+        x = dc.parameter(np.random.default_rng(0).standard_normal(shape) * 3.0)
+        out = cops.masked_softmax(x, False, scale)
+        assert np.abs(out.value - composite(x).value).max() <= 2e-15
+        with pytest.raises(dc.ContractViolation, match="non-causal"):
+            backward(dc.sum_(out))
+
     @pytest.mark.parametrize("t", [1, 2, 63])
     def test_unmasked(self, t):
-        composite = self.run((2, 8, t, t), _composite_softmax)
-        self.agree(self.run((2, 8, t, t), lambda a: cops.masked_softmax(a, False)), composite)
+        self.agree_without_vjp((2, 8, t, t), 1.0, _composite_softmax)
 
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("t", [5, 17])
@@ -489,6 +498,8 @@ class TestFusedSoftmaxBitIdentity:
             a = dc.mul(a, scale)
             return _composite_softmax(a if mask is None else dc.add(a, dc.constant(mask)))
 
+        if not causal:
+            return self.agree_without_vjp((2, 3, t, t), scale, composite)
         fused = self.run((2, 3, t, t), lambda a: cops.masked_softmax(a, causal, scale))
         self.agree(fused, self.run((2, 3, t, t), composite))
 
@@ -519,6 +530,17 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ContractViolation):
             backward(dc.parameter(np.ones(3)))
+
+    def test_gradient_of_another_shape_refused(self):
+        x = dc.parameter(np.ones(3))
+        y = dc.make_node(np.ones(3), [(x, lambda g: g[:2])])
+        with pytest.raises(DimensionError, match=r"gradient shape \(2,\) does not match "
+                                                  r"value shape \(3,\)"):
+            backward(dc.sum_(y))
+
+    def test_repr_names_shape_and_grad_mode(self):
+        assert repr(dc.parameter(np.ones((2, 3)))) == "Node(shape=(2, 3), requires_grad=True)"
+        assert repr(dc.constant(1.0)) == "Node(shape=(), requires_grad=False)"
 
     def test_accumulates_across_calls(self):
         x = dc.parameter(1.0)
@@ -778,6 +800,10 @@ class TestShapeOps:
         assert out.value.shape == (4, 2, 3)
         backward(dc.sum_(dc.mul(out, out)))
         np.testing.assert_allclose(a.grad, 2.0 * a.value)
+
+    def test_broadcast_to_refuses_incompatible_shape(self):
+        with pytest.raises(DimensionError, match=r"cannot broadcast \(3,\) to \(2, 4\)"):
+            dc.broadcast_to(dc.constant(np.ones(3)), (2, 4))
 
     def test_clip_gradient_mask(self):
         a = dc.parameter(np.array([-2.0, 0.0, 2.0]))

@@ -55,3 +55,4 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
     for head in HEADS:
         for output in ("train.stdout", "train.checkpoint", "sample", "inspect"):
             assert f"cli.{head}.{output}" in names
+    assert {"cli.ablate.table", "cli.ablate.refused"} <= names

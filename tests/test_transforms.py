@@ -336,7 +336,7 @@ class TestCdf:
             calls.append(x.copy())
             return x, np.ones_like(x)
 
-        x = tf.monotone_bisect(f, np.array([0.3, -0.7]))
+        x = tf.monotone_bisect(f, np.array([0.3, -0.7]), -1.0, 1.0)
         assert len(calls) == 2 + 2
         np.testing.assert_array_equal(calls[0], [-1.0, -1.0])
         np.testing.assert_array_equal(calls[1], [1.0, 1.0])
@@ -361,15 +361,15 @@ class TestCdf:
                 assert abs(cdf_inv(y, psi) - root) < 1e-12
 
     def test_root_on_bracket_end(self):
-        # roots at +-2^k are ends of the default bracket; on 0.2 x + tanh(x -
-        # r), Newton from inside overshoots each of them, so only starting at
-        # the end lands on it
+        # roots at +-2^k are ends of the bracket grown from [-1, 1]; on
+        # 0.2 x + tanh(x - r), Newton from inside overshoots each of them, so
+        # only starting at the end lands on it
         for r in (-16.0, -2.0, -1.0, 1.0, 2.0, 16.0):
             def f(x):
                 t = np.tanh(x - r)
                 return 0.2 * x + t, 1.2 - t * t
 
-            assert abs(tf.monotone_bisect(f, np.array([0.2 * r]))[0] - r) < 1e-12
+            assert abs(tf.monotone_bisect(f, np.array([0.2 * r]), -1.0, 1.0)[0] - r) < 1e-12
 
     def test_newton_step_outside_bracket_bisects(self):
         # tanh(x - 1.6) = 0 is bracketed by [-1, 2]; from the midpoint 0.5,
@@ -382,7 +382,7 @@ class TestCdf:
             t = np.tanh(x - 1.6)
             return t, 1.0 - t * t
 
-        x = tf.monotone_bisect(f, np.zeros(1))
+        x = tf.monotone_bisect(f, np.zeros(1), -1.0, 1.0)
         assert calls[:5] == [-1.0, 1.0, 2.0, 0.5, 1.25]
         assert abs(x[0] - 1.6) < 1e-12
 
@@ -399,7 +399,7 @@ class TestCdf:
             t = np.tanh(x - 21.0)
             return 0.2 * x + t, 1.2 - t * t
 
-        x = tf.monotone_bisect(f, np.array([4.2]))
+        x = tf.monotone_bisect(f, np.array([4.2]), -1.0, 1.0)
         assert abs(x[0] - 21.0) < 1e-12
         assert len(calls) <= 7 + 5  # 7 bracket evaluations, 5 measured
 
@@ -817,6 +817,18 @@ class TestSplineInverse:
             y, _ = spline_fwd(x, psi)
             worst = max(worst, abs(spline_inv(y, psi) - x))
         assert worst < 1e-10
+
+    def test_negative_discriminant_names_the_lane(self):
+        # a hand-built K=2 table whose lane 1 has falling y knots and a negative
+        # knot derivative: y = 0.5 lands in its bin [-0.5, -0.4] ten bin heights
+        # past y0, where the bin's quadratic has no real root; lanes 0 and 2
+        # are the identity
+        table = np.array([[[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]] * 3)
+        table[1, 1] = [-1.0, -0.5, -0.4]
+        table[1, 2] = [1.0, 1.0, -0.9]
+        with pytest.raises(InversionError, match="negative discriminant") as err:
+            tf.spline_inverse_np(np.array([0.3, 0.5, 0.3]), table, 1.0)
+        assert err.value.index == 1
 
     def test_graph_matches_plain(self):
         rng = np.random.default_rng(22)

@@ -8,7 +8,11 @@ Runs of the same workload and seed on the two sides form a pair; a run
 without a partner is left out.  For every workload and every end-to-end
 metric of BENCHMARK.json the output holds each side's per-seed values,
 median and quartiles over the pairs, and the number of pairs in which the
-change is better, in the metric's direction (a tie is no win).  Under
+change is better, in the metric's direction (a tie is no win).  A metric is
+marked ``unresolved`` when the parent's own spread, (p75 - p25) / |median|,
+is wider than the metric's ``bound``, unless every change run beats every
+parent run: such a spread cannot tell a change within the bound from one
+beyond it.  Under
 ``ops`` it holds each side's ``attempted`` and ``failed`` ops, summed over
 the phases of every paired run (the ``phases`` block of each result), since
 a larger share of failed ops counts against a change like a slower metric,
@@ -77,9 +81,10 @@ def summary(values: dict) -> dict:
 
 def compare(parent: dict, change: dict, metrics: list) -> dict:
     """Per workload and metric: both sides' summaries over the paired seeds,
-    and the change's wins; under ``ops``, both sides' op counts summed over
-    the paired seeds, and the seeds whose failed counts differ.  A workload
-    without a pair is left out."""
+    the change's wins, and whether the parent's spread leaves the metric
+    unresolved; under ``ops``, both sides' op counts summed over the paired
+    seeds, and the seeds whose failed counts differ.  A workload without a
+    pair is left out."""
     out = {}
     for workload in sorted(set(parent) & set(change)):
         old, new = parent[workload], change[workload]
@@ -89,12 +94,17 @@ def compare(parent: dict, change: dict, metrics: list) -> dict:
         rows = {}
         for metric in metrics:
             name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+            before = summary({s: old[s][name] for s in seeds})
+            spread = before["p75"] - before["p25"]
+            separated = min(sign * new[s][name] for s in seeds) > max(
+                sign * old[s][name] for s in seeds)
             rows[name] = {
                 "better": metric["better"],
-                "parent": summary({s: old[s][name] for s in seeds}),
+                "parent": before,
                 "change": summary({s: new[s][name] for s in seeds}),
                 "wins": sum(sign * (new[s][name] - old[s][name]) > 0 for s in seeds),
                 "pairs": len(seeds),
+                "unresolved": spread > metric["bound"] * abs(before["median"]) and not separated,
             }
         rows["ops"] = {side: {key: sum(runs[s][key] for s in seeds) for key in OPS}
                        for side, runs in (("parent", old), ("change", new))}

@@ -31,7 +31,10 @@ loss and every gradient widened to float64), ``log_prob`` (y, logdet, logp),
 history and ``sample`` after 12 ``train`` steps.  For each head it also
 hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy, the csv of
 ``tnaf sample`` from that checkpoint, and the stdout of ``tnaf inspect
---count-with-psi`` on it (its parameter and psi counts).  The ``blocks.*``
+--count-with-psi`` on it (its parameter and psi counts).  The ``cli.ablate.*``
+lines hash the exit code, stdout and stderr of ``tnaf ablate`` on ABLATE's
+grid, and on the same grid with a later cell refused (``layers`` 0).  The
+``blocks.*``
 lines hash ``evaluate`` and ``invert_rows`` of a small model on BLOCK_ROWS
 rows, which both split into blocks of ``flow.ROW_BLOCK`` rows, the last one
 short.  An output that raises is hashed as the exception's type and message,
@@ -80,6 +83,8 @@ INVERT_ROWS = 4
 # out, so that the script also runs on a checkout from before ROW_BLOCK
 BLOCKS = ("cdf", 8)
 BLOCK_ROWS = 515
+# the grid of the cli.ablate.table line: 2 head types x 2 depths
+ABLATE = {"head_type": ["affine", "spline"], "layers": [1, 2]}
 
 
 def digest(data) -> str:
@@ -162,6 +167,27 @@ def block_hashes(head: str, d: int) -> None:
     emit(f"{tag}.invert_rows", guarded(invert_rows, model, rows))
 
 
+def run_cli(argv) -> bytes:
+    """The exit code, stdout and stderr of one tnaf command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return f"{code}\n{out.getvalue()}{err.getvalue()}".encode()
+
+
+def ablate_hashes(workdir: str) -> None:
+    base = {
+        "model": {"D": 2, **SMALL},
+        "train": {"batch_size": 32, "max_steps": 6, "eval_every": 3, "seed": 4},
+        "data": {"toy": "ring", "n": 200, "seed": 3},
+    }
+    for name, grid in (("table", ABLATE), ("refused", {**ABLATE, "layers": [1, 0]})):
+        config = os.path.join(workdir, f"ablate-{name}.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({"base": base, "grid": grid}, fh)
+        emit(f"cli.ablate.{name}", run_cli(["ablate", "-c", config]))
+
+
 def cli_hashes(head: str, workdir: str) -> None:
     doc = {
         "model": {"D": 2, "head_type": head, **SMALL},
@@ -173,24 +199,16 @@ def cli_hashes(head: str, workdir: str) -> None:
     rows = os.path.join(workdir, f"{head}.csv")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["train", "-c", config, "-o", ckpt])
-    emit(f"cli.{head}.train.stdout", f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+    emit(f"cli.{head}.train.stdout", run_cli(["train", "-c", config, "-o", ckpt]))
     with open(ckpt, "rb") as fh:
         emit(f"cli.{head}.train.checkpoint", fh.read())
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli_main(["sample", "-m", ckpt, "-n", "16", "--seed", "3", "-o", rows])
-    if code == 0:
+    # sample writes nothing to stdout: a failure hashes as its code and stderr
+    sampled = run_cli(["sample", "-m", ckpt, "-n", "16", "--seed", "3", "-o", rows])
+    if sampled.startswith(b"0\n"):
         with open(rows, "rb") as fh:
-            emit(f"cli.{head}.sample", fh.read())
-    else:
-        emit(f"cli.{head}.sample", f"{code}\n{err.getvalue()}".encode())
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(["inspect", "-m", ckpt, "--count-with-psi"])
-    emit(f"cli.{head}.inspect", f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+            sampled = fh.read()
+    emit(f"cli.{head}.sample", sampled)
+    emit(f"cli.{head}.inspect", run_cli(["inspect", "-m", ckpt, "--count-with-psi"]))
 
 
 def main() -> int:
@@ -206,6 +224,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for head in ("affine", "cdf", "shared_cdf", "spline"):
             cli_hashes(head, workdir)
+        ablate_hashes(workdir)
     return 0
 
 
