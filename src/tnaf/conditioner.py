@@ -143,29 +143,31 @@ def embed_sequence(x, params: ParamSet, cfg: ModelConfig) -> Node:
 
 class KVCache:
     """One sequence of cached steps, never stored on a model: each layer's
-    attention keys and values [N, heads, D, head_dim] of the `length` tokens
-    encoded so far, and every stage's arrays, gathered from `params` when the
-    cache is made: `embed`, the EMBED_PARAMS, and `weights`, each layer's
-    LAYER_PARAMS and their fused [wq | wk | wv]."""
+    attention keys and values of the `length` tokens so far, [D, head_dim, N,
+    heads] with the lanes (rows x heads) contiguous last, and the arrays made
+    from `params` with it: `embed`, the EMBED_PARAMS, and `weights`, each
+    layer's LAYER_PARAMS, fused [wq | wk | wv] and fused [bq | 0 | bv].  numpy
+    sums one lane in another order than many, so 1 row of 1 head runs twice."""
 
     def __init__(self, params: ParamSet, cfg: ModelConfig, n: int):
-        shape = (n, cfg.heads, cfg.D, cfg.E // cfg.heads)
+        shape = (cfg.D, cfg.E // cfg.heads, n + (n * cfg.heads == 1), cfg.heads)
         self.keys = [np.zeros(shape) for _ in range(cfg.layers)]
         self.values = [np.zeros(shape) for _ in range(cfg.layers)]
         self.length, self.heads = 0, cfg.heads
         self.embed = [params[name].value for name in EMBED_PARAMS]
         w = [[params[f"layer{i}.{p}"].value for p in LAYER_PARAMS] for i in range(cfg.layers)]
-        self.weights = [ws + [np.hstack((ws[2], ws[4], ws[5]))] for ws in w]
+        self.weights = [ws + [np.hstack((ws[2], ws[4], ws[5])),
+                              np.hstack((ws[3], np.zeros_like(ws[3]), ws[6]))] for ws in w]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """The next position's hidden rows [N, E] from `x`, the input just
-        recovered [N, 1] ([N, 0] at the first step), encoded against the cached
-        prefix in numpy, with no graph node.  D steps give the full pass's rows."""
+        """The next position's hidden rows [N, E] from `x` [N, 1] ([N, 0] at first),
+        the input just recovered, in numpy with no node; D steps give condition's."""
         seq = _embed(x, self.embed, self.length)[0]
+        seq = np.concatenate((seq, seq)) if len(seq) * self.heads == 1 else seq
         for layer, w in enumerate(self.weights):
             seq = _block(seq, w, self.heads, self, layer)[0]
         self.length += 1
-        return seq[:, 0]
+        return seq[:len(x), 0]
 
 
 def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: int = 0):
@@ -178,11 +180,10 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     forward and in the vjp.  One chunk keeps its softmax; several under grad
     keep only each softmax tile's row max and sum, and the vjp rebuilds each
     chunk's softmax from them, bit for bit.
-    With a cache (`KVCache.step`), `x` holds the new tokens only and `w` is
-    one of the cache's `weights`: one fused product (each row with the three
-    products' bits) gives their q, k and v, k and v go into the cache's
-    `layer` after its `length` tokens, and q attends over the whole prefix;
-    such a step returns no vjp.
+    With a cache (`KVCache.step`), `x` is the new token [N, 1, E] and `w` one
+    of the cache's `weights`: one fused product (each row with the three
+    products' bits) gives q, k and v as lanes; k and v go into the cache's
+    `layer`, and q.k over head_dim, softmaxed over the keys, weights v; no vjp.
     """
     g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, bm1, w2, bm2 = w[:15]
     n, d, e = x.shape
@@ -203,12 +204,12 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
     flat1 = normed.reshape(-1, e)
     if cache is not None:
         qkv = dc.rows_matmul(flat1, w[15])
-        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + d
-        keys[:, :, cache.length:end] = split_heads(qkv[:, e:2 * e])
-        values[:, :, cache.length:end] = split_heads(qkv[:, 2 * e:] + bv)
-        k, v = keys[:, :, :end], values[:, :, :end]
-        q = split_heads(qkv[:, :e] + bq)
-        ctx4 = dc.masked_softmax(q @ k.transpose(0, 1, 3, 2), False, scale) @ v
+        qkv += w[16]
+        q, k, v = qkv.reshape(n, 3, heads, dk).transpose(1, 3, 0, 2)
+        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + 1
+        keys[cache.length], values[cache.length] = k, v
+        attn = dc.masked_softmax(np.einsum("ljnh,jnh->lnh", keys[:end], q.copy()), False, scale)
+        ctx = np.einsum("lnh,ljnh->jnh", attn, values[:end]).transpose(1, 2, 0).reshape(n, e)
     else:
         q = split_heads(dc.rows_matmul(flat1, wq) + bq)
         k = split_heads(dc.rows_matmul(flat1, wk))
@@ -233,7 +234,7 @@ def _block(x: np.ndarray, w, heads: int, cache: KVCache | None = None, layer: in
         for c, s in zip(chunks, stats):
             ctx4[c] = probs(c, s, attn) @ v[c]
         attn = None if several else attn
-    ctx = merge_heads(ctx4)
+        ctx = merge_heads(ctx4)
     u = x + (dc.rows_matmul(ctx, wo) + bo).reshape(n, d, e)
 
     normed2, xhat2, inv2 = dc.layer_norm(u, g2, b2, LAYER_NORM_EPS)

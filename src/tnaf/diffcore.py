@@ -444,8 +444,8 @@ def _softmax_tiles(n: int, causal: bool) -> list[tuple]:
 
 def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
                    stats: list | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of scale * scores over the last axis; with `causal`, square
-    scores and query row r sees key columns 0..r only.
+    """Softmax of scale * scores over the last axis of causal square scores,
+    row r seeing columns 0..r only, or over the keys of a cached step's [L, N, heads].
 
     A causal call runs over tiles of SOFTMAX_ROW_BLOCK query rows by the
     columns those rows can see, adding NEG_MASK to the hidden positions in
@@ -462,7 +462,7 @@ def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
     n = scores.shape[-1]
     mask = np.triu(np.full((n, n), NEG_MASK, scores.dtype), 1) if causal else None
     y = np.zeros(scores.shape, scores.dtype) if out is None else out
-    tiles = _softmax_tiles(n, causal)
+    tiles, axis = _softmax_tiles(n, causal), -1 if causal else 0
     filled = bool(stats)
     if filled and len(stats) != len(tiles):
         raise ValueError(f"masked_softmax: {len(stats)} kept statistics for {len(tiles)} tiles")
@@ -470,11 +470,11 @@ def masked_softmax(scores: np.ndarray, causal: bool, scale: float = 1.0,
         t = scores[tile] * scale
         if causal:
             t += mask[tile[1:]]
-        top, total = stats[i] if filled else (t.max(axis=-1, keepdims=True), None)
+        top, total = stats[i] if filled else (t.max(axis=axis, keepdims=True), None)
         t -= top
         np.exp(t, out=t)
         if not filled:
-            total = t.sum(axis=-1, keepdims=True)
+            total = t.sum(axis=axis, keepdims=True)
             if stats is not None:
                 stats.append((top, total))
         np.divide(t, total, out=y[tile])

@@ -111,6 +111,11 @@ class Head:
         """Hidden embeddings [..., E] -> psi [..., width]."""
         return project_head(hidden, params)
 
+    def step_psi(self, params: ParamSet):
+        """`psi` in numpy for a cached step's rows [N, E], `linear`'s arithmetic."""
+        w, b = params["head.w"].value, params["head.b"].value
+        return lambda hidden: dc.rows_matmul(hidden, w) + b
+
     def inverse_state(self, params: ParamSet, n: int):
         """Scratch carried across the dimensions of one inversion, built once
         per block of rows: whatever ``inverse`` reads of the parameters."""
@@ -180,6 +185,9 @@ class SharedCdfHead(Head):
 
     def psi(self, hidden, params):
         return hidden
+
+    def step_psi(self, params):
+        return lambda hidden: hidden
 
     def forward(self, x, psi, params):
         return tf.shared_cdf_forward_node(x, psi, params)
@@ -411,9 +419,10 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
     # numpy's floating-point warnings on the way there would say nothing more
     with dc.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = model.head.inverse_state(model.params, n)
+        step_psi = model.head.step_psi(model.params)
         for i in range(d):
             # step i embeds x_{i-1} (nothing at i=0: the start token)
-            psi = model.head.psi(dc.constant(cache.step(x[:, i - 1:i])), model.params).value
+            psi = step_psi(cache.step(x[:, i - 1:i]))
             try:
                 x[:, i] = model.head.inverse(psi, noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])

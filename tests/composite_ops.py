@@ -162,29 +162,38 @@ def embed_sequence(x, params, cfg, start=0):
 
 def encoder_layer(seq, params, layer, cfg, cache=None):
     """The 23-node op chain that conditioner.encoder_layer's one node
-    replaced: x + MHA(ln(x)), then u + MLP(ln(u)).  With a cache the cached
-    keys and values enter as constants, as they did."""
+    replaced: x + MHA(ln(x)), then u + MLP(ln(u)).  With a cache, the new
+    token's (d = 1) chain over the lane-major cache: q, k and v reshaped to
+    lanes [head_dim, N, heads], the cached keys and values as constants,
+    the scores a sum of q * k over head_dim, the softmax over the leading key
+    axis, and the context a sum of attn * v over the keys."""
     n, d, e = seq.value.shape
     h, dk = cfg.heads, cfg.E // cfg.heads
     p = f"layer{layer}."
 
     normed = layer_norm(seq, params[p + "ln1.g"], params[p + "ln1.b"])
+    q = dc.linear(normed, params[p + "wq"], params[p + "bq"])
+    k = dc.linear(normed, params[p + "wk"])
+    v = dc.linear(normed, params[p + "wv"], params[p + "bv"])
+    scale = 1.0 / math.sqrt(dk)
+    if cache is None:
+        def split_heads(t):
+            return dc.transpose(dc.reshape(t, (n, d, h, dk)), (0, 2, 1, 3))
 
-    def split_heads(t):
-        return dc.transpose(dc.reshape(t, (n, d, h, dk)), (0, 2, 1, 3))
+        q, k, v = split_heads(q), split_heads(k), split_heads(v)
+        attn = masked_softmax(matmul(q, dc.transpose(k, (0, 1, 3, 2))), True, scale)
+        ctx = dc.reshape(dc.transpose(matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
+    else:  # the new key and value go into the cache at its length
+        def lanes(t):  # [N, 1, E] -> [head_dim, N, heads]
+            return dc.transpose(dc.reshape(t, (n, h, dk)), (2, 0, 1))
 
-    q = split_heads(dc.linear(normed, params[p + "wq"], params[p + "bq"]))
-    k = split_heads(dc.linear(normed, params[p + "wk"]))
-    v = split_heads(dc.linear(normed, params[p + "wv"], params[p + "bv"]))
-    if cache is not None:  # the new keys and values go after the cached ones
-        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + d
-        keys[:, :, cache.length:end] = k.value
-        values[:, :, cache.length:end] = v.value
-        k, v = dc.constant(keys[:, :, :end]), dc.constant(values[:, :, :end])
-
-    scores = matmul(q, dc.transpose(k, (0, 1, 3, 2)))
-    attn = masked_softmax(scores, cache is None, 1.0 / math.sqrt(dk))
-    ctx = dc.reshape(dc.transpose(matmul(attn, v), (0, 2, 1, 3)), (n, d, e))
+        q, k, v = lanes(q), lanes(k), lanes(v)
+        keys, values, end = cache.keys[layer], cache.values[layer], cache.length + 1
+        keys[cache.length], values[cache.length] = k.value, v.value
+        scores = dc.sum_(dc.mul(dc.constant(keys[:end]), q), axis=1)
+        attn = dc.reshape(masked_softmax(scores, False, scale), (end, 1, n, h))
+        ctx = dc.sum_(dc.mul(attn, dc.constant(values[:end])), axis=0)
+        ctx = dc.reshape(dc.transpose(ctx, (1, 2, 0)), (n, d, e))
     u = dc.add(seq, dc.linear(ctx, params[p + "wo"], params[p + "bo"]))
 
     normed2 = layer_norm(u, params[p + "ln2.g"], params[p + "ln2.b"])

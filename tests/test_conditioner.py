@@ -608,6 +608,31 @@ class TestKVCache:
         full = condition(x, params, cfg).value
         assert np.abs(self.cached_rows(x, params, cfg) - full).max() <= 1e-12
 
+    # the lane layouts' extremes: heads=1 (head_dim = E) and heads=E
+    # (head_dim = 1); one row of one head is the cache's lone lane
+    @pytest.mark.parametrize("heads", [1, 8])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_steps_match_full_pass_at_any_head_dim(self, d, n, heads):
+        cfg, params = fresh(d, seed=d, layers=2, heads=heads)
+        x = np.random.default_rng(d).standard_normal((n, d))
+        full = condition(x, params, cfg).value
+        assert np.abs(self.cached_rows(x, params, cfg) - full).max() <= 1e-12
+
+    def test_keys_and_values_are_lane_major(self):
+        # [D, head_dim, rows, heads]; a lone lane runs twice
+        cfg, params = fresh(3, layers=2)
+        x = np.random.default_rng(0).standard_normal((4, 3))
+        cache = KVCache(params, cfg, 4)
+        cache.step(x[:, :0])
+        normed = dc.layer_norm(embed_sequence(x, params, cfg).value[:, :1],
+                               params["layer0.ln1.g"].value, params["layer0.ln1.b"].value,
+                               conditioner.LAYER_NORM_EPS)[0][:, 0]
+        k = dc.rows_matmul(normed, params["layer0.wk"].value)
+        assert cache.keys[0].shape == (3, 4, 4, 2)
+        np.testing.assert_array_equal(cache.keys[0][0], k.reshape(4, 2, 4).transpose(2, 0, 1))
+        assert KVCache(params, tiny_config(3, heads=1), 1).keys[0].shape == (3, 8, 2, 1)
+
     def test_embed_from_position_matches_full(self):
         cfg, params = fresh(4, seed=5)
         x = np.random.default_rng(5).standard_normal((3, 4))

@@ -277,6 +277,20 @@ class TestRowIdentity:
         model = build_model(ModelConfig(D=8, head_type=head), seed=5)
         np.testing.assert_array_equal(sample(model, 1, 9)[0], sample(model, 5, 9)[0])
 
+    # heads=1 puts a whole embedding in each lane (head_dim = E = 8, so a
+    # score sums 8 products) and heads=8 one value; one row of one head is a
+    # lone lane, whose sums numpy would run in another order than many lanes'
+    @pytest.mark.parametrize("heads", (1, 8))
+    @pytest.mark.parametrize("d", (1, 2, 8))
+    def test_invert_rows_row_alone_equals_row_in_5_at_any_head_dim(self, d, heads):
+        model = build_model(ModelConfig(D=d, head_type="affine", E=8, heads=heads, layers=2,
+                                        mlp_hidden=16), seed=d)
+        targets = np.random.default_rng(d).standard_normal((5, d))
+        whole = invert_rows(model, targets)
+        for r in range(5):
+            np.testing.assert_array_equal(invert_rows(model, targets[r:r + 1])[0], whole[r],
+                                          err_msg=f"row {r}")
+
     def test_d63_spline_inversion_row_alone_equals_row_in_any_call(self):
         # the benchmark's width: the cached key count reaches 63, and a 1-row
         # step runs its products in one padded row tile
@@ -496,21 +510,40 @@ class TestSampling:
 
     @pytest.mark.parametrize("head", ALL_HEADS)
     def test_layer_weights_looked_up_once_per_block(self, monkeypatch, head):
-        # each encoder layer's weights, and shared_cdf's phi.*, are gathered
-        # once per KVCache, not at every step: a 4-row D=63 spline inversion
-        # made 3150 lookups when they were not.  Only the embedding's and the
-        # head projection's stay per step.
+        # every parameter is gathered once per block of rows, not at every
+        # step: the embedding's and each encoder layer's by the KVCache,
+        # shared_cdf's phi.* and the spline's mixes by inverse_state, and
+        # head.{w,b} by step_psi.  A 4-row D=63 spline inversion made 3150
+        # lookups when the layers' were per step, and 177 when the head
+        # projection's were.
         model = build_model(ModelConfig(D=63, head_type=head), seed=2)
         looked_up = []
         real = dc.ParamSet.__getitem__
         monkeypatch.setattr(dc.ParamSet, "__getitem__",
                             lambda params, name: looked_up.append(name) or real(params, name))
         invert_rows(model, np.random.default_rng(3).standard_normal((4, 63)))
-        names = set(model.params.names())
-        per_step = {"input_proj.w", "input_proj.b", "positional"} | {"head.w", "head.b"} & names
-        once = [name for name in looked_up if name not in per_step]
-        assert sorted(once) == sorted(names - per_step)
-        assert len(looked_up) - len(once) <= len(per_step) * model.D
+        assert sorted(looked_up) == sorted(model.params.names())
+
+    # the projected heads' psi is numpy at each step; what nodes remain are
+    # the spline's two mix matrices, built once per block, and shared_cdf's
+    # conditioned biases, built at each step
+    @pytest.mark.parametrize("head, d, nodes", [("affine", 2, 0), ("cdf", 8, 0),
+                                                ("spline", 63, 2), ("shared_cdf", 8, 48)])
+    def test_graph_nodes_per_inversion(self, monkeypatch, head, d, nodes):
+        model = build_model(ModelConfig(D=d, head_type=head), seed=2)
+        made = []
+        real = dc.make_node
+        monkeypatch.setattr(dc, "make_node", lambda *a: made.append(1) or real(*a))
+        invert_rows(model, np.random.default_rng(3).standard_normal((4, d)))
+        assert len(made) == nodes
+
+    @pytest.mark.parametrize("head", ["affine", "cdf", "spline"])
+    def test_step_psi_is_the_projection_value(self, head):
+        # the value-only projection of a cached step has linear's bits
+        model = tiny_model(8, head, seed=4)
+        hidden = np.random.default_rng(4).standard_normal((5, model.config.E))
+        np.testing.assert_array_equal(model.head.step_psi(model.params)(hidden),
+                                      flow.project_head(dc.constant(hidden), model.params).value)
 
     @pytest.mark.parametrize("d", (1, 2, 8))
     @pytest.mark.parametrize("head", ALL_HEADS)

@@ -168,10 +168,23 @@ def test_spline_projects_once_per_loss(tmp_path, monkeypatch):
 
 
 def test_spline_projects_once_per_inverted_dimension(tmp_path, monkeypatch):
+    # each cached step runs the value-only projection once, for every block
     model, _, _ = untrained("spline", tmp_path)
-    calls = counting_project_head(monkeypatch)
+    widths = []
+    step_psi = model.head.step_psi
+
+    def counted(params):
+        project = step_psi(params)
+
+        def run(hidden):
+            psi = project(hidden)
+            widths.append(psi.shape[-1])
+            return psi
+        return run
+
+    monkeypatch.setattr(model.head, "step_psi", counted)
     invert_rows(model, np.random.default_rng(0).standard_normal((4, 3)))
-    assert len(calls) == model.D
+    assert widths == [model.head.width] * model.D
 
 
 def replay_head_draws(cfg, seed=0):

@@ -48,6 +48,9 @@ def test_every_line_is_a_unique_name_and_sha256_covering_every_parameter():
             assert f"{tag}.{output}" in names
         for param in build_model(tool.model_config(head, d, {}), seed=1).params.names():
             assert f"{tag}.grad32.{param}" in names
+    for d, heads in tool.CACHE:
+        assert f"cache.D{d}.h{heads}" in names
+    assert {heads for _, heads in tool.CACHE} == {1, 8}
     assert tool.BLOCK_ROWS == 2 * ROW_BLOCK + 3
     head, d = tool.BLOCKS
     for output in ("evaluate", "invert_rows"):

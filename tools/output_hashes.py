@@ -34,6 +34,9 @@ hashes the checkpoint and stdout of ``tnaf train`` on a 2-D toy, the csv of
 --count-with-psi`` on it (its parameter and psi counts).  The ``cli.ablate.*``
 lines hash the exit code, stdout and stderr of ``tnaf ablate`` on ABLATE's
 grid, and on the same grid with a later cell refused (``layers`` 0).  The
+``cache.D<D>.h<heads>`` lines (CACHE) hash the hidden rows of D
+``KVCache.step`` calls directly, so a change to the cached path shows in
+lines of its own and not only through each head's ``invert_rows``.  The
 ``blocks.*``
 lines hash ``evaluate`` and ``invert_rows`` of a small model on BLOCK_ROWS
 rows, which both split into blocks of ``flow.ROW_BLOCK`` rows, the last one
@@ -56,6 +59,7 @@ import numpy as np
 from tnaf import diffcore as dc
 from tnaf.checkpoint import parse_run_config
 from tnaf.cli import main as cli_main
+from tnaf.conditioner import KVCache
 from tnaf.data import DatasetMatrix, make_splits
 from tnaf.flow import ModelConfig, build_model, invert_rows, log_prob, nll_loss, sample
 from tnaf.trainer import TrainConfig, evaluate, float32_gradients, train
@@ -79,6 +83,9 @@ BENCH = (("spline", 63, 64), ("cdf", 8, 256))
 # 1 in float64, and 7 chunks of 8 and one of 5 in float32
 RAGGED = (("spline", 63, 61),)
 INVERT_ROWS = 4
+# (D, heads) of the cache.* lines, each on ROWS rows of a default-width
+# conditioner: one head of head_dim 32, or eight of head_dim 4
+CACHE = ((5, 1), (8, 8), (63, 8))
 # (head, D) of the blocks.* lines, on 2 * flow.ROW_BLOCK + 3 rows: written
 # out, so that the script also runs on a checkout from before ROW_BLOCK
 BLOCKS = ("cdf", 8)
@@ -159,6 +166,13 @@ def bench_hashes(head: str, d: int, rows: int, tag: str) -> None:
     emit(f"{tag}.sample.N1", guarded(sample, model, 1, 5))
 
 
+def cache_hashes(d: int, heads: int) -> None:
+    cfg = model_config("affine", d, {"heads": heads})
+    cache = KVCache(build_model(cfg, seed=1).params, cfg, ROWS)
+    x = np.random.default_rng(d).standard_normal((ROWS, d))
+    emit(f"cache.D{d}.h{heads}", np.stack([cache.step(x[:, i - 1:i]) for i in range(d)], 1))
+
+
 def block_hashes(head: str, d: int) -> None:
     tag = f"blocks.{head}.D{d}.N{BLOCK_ROWS}"
     model = build_model(model_config(head, d), seed=1)
@@ -220,6 +234,8 @@ def main() -> int:
         bench_hashes(head, d, rows, f"bench.{head}.D{d}")
     for head, d, rows in RAGGED:
         bench_hashes(head, d, rows, f"bench.{head}.D{d}.N{rows}")
+    for d, heads in CACHE:
+        cache_hashes(d, heads)
     block_hashes(*BLOCKS)
     with tempfile.TemporaryDirectory() as workdir:
         for head in ("affine", "cdf", "shared_cdf", "spline"):
