@@ -1,9 +1,10 @@
 """Command-line surface: train, eval, sample, invert, check, inspect, ablate.
 
-Exit codes: 0 success, 1 internal error, 2 config/usage error, 3 data error
-(including dimension mismatch and a file that cannot be read or written), 4
-corrupt checkpoint (including non-finite weights, a malformed header or
-unusable standardization stats), 5 inversion failure.
+Exit codes: 0 success, 1 internal error, 2 config/usage error (including a
+count or size numpy cannot allocate), 3 data error (including dimension
+mismatch and a file that cannot be read or written), 4 corrupt checkpoint
+(including non-finite weights, a malformed header or unusable
+standardization stats), 5 inversion failure.
 """
 
 from __future__ import annotations
@@ -188,8 +189,8 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablation base and grid must be JSON objects")
     if set(grid) - _ABLATE_GRID_KEYS:
         raise ConfigError(f"grid keys must be within {sorted(_ABLATE_GRID_KEYS)}")
-    if not all(isinstance(values, list) for values in grid.values()):
-        raise ConfigError("grid values must be lists")
+    if not all(isinstance(values, list) and values for values in grid.values()):
+        raise ConfigError("grid values must be nonempty lists")
     # every cell is parsed before the first trains; an axis the grid omits
     # keeps the base's value
     base = asdict(parse_run_config(base_doc))
@@ -294,6 +295,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as err:
+        print(f"memory error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -198,6 +198,7 @@ MIXTURE_STD = 0.3
 MIXTURE_COMPONENTS = 8
 RING_RADIUS = 2.0
 TOY_NOISE = 0.1
+TOYS = ("gauss_mixture_8", "two_moons", "ring")
 
 
 def _mixture_means() -> np.ndarray:
@@ -225,24 +226,27 @@ def gauss_mixture_8_nll_oracle(n: int = 1_000_000, seed: int = 0) -> float:
 def toy_generate(name: str, n: int, seed: int) -> DatasetMatrix:
     if n < 1:
         raise DataError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    if name == "gauss_mixture_8":
-        comp = rng.integers(0, MIXTURE_COMPONENTS, size=n)
-        data = _mixture_means()[comp] + MIXTURE_STD * rng.standard_normal((n, 2))
-    elif name == "two_moons":
-        n_out = n // 2 + n % 2
-        n_in = n // 2
-        t_out = np.pi * rng.random(n_out)
-        t_in = np.pi * rng.random(n_in)
-        outer = np.stack([np.cos(t_out), np.sin(t_out)], axis=1)
-        inner = np.stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)], axis=1)
-        data = np.concatenate([outer, inner]) + TOY_NOISE * rng.standard_normal((n, 2))
-    elif name == "ring":
-        theta = 2.0 * np.pi * rng.random(n)
-        radius = RING_RADIUS + TOY_NOISE * rng.standard_normal(n)
-        data = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-    else:
+    if name not in TOYS:
         raise DataError(f"unknown toy distribution {name!r}")
+    rng = np.random.default_rng(seed)
+    try:
+        if name == "gauss_mixture_8":
+            comp = rng.integers(0, MIXTURE_COMPONENTS, size=n)
+            data = _mixture_means()[comp] + MIXTURE_STD * rng.standard_normal((n, 2))
+        elif name == "two_moons":
+            n_out = n // 2 + n % 2
+            n_in = n // 2
+            t_out = np.pi * rng.random(n_out)
+            t_in = np.pi * rng.random(n_in)
+            outer = np.stack([np.cos(t_out), np.sin(t_out)], axis=1)
+            inner = np.stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)], axis=1)
+            data = np.concatenate([outer, inner]) + TOY_NOISE * rng.standard_normal((n, 2))
+        else:
+            theta = 2.0 * np.pi * rng.random(n)
+            radius = RING_RADIUS + TOY_NOISE * rng.standard_normal(n)
+            data = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+    except (ValueError, MemoryError) as err:  # numpy's ValueError: more than an array indexes
+        raise MemoryError(f"cannot generate {n} rows of toy data: {err}") from None
     return DatasetMatrix(data)
 
 

@@ -82,9 +82,9 @@ def project_head(hidden: Node, params: ParamSet) -> Node:
 @dataclass
 class Head:
     """One per-dimension invertible transform, parameterized per position by
-    `width` pseudo-parameters psi, which `psi` reads off the conditioner's
-    hidden embeddings.  A head states ``width``, the ``keys`` it reads and its
-    two transforms:
+    `width` pseudo-parameters psi, the projection ``project_head`` of the
+    conditioner's hidden embeddings through ``head.{w,b}``.  A head states
+    ``width``, the ``keys`` it reads and its two transforms:
 
     * ``forward(x, psi, params)``: the graph map x [N, D] ->
       (y [N, D], per-dimension logdet [N, D]) given psi [N, D, width], each
@@ -106,15 +106,6 @@ class Head:
         """Add the head's parameters after the conditioner's, from the build RNG."""
         params.add("head.w", uniform_init(rng, self.cfg.E, (self.cfg.E, self.width)))
         params.add("head.b", np.zeros(self.width))
-
-    def psi(self, hidden: Node, params: ParamSet) -> Node:
-        """Hidden embeddings [..., E] -> psi [..., width]."""
-        return project_head(hidden, params)
-
-    def step_psi(self, params: ParamSet):
-        """`psi` in numpy for a cached step's rows [N, E], `linear`'s arithmetic."""
-        w, b = params["head.w"].value, params["head.b"].value
-        return lambda hidden: dc.rows_matmul(hidden, w) + b
 
     def inverse_state(self, params: ParamSet, n: int):
         """Scratch carried across the dimensions of one inversion, built once
@@ -160,44 +151,44 @@ class CdfHead(Head):
         return tf.cdf_inv_batch(target, psi)
 
 
-class SharedCdfHead(Head):
-    """One global monotone net `phi.*` (the per-token net's map, one global
-    phi.c) whose biases b1 and b2 are shifted by the embedding's linear maps
-    `phi.w1_cond` [E, H] and `phi.w2_cond` [E, 1]; its psi is the embedding."""
-
-    keys = CdfHead.keys
+class SharedCdfHead(CdfHead):
+    """One global monotone net whose w1, w2 and c are shared by every position
+    (`phi.w1`, `phi.w2`, `phi.c`); each position's psi [b1 | b2], H + 1 wide,
+    shifts the biases, and shared_cdf_psi packs the net's 3H + 2 values."""
 
     @property
     def width(self):
-        return self.cfg.E
+        return self.cfg.H + 1
 
     def init(self, params, rng):
         h, e = self.cfg.H, self.cfg.E
         params.add("phi.w1", np.zeros(h))
-        params.add("phi.b1", np.zeros(h))
         # same init bias as the per-token head
         params.add("phi.w2", np.full(h, -np.log(h)))
-        params.add("phi.b2", np.zeros(1))
         params.add("phi.c", np.zeros(1))
-        # stored [E, out] as `linear` reads them: the [out, E] draws, transposed
-        params.add("phi.w1_cond", np.ascontiguousarray(uniform_init(rng, e, (h, e)).T))
-        params.add("phi.w2_cond", np.ascontiguousarray(uniform_init(rng, e, (1, e)).T))
-
-    def psi(self, hidden, params):
-        return hidden
-
-    def step_psi(self, params):
-        return lambda hidden: hidden
+        # the b1 and b2 maps' [out, E] draws, transposed; hstack of the
+        # transposes is F-ordered, and check_gradient perturbs values in place
+        params.add("head.w", np.ascontiguousarray(np.hstack(
+            [uniform_init(rng, e, (h, e)).T, uniform_init(rng, e, (1, e)).T])))
+        params.add("head.b", np.zeros(self.width))
 
     def forward(self, x, psi, params):
         return tf.shared_cdf_forward_node(x, psi, params)
 
     def inverse_state(self, params, n):
-        """The shared net's seven `phi.*` nodes, looked up once."""
-        return {name: params[name] for name in params.names() if name.startswith("phi.")}
+        """A packed psi [n, 3H + 2] holding the three globals, filled once per
+        block; each step copies its b1 and b2 in."""
+        h = self.cfg.H
+        packed = np.empty((n, 3 * h + 2))
+        packed[:, :h] = params["phi.w1"].value
+        packed[:, 2 * h:3 * h] = params["phi.w2"].value
+        packed[:, 3 * h + 1] = params["phi.c"].value[0]
+        return packed
 
     def inverse(self, psi, target, i, state):
-        return tf.cdf_inv_batch(target, tf.shared_cdf_psi(dc.constant(psi), state).value)
+        h = self.cfg.H
+        state[:, h:2 * h], state[:, 3 * h] = psi[:, :h], psi[:, h]
+        return tf.cdf_inv_batch(target, state)
 
 
 class SplineHead(Head):
@@ -317,7 +308,7 @@ def forward_values(model: FlowModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _log_likelihood(model: FlowModel, x: np.ndarray) -> tuple[Node, Node, Node, Node]:
     """x [N, D] -> (y [N, D], per-dimension logdet [N, D], logdet [N],
     log p(x) [N]) as graph nodes: one conditioner pass, one head transform."""
-    psi = model.head.psi(condition(x, model.params, model.config), model.params)
+    psi = project_head(condition(x, model.params, model.config), model.params)
     y, ld = model.head.forward(dc.constant(x), psi, model.params)
     logdet = dc.sum_(ld, axis=1)
     base = dc.add(dc.mul(-0.5, dc.sum_(dc.mul(y, y), axis=1)), -0.5 * model.D * LOG_2PI)
@@ -381,10 +372,13 @@ def nll_loss(model: FlowModel, batch: np.ndarray) -> Node:
 
 def sample(model: FlowModel, n: int, seed: int) -> np.ndarray:
     """Draw n vectors: sample standard-normal noise, then invert dimension by
-    dimension."""
+    dimension.  MemoryError names n if numpy cannot hold the noise."""
     if n < 1:
         raise DimensionError(f"sample count must be >= 1, got {n}")
-    noise = np.random.default_rng(seed).standard_normal((n, model.D))
+    try:
+        noise = np.random.default_rng(seed).standard_normal((n, model.D))
+    except (ValueError, MemoryError) as err:  # numpy's ValueError: more than an array indexes
+        raise MemoryError(f"cannot draw {n} samples: {err}") from None
     return invert_rows(model, noise)
 
 
@@ -419,10 +413,10 @@ def _invert_block(model: FlowModel, noise: np.ndarray, start: int) -> np.ndarray
     # numpy's floating-point warnings on the way there would say nothing more
     with dc.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         state = model.head.inverse_state(model.params, n)
-        step_psi = model.head.step_psi(model.params)
+        w, b = model.params["head.w"].value, model.params["head.b"].value
         for i in range(d):
-            # step i embeds x_{i-1} (nothing at i=0: the start token)
-            psi = step_psi(cache.step(x[:, i - 1:i]))
+            # step i embeds x_{i-1} (nothing at i=0: the start token); psi as project_head
+            psi = dc.rows_matmul(cache.step(x[:, i - 1:i]), w) + b
             try:
                 x[:, i] = model.head.inverse(psi, noise[:, i], i, state)
                 bad = ~np.isfinite(x[:, i])

@@ -12,7 +12,8 @@ whose log-derivative was trained.  The affine and spline inverses are closed
 forms; the CDF net is inverted by safeguarded Newton iteration on its value
 and slope in a closed-form bracket (``monotone_bisect``).  No transform takes
 a size: the CDF net reads H and the spline K off psi's last axis, 3H + 2 and
-3K - 1 wide, and the mix reads D off its input.
+3K - 1 wide (the shared CDF net H off its biases [b1 | b2], H + 1 wide), and
+the mix reads D off its input.
 
 Spline stacks interleave elementwise splines with a unit-lower-triangular
 linear mix whose determinant is exactly 1, so the stack's diagonal derivative
@@ -210,27 +211,23 @@ def cdf_forward_node(x: Node, psi: Node) -> tuple[Node, Node]:
 
 
 # ---------------------------------------------------------------------------
-# shared CDF: one global monotone net, conditioned by the embeddings
+# shared CDF: one global monotone net, its biases shifted per position
 # ---------------------------------------------------------------------------
 
 
-def shared_cdf_psi(h_embed: Node, phi) -> Node:
-    """The shared net at embeddings h_embed [..., E] as cdf_forward_node's psi
-    [..., 3H + 2]: phi.w1, phi.w2 and phi.c broadcast to every position, and
-    biases b1 = h w1_cond + phi.b1, b2 = h w2_cond + phi.b2 shifted by the
-    embedding.  phi maps the shared parameter names ``phi.*`` to nodes."""
-    lead = h_embed.value.shape[:-1]
-    hdim = phi["phi.w1"].value.shape[0]
-    b1 = dc.linear(h_embed, phi["phi.w1_cond"], phi["phi.b1"])
-    b2 = dc.linear(h_embed, phi["phi.w2_cond"], phi["phi.b2"])
-    return dc.concat([dc.broadcast_to(phi["phi.w1"], lead + (hdim,)), b1,
-                      dc.broadcast_to(phi["phi.w2"], lead + (hdim,)), b2,
+def shared_cdf_psi(psi: Node, phi) -> Node:
+    """cdf_forward_node's psi [..., 3H + 2] of the shared net: the global nodes
+    phi["phi.w1"], phi["phi.w2"] and phi["phi.c"] broadcast to every position
+    around that position's biases psi [..., H + 1] = [b1 | b2]."""
+    lead, h = psi.value.shape[:-1], psi.value.shape[-1] - 1
+    return dc.concat([dc.broadcast_to(phi["phi.w1"], lead + (h,)), dc.narrow(psi, -1, 0, h),
+                      dc.broadcast_to(phi["phi.w2"], lead + (h,)), dc.narrow(psi, -1, h, 1),
                       dc.broadcast_to(phi["phi.c"], lead + (1,))], axis=-1)
 
 
-def shared_cdf_forward_node(x: Node, h_embed: Node, phi) -> tuple[Node, Node]:
-    """Batched graph form; h_embed is [N, D, E]."""
-    return cdf_forward_node(x, shared_cdf_psi(h_embed, phi))
+def shared_cdf_forward_node(x: Node, psi: Node, phi) -> tuple[Node, Node]:
+    """Batched graph form; psi is [N, D, H + 1]."""
+    return cdf_forward_node(x, shared_cdf_psi(psi, phi))
 
 
 # ---------------------------------------------------------------------------

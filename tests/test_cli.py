@@ -302,7 +302,7 @@ def test_refused_checkpoint_exits_4(tmp_path, capsys, damage, message):
 def _per_block_projections(header):
     """A two-block spline's manifest as it was with one projection head{j} per
     block."""
-    manifest, old, offset = header["manifest"], [], 0
+    manifest, old = header["manifest"], []
     for entry in manifest:
         if entry["name"] in ("head.w", "head.b"):
             continue
@@ -313,17 +313,29 @@ def _per_block_projections(header):
                 old += [{"name": f"head{j}.w", "shape": [e, width // 2]},
                         {"name": f"head{j}.b", "shape": [width // 2]}]
         old.append(entry)
-    for entry in old:
+    _set_manifest(header, old)
+
+
+def _set_manifest(header, entries):
+    offset = 0
+    for entry in entries:
         entry["offset"] = offset
         offset += 4 * int(np.prod(entry["shape"]))
-    header["manifest"] = old
+    header["manifest"] = entries
 
 
-def _conditioning_weight_as_out_by_e(header):
-    """shared_cdf's manifest with phi.w1_cond in its old [H, E] shape."""
-    for entry in header["manifest"]:
-        if entry["name"] == "phi.w1_cond":
-            entry["shape"] = entry["shape"][::-1]
+def _conditioning_maps_in_phi(header):
+    """shared_cdf's manifest as it was with its per-position maps in phi.*:
+    head.w as phi.w1_cond [E, H] and phi.w2_cond [E, 1], head.b as phi.b1
+    and phi.b2, each beside the globals."""
+    manifest = header["manifest"]
+    e, width = next(x["shape"] for x in manifest if x["name"] == "head.w")
+    h = width - 1
+    old = [x for x in manifest if not x["name"].startswith(("phi.", "head."))]
+    old += [{"name": name, "shape": shape} for name, shape in (
+        ("phi.w1", [h]), ("phi.b1", [h]), ("phi.w2", [h]), ("phi.b2", [1]), ("phi.c", [1]),
+        ("phi.w1_cond", [e, h]), ("phi.w2_cond", [e, 1]))]
+    _set_manifest(header, old)
 
 
 # the message names the first parameter whose entry differs and shows both entries
@@ -332,10 +344,10 @@ def _conditioning_weight_as_out_by_e(header):
      r'manifest does not match the architecture: parameter head\.w is stored as '
      r'\{"name":"head0\.w","offset":(\d+),"shape":\[8,11\]\}, '
      r'expected \{"name":"head\.w","offset":\1,"shape":\[8,22\]\}'),
-    ("shared_cdf", _conditioning_weight_as_out_by_e,
-     r'parameter phi\.w1_cond is stored as '
-     r'\{"name":"phi\.w1_cond","offset":(\d+),"shape":\[4,8\]\}, '
-     r'expected \{"name":"phi\.w1_cond","offset":\1,"shape":\[8,4\]\}'),
+    ("shared_cdf", _conditioning_maps_in_phi,
+     r'parameter phi\.w2 is stored as '
+     r'\{"name":"phi\.b1","offset":(\d+),"shape":\[4\]\}, '
+     r'expected \{"name":"phi\.w2","offset":\1,"shape":\[4\]\}'),
 ])
 def test_old_projection_layout_exits_4(tmp_path, capsys, head_type, edit, message):
     rc = parse_run_config(tiny_model_doc(head_type=head_type))
@@ -945,7 +957,8 @@ class TestRefusedRunInput:
         ({}, {"head_type": ["affine", "planar"]}),
         ({"layers": 0}, {"layers": [1]}),
         ({"head_type": "planar"}, {"head_type": ["affine"]}),
-    ], ids=["later_layers", "later_head_type", "base_layers", "base_head_type"])
+        ({}, {"head_type": ["affine"], "layers": []}),
+    ], ids=["later_layers", "later_head_type", "base_layers", "base_head_type", "empty_axis"])
     def test_ablate_bad_cell_or_base_exits_2_before_any_training(
             self, tmp_path, capsys, monkeypatch, base_model, grid):
         # the base must itself parse, and every cell parses before the first trains
@@ -979,6 +992,51 @@ class TestRefusedRunInput:
         assert main(["invert", "-m", str(ckpt), "-d", str(data), "-o", str(out)]) == 3
         err = capsys.readouterr().err
         assert "targets have 3 columns but model expects 2" in err, err
+        assert not out.exists()
+
+    # numpy refuses a count past what an array can index with ValueError, and
+    # one past memory with MemoryError; the draws are refused by patching, as
+    # a real 72 TiB request may not fail fast on a host that overcommits
+    @pytest.mark.parametrize("error", [
+        ValueError("Maximum allowed dimension exceeded"),
+        MemoryError("Unable to allocate 72.8 TiB for an array"),
+    ], ids=["past_indexing", "past_memory"])
+    @pytest.mark.parametrize("command", ["train", "sample"])
+    def test_count_numpy_cannot_hold_exits_2(self, tmp_path, capsys, monkeypatch,
+                                             command, error):
+        count = 10 ** 13
+        out = tmp_path / "out"
+        if command == "train":
+            cfg = write_config(tmp_path, tiny_model_doc(toy="gauss_mixture_8", n=count))
+            argv = ["train", "-c", cfg, "-o", str(out)]
+        else:
+            rc = parse_run_config(tiny_model_doc())
+            ckpt = tmp_path / "m.ckpt"
+            save_checkpoint(str(ckpt), build_model(rc.model, seed=1),
+                            StandardizationStats(mean=np.zeros(2), std=np.ones(2)), rc)
+            argv = ["sample", "-m", str(ckpt), "-n", str(count), "--seed", "1", "-o", str(out)]
+        real = np.random.default_rng
+
+        class Refusing:
+            """A generator that raises `error` for any draw of `count` values."""
+
+            def __init__(self, *args):
+                self.rng = real(*args)
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    sizes = [x for v in (*args, *kwargs.values())
+                             for x in (v if isinstance(v, tuple) else (v,))]
+                    if count in sizes:
+                        raise error
+                    return getattr(self.rng, name)(*args, **kwargs)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Refusing)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("memory error: cannot ") and str(error) in err, err
+        assert f" {count} " in err and err.count("\n") == 1, err
         assert not out.exists()
 
     # a learning rate of 1e6 overflows the float32 step: numpy warns before

@@ -452,7 +452,7 @@ class TestGraphSize:
     # the default config's 3 encoder layers and the embedding take 4 nodes;
     # the rest are the head's and the loss's
     @pytest.mark.parametrize("head, d, nodes", [("affine", 2, 20), ("cdf", 8, 15),
-                                                ("shared_cdf", 8, 20), ("spline", 63, 28)])
+                                                ("shared_cdf", 8, 21), ("spline", 63, 28)])
     def test_nll_loss(self, monkeypatch, head, d, nodes):
         model = build_model(ModelConfig(D=d, head_type=head), seed=0)
         x = np.random.default_rng(0).standard_normal((4, d))
@@ -523,13 +523,14 @@ class TestProjectHead:
         for row in psi:
             np.testing.assert_array_equal(row, params["head.b"].value)
 
-    def test_identity_head_returns_embeddings(self):
-        # shared_cdf consumes the embeddings unprojected: no head.* parameters
-        # and one pseudo-parameter per embedding coordinate
+    def test_shared_cdf_head_projects_its_biases(self):
+        # shared_cdf projects the embeddings like every head, to its biases
+        # [b1 | b2]: H + 1 pseudo-parameters per position
         model = build_model(ModelConfig(D=3, head_type="shared_cdf", E=8, heads=2,
                                         layers=1, mlp_hidden=16, H=4), seed=41)
-        assert not [n for n in model.params.names() if n.startswith("head")]
-        assert model.D * model.head.width == 3 * 8
+        assert model.params["head.w"].value.shape == (8, 5)
+        assert model.params["head.b"].value.shape == (5,)
+        assert model.D * model.head.width == 3 * 5
 
     def test_cdf_head_psi_dim(self):
         # one hidden layer of width 128 -> 3*128 + 2 pseudo-parameters per token

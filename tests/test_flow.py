@@ -513,7 +513,7 @@ class TestSampling:
         # every parameter is gathered once per block of rows, not at every
         # step: the embedding's and each encoder layer's by the KVCache,
         # shared_cdf's phi.* and the spline's mixes by inverse_state, and
-        # head.{w,b} by step_psi.  A 4-row D=63 spline inversion made 3150
+        # head.{w,b} by _invert_block.  A 4-row D=63 spline inversion made 3150
         # lookups when the layers' were per step, and 177 when the head
         # projection's were.
         model = build_model(ModelConfig(D=63, head_type=head), seed=2)
@@ -524,11 +524,10 @@ class TestSampling:
         invert_rows(model, np.random.default_rng(3).standard_normal((4, 63)))
         assert sorted(looked_up) == sorted(model.params.names())
 
-    # the projected heads' psi is numpy at each step; what nodes remain are
-    # the spline's two mix matrices, built once per block, and shared_cdf's
-    # conditioned biases, built at each step
+    # every head's psi is numpy at each step; what nodes remain are the
+    # spline's two mix matrices, built once per block
     @pytest.mark.parametrize("head, d, nodes", [("affine", 2, 0), ("cdf", 8, 0),
-                                                ("spline", 63, 2), ("shared_cdf", 8, 48)])
+                                                ("spline", 63, 2), ("shared_cdf", 8, 0)])
     def test_graph_nodes_per_inversion(self, monkeypatch, head, d, nodes):
         model = build_model(ModelConfig(D=d, head_type=head), seed=2)
         made = []
@@ -537,13 +536,22 @@ class TestSampling:
         invert_rows(model, np.random.default_rng(3).standard_normal((4, d)))
         assert len(made) == nodes
 
-    @pytest.mark.parametrize("head", ["affine", "cdf", "spline"])
-    def test_step_psi_is_the_projection_value(self, head):
-        # the value-only projection of a cached step has linear's bits
+    @pytest.mark.parametrize("head", ALL_HEADS)
+    def test_step_psi_is_the_projection_value(self, monkeypatch, head):
+        # each cached step's psi, as the head's inverse gets it, has the bits
+        # of project_head on that step's hidden rows
         model = tiny_model(8, head, seed=4)
-        hidden = np.random.default_rng(4).standard_normal((5, model.config.E))
-        np.testing.assert_array_equal(model.head.step_psi(model.params)(hidden),
-                                      flow.project_head(dc.constant(hidden), model.params).value)
+        hidden, psis = [], []
+        step, inverse = flow.KVCache.step, model.head.inverse
+        monkeypatch.setattr(flow.KVCache, "step", lambda cache, x: hidden.append(step(cache, x))
+                            or hidden[-1])
+        monkeypatch.setattr(model.head, "inverse", lambda psi, *rest: psis.append(psi)
+                            or inverse(psi, *rest))
+        invert_rows(model, np.random.default_rng(4).standard_normal((5, 8)))
+        assert len(psis) == len(hidden) == 8
+        for rows, psi in zip(hidden, psis):
+            np.testing.assert_array_equal(
+                psi, flow.project_head(dc.constant(rows), model.params).value)
 
     @pytest.mark.parametrize("d", (1, 2, 8))
     @pytest.mark.parametrize("head", ALL_HEADS)

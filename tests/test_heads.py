@@ -26,12 +26,14 @@ from tnaf.trainer import TrainConfig, train
 # when the all-zero attention key biases layer*.bk left the manifest, and
 # for spline and shared_cdf when the spline's per-block projections
 # head{j}.{w,b} became one head.{w,b} and phi.w{1,2}_cond were stored [E, out]
-# (every stored value kept its bytes or, for phi.w1_cond, its transpose's).
+# (every stored value kept its bytes or, for phi.w1_cond, its transpose's),
+# and for shared_cdf when its conditioning maps phi.w{1,2}_cond and biases
+# phi.b{1,2} became its projection head.{w,b} (the same bytes, regrouped).
 # Pins parameter names, order and shapes and the order of the build-RNG draws.
 GOLDEN_SHA256 = {
     "affine": "eea15fb36962ed084396f0a421ef3ee1c6b73923d21f2710ddbbc5a1bb9a699f",
     "cdf": "ab3928594ee06571fdd714c00e3746c1e0d0ca1051dde8941a761a192a146846",
-    "shared_cdf": "58ec072cb12e1508d8659d3d049aec3ca74f9239952003c7289db95a64d74a20",
+    "shared_cdf": "2bd00ee86e29a5cecf9d4c47465f625b0e48018ccecfb394d6181715811f7838",
     "spline": "232965862223ab14f26bebf25b52e450bac8017dc93f2f4749b475840dc7d769",
 }
 
@@ -68,10 +70,8 @@ def test_param_count_matches_parameters(head, tmp_path):
 
 def test_psi_count_behind_count_with_psi(head, tmp_path, capsys):
     model, _, path = untrained(head, tmp_path)
-    # projected heads emit the width of their one head.b bias per position;
-    # unprojected ones read the E-wide embedding itself
-    width = model.params["head.b"].value.size if "head.b" in model.params.names() else 0
-    assert model.D * model.head.width == model.D * (width or model.config.E)
+    # every head emits the width of its one head.b bias per position
+    assert model.head.width == model.params["head.b"].value.size
     assert main(["inspect", "-m", str(path), "--count-with-psi"]) == 0
     printed = capsys.readouterr().out.split("param_count=")[1].split()[0]
     assert int(printed) == PARAM_COUNT[head] + model.D * model.head.width
@@ -139,6 +139,17 @@ def test_save_load_save_byte_identical(head, tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_every_head_reads_one_projection(head, tmp_path):
+    # psi is hidden @ head.w + head.b for every head; every parameter is
+    # C-contiguous, as check_gradient's in-place perturbation needs
+    model, _, _ = untrained(head, tmp_path)
+    e, width = model.config.E, model.head.width
+    assert model.params["head.w"].value.shape == (e, width)
+    assert model.params["head.b"].value.shape == (width,)
+    for name in model.params.names():
+        assert model.params[name].value.flags.c_contiguous, name
+
+
 def test_untrained_checkpoint_matches_golden_hash(head, tmp_path):
     _, _, path = untrained(head, tmp_path)
     assert head in GOLDEN_SHA256, f"pin the untrained checkpoint hash of head {head!r}"
@@ -168,21 +179,13 @@ def test_spline_projects_once_per_loss(tmp_path, monkeypatch):
 
 
 def test_spline_projects_once_per_inverted_dimension(tmp_path, monkeypatch):
-    # each cached step runs the value-only projection once, for every block
+    # each cached step projects once, for every block: the head's inverse gets
+    # one psi of the whole width per dimension
     model, _, _ = untrained("spline", tmp_path)
     widths = []
-    step_psi = model.head.step_psi
-
-    def counted(params):
-        project = step_psi(params)
-
-        def run(hidden):
-            psi = project(hidden)
-            widths.append(psi.shape[-1])
-            return psi
-        return run
-
-    monkeypatch.setattr(model.head, "step_psi", counted)
+    inverse = model.head.inverse
+    monkeypatch.setattr(model.head, "inverse", lambda psi, *rest: widths.append(
+        psi.shape[-1]) or inverse(psi, *rest))
     invert_rows(model, np.random.default_rng(0).standard_normal((4, 3)))
     assert widths == [model.head.width] * model.D
 
@@ -211,10 +214,11 @@ def test_shared_cdf_conditioning_weights_are_the_old_draws_transposed(tmp_path):
     rng = replay_head_draws(cfg)
     w1 = uniform_init(rng, cfg.E, (cfg.H, cfg.E))
     w2 = uniform_init(rng, cfg.E, (1, cfg.E))
-    for name, old in (("phi.w1_cond", w1), ("phi.w2_cond", w2)):
-        value = model.params[name].value
-        assert value.shape == (cfg.E, old.shape[0]) and value.flags.c_contiguous
-        assert value.tobytes() == np.ascontiguousarray(old.T).tobytes()
+    # head.w's columns: the b1 map's H, then the b2 map's one
+    value = model.params["head.w"].value
+    assert value.shape == (cfg.E, cfg.H + 1) and value.flags.c_contiguous
+    assert value[:, :cfg.H].tobytes() == np.ascontiguousarray(w1.T).tobytes()
+    assert value[:, cfg.H].tobytes() == w2[0].tobytes()
 
 
 class ShiftHead(flow.Head):

@@ -582,42 +582,40 @@ class TestCdfNode:
 
 
 class TestSharedCdf:
-    def make_phi(self, rng, h=4, e=6):
+    def make_phi(self, rng, h=4):
+        """The shared net's globals; each position's psi is its biases [b1 | b2]."""
         return {
             "phi.w1": 0.3 * rng.standard_normal(h),
-            "phi.b1": 0.3 * rng.standard_normal(h),
             "phi.w2": 0.3 * rng.standard_normal(h) - np.log(h),
-            "phi.b2": 0.3 * rng.standard_normal(1),
             "phi.c": 0.3 * rng.standard_normal(1),
-            "phi.w1_cond": rng.standard_normal((e, h)) / np.sqrt(e),
-            "phi.w2_cond": rng.standard_normal((e, 1)) / np.sqrt(e),
         }
 
-    def shared_fwd(self, x, h_rows, phi):
-        """Graph forward on x [N, D] with embeddings [N, D, E], no_grad."""
+    def shared_fwd(self, x, psi, phi):
+        """Graph forward on x [N, D] with biases psi [N, D, H + 1], no_grad."""
         nodes = {name: dc.constant(v) for name, v in phi.items()}
         with dc.no_grad():
             y, ld = tf.shared_cdf_forward_node(dc.constant(np.atleast_2d(x)),
-                                               dc.constant(h_rows), nodes)
+                                               dc.constant(psi), nodes)
         return y.value, ld.value
 
-    def reference(self, x, h_rows, phi):
-        """The shared net is the per-token net with embedding-shifted biases."""
-        b1 = phi["phi.b1"] + h_rows @ phi["phi.w1_cond"]
-        b2 = phi["phi.b2"][0] + (h_rows @ phi["phi.w2_cond"])[..., 0]
-        return _cdf_reference(x, phi["phi.w1"], b1, phi["phi.w2"], b2, phi["phi.c"][0])
+    def reference(self, x, psi, phi):
+        """The shared net is the per-token net on the globals and each
+        position's biases."""
+        return _cdf_reference(x, phi["phi.w1"], psi[..., :-1], phi["phi.w2"], psi[..., -1],
+                              phi["phi.c"][0])
 
-    def scalar(self, x, h_embed, phi):
-        y, ld = self.shared_fwd(np.array([[x]]), h_embed[None, None, :], phi)
+    def scalar(self, x, biases, phi):
+        y, ld = self.shared_fwd(np.array([[x]]), biases[None, None, :], phi)
         return float(y[0, 0]), float(ld[0, 0])
 
     def test_zero_conditioning_reduces_to_cdf(self):
+        # at biases [b1 | b2] the shared net is the cdf net on [w1 | b1 | w2 | b2 | c]
         rng = np.random.default_rng(8)
         phi = self.make_phi(rng)
-        psi = cdf_psi(phi["phi.w1"], phi["phi.b1"], phi["phi.w2"], phi["phi.b2"][0],
-                      phi["phi.c"][0])
+        biases = 0.3 * rng.standard_normal(5)
+        psi = cdf_psi(phi["phi.w1"], biases[:4], phi["phi.w2"], biases[4], phi["phi.c"][0])
         for x in (-1.5, 0.0, 2.0):
-            ys, lds = self.scalar(x, np.zeros(6), phi)
+            ys, lds = self.scalar(x, biases, phi)
             yc, ldc = cdf_fwd(x, psi)
             assert abs(ys - yc) < 1e-15
             assert abs(lds - ldc) < 1e-12
@@ -625,25 +623,27 @@ class TestSharedCdf:
     def test_monotone_for_fixed_embedding(self):
         rng = np.random.default_rng(9)
         phi = self.make_phi(rng)
-        h_embed = rng.standard_normal(6)
+        biases = rng.standard_normal(5)
         xs = np.sort(rng.standard_normal(40) * 3)
-        ys = np.array([self.scalar(float(x), h_embed, phi)[0] for x in xs])
+        ys = np.array([self.scalar(float(x), biases, phi)[0] for x in xs])
         assert (np.diff(ys) > 0).all()
 
     def test_logdet_matches_fd_slope(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
             phi = self.make_phi(rng)
-            h_embed = rng.standard_normal(6)
+            biases = rng.standard_normal(5)
             x = float(2.0 * rng.standard_normal())
-            _, ld = self.scalar(x, h_embed, phi)
-            slope = fd_slope(lambda v: self.scalar(v, h_embed, phi)[0], x)
+            _, ld = self.scalar(x, biases, phi)
+            slope = fd_slope(lambda v: self.scalar(v, biases, phi)[0], x)
             assert abs(np.exp(ld) - slope) / slope < 1e-6
 
     def test_embedding_shape_checked(self):
+        # psi must be H + 1 = 5 wide: the globals do not broadcast to other widths
         phi = self.make_phi(np.random.default_rng(11))
-        with pytest.raises(DimensionError):
-            self.scalar(0.0, np.zeros(5), phi)
+        for width in (4, 6):
+            with pytest.raises(DimensionError):
+                self.scalar(0.0, np.zeros(width), phi)
 
     def test_phi_gradients_pass_through_broadcasts(self):
         # the global phi.w1, phi.w2 and phi.c reach every position through
@@ -651,30 +651,26 @@ class TestSharedCdf:
         rng = np.random.default_rng(13)
         phi_values = self.make_phi(rng)
         x = rng.standard_normal((3, 2))
-        h_rows = rng.standard_normal((3, 2, 6))
+        psi_value = rng.standard_normal((3, 2, 5))
         gy, gld = rng.standard_normal((2, 3, 2))
 
         def grads(forward):
             phi = {name: dc.parameter(v.copy()) for name, v in phi_values.items()}
-            y, ld = forward(dc.constant(x), dc.constant(h_rows), phi)
+            psi = dc.parameter(psi_value.copy())
+            y, ld = forward(dc.constant(x), psi, phi)
             dc.backward(dc.add(dc.sum_(dc.mul(y, dc.constant(gy))),
                                dc.sum_(dc.mul(ld, dc.constant(gld)))))
-            return {name: node.grad for name, node in phi.items()}
+            return {"psi": psi.grad, **{name: node.grad for name, node in phi.items()}}
 
-        def composite(x, h_embed, phi):
-            # the shared head before shared_cdf_psi: biases shifted by the
-            # embedding, global weights broadcast by the ops themselves
-            flat = dc.reshape(h_embed, (6, 6))
-            cond1 = cops.matmul(flat, phi["phi.w1_cond"])
-            cond2 = cops.matmul(flat, phi["phi.w2_cond"])
-            b1 = dc.add(dc.reshape(cond1, (3, 2, 4)), phi["phi.b1"])
-            b2 = dc.add(dc.reshape(cond2, (3, 2)), dc.reshape(phi["phi.b2"], ()))
-            return _composite_cdf(x, phi["phi.w1"], b1, phi["phi.w2"], b2,
-                                  dc.reshape(phi["phi.c"], ()))
+        def composite(x, psi, phi):
+            # the per-position biases narrowed off psi, the global weights
+            # broadcast by the ops themselves
+            b2 = dc.reshape(dc.narrow(psi, -1, 4, 1), (3, 2))
+            return _composite_cdf(x, phi["phi.w1"], dc.narrow(psi, -1, 0, 4), phi["phi.w2"],
+                                  b2, dc.reshape(phi["phi.c"], ()))
 
         got, want = grads(tf.shared_cdf_forward_node), grads(composite)
-        for name in ("phi.w1", "phi.w2", "phi.c", "phi.b1", "phi.b2", "phi.w1_cond",
-                     "phi.w2_cond"):
+        for name in ("phi.w1", "phi.w2", "phi.c", "psi"):
             assert np.abs(got[name]).max() > 0, name
             np.testing.assert_allclose(got[name], want[name], rtol=0,
                                        atol=1e-14 * np.abs(want[name]).max(), err_msg=name)
@@ -683,9 +679,9 @@ class TestSharedCdf:
         rng = np.random.default_rng(12)
         phi = self.make_phi(rng)
         x = rng.standard_normal((3, 2))
-        h_rows = rng.standard_normal((3, 2, 6))
-        y_node, ld_node = self.shared_fwd(x, h_rows, phi)
-        y, ld = self.reference(x, h_rows, phi)
+        psi = rng.standard_normal((3, 2, 5))
+        y_node, ld_node = self.shared_fwd(x, psi, phi)
+        y, ld = self.reference(x, psi, phi)
         assert np.abs(y - y_node).max() < 1e-12
         assert np.abs(ld - ld_node).max() < 1e-12
 
